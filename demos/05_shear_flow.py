@@ -25,12 +25,11 @@ print(f"\nenergy identity defect, dt = 0.02 vs 0.01: ratio {d1 / d2:.2f} (second
 gap = transport_gap_cts(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, conv), flow, 1e-3, 2.0)
 print(f"transport gap at t = 2, nu = 1e-3: {gap['gap_sq']:.3e} <= bound {gap['bound']:.3e}")
 
-print("\ndissipation times (power iteration + bisection):")
-rng = np.random.default_rng(0)
+print("\ndissipation times (exact band norms + bisection):")
 nus = np.logspace(-2, -4, 5)
 taus, hint = [], None
 for nu in nus:
-    tau = tau_d_cts(flow, float(nu), conv, k1_max=16, grid_size=64, rng=rng, t_hint=hint)
+    tau = tau_d_cts(flow, float(nu), conv, k1_max=16, grid_size=64, t_hint=hint)
     hint = 2.5 * tau
     taus.append(tau)
     heat_only = 1.0 / (nu * conv.eigenvalue((1, 0)))

@@ -136,11 +136,10 @@ def _cmd_simulate(args) -> int:
 def _sweep_cell(payload: dict) -> dict:
     auto = ToralAutomorphism(tuple(tuple(r) for r in payload["matrix"]))
     conv = SpectralConvention(payload["dim"], payload["convention"])
-    rng = np.random.default_rng(payload["seed"])
     if payload["method"] == "exact":
         tau = tau_d_exact(auto, payload["nu"], conv)
     else:
-        tau = tau_d_operator_catmap(auto, payload["nu"], conv, rng=rng)
+        tau = tau_d_operator_catmap(auto, payload["nu"], conv)
     return {"nu": payload["nu"], "tau_d": tau, "method": payload["method"]}
 
 
@@ -155,9 +154,8 @@ def _run_tau_sweep(args, jobs: int) -> DissipationReport:
             "convention": conv.scaling,
             "nu": float(nu),
             "method": args.method,
-            "seed": args.seed + i,  # one stream per cell, fixed by the config
         }
-        for i, nu in enumerate(nus)
+        for nu in nus
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -229,13 +227,12 @@ def _cmd_cts(args) -> int:
     flow = _parse_shear(args.shear)
     conv = SpectralConvention(2, args.convention if args.convention else "geometric")
     nus = _parse_nu_grid(args.nu_grid)
-    rng = np.random.default_rng(args.seed)
     rows = []
     hint = None
     for nu in sorted(nus, reverse=True):  # large nu first: cheap, seeds the hint
         tau = tau_d_cts(
             flow, float(nu), conv, k1_max=args.k1max, grid_size=args.ygrid,
-            rng=rng, dt_target=args.dt, t_hint=hint,
+            dt_target=args.dt, t_hint=hint,
         )
         hint = tau * 2.0
         rows.append((float(nu), tau))

@@ -12,10 +12,11 @@ lattice minimum is certified by branch-and-bound enumeration of the form
 quadratic partial sum exceeds the incumbent is pruned, which also bounds
 the search radius through the smallest reduced diagonal entry).
 
-Operator route (any truncated Koopman operator): smallest n with the top
-singular value of the n-step truncated operator below 1/e, estimated by
-power iteration with random restarts.  The two routes are independent and
-are cross-checked against each other in the test suite.
+Operator route (any truncated Koopman operator): smallest n with the norm
+of the n-step truncated operator below 1/e, computed exactly: by a walk
+over the orbits of an induced permutation (brute force over the mode
+ball), or as the norm of a dense matrix power.  The two routes are
+independent and are cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -254,125 +255,59 @@ def operator_norm_energies(
 # operator-norm route
 # ---------------------------------------------------------------------------
 
-def _operator_sigma(
-    koopman: TruncatedKoopman,
-    damp: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    restarts: int,
-    tol: float,
-    max_iter: int,
-    decision: Optional[float] = None,
-) -> float:
-    """Top singular value of the n-step damped operator via power iteration.
+def operator_norms(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> Iterator[float]:
+    """Yield the exact norms ||T^n||, n = 1, 2, ..., of T = diag(exp(-nu lambda_k)) K.
 
-    All restarts run as one block; the estimate is the max over columns and
-    approaches the norm from below, so iteration stops early once that
-    lower bound already clears ``decision``, or once the estimate has
-    stalled safely below it (5 percent cushion).  The leak monitor aborts
-    when an n-step application strands more than LEAK_THRESHOLD of its
-    input mass outside the ball after damping.
+    For an induced permutation K every column of T^n is a single damped mode,
+    and distinct columns land on distinct modes, so ||T^n|| is the largest
+    damping product exp(-nu S_n) along an n-step orbit that stays inside the
+    ball; one vectorised walk carries every orbit's exponent sum S_n.  The
+    leak monitor aborts when a start mode whose orbit escapes keeps more
+    than LEAK_THRESHOLD of its mass after damping.  A dense unitary K gives
+    the norm of the matrix power directly.
     """
-    size = koopman.size
+    lam = convention.scale_factor * np.sum(koopman.modes.astype(float) ** 2, axis=1)
+    rate = nu * lam
+    if koopman.matrix is not None:
+        step = np.exp(-rate)[:, None] * koopman.matrix
+        power = step
+        while True:
+            yield float(np.linalg.norm(power, 2))
+            power = step @ power
     # escaped images land beyond the ball, so their damping is at most the
-    # smallest damping inside the ball: that is the conservative leak weight
-    edge_damp_sq = float(np.min(damp)) ** 2
-    real_ok = koopman.matrix is None or np.isrealobj(koopman.matrix)
-
-    def apply_n(block: np.ndarray) -> np.ndarray:
-        mass_in = np.sum(np.abs(block) ** 2, axis=0)
-        out = block
-        leaked = np.zeros(block.shape[1])
-        for _ in range(n):
-            out, lost = koopman.koopman_apply(out)
-            leaked += lost * edge_damp_sq
-            out = damp[:, None] * out
-        rel = leaked / np.maximum(mass_in, 1e-300)
-        if np.any(rel > LEAK_THRESHOLD):
-            raise TruncationLeakError(
-                f"damped escaping mass {float(np.max(rel)):.3e} of input exceeds "
-                f"{LEAK_THRESHOLD:.0e}; increase the mode ball radius"
-            )
-        return out
-
-    def adjoint_n(block: np.ndarray) -> np.ndarray:
-        out = block
-        for _ in range(n):
-            out = koopman.koopman_adjoint(damp[:, None] * out)
-        return out
-
-    if real_ok:
-        block = rng.standard_normal((size, restarts))
-    else:
-        block = rng.standard_normal((size, restarts)) + 1j * rng.standard_normal((size, restarts))
-    block /= np.linalg.norm(block, axis=0, keepdims=True)
-    sigma_max = 0.0
-    for it in range(1, max_iter + 1):
-        fwd = apply_n(block)
-        new_sigma = np.linalg.norm(fwd, axis=0)
-        new_max = float(np.max(new_sigma))
-        back = adjoint_n(fwd)
-        norms = np.linalg.norm(back, axis=0)
-        norms[norms == 0] = 1.0
-        block = back / norms
-        delta = abs(new_max - sigma_max)
-        sigma_max = max(new_max, sigma_max)
-        if decision is not None and sigma_max >= decision:
-            break  # lower bound already decides the comparison
-        if delta <= tol * max(sigma_max, 1e-300):
-            break
-        if (
-            decision is not None
-            and it >= 20
-            and sigma_max < 0.95 * decision
-            and delta <= 1e-3 * max(sigma_max, 1e-300)
-        ):
-            break  # stalled well below the threshold
-    return sigma_max
+    # smallest damping inside it: that is the conservative leak weight
+    edge_rate = float(np.max(rate))
+    current = np.arange(koopman.size)
+    exponent = np.zeros(koopman.size)
+    while True:
+        images = koopman.permutation[current]
+        inside = images >= 0
+        if not np.all(inside):
+            leak = math.exp(-2.0 * (float(np.min(exponent[~inside])) + edge_rate))
+            if leak > LEAK_THRESHOLD:
+                raise TruncationLeakError(
+                    f"damped escaping mass {leak:.3e} of input exceeds "
+                    f"{LEAK_THRESHOLD:.0e}; increase the mode ball radius"
+                )
+        current = images[inside]
+        exponent = exponent[inside] + rate[current]
+        yield math.exp(-float(np.min(exponent))) if current.size else 0.0
 
 
 def tau_d_operator(
     koopman: TruncatedKoopman,
     nu: float,
     convention: SpectralConvention,
-    rng: Optional[np.random.Generator] = None,
-    restarts: int = 10,
-    tol: float = 1e-6,
-    max_iter: int = 400,
     n_max: int = 100_000,
 ) -> int:
-    """Dissipation time from the truncated operator: first n with sigma_max < 1/e.
-
-    sigma(T^n) <= sigma(T)^n is non-increasing (||T|| <= e^{-nu lambda_1} < 1),
-    so the first crossing is located by doubling then bisection.
-    """
+    """Dissipation time from the truncated operator: first n with ||T^n|| < 1/e."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    rng = rng or np.random.default_rng(0)
-    lam = convention.scale_factor * np.sum(koopman.modes.astype(float) ** 2, axis=1)
-    damp = np.exp(-nu * lam)
-    cache: Dict[int, float] = {}
-
-    def sigma(n: int) -> float:
-        if n not in cache:
-            cache[n] = _operator_sigma(
-                koopman, damp, n, rng, restarts, tol, max_iter, decision=_E_INV
-            )
-        return cache[n]
-
-    hi = 1
-    while sigma(hi) >= _E_INV:
-        hi *= 2
-        if hi > n_max:
+    for n, sigma in enumerate(operator_norms(koopman, nu, convention), start=1):
+        if sigma < _E_INV:
+            return n
+        if n >= n_max:
             raise RuntimeError("dissipation time exceeds n_max")
-    lo = hi // 2  # sigma(lo) >= 1/e (or lo = 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sigma(mid) < _E_INV:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def tau_d_operator_catmap(
@@ -380,7 +315,6 @@ def tau_d_operator_catmap(
     nu: float,
     convention: Optional[SpectralConvention] = None,
     radius: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> int:
     """Operator-route dissipation time for an automorphism's induced action."""
     if convention is None:
@@ -388,7 +322,7 @@ def tau_d_operator_catmap(
     nu_lattice = nu * convention.scale_factor  # ball sizing is scale aware
     radius = radius or koopman_ball_radius(nu_lattice)
     koopman = TruncatedKoopman.from_automorphism(automorphism, radius)
-    return tau_d_operator(koopman, nu, convention, rng=rng)
+    return tau_d_operator(koopman, nu, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +485,6 @@ def dissipation_sweep(
     nus: Sequence[float],
     method: str = "exact",
     convention: Optional[SpectralConvention] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> DissipationReport:
     """Measure tau_d over a nu grid and fit tau_d against |ln nu|."""
     if convention is None:
@@ -561,7 +494,7 @@ def dissipation_sweep(
         if method == "exact":
             tau = tau_d_exact(automorphism, nu, convention)
         elif method == "operator":
-            tau = tau_d_operator_catmap(automorphism, nu, convention, rng=rng)
+            tau = tau_d_operator_catmap(automorphism, nu, convention)
         else:
             raise ValueError(f"unknown method {method!r}")
         report.entries.append({"nu": float(nu), "tau_d": int(tau), "method": method})

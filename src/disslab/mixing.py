@@ -155,9 +155,7 @@ def transfer_rate(
         raise ValueError("all class exponents must be positive")
     if lambda_1 <= 0:
         raise ValueError("lambda_1 must be positive")
-    pos = lambda x: max(x, 0.0)
-    gamma = 0.5 * (pos(ap - a) + pos(bp - b) + min(bp, b) * pos(1 - ap / a) + min(ap, a) * pos(1 - bp / b))
-    delta = (min(ap, a) * min(bp, b)) / (a * b)
+    gamma, delta = transfer_exponents(a, b, ap, bp)
     prefactor = lambda_1 ** (-gamma)
     if h.kind == "exponential":
         c1, c2 = h.params

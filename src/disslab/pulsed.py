@@ -18,6 +18,7 @@ automorphism; that path is the operator-norm oracle for dissipation times.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -276,7 +277,20 @@ class TruncationLeakError(RuntimeError):
 
 
 def ball_modes(dimension: int, radius: int) -> np.ndarray:
-    """All nonzero integer modes with |k| <= radius, shape (N, d), int64."""
+    """All nonzero integer modes with |k| <= radius, shape (N, d), int64.
+
+    The scan meshgrids the (2R+1)^d box: d int64 grids, their stacked copy,
+    the squared norms and the keep mask, (16d + 9) bytes per box point.  A
+    box whose scan would not fit in physical memory raises ValueError.
+    """
+    box = (2 * radius + 1) ** dimension
+    need = box * (16 * dimension + 9)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"mode ball of radius {radius} in d = {dimension} scans a {box:.3e}-point box "
+            f"needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory"
+        )
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng] * dimension), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)

@@ -7,12 +7,16 @@ with an exact advection step, the pointwise phase exp(-2 pi i k1 v(y) dt):
 shear advection is diagonal in this representation, so both substeps are
 unconditionally stable and only the splitting commutator contributes error
 (global O(dt^2)).
+
+The x-bands never couple, so the dissipation time uses the exact norm of
+the discretized solution map: one M x M Strang matrix per band, raised to
+the step count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,14 +70,6 @@ class ShearFlow:
     def grad_norm(self) -> float:
         y = np.arange(4096) / 4096.0
         return float(np.max(np.abs(self.derivative_values(y))))
-
-    def reversed(self) -> "ShearFlow":
-        return replace(
-            self,
-            cos_coeffs=tuple(-a for a in self.cos_coeffs),
-            sin_coeffs=tuple(-b for b in self.sin_coeffs),
-            mean=-self.mean,
-        )
 
     def min_grid(self) -> int:
         return max(32, 8 * self.bandwidth)
@@ -177,13 +173,11 @@ def _check_grid(flow: ShearFlow, state: CtsState):
 class _Stepper:
     """Precomputed Strang factors for one (flow, state shape, dt) triple."""
 
-    def __init__(self, flow: ShearFlow, state: CtsState, dt: float, reverse: bool = False):
+    def __init__(self, flow: ShearFlow, state: CtsState, dt: float):
         _check_grid(flow, state)
         m = state.grid_size
         y = np.arange(m) / m
         v = flow.values(y)
-        if reverse:
-            v = -v
         scale = state.convention.scale_factor
         mfreq = (np.fft.fftfreq(m) * m).astype(float)
         lam = scale * (state.k1[:, None].astype(float) ** 2 + mfreq[None, :] ** 2)
@@ -225,7 +219,6 @@ def evolve_cts(
     flow: ShearFlow,
     t: float,
     dt_target: float = 0.02,
-    reverse: bool = False,
 ) -> CtsState:
     """Advance the state by time t with merged Strang substeps.
 
@@ -236,7 +229,7 @@ def evolve_cts(
         raise ValueError("t must be positive")
     steps = max(1, math.ceil(t / dt_target))
     dt = t / steps
-    stepper = _Stepper(flow, state, dt, reverse=reverse)
+    stepper = _Stepper(flow, state, dt)
     data = stepper.diffuse(state.data, half=True)
     for s in range(steps):
         data = stepper.advect(data)
@@ -278,48 +271,29 @@ def energy_identity_defects(
 # dissipation time and the transport gap
 # ---------------------------------------------------------------------------
 
-class PowerIterationError(RuntimeError):
-    pass
+def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> float:
+    """Exact 2-norm of the time-t map of ``evolve_cts`` on the state's bands.
 
-
-def _solution_norm(
-    template: CtsState,
-    flow: ShearFlow,
-    t: float,
-    rng: np.random.Generator,
-    restarts: int = 5,
-    iterations: int = 8,
-    dt_target: float = 0.02,
-) -> float:
-    """Top singular value of the time-t solution map on the truncated space.
-
-    Forward apply advances with +v; the adjoint is the solve with the
-    reversed profile -v (the step factors are Hermitian conjugates in
-    reverse order, and the diffusion factors are real symmetric).
+    The shear u = (v(y), 0) never couples x-bands, so the map is block
+    diagonal: each band's fused Strang step S = H diag(phase) H is an M x M
+    matrix (H the half-step diffusion), built by stepping the unit vectors,
+    and the time-t map is S^steps.  The norm is the largest band norm.
+    Bands are handled one at a time, which keeps the working set at a few
+    M x M matrices.
     """
-    shape = template.data.shape
-    block = rng.standard_normal((restarts,) + shape) + 1j * rng.standard_normal((restarts,) + shape)
-
-    def apply_block(arr: np.ndarray, reverse: bool) -> np.ndarray:
-        out = np.empty_like(arr)
-        for i in range(arr.shape[0]):
-            st = CtsState(template.convention, template.nu, template.k1, arr[i].copy(), 0.0)
-            out[i] = evolve_cts(st, flow, t, dt_target=dt_target, reverse=reverse).data
-        return out
-
-    norms = np.sqrt(np.sum(np.abs(block) ** 2, axis=(1, 2), keepdims=True))
-    block = block / norms
-    sigma = np.zeros(restarts)
-    for _ in range(iterations):
-        fwd = apply_block(block, reverse=False)
-        # restart vectors are unit in the collocation inner product up to the
-        # common 1/M factor, which cancels in the norm ratio
-        sigma = np.sqrt(np.sum(np.abs(fwd) ** 2, axis=(1, 2)))
-        back = apply_block(fwd, reverse=True)
-        nb = np.sqrt(np.sum(np.abs(back) ** 2, axis=(1, 2), keepdims=True))
-        nb[nb == 0] = 1.0
-        block = back / nb
-    return float(np.max(sigma))
+    if t <= 0:
+        raise ValueError("t must be positive")
+    steps = max(1, math.ceil(t / dt_target))
+    m = state.grid_size
+    units = np.eye(m)[:, None, :]  # (M, 1, M): one single-band state per unit vector
+    norms = []
+    for i in range(state.k1.size):
+        band = CtsState(state.convention, state.nu, state.k1[i : i + 1], state.data[i : i + 1])
+        stepper = _Stepper(flow, band, t / steps)
+        columns = stepper.diffuse(stepper.advect(stepper.diffuse(units, half=True)), half=True)
+        strang = columns[:, 0, :].T  # column j is the step applied to e_j
+        norms.append(np.linalg.norm(np.linalg.matrix_power(strang, steps), 2))
+    return float(np.max(norms))
 
 
 def tau_d_cts(
@@ -328,7 +302,6 @@ def tau_d_cts(
     convention: Optional[SpectralConvention] = None,
     k1_max: int = 16,
     grid_size: int = 64,
-    rng: Optional[np.random.Generator] = None,
     rel_tol: float = 0.01,
     dt_target: float = 0.02,
     t_hint: Optional[float] = None,
@@ -336,27 +309,23 @@ def tau_d_cts(
     """Continuous dissipation time: smallest t with operator norm < 1/e.
 
     The flow is time independent, so the sup over start times in the
-    definition is vacuous.  The norm at each t comes from power iteration
-    (5 random restarts, 8 iterations, adjoint = reversed profile); t is
-    then located by bracket doubling and bisection to 1% relative.
+    definition is vacuous.  The norm at each t is the exact norm of the
+    discretized solution map (``cts_norm``); t is then located by bracket
+    doubling and bisection to 1% relative.
     """
     if not 1e-4 <= nu <= 1e-1:
         raise ValueError("nu outside the supported desk range [1e-4, 1e-1]")
     if k1_max > 32 or grid_size > 128:
         raise ValueError("truncation exceeds the supported range (K1 <= 32, M <= 128)")
     conv = convention or SpectralConvention(2, "geometric")
-    rng = rng or np.random.default_rng(0)
     k1 = np.array([k for k in range(-k1_max, k1_max + 1) if k != 0], dtype=np.int64)
     template = CtsState(conv, nu, k1, np.zeros((k1.size, grid_size), dtype=complex))
     _check_grid(flow, template)
 
     def sigma(t: float) -> float:
-        val = _solution_norm(template, flow, t, rng, dt_target=dt_target)
+        val = cts_norm(template, flow, t, dt_target=dt_target)
         if not math.isfinite(val):
-            # widen the restarts once before giving up
-            val = _solution_norm(template, flow, t, rng, restarts=10, iterations=16, dt_target=dt_target)
-            if not math.isfinite(val):
-                raise PowerIterationError("operator norm estimate did not converge")
+            raise RuntimeError(f"solution map norm at t = {t} is not finite")
         return val
 
     lam1 = template.lambda_1()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import pytest
 
@@ -148,3 +149,35 @@ def test_verify_bounds_rejects_corrupted_report(tmp_path):
     bad.write_text(json.dumps({"entries": [{"nu": 1e-3, "tau_d": 10**9, "method": "exact"}]}))
     assert run_cli(["verify", "bounds", "--report", str(bad)]) == 1
     assert run_cli(["verify", "bounds"]) == 0
+
+
+def test_operator_and_cts_artifacts_pinned(tmp_path):
+    # values of the seed-0 artifacts written before the exact norms replaced
+    # power iteration; both routes must reproduce them bit for bit
+    report = tmp_path / "operator.json"
+    assert run_cli(["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-3:1e-2:3",
+                    "--method", "operator", "--out", str(report)]) == 0
+    entries = json.loads(report.read_text())["entries"]
+    assert [(e["nu"], e["tau_d"]) for e in entries] == [
+        (0.0010000000000000002, 9), (0.003162277660168382, 7), (0.010000000000000004, 6)]
+    cts = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--nu-grid", "1e-3:1e-2:2", "--k1max", "16", "--ygrid", "64",
+                    "--out", str(cts)]) == 0
+    rows = [tuple(float(v) for v in line.split(",")) for line in cts.read_text().splitlines()[2:]]
+    assert rows == [(0.0010000000000000002, 4.14215087890625), (0.010000000000000004, 1.08203125)]
+
+
+@pytest.mark.parametrize("matrix, dim, nu", [
+    ("2,1,1,1", "2", "1e-8"),  # radius 32000: a 4.1e9-point box, about 168 GB
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-3"),  # radius 102: 1.8e9 points, about 129 GB
+])
+def test_oversized_mode_ball_is_a_validation_error(tmp_path, monkeypatch, capsys, matrix, dim, nu):
+    # report at most 64 GB of physical memory, so that no host allocates the box
+    sysconf = os.sysconf
+    cap_pages = 64 * 10**9 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: min(sysconf(name), cap_pages)
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+    code = run_cli(["dissipation-time", "--matrix", matrix, "--dim", dim, "--nu-grid", f"{nu}:{nu}:1",
+                    "--method", "operator", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "GB" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from disslab.dissipation import (
     check_lower_bound_chain,
@@ -10,6 +13,7 @@ from disslab.dissipation import (
     integer_form_minimum,
     min_cumulative_energy,
     operator_norm_energies,
+    operator_norms,
     pulse_energy_form,
     tau_d_exact,
     tau_d_operator,
@@ -124,21 +128,21 @@ def test_tau_d_exact_convention_rescaling(cat):
     assert tau_d_exact(cat, nu_lat, lat) == tau_d_exact(cat, nu_geo, geo)
 
 
-def test_oracle_equivalence(cat, rng):
+def test_oracle_equivalence(cat):
     for nu in (1e-2, 1e-3):
-        assert tau_d_exact(cat, nu) == tau_d_operator_catmap(cat, nu, rng=rng)
+        assert tau_d_exact(cat, nu) == tau_d_operator_catmap(cat, nu)
 
 
-def test_tau_d_operator_identity_is_heat(rng):
+def test_tau_d_operator_identity_is_heat():
     identity = ToralAutomorphism(((1, 0), (0, 1)))
     koopman = TruncatedKoopman.from_automorphism(identity, 8)
     conv = SpectralConvention(2, "lattice")
     nu = 0.007
-    tau = tau_d_operator(koopman, nu, conv, rng=rng)
+    tau = tau_d_operator(koopman, nu, conv)
     assert tau == math.ceil(1.0 / nu)
 
 
-def test_tau_d_operator_two_mode_rotation_vs_svd(rng):
+def test_tau_d_operator_two_mode_rotation_vs_svd():
     # dense unitary mixing modes of different eigenvalue; cross-check against
     # a direct SVD of the 2x2 n-step matrix
     conv = SpectralConvention(2, "lattice")
@@ -152,14 +156,66 @@ def test_tau_d_operator_two_mode_rotation_vs_svd(rng):
     def direct(n):
         return np.linalg.svd(np.linalg.matrix_power(t, n), compute_uv=False)[0]
     expected = next(n for n in range(1, 200) if direct(n) < 1 / math.e)
-    assert tau_d_operator(koopman, nu, conv, rng=rng) == expected
+    assert tau_d_operator(koopman, nu, conv) == expected
 
 
-def test_truncation_leak_monitor_trips(cat, rng):
+@st.composite
+def c1_automorphisms(draw, dimension):
+    """SL_d(Z) matrices as products of elementary row operations, filtered to C1."""
+    rows = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    for _ in range(draw(st.integers(2, 6))):
+        i, j = draw(st.permutations(range(dimension)))[:2]
+        sign = draw(st.sampled_from((-1, 1)))
+        rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+    auto = ToralAutomorphism(tuple(tuple(r) for r in rows))
+    assume(auto.conditions().c1_no_root_of_unity)
+    return auto
+
+
+def dense_operator_norm(koopman, rate, n):
+    """2-norm of the dense (diag(exp(-rate)) P)^n, P the induced partial permutation."""
+    perm = koopman.permutation
+    p = np.zeros((koopman.size, koopman.size))
+    inside = np.nonzero(perm >= 0)[0]
+    p[perm[inside], inside] = 1.0
+    return np.linalg.norm(np.linalg.matrix_power(np.exp(-rate)[:, None] * p, n), 2)
+
+
+def check_walk_against_dense(data, dimension, radii):
+    auto = data.draw(c1_automorphisms(dimension))
+    radius = data.draw(st.integers(*radii))
+    # nu R^2 >= 9.3 keeps every escape below the leak threshold
+    nu = data.draw(st.floats(9.3 / radius**2, 3.0 / radius))
+    n = data.draw(st.integers(1, 8))
+    conv = SpectralConvention(dimension, "lattice")
+    koopman = TruncatedKoopman.from_automorphism(auto, radius)
+    rate = nu * np.sum(koopman.modes.astype(float) ** 2, axis=1)
+    sigma = next(islice(operator_norms(koopman, nu, conv), n - 1, None))
+    assert sigma == pytest.approx(dense_operator_norm(koopman, rate, n), rel=1e-12, abs=0.0)
+
+
+PROPERTY_SETTINGS = dict(deadline=None, database=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_operator_walk_matches_dense_power_sl2(data):
+    check_walk_against_dense(data, 2, (6, 10))
+
+
+# the dense SVD of a radius-7 ball in d = 3 (1,400 modes) takes about a second
+@settings(max_examples=6, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_operator_walk_matches_dense_power_sl3(data):
+    check_walk_against_dense(data, 3, (6, 7))
+
+
+def test_truncation_leak_monitor_trips(cat):
     koopman = TruncatedKoopman.from_automorphism(cat, 12)
     conv = SpectralConvention(2, "lattice")
     with pytest.raises(TruncationLeakError):
-        tau_d_operator(koopman, 1e-3, conv, rng=rng)
+        tau_d_operator(koopman, 1e-3, conv)
 
 
 # ---------------------------------------------------------------------------
