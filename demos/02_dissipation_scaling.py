@@ -2,13 +2,14 @@
 
 The n-step operator norm is exp(-nu min_k S_n(k)) with S_n the integer
 quadratic form of cumulative orbit energies, minimized exactly by lattice
-branch-and-bound.  The independent oracle truncates the Koopman operator
-to a mode ball and power-iterates.  tau_d then grows like |ln nu| / ln
+reduction and branch-and-bound.  The independent oracle truncates the
+Koopman operator to a mode ball and walks its orbits.  tau_d then grows like |ln nu| / ln
 lambda_+, and the energy decays double exponentially with base lambda_+
 (worst case) or lambda_+^2 (single mode).
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -22,14 +23,13 @@ from disslab import (
     fit_energy_decay,
     tau_d_exact,
 )
-from disslab.dissipation import min_cumulative_energy, operator_norm_energies, tau_d_operator_catmap
+from disslab.dissipation import min_energies, operator_norm_energies, tau_d_operator_catmap
 
 cat = ToralAutomorphism(((2, 1), (1, 1)))
 lam_plus = (3 + math.sqrt(5)) / 2
 
 print("minimal cumulative orbit energies min_k S_n(k):")
-for n in range(1, 8):
-    val, vec = min_cumulative_energy(cat, n)
+for n, (val, vec) in enumerate(islice(min_energies(cat), 7), start=1):
     print(f"  n = {n}: min S_n = {val:6d} at k = {vec}")
 
 print("\ntau_d at nu = 0.1:", tau_d_exact(cat, 0.1), "(min S_3 = 8 <= 10 < 21 = min S_4)")

@@ -31,8 +31,6 @@ from .dissipation import (
     dissipation_sweep,
     fit_energy_decay,
     operator_norm_energies,
-    tau_d_exact,
-    tau_d_operator_catmap,
 )
 from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
 from .mixing import RateFunction, fit_rate, strong_envelope, weak_cesaro, weak_rate_envelope
@@ -133,17 +131,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_cell(payload: dict) -> dict:
+def _sweep_cell(payload: dict) -> List[dict]:
     auto = ToralAutomorphism(tuple(tuple(r) for r in payload["matrix"]))
     conv = SpectralConvention(payload["dim"], payload["convention"])
-    if payload["method"] == "exact":
-        tau = tau_d_exact(auto, payload["nu"], conv)
-    else:
-        tau = tau_d_operator_catmap(auto, payload["nu"], conv)
-    return {"nu": payload["nu"], "tau_d": tau, "method": payload["method"]}
+    return dissipation_sweep(auto, payload["nus"], payload["method"], conv).entries
 
 
 def _run_tau_sweep(args, jobs: int) -> DissipationReport:
+    """tau_d over the grid, split into ``jobs`` contiguous slices walked separately."""
     auto = _parse_matrix(args.matrix)
     conv = _convention(args)
     nus = _parse_nu_grid(args.nu_grid)
@@ -152,23 +147,17 @@ def _run_tau_sweep(args, jobs: int) -> DissipationReport:
             "matrix": [list(r) for r in auto.matrix],
             "dim": conv.dimension,
             "convention": conv.scaling,
-            "nu": float(nu),
+            "nus": [float(nu) for nu in part],
             "method": args.method,
         }
-        for nu in nus
+        for part in np.array_split(nus, min(max(jobs, 1), nus.size))
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
+    if len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            parts = list(pool.map(_sweep_cell, payloads))
     else:
-        results = [_sweep_cell(p) for p in payloads]
-    report = DissipationReport()
-    report.entries = results  # merged in grid order by construction
-    if len(results) >= 2:
-        from .fitting import line_fit
-
-        report.fit = line_fit(np.abs(np.log(report.nus)), report.taus.astype(float))
-    return report
+        parts = [_sweep_cell(p) for p in payloads]
+    return DissipationReport.from_entries([e for part in parts for e in part])  # grid order
 
 
 def _cmd_dissipation_time(args, jobs: int = 1) -> int:

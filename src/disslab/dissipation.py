@@ -6,11 +6,17 @@ so its norm is exp(-nu * min_k S_n(k)) and
 
     tau_d = min { n : min_{k != 0} S_n(k) > 1/nu }.
 
-S_n is an exact integer quadratic form G_n = sum_j (A_*^j)^T A_*^j, and the
-lattice minimum is certified by branch-and-bound enumeration of the form
-(Fincke-Pohst over an exactly reduced basis; any partial assignment whose
-quadratic partial sum exceeds the incumbent is pruned, which also bounds
-the search radius through the smallest reduced diagonal entry).
+S_n is an exact integer quadratic form G_n = sum_j (A_*^j)^T A_*^j, built
+incrementally (G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}).  In d = 2 Gauss
+reduction gives the minimum.  In d = 3, 4 the form is reduced by integral
+LLL (Cohen, Alg. 2.6.7: integer Gram-Schmidt data, exact divisions, no
+round cap; each swap shrinks an integer potential by a factor below 3/4,
+and a nonpositive minor raises ValueError), and the minimum is certified by
+Fincke-Pohst enumeration over the reduced basis: any partial assignment
+whose quadratic partial sum exceeds the incumbent is pruned and every
+candidate is re-evaluated in exact integers.  ``min_energies`` walks
+n = 1, 2, ... and starts each LLL from the previous reduced basis; a nu grid
+is served by one such walk, each nu taking its first n past 1/nu.
 
 Operator route (any truncated Koopman operator): smallest n with the norm
 of the n-step truncated operator below 1/e, computed exactly: by a walk
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,73 +77,89 @@ def _gauss_reduce_2d(g: List[List[int]]) -> Tuple[int, Tuple[int, int]]:
     return q(u), (u[0], u[1])
 
 
-def _lll_reduce(g: List[List[int]]) -> List[List[int]]:
-    """Unimodular transform columns U with U^T G U balanced (exact rational LLL).
+def _lll_reduce(g: List[List[int]], basis: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integral LLL (Cohen, Alg. 2.6.7) of the form g, started from ``basis``.
 
-    Needed for d >= 3 where the form's condition number exceeds float range;
-    the Gram updates stay exact over Q.
+    ``basis`` lists the starting basis vectors.  Returns the reduced basis
+    and its Gram matrix ``gram[i][j] = basis[i]^T g basis[j]``, LLL-reduced
+    with delta = 3/4.  The Gram-Schmidt data stay integral: d_i are the leading
+    principal minors and lam[k][j] = d_{j+1} mu_kj, so every division is an
+    exact floor division.  Each swap multiplies prod d_i by less than 3/4,
+    hence the loop ends without a round cap; a minor d_k <= 0 means g is not
+    positive definite.
     """
     d = len(g)
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    h = [list(v) for v in basis]
+    gh = [[sum(g[a][c] * v[c] for c in range(d)) for a in range(d)] for v in h]
+    gram = [[sum(x * y for x, y in zip(h[i], gh[j])) for j in range(d)] for i in range(d)]
+    dm = [1] * (d + 1)  # dm[i] = det of the leading i x i block of gram
+    lam = [[0] * d for _ in range(d)]
 
-    def gram(i, j):
-        return sum(u[a][i] * g[a][b] * u[b][j] for a in range(d) for b in range(d))
+    def minor(k: int) -> None:
+        # incremental Gram-Schmidt for vector k
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (dm[i + 1] * u - lam[k][i] * lam[j][i]) // dm[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("form is not positive definite")
+            else:
+                dm[k + 1] = u
 
-    def size_reduce():
-        # Gram-Schmidt over Fraction
-        gs = [[Fraction(gram(i, j)) for j in range(d)] for i in range(d)]
-        mu = [[Fraction(0)] * d for _ in range(d)]
-        bstar = [Fraction(0)] * d
-        for i in range(d):
-            bstar[i] = gs[i][i]
-            for k in range(i):
-                if bstar[k] == 0:
-                    continue
-                mu[i][k] = Fraction(gs[i][k]) - sum(mu[i][l] * mu[k][l] * bstar[l] for l in range(k))
-                mu[i][k] /= bstar[k]
-                bstar[i] -= mu[i][k] ** 2 * bstar[k]
-        return mu, bstar
+    def size_reduce(k: int, l: int) -> None:
+        if abs(2 * lam[k][l]) > dm[l + 1]:
+            q = (2 * lam[k][l] + dm[l + 1]) // (2 * dm[l + 1])  # nearest integer
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            for i in range(d):
+                gram[k][i] -= q * gram[l][i]
+            for i in range(d):
+                gram[i][k] -= q * gram[i][l]
+            lam[k][l] -= q * dm[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
 
-    changed = True
-    guard = 0
-    while changed and guard < 200:
-        guard += 1
-        changed = False
-        mu, bstar = size_reduce()
-        for i in range(1, d):
-            for k in range(i - 1, -1, -1):
-                r = round(mu[i][k])
-                if r != 0:
-                    for a in range(d):
-                        u[a][i] -= r * u[a][k]
-                    mu, bstar = size_reduce()
-        for i in range(d - 1):
-            if bstar[i + 1] < (Fraction(3, 4) - mu[i + 1][i] ** 2) * bstar[i]:
-                for a in range(d):
-                    u[a][i], u[a][i + 1] = u[a][i + 1], u[a][i]
-                changed = True
-                break
-    return u
+    def swap(k: int, kmax: int) -> None:
+        h[k], h[k - 1] = h[k - 1], h[k]
+        gram[k], gram[k - 1] = gram[k - 1], gram[k]
+        for row in gram:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        dk = (dm[k - 1] * dm[k + 1] + m * m) // dm[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (dm[k + 1] * lam[i][k - 1] - m * t) // dm[k]
+            lam[i][k - 1] = (dk * t + m * lam[i][k]) // dm[k + 1]
+        dm[k] = dk
+
+    minor(0)
+    k, kmax = 1, 0
+    while k < d:
+        if k > kmax:
+            kmax = k
+            minor(k)
+        size_reduce(k, k - 1)
+        if 4 * dm[k + 1] * dm[k - 1] < 3 * dm[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return h, gram
 
 
-def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """Exact minimum of k^T G k over nonzero integer vectors, G pos. definite.
+def _reduced_minimum(gr: List[List[int]], basis: List[List[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """Fincke-Pohst branch-and-bound over an LLL-reduced Gram matrix ``gr``.
 
-    d = 2 uses exact Gauss reduction.  d = 3, 4 reduce exactly, then run a
-    Fincke-Pohst branch-and-bound on the reduced form: candidates are
-    enumerated inside the ellipsoid of the incumbent value and every
-    candidate is re-evaluated in exact integer arithmetic.
+    Candidates are enumerated inside the ellipsoid of the incumbent value and
+    every candidate is re-evaluated in exact integer arithmetic; the
+    minimiser is mapped back to original coordinates through ``basis``.
     """
-    gi = [[int(v) for v in row] for row in g]
-    d = len(gi)
-    if d == 2:
-        return _gauss_reduce_2d(gi)
-
-    u = _lll_reduce(gi)
-    gr = [[sum(u[a][i] * gi[a][b] * u[b][j] for a in range(d) for b in range(d)) for j in range(d)] for i in range(d)]
-
-    def to_original(vec):
-        return tuple(sum(u[a][i] * vec[i] for i in range(d)) for a in range(d))
+    d = len(gr)
 
     def q_exact(vec):
         return sum(gr[i][j] * vec[i] * vec[j] for i in range(d) for j in range(d))
@@ -184,26 +206,98 @@ def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ..
         x[level] = 0
 
     recurse(d - 1, 0.0)
-    return best_val, to_original(best_vec)
+    return best_val, tuple(sum(c * v[a] for c, v in zip(best_vec, basis)) for a in range(d))
+
+
+def _identity(d: int) -> List[List[int]]:
+    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+
+def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """Exact minimum of k^T G k over nonzero integer vectors, G pos. definite.
+
+    d = 2 uses exact Gauss reduction.  d = 3, 4 run integral LLL from the
+    unit basis, then Fincke-Pohst on the reduced form.
+    """
+    gi = [[int(v) for v in row] for row in g]
+    if len(gi) == 2:
+        return _gauss_reduce_2d(gi)
+    basis, gr = _lll_reduce(gi, _identity(len(gi)))
+    return _reduced_minimum(gr, basis)
+
+
+def _energy_forms(automorphism: ToralAutomorphism) -> Iterator[List[List[int]]]:
+    """Yield G_1, G_2, ... with G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}."""
+    d = automorphism.dimension
+    at = [list(row) for row in automorphism.transpose]
+    power = _identity(d)
+    g = [[0] * d for _ in range(d)]
+    while True:
+        power = [[sum(at[i][l] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+        g = [[g[i][j] + sum(power[l][i] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+        yield g
 
 
 def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]]:
     """Integer Gram matrix G_n with k^T G_n k = sum_{j=1..n} |A_*^j k|^2."""
     d = automorphism.dimension
-    at = [list(row) for row in automorphism.transpose]
-    acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     g = [[0] * d for _ in range(d)]
-    for _ in range(n):
-        acc = [[sum(at[i][l] * acc[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                g[i][j] += sum(acc[l][i] * acc[l][j] for l in range(d))
+    for g in islice(_energy_forms(automorphism), n):
+        pass
     return g
 
 
 def min_cumulative_energy(automorphism: ToralAutomorphism, n: int) -> Tuple[int, Tuple[int, ...]]:
-    """min_{k != 0} S_n(k) with a certified integer minimiser."""
+    """min_{k != 0} S_n(k) with a certified integer minimiser (cold start)."""
     return integer_form_minimum(pulse_energy_form(automorphism, n))
+
+
+def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Yield (min_{k != 0} S_n(k), minimiser) for n = 1, 2, ...
+
+    In d >= 3 the LLL reduction of G_n starts from the reduced basis of
+    G_{n-1}: the forms differ by one positive term, so the old basis is
+    nearly reduced and few swaps remain.
+    """
+    forms = _energy_forms(automorphism)
+    if automorphism.dimension == 2:
+        yield from map(_gauss_reduce_2d, forms)
+        return
+    basis = _identity(automorphism.dimension)
+    for g in forms:
+        basis, gr = _lll_reduce(g, basis)
+        yield _reduced_minimum(gr, basis)
+
+
+def _first_passages(
+    automorphism: ToralAutomorphism,
+    nus: Sequence[float],
+    convention: Optional[SpectralConvention],
+    n_max: int,
+) -> List[int]:
+    """tau_d for every nu of a grid from one walk of ``min_energies``.
+
+    min S_n grows strictly with n, so each nu's threshold 1/(nu * scale) is
+    passed once; thresholds are served in increasing order as the walk
+    proceeds.  The comparison is strict.
+    """
+    if any(nu <= 0 for nu in nus):
+        raise ValueError("nu must be positive")
+    if not automorphism.conditions().c1_no_root_of_unity:
+        raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
+    if convention is None:
+        convention = SpectralConvention(automorphism.dimension, "lattice")
+    thresholds = [1.0 / (nu * convention.scale_factor) for nu in nus]
+    pending = sorted(range(len(nus)), key=thresholds.__getitem__)
+    taus = [0] * len(nus)
+    walk = enumerate(min_energies(automorphism), start=1)
+    while pending:
+        n, (min_s, _) = next(walk)
+        while pending and min_s > thresholds[pending[0]]:
+            taus[pending.pop(0)] = n
+        if pending and n >= n_max:
+            raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")
+    return taus
 
 
 def tau_d_exact(
@@ -218,20 +312,7 @@ def tau_d_exact(
     n-step norm never drops below the trivial heat bound horizon).  The
     threshold is strict: min S_n exactly equal to 1/nu does not qualify.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    report = automorphism.conditions()
-    if not report.c1_no_root_of_unity:
-        raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
-    if convention is None:
-        convention = SpectralConvention(automorphism.dimension, "lattice")
-    scale = convention.scale_factor
-    threshold = 1.0 / (nu * scale)  # compare against integer min S_n
-    for n in range(1, n_max + 1):
-        min_s, _ = min_cumulative_energy(automorphism, n)
-        if min_s > threshold:
-            return n
-    raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")
+    return _first_passages(automorphism, [nu], convention, n_max)[0]
 
 
 def operator_norm_energies(
@@ -245,8 +326,7 @@ def operator_norm_energies(
         convention = SpectralConvention(automorphism.dimension, "lattice")
     out = np.empty(n_max + 1)
     out[0] = 1.0
-    for n in range(1, n_max + 1):
-        min_s, _ = min_cumulative_energy(automorphism, n)
+    for n, (min_s, _) in enumerate(islice(min_energies(automorphism), n_max), start=1):
         out[n] = math.exp(-2.0 * nu * convention.scale_factor * min_s)
     return out
 
@@ -456,6 +536,14 @@ class DissipationReport:
     fit: Optional[LineFit] = None
     bound_checks: List[dict] = field(default_factory=list)
 
+    @classmethod
+    def from_entries(cls, entries: List[dict]) -> "DissipationReport":
+        """Report over ``entries`` (grid order) with the |ln nu| fit when >= 2 points."""
+        report = cls(entries=entries)
+        if len(entries) >= 2:
+            report.fit = line_fit(np.abs(np.log(report.nus)), report.taus.astype(float))
+        return report
+
     @property
     def nus(self) -> np.ndarray:
         return np.array([e["nu"] for e in self.entries])
@@ -486,18 +574,18 @@ def dissipation_sweep(
     method: str = "exact",
     convention: Optional[SpectralConvention] = None,
 ) -> DissipationReport:
-    """Measure tau_d over a nu grid and fit tau_d against |ln nu|."""
+    """Measure tau_d over a nu grid and fit tau_d against |ln nu|.
+
+    The exact route serves the whole grid from one walk over n.
+    """
     if convention is None:
         convention = SpectralConvention(automorphism.dimension, "lattice")
-    report = DissipationReport()
-    for nu in nus:
-        if method == "exact":
-            tau = tau_d_exact(automorphism, nu, convention)
-        elif method == "operator":
-            tau = tau_d_operator_catmap(automorphism, nu, convention)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        report.entries.append({"nu": float(nu), "tau_d": int(tau), "method": method})
-    if len(report.entries) >= 2:
-        report.fit = line_fit(np.abs(np.log(report.nus)), report.taus.astype(float))
-    return report
+    if method == "exact":
+        taus = _first_passages(automorphism, nus, convention, n_max=10_000)
+    elif method == "operator":
+        taus = [tau_d_operator_catmap(automorphism, nu, convention) for nu in nus]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return DissipationReport.from_entries(
+        [{"nu": float(nu), "tau_d": int(tau), "method": method} for nu, tau in zip(nus, taus)]
+    )

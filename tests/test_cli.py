@@ -72,12 +72,19 @@ def test_deterministic_output(tmp_path):
 
 
 def test_sweep_matches_serial(tmp_path):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    base = ["--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:4", "--method", "exact"]
-    run_cli(["dissipation-time", *base, "--out", str(serial)])
-    run_cli(["sweep", *base, "--jobs", "2", "--out", str(parallel)])
-    assert json.loads(serial.read_text())["entries"] == json.loads(parallel.read_text())["entries"]
+    grids = {
+        "2d": ["--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:4", "--method", "exact"],
+        "4d": ["--matrix", "0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "--dim", "4", "--nu-grid", "1e-20:1e-4:5",
+               "--method", "exact"],
+    }
+    for label, base in grids.items():
+        serial = tmp_path / f"serial-{label}.json"
+        parallel = tmp_path / f"parallel-{label}.json"
+        assert run_cli(["dissipation-time", *base, "--out", str(serial)]) == 0
+        assert run_cli(["sweep", *base, "--jobs", "2", "--out", str(parallel)]) == 0
+        # two grid slices, each walked on its own, must merge to the one-walk bytes
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert serial.with_suffix(".csv").read_bytes() == parallel.with_suffix(".csv").read_bytes()
 
 
 def test_mixing_rate_strong(tmp_path):

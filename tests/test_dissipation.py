@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import islice
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from disslab import dissipation
 from disslab.dissipation import (
     check_lower_bound_chain,
     dissipation_sweep,
     fit_energy_decay,
     integer_form_minimum,
     min_cumulative_energy,
+    min_energies,
     operator_norm_energies,
     operator_norms,
     pulse_energy_form,
@@ -24,6 +27,8 @@ from disslab.pulsed import PulsedSystem, TruncatedKoopman, TruncationLeakError, 
 from disslab.toral import ToralAutomorphism
 
 LAM_PLUS = (3 + math.sqrt(5)) / 2
+PROPERTY_SETTINGS = dict(deadline=None, database=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +53,7 @@ def brute_force_min(automorphism, n, radius=25):
 def test_min_cumulative_energy_first_values(cat):
     mins = [min_cumulative_energy(cat, n)[0] for n in range(1, 5)]
     assert mins == [1, 3, 8, 21]
+    assert [v for v, _ in islice(min_energies(cat), 4)] == mins
 
 
 def test_min_cumulative_energy_vs_brute_force(cat):
@@ -96,6 +102,105 @@ def test_huge_entries_stay_exact(cat):
     assert ratio == pytest.approx(LAM_PLUS, rel=0.05)
 
 
+A3 = ToralAutomorphism(((0, 0, 1), (1, 0, 0), (0, 1, 1)))
+A4 = ToralAutomorphism(((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)))
+
+
+@st.composite
+def unimodular_pairs(draw, dimension):
+    """(M, M^-1) in SL_d(Z) from a few elementary row operations."""
+    m = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    inv = [row[:] for row in m]
+    for _ in range(draw(st.integers(1, 8))):
+        i, j = draw(st.permutations(range(dimension)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]  # M <- (I + c e_i e_j^T) M
+        for row in inv:  # M^-1 <- M^-1 (I - c e_i e_j^T)
+            row[j] -= c * row[i]
+    return np.array(m, dtype=np.int64), np.array(inv, dtype=np.int64)
+
+
+def check_form_minimum_against_scan(data, dimension):
+    m, inv = data.draw(unimodular_pairs(dimension))
+    # G = M^T W M: W = 1 gives the form M^T M, whose minimum is always 1;
+    # positive integer weights make the minimum nontrivial
+    w = np.array(data.draw(st.lists(st.integers(1, 9), min_size=dimension, max_size=dimension)))
+    g = m.T @ (w[:, None] * m)
+    # |k_i|^2 <= (k^T G k) (G^-1)_ii <= (k^T G k) (M^-1 M^-T)_ii since W >= 1,
+    # so the box of these radii holds every vector at or below min_i G_ii
+    radii = [math.isqrt(int(np.min(np.diag(g))) * int(c)) for c in np.diag(inv @ inv.T)]
+    assume(math.prod(2 * r + 1 for r in radii) <= 200_000)
+    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij"), -1).reshape(-1, dimension)
+    box = box[np.any(box != 0, axis=1)]
+    scan = int(np.min(np.einsum("ki,ij,kj->k", box, g, box)))
+    # LLL bases of forms this small nearly always hold a shortest vector, so
+    # the enumeration is also run alone on the unreduced form
+    unit = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    for val, vec in (integer_form_minimum(g.tolist()), dissipation._reduced_minimum(g.tolist(), unit)):
+        assert val == scan
+        k = np.array(vec, dtype=np.int64)
+        assert int(k @ g @ k) == val
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_form_minimum_matches_scan_sl3(data):
+    check_form_minimum_against_scan(data, 3)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_form_minimum_matches_scan_sl4(data):
+    check_form_minimum_against_scan(data, 4)
+
+
+@st.composite
+def c1_companions(draw, dimension):
+    """Companion matrices of x^d + c_{d-1} x^{d-1} + ... + c_0, filtered to C1.
+
+    The determinant is (-1)^d c_0, so c_0 = (-1)^d puts them in SL_d(Z).
+    """
+    coeffs = [(-1) ** dimension] + [draw(st.integers(-3, 3)) for _ in range(dimension - 1)]
+    rows = [[int(i == j + 1) for j in range(dimension - 1)] + [-coeffs[i]] for i in range(dimension)]
+    auto = ToralAutomorphism(tuple(tuple(r) for r in rows))
+    assume(auto.conditions().c1_no_root_of_unity)
+    return auto
+
+
+def check_walk_against_cold(data, dimension):
+    auto = data.draw(c1_companions(dimension))
+    for n, (val, vec) in enumerate(islice(min_energies(auto), 12), start=1):
+        g = pulse_energy_form(auto, n)
+        assert val == integer_form_minimum(g)[0]
+        k = np.array(vec, dtype=object)
+        assert int(k @ np.array(g, dtype=object) @ k) == val
+
+
+@settings(max_examples=25, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_min_energies_match_cold_minima_3d(data):
+    check_walk_against_cold(data, 3)
+
+
+@settings(max_examples=25, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_min_energies_match_cold_minima_4d(data):
+    check_walk_against_cold(data, 4)
+
+
+@pytest.mark.parametrize("g", [
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # singular, positive semidefinite
+    [[2, 3, 0, 0], [3, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # indefinite
+])
+def test_non_positive_definite_form_is_a_validation_error(g):
+    with pytest.raises(ValueError):
+        integer_form_minimum(g)
+
+
+def test_exact_route_uses_integer_arithmetic_only():
+    assert "fractions" not in inspect.getsource(dissipation)
+
+
 # ---------------------------------------------------------------------------
 # dissipation times
 # ---------------------------------------------------------------------------
@@ -113,6 +218,26 @@ def test_tau_d_exact_threshold_is_strict(cat):
     # min S_3 = 8, min S_4 = 21: at nu = 1/8 the inequality is an exact tie
     assert tau_d_exact(cat, 1.0 / 8.0) == 4
     assert tau_d_exact(cat, 1.0 / 8.0 + 1e-9) == 3
+
+
+def test_tau_d_exact_n_max_raises():
+    with pytest.raises(RuntimeError):
+        tau_d_exact(A3, 1e-30, n_max=50)
+
+
+@pytest.mark.parametrize("auto, want", [(A3, [178, 142, 106, 70, 34]), (A4, [83, 66, 50, 33, 17])])
+def test_tau_d_exact_pinned_3d_4d(auto, want):
+    nus = np.exp(np.linspace(math.log(1e-20), math.log(1e-4), 5))
+    assert [e["tau_d"] for e in dissipation_sweep(auto, nus, "exact").entries] == want
+    assert [tau_d_exact(auto, nu) for nu in nus] == want
+
+
+@pytest.mark.parametrize("auto, want", [(A3, 269), (A4, 124)])
+def test_tau_d_exact_pinned_at_1e_minus_30(auto, want):
+    assert tau_d_exact(auto, 1e-30) == want
+    # certified by cold minima on either side of the threshold
+    threshold = 1.0 / 1e-30
+    assert min_cumulative_energy(auto, want - 1)[0] <= threshold < min_cumulative_energy(auto, want)[0]
 
 
 def test_tau_d_exact_requires_c1():
@@ -192,10 +317,6 @@ def check_walk_against_dense(data, dimension, radii):
     rate = nu * np.sum(koopman.modes.astype(float) ** 2, axis=1)
     sigma = next(islice(operator_norms(koopman, nu, conv), n - 1, None))
     assert sigma == pytest.approx(dense_operator_norm(koopman, rate, n), rel=1e-12, abs=0.0)
-
-
-PROPERTY_SETTINGS = dict(deadline=None, database=None, derandomize=True,
-                         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
 
 @settings(max_examples=40, **PROPERTY_SETTINGS)
