@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import DissipationReport
+from .fields import ball_modes
 from .mixing import RateFunction
 
 DISCRETE_CONSTANT = 34.0
@@ -55,11 +56,9 @@ def weyl_constant(d: int, vol: float = 1.0, eps: float = 0.0, scaling: str = "ge
 
 def lattice_count(d: int, lam_max: float) -> int:
     """Number of nonzero modes with |k|^2 <= lam_max (direct lattice count)."""
-    r = int(math.floor(math.sqrt(lam_max)))
-    rng = np.arange(-r, r + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    nsq = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
-    return int(np.sum((nsq > 0) & (nsq <= lam_max)))
+    # the ball of radius floor(sqrt(lam_max)) + 1 holds every |k|^2 <= lam_max
+    modes = ball_modes(d, int(math.floor(math.sqrt(lam_max))) + 1)
+    return int(np.sum(np.sum(modes * modes, axis=1) <= lam_max))
 
 
 # ---------------------------------------------------------------------------

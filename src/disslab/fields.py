@@ -7,15 +7,17 @@ amplitudes.  Two Laplacian eigenvalue conventions are supported:
 * ``geometric``:  lambda_k = 4 pi^2 |k|^2   (Laplace-Beltrami on R^d/Z^d)
 
 Toral dynamics permute modes, so supports stay finite and no grid or FFT
-is ever needed here.
+is ever needed for a field; ``ball_modes`` is the package's one scan of
+the lattice ball |k| <= R.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -113,9 +115,6 @@ class SpectralField:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def with_coefficients(self, coeffs: Mapping[Mode, complex]) -> "SpectralField":
-        return SpectralField(self.convention, dict(coeffs))
-
     def to_json(self) -> str:
         payload = {
             "convention": {"dimension": self.convention.dimension, "scaling": self.convention.scaling},
@@ -185,3 +184,27 @@ def random_sparse_field(
         if real:
             coeffs[tuple(-c for c in mode)] = amp.conjugate()
     return SpectralField(convention, coeffs, enforce_reality=real)
+
+
+def ball_modes(dimension: int, radius: int) -> np.ndarray:
+    """All nonzero integer modes with |k| <= radius, shape (N, d), int64.
+
+    Rows come in lexicographic order.  The scan meshgrids the (2R+1)^d box:
+    d int64 grids, their stacked copy, the squared norms and the keep mask,
+    (16d + 9) bytes per box point.  A box whose scan would not fit in
+    physical memory raises ValueError before anything is allocated.
+    """
+    box = (2 * radius + 1) ** dimension
+    need = box * (16 * dimension + 9)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"mode ball of radius {radius} in d = {dimension} scans a {box:.3e}-point box "
+            f"needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory"
+        )
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    grids = np.meshgrid(*([rng] * dimension), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    norm_sq = np.sum(pts * pts, axis=1)
+    keep = (norm_sq > 0) & (norm_sq <= radius * radius)
+    return pts[keep]

@@ -14,9 +14,6 @@ class LineFit:
     r_squared: float
     residual: float  # RMS residual
 
-    def predict(self, x):
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
 
 def line_fit(x, y) -> LineFit:
     x = np.asarray(x, dtype=float)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SpectralField
+from .fields import SpectralField, ball_modes
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
 
@@ -251,12 +251,7 @@ def strong_envelope(
     if scan_radius is None:
         scan_radius = _DEFAULT_SCAN_RADIUS[d]
 
-    rng = np.arange(-scan_radius, scan_radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    nsq = np.sum(pts * pts, axis=1)
-    keep = (nsq > 0) & (nsq <= scan_radius * scan_radius)
-    pts = pts[keep]
+    pts = ball_modes(d, scan_radius)
 
     # orbit candidates: forward images of small seeds chase the sup outward
     seeds = pts[np.sum(pts * pts, axis=1) <= orbit_seed_radius**2]
@@ -340,10 +335,8 @@ def weak_cesaro(
 
 def lattice_ball_sum(d: int, beta: float, m_max: int) -> np.ndarray:
     """Partial sums A(m) = sum_{0 < |k| <= m} |k|^{-2 beta} for m = 1..m_max."""
-    rng = np.arange(-m_max, m_max + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    nsq = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
-    nsq = nsq[(nsq > 0) & (nsq <= m_max * m_max)]
+    modes = ball_modes(d, m_max)
+    nsq = np.sum(modes * modes, axis=1)
     radii = np.sqrt(nsq.astype(float))
     weights = nsq.astype(float) ** (-beta)
     order = np.argsort(radii, kind="stable")

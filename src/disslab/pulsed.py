@@ -2,8 +2,9 @@
 
 For a toral automorphism the Koopman step is an exact relabeling of modes
 (m -> A^T m) followed by diagonal heat damping, so trajectories are exact
-up to floating point.  Per-mode damping exponents nu * S_n(m) reach 1e10
-and beyond within a dozen steps, so all scalar series are accumulated in a
+up to floating point; ``evolve`` runs the pulses and ``step`` is its
+one-pulse case.  Per-mode damping exponents nu * S_n(m) reach 1e10 and
+beyond within a dozen steps, so all scalar series are accumulated in a
 per-step normalized frame: weights are renormalized at every step and the
 series are stored as exact-log increments.  Differencing two large
 accumulated logs would otherwise wipe out the inequality margins that the
@@ -18,9 +19,8 @@ automorphism; that path is the operator-norm oracle for dissipation times.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .fields import (
     ModeOverflowError,
     SpectralConvention,
     SpectralField,
+    ball_modes,
 )
 from .toral import ToralAutomorphism
 
@@ -56,24 +57,14 @@ class PulsedSystem:
             raise ValueError("automorphism and convention dimensions differ")
 
 
-def _check_mode_range(mode: Sequence[int]):
-    if any(abs(int(c)) >= MODE_LIMIT for c in mode):
-        raise ModeOverflowError(f"mode {tuple(mode)} left the 63-bit range")
-
-
 def step(theta: SpectralField, system: PulsedSystem) -> SpectralField:
     """One pulse: relabel modes by A^T, then damp by exp(-nu*lambda_k).
 
     The relabeling alone is unitary (a permutation of modes); the new
-    coefficient at k = A^T m is exp(-nu*lambda(k)) * theta^(m).
+    coefficient at k = A^T m is exp(-nu*lambda(k)) * theta^(m).  This is
+    ``evolve``'s one-pulse case, so an empty field raises ValueError.
     """
-    coeffs: Dict[Mode, complex] = {}
-    for mode, amp in theta.coefficients.items():
-        image = system.automorphism.push_mode(mode)
-        _check_mode_range(image)
-        lam = system.convention.eigenvalue(image)
-        coeffs[image] = amp * math.exp(-system.nu * lam)
-    return SpectralField(system.convention, coeffs)
+    return evolve(theta, system, 1).field(1)
 
 
 def _logsumexp(terms: np.ndarray) -> float:
@@ -106,7 +97,7 @@ class Trajectory:
     system: PulsedSystem
     modes0: List[Mode]
     amps0: np.ndarray
-    mode_orbits: List[List[Mode]]
+    mode_orbits: List[np.ndarray]  # per step, (n_modes, d) exact Python ints
     log_damp: np.ndarray  # (n_steps+1, n_modes): -2 nu S_n(mode_j)
     log_energies: np.ndarray
     dln: np.ndarray
@@ -144,12 +135,8 @@ class Trajectory:
         coeffs = {}
         for j, mode in enumerate(self.mode_orbits[n]):
             damp = math.exp(0.5 * self.log_damp[n, j])
-            coeffs[mode] = complex(self.amps0[j]) * damp
+            coeffs[tuple(mode)] = complex(self.amps0[j]) * damp
         return SpectralField(self.system.convention, coeffs)
-
-    @property
-    def fields(self) -> List[SpectralField]:
-        return [self.field(n) for n in range(self.n_steps + 1)]
 
     def energy_identity_residuals(self) -> np.ndarray:
         """| ||theta_{n+1}||^2 - ||theta_n||^2 + nu E_nu theta_n | / ||theta_n||^2.
@@ -176,18 +163,22 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
 
     The final energies satisfy
     ||theta_n||^2 = sum_k exp(-2 nu sum_{j=1..n} lambda(A_*^j k)) |theta0^(k)|^2.
+    Each pulse pushes the whole support in one exact product on Python
+    integers; a mode leaving the 63-bit range raises ModeOverflowError.
     """
     if n < 1:
         raise ValueError("need at least one step")
     if not theta0.coefficients:
         raise ValueError("initial field is empty")
-    conv = system.convention
     nu = system.nu
+    scale = system.convention.scale_factor
     modes0 = sorted(theta0.coefficients.keys())
     amps0 = np.array([theta0.coefficients[m] for m in modes0], dtype=complex)
     n_modes = len(modes0)
+    a = np.array(system.automorphism.matrix, dtype=object)  # row convention: A^T m = m @ A
 
-    orbits: List[List[Mode]] = [list(modes0)]
+    current = np.array(modes0, dtype=object)
+    orbits: List[np.ndarray] = [current]
     log_damp = np.zeros((n + 1, n_modes))
     log_energies = np.empty(n + 1)
     dln = np.empty(n)
@@ -197,10 +188,10 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
     h1next_rel = np.empty(n)
 
     logw = 2.0 * np.log(np.abs(amps0))  # unnormalized log weights, step 0
-    lam = np.array([conv.eigenvalue(m) for m in modes0])
+    # bit-identical to SpectralConvention.eigenvalue: exact integer |k|^2, then scale
+    lam = scale * np.sum(current * current, axis=1).astype(float)
     log_energies[0] = _logsumexp(logw)
 
-    current = list(modes0)
     cum = np.zeros(n_modes)
     for it in range(n):
         # normalized frame of step `it`
@@ -209,10 +200,11 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
         total = float(np.sum(w))
         log_r[it] = math.log(float(np.sum(w * lam)) / total)
 
-        nxt = [system.automorphism.push_mode(m) for m in current]
-        for m in nxt:
-            _check_mode_range(m)
-        lam_next = np.array([conv.eigenvalue(m) for m in nxt])
+        nxt = current @ a
+        over = np.any(np.abs(nxt) >= MODE_LIMIT, axis=1)
+        if over.any():
+            raise ModeOverflowError(f"mode {tuple(nxt[over][0])} left the 63-bit range")
+        lam_next = scale * np.sum(nxt * nxt, axis=1).astype(float)
         x = 2.0 * nu * lam_next
         decay = np.exp(-x)
         if nu > 0:
@@ -274,29 +266,6 @@ def inviscid_gap(theta0: SpectralField, system: PulsedSystem, n: int) -> dict:
 
 class TruncationLeakError(RuntimeError):
     """Damped mass escaping the mode ball exceeded the monitor threshold."""
-
-
-def ball_modes(dimension: int, radius: int) -> np.ndarray:
-    """All nonzero integer modes with |k| <= radius, shape (N, d), int64.
-
-    The scan meshgrids the (2R+1)^d box: d int64 grids, their stacked copy,
-    the squared norms and the keep mask, (16d + 9) bytes per box point.  A
-    box whose scan would not fit in physical memory raises ValueError.
-    """
-    box = (2 * radius + 1) ** dimension
-    need = box * (16 * dimension + 9)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(
-            f"mode ball of radius {radius} in d = {dimension} scans a {box:.3e}-point box "
-            f"needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory"
-        )
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * dimension), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    norm_sq = np.sum(pts * pts, axis=1)
-    keep = (norm_sq > 0) & (norm_sq <= radius * radius)
-    return pts[keep]
 
 
 @dataclass

@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .fields import ball_modes
+
 IntPoly = Tuple[int, ...]
 
 _EIGEN_RESIDUAL_TOL = 1e-10
@@ -411,10 +413,6 @@ class ToralAutomorphism:
     def conditions(self) -> ConditionReport:
         return check_conditions(self.matrix)
 
-    @property
-    def characteristic_polynomial(self) -> IntPoly:
-        return char_poly(self.matrix)
-
     def _eigen(self) -> Tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eig(np.array(self.matrix, dtype=float))
         if np.min(np.abs(values[:, None] - values[None, :]) + np.eye(len(values))) < 1e-8:
@@ -436,11 +434,6 @@ class ToralAutomorphism:
     def eigenvectors(self) -> np.ndarray:
         """Columns are the normalized eigenvectors."""
         return self._eigen()[1]
-
-    @property
-    def expansion_factor(self) -> float:
-        """Largest eigenvalue modulus (> 1 under C1, by Kronecker)."""
-        return float(np.max(np.abs(self.eigenvalues)))
 
     @property
     def lipschitz(self) -> float:
@@ -468,24 +461,21 @@ def eigen_coordinates(automorphism: ToralAutomorphism, mode: Sequence[int]) -> n
     return np.linalg.solve(vecs, k.astype(complex))
 
 
-def _norm_form_2x2(automorphism: ToralAutomorphism, k1: int, k2: int) -> int:
-    """Integer norm form for d = 2 with the ((lambda - a22)/a21, 1) frame.
+def norm_form(automorphism: ToralAutomorphism, mode):
+    """Integer norm form N(k) for d = 2 with the ((lambda - a22)/a21, 1) frame.
 
     With trace T, det 1, and s = a21 k1 + a22 k2 the eigencoordinate product
     is a_+ a_- = -N(k) / (a21^2 (T^2 - 4)) where N(k) = s^2 - T k2 s + k2^2.
     For the standard cat map (a21 = a22 = 1, T = 3) this reduces to
     N(k) = k1^2 - k1 k2 - k2^2, nonzero on the whole punctured lattice.
+    ``mode`` is one mode or a (2, N) integer array of modes (one per column).
     """
-    t = automorphism.matrix[0][0] + automorphism.matrix[1][1]
-    s = automorphism.matrix[1][0] * k1 + automorphism.matrix[1][1] * k2
-    return s * s - t * k2 * s + k2 * k2
-
-
-def norm_form(automorphism: ToralAutomorphism, mode: Sequence[int]) -> int:
     if automorphism.dimension != 2:
         raise ValueError("exact integer norm form is implemented for d = 2 only")
-    k1, k2 = (int(c) for c in mode)
-    return _norm_form_2x2(automorphism, k1, k2)
+    (a11, _), (a21, a22) = automorphism.matrix
+    k1, k2 = mode
+    s = a21 * k1 + a22 * k2
+    return s * s - (a11 + a22) * k2 * s + k2 * k2
 
 
 def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
@@ -504,13 +494,7 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     _, vecs = automorphism._eigen()
     vinv = np.linalg.inv(vecs)
 
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    norms_sq = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    keep = (norms_sq > 0) & (norms_sq <= radius * radius)
-    pts = pts[keep]
-
+    pts = ball_modes(d, radius)
     coords = vinv @ pts.T.astype(complex)
     products = np.prod(np.abs(coords), axis=0)
     i_min = int(np.argmin(products))
@@ -523,9 +507,7 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
 
     if d == 2:
         t = automorphism.matrix[0][0] + automorphism.matrix[1][1]
-        c21, c22 = automorphism.matrix[1][0], automorphism.matrix[1][1]
-        s = c21 * pts[:, 0] + c22 * pts[:, 1]
-        nvals = s * s - t * pts[:, 1] * s + pts[:, 1] * pts[:, 1]
+        nvals = norm_form(automorphism, pts.T)
         result["integer_form_ok"] = bool(np.all(nvals != 0))
         # product identity |a+ a-| = |N(k)| / (a21^2 |T^2 - 4|) for this frame
         result["min_abs_norm_form"] = int(np.min(np.abs(nvals)))

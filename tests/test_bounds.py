@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,15 @@ def test_weyl_lattice_is_ball_volume():
 
 def test_weyl_geometric_d4():
     assert weyl_constant(4, 1.0, 0.0, "geometric") == pytest.approx(1 / (32 * math.pi**2), rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("lam", [10, 10.5, 50])
+def test_lattice_count_matches_brute_force(d, lam):
+    # non-square and non-integer lam: k = (3, 1) has |k|^2 = 10 > floor(sqrt(10))^2
+    r = math.isqrt(int(lam))
+    brute = sum(1 for k in itertools.product(range(-r, r + 1), repeat=d) if 0 < sum(c * c for c in k) <= lam)
+    assert lattice_count(d, lam) == brute
 
 
 @pytest.mark.parametrize("lam", [1e3, 1e4])

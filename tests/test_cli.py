@@ -3,9 +3,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from disslab.bounds import lattice_count
 from disslab.cli import main
+from disslab.fields import SpectralConvention, random_sparse_field
+from disslab.mixing import strong_envelope
+from disslab.toral import ToralAutomorphism, verify_norm_form
 
 
 def run_cli(args):
@@ -174,17 +179,68 @@ def test_operator_and_cts_artifacts_pinned(tmp_path):
     assert rows == [(0.0010000000000000002, 4.14215087890625), (0.010000000000000004, 1.08203125)]
 
 
-@pytest.mark.parametrize("matrix, dim, nu", [
-    ("2,1,1,1", "2", "1e-8"),  # radius 32000: a 4.1e9-point box, about 168 GB
-    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-3"),  # radius 102: 1.8e9 points, about 129 GB
-])
-def test_oversized_mode_ball_is_a_validation_error(tmp_path, monkeypatch, capsys, matrix, dim, nu):
-    # report at most 64 GB of physical memory, so that no host allocates the box
+def test_scan_values_pinned(cat):
+    # values captured before the lattice-ball scans were folded into fields.ball_modes
+    nf = verify_norm_form(cat, 200)
+    assert (nf["min_product"], nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == (
+        0.19999999999975474, (-89, -55), 1, 125628)
+    nf = verify_norm_form(ToralAutomorphism(((0, 1, 0), (0, 0, 1), (1, 1, 0))), 8)
+    assert (nf["min_product"], nf["argmin"], nf["denominator"], nf["scanned"]) == (
+        0.0434782608695636, (0, -3, 4), 23, 2108)
+    assert lattice_count(2, 1e4) == 31416
+
+
+def test_mixing_and_simulate_artifacts_pinned(tmp_path):
+    # sha256 of the artifacts written before the scans and the pulse were
+    # folded into single implementations; the bytes must not change
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    strong, weak, sim = tmp_path / "strong.csv", tmp_path / "weak.csv", tmp_path / "sim.csv"
+    assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "1", "--beta", "1", "--n-max", "12",
+                    "--mode", "strong", "--out", str(strong)]) == 0
+    assert sha256(strong) == "9262b69e454a34c30e04ea00c8453ed6a565f9dcfce5f2670fe90ca96fdf1a46"
+    assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "0", "--beta", "1", "--n-max", "10000",
+                    "--mode", "weak", "--out", str(weak)]) == 0
+    assert sha256(weak) == "48965f25b019d318909615700a74da7b3beef0842401c0cf0e372c5d67f59e89"
+    field = random_sparse_field(SpectralConvention(2, "lattice"), np.random.default_rng(7), n_modes=12, kmax=9)
+    (tmp_path / "field.json").write_text(field.to_json())
+    assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", "1e-4", "--steps", "30",
+                    "--initial", str(tmp_path / "field.json"), "--out", str(sim)]) == 0
+    assert sha256(sim) == "485d05e792512e80d7e5fa250f9cd44f8c8d6f297977938e9f233d2937a7b568"
+
+
+@pytest.fixture()
+def capped_memory(monkeypatch):
+    # report at most 64 GB of physical memory, so that no host allocates an
+    # oversized box, and fail loudly if a scan starts anyway
     sysconf = os.sysconf
     cap_pages = 64 * 10**9 // sysconf("SC_PAGE_SIZE")
     monkeypatch.setattr(os, "sysconf", lambda name: min(sysconf(name), cap_pages)
                         if name == "SC_PHYS_PAGES" else sysconf(name))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("an oversized lattice-ball scan started")
+
+    monkeypatch.setattr(np, "meshgrid", no_scan)
+
+
+@pytest.mark.parametrize("matrix, dim, nu", [
+    ("2,1,1,1", "2", "1e-8"),  # radius 32000: a 4.1e9-point box, about 168 GB
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-3"),  # radius 102: 1.8e9 points, about 129 GB
+])
+def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, capsys, matrix, dim, nu):
     code = run_cli(["dissipation-time", "--matrix", matrix, "--dim", dim, "--nu-grid", f"{nu}:{nu}:1",
                     "--method", "operator", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "GB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scan", [
+    lambda cat: lattice_count(4, 1e10),  # radius 100,001: a 1.6e21-point box
+    lambda cat: verify_norm_form(cat, 10**6),  # a 4e12-point box
+    lambda cat: strong_envelope(cat, 1, 1, 4, scan_radius=10**6),
+], ids=["lattice_count", "verify_norm_form", "strong_envelope"])
+def test_oversized_scans_are_validation_errors(capped_memory, cat, scan):
+    with pytest.raises(ValueError, match="GB"):
+        scan(cat)

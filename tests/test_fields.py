@@ -1,10 +1,17 @@
+import itertools
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import disslab
 from disslab.fields import (
     SpectralConvention,
     SpectralField,
+    ball_modes,
     dissipation_functional,
     random_sparse_field,
     sobolev_norm,
@@ -110,3 +117,26 @@ def test_nu_conversion():
     assert lat.convert_nu(nu, geo) * geo.eigenvalue((2, 1)) == pytest.approx(
         nu * lat.eigenvalue((2, 1)), rel=1e-14
     )
+
+
+# ---------------------------------------------------------------------------
+# the lattice-ball scan
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 6))
+def test_ball_modes_match_product_scan(dimension, radius):
+    # lexicographic order, as itertools.product yields the box
+    expected = [k for k in itertools.product(range(-radius, radius + 1), repeat=dimension)
+                if 0 < sum(c * c for c in k) <= radius * radius]
+    got = ball_modes(dimension, radius)
+    assert got.dtype == np.int64
+    assert got.shape == (len(expected), dimension)
+    assert [tuple(int(c) for c in row) for row in got] == expected
+
+
+def test_one_module_scans_the_lattice_ball():
+    # every lattice-ball scan goes through fields.ball_modes
+    src = Path(disslab.__file__).parent
+    scanners = sorted(p.name for p in src.glob("*.py") if "np.meshgrid" in p.read_text())
+    assert scanners == ["fields.py"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from disslab.fields import ModeOverflowError, SpectralField, random_sparse_field
+from disslab.fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
 from disslab.pulsed import (
     PulsedSystem,
     TruncatedKoopman,
@@ -13,6 +13,8 @@ from disslab.pulsed import (
     koopman_ball_radius,
     step,
 )
+from disslab.toral import ToralAutomorphism
+
 CAT_ORBIT_SQUARES = [5, 34, 233, 1597]  # |A^j (1,0)|^2 along the orbit
 
 
@@ -39,6 +41,12 @@ def test_inviscid_step_is_isometry(cat, lattice2, rng):
     assert out.norm_sq() == pytest.approx(theta.norm_sq(), rel=1e-14)
 
 
+def test_step_of_empty_field_raises(cat, lattice2):
+    # step is evolve's one-pulse case and shares its empty-field contract
+    with pytest.raises(ValueError):
+        step(SpectralField(lattice2, {}), PulsedSystem(cat, 0.01, lattice2))
+
+
 def test_zero_nu_requires_flag(cat, lattice2):
     with pytest.raises(ValueError):
         PulsedSystem(cat, 0.0, lattice2)
@@ -60,6 +68,21 @@ def test_evolve_matches_step_composition(cat, lattice2, rng):
     assert traj.field(1).coefficients.keys() == stepped.coefficients.keys()
     for m, a in stepped.coefficients.items():
         assert traj.field(1).coefficients[m] == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize("matrix", [
+    ((0, 0, 1), (1, 0, 0), (0, 1, 1)),
+    ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)),
+])
+def test_evolve_orbits_match_push_mode(matrix, rng):
+    auto = ToralAutomorphism(matrix)
+    conv = SpectralConvention(auto.dimension, "lattice")
+    theta = random_sparse_field(conv, rng, n_modes=10, kmax=5)
+    traj = evolve(theta, PulsedSystem(auto, 1e-6, conv), 12)
+    orbit = sorted(theta.modes())
+    for n in range(traj.n_steps + 1):
+        assert [tuple(m) for m in traj.mode_orbits[n]] == orbit
+        orbit = [auto.push_mode(m) for m in orbit]
 
 
 def test_energy_identity_battery(cat, lattice2, rng):

@@ -176,6 +176,11 @@ def test_norm_form_values(cat):
     assert norm_form(cat, (1, 0)) == 1
 
 
+def test_norm_form_accepts_mode_columns(cat):
+    modes = np.array([(2, 3), (1, -2), (1, 0), (-89, -55)], dtype=np.int64)
+    assert norm_form(cat, modes.T).tolist() == [norm_form(cat, tuple(int(c) for c in m)) for m in modes]
+
+
 def test_verify_norm_form_radius_200(cat):
     res = verify_norm_form(cat, 200)
     assert res["integer_form_ok"]
