@@ -237,7 +237,9 @@ def strong_envelope(
 
     Candidates: the ball |k| <= scan_radius plus forward images A_*^m k0 of
     seeds |k0| <= orbit_seed_radius for m <= n_max + 4 (the sup migrates
-    along the expanding lattice directions when (d-1) alpha > beta).  The
+    along the expanding lattice directions when (d-1) alpha > beta).  Both
+    factors are even in k, so only one mode of each +-k pair is scanned, and
+    candidates are not deduplicated: a repeat cannot change the sup.  The
     tail certificate for |k| > R is |A|^{n alpha} R^{-(alpha+beta)}; in
     strict mode the run aborts when it cannot be brought below
     epsilon * e(n) at this scan budget, reporting the feasible epsilon.
@@ -251,36 +253,40 @@ def strong_envelope(
     if scan_radius is None:
         scan_radius = _DEFAULT_SCAN_RADIUS[d]
 
+    # the ball is symmetric and lexicographic, so its upper half holds one mode
+    # of each +-k pair; modes are columns, so each squared norm sums
+    # contiguous rows
     pts = ball_modes(d, scan_radius)
+    pts = pts[pts.shape[0] // 2:].T
 
     # orbit candidates: forward images of small seeds chase the sup outward
-    seeds = pts[np.sum(pts * pts, axis=1) <= orbit_seed_radius**2]
-    a_star = automorphism.array.T  # acts as m @ a_star.T below
+    seeds = pts[:, np.sum(pts * pts, axis=0) <= orbit_seed_radius**2]
+    a_star = automorphism.array.T
     chunks = [pts]
     m = seeds
     for _ in range(n_max + 4):
-        m = m @ a_star.T
+        m = a_star @ m
         if np.max(np.abs(m)) > _COORD_LIMIT:
             break
-        chunks.append(m.copy())
-    all_pts = np.unique(np.concatenate(chunks, axis=0), axis=0)
+        chunks.append(m)
+    cur = np.concatenate(chunks, axis=1)  # duplicates cannot change a max
 
-    lam_k = np.sum(all_pts.astype(float) ** 2, axis=1)
+    lam_bk = np.sum(cur.astype(float) ** 2, axis=0)
+    weight_k = lam_bk ** (-beta / 2.0)
     b_t = np.array(automorphism.inverse_transpose, dtype=np.int64)
 
     opnorm = automorphism.lipschitz
     values = np.empty(n_max + 1)
     tails = np.empty(n_max + 1)
 
-    cur = all_pts.copy()
     for n in range(n_max + 1):
-        lam_bk = np.sum(cur.astype(float) ** 2, axis=1)
-        vals = lam_bk ** (-alpha / 2.0) * lam_k ** (-beta / 2.0)
-        values[n] = float(np.max(vals))
+        if n:
+            cur = b_t @ cur  # advance B^{n-1} k -> B^n k exactly in int64
+            if np.max(np.abs(cur)) > _COORD_LIMIT:
+                raise OverflowError("backward orbit left the int64-safe range; reduce n_max")
+            lam_bk = np.sum(cur.astype(float) ** 2, axis=0)
+        values[n] = float(np.max(lam_bk ** (-alpha / 2.0) * weight_k))
         tails[n] = opnorm ** (n * alpha) * float(scan_radius) ** (-(alpha + beta))
-        cur = cur @ b_t.T  # advance B^n k -> B^{n+1} k exactly in int64
-        if np.max(np.abs(cur)) > _COORD_LIMIT:
-            raise OverflowError("backward orbit left the int64-safe range; reduce n_max")
 
     certified = tails <= epsilon * values
     if strict and not bool(np.all(certified)):
@@ -341,11 +347,8 @@ def lattice_ball_sum(d: int, beta: float, m_max: int) -> np.ndarray:
     weights = nsq.astype(float) ** (-beta)
     order = np.argsort(radii, kind="stable")
     radii, weights = radii[order], np.cumsum(weights[order])
-    out = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        idx = np.searchsorted(radii, m, side="right") - 1
-        out[m - 1] = weights[idx] if idx >= 0 else 0.0
-    return out
+    idx = np.searchsorted(radii, np.arange(1, m_max + 1), side="right") - 1
+    return np.where(idx >= 0, weights[idx], 0.0)
 
 
 def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarray:
@@ -361,10 +364,10 @@ def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarr
     n_values = np.asarray(n_values, dtype=float)
     m_cap = int(math.ceil(max(n_values.max() ** (1.0 / d) * 4.0, 8.0)))
     sums = lattice_ball_sum(d, beta, m_cap)
-    ms = np.arange(1, m_cap + 1, dtype=float)
+    scale_terms = np.arange(1, m_cap + 1, dtype=float) ** (-2.0 * beta)
     out = np.empty(n_values.size)
     for i, n in enumerate(n_values):
-        out[i] = math.sqrt(float(np.min(sums / n + ms ** (-2.0 * beta))))
+        out[i] = math.sqrt(float(np.min(sums / n + scale_terms)))
     return out
 
 

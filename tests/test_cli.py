@@ -200,6 +200,9 @@ def test_mixing_and_simulate_artifacts_pinned(tmp_path):
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "1", "--beta", "1", "--n-max", "12",
                     "--mode", "strong", "--out", str(strong)]) == 0
     assert sha256(strong) == "9262b69e454a34c30e04ea00c8453ed6a565f9dcfce5f2670fe90ca96fdf1a46"
+    assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "2", "--beta", "1", "--n-max", "12",
+                    "--mode", "strong", "--out", str(strong)]) == 0
+    assert sha256(strong) == "0d9b09b849cb967483e371902742ce9e33d36c50e8bb29ee2208f82886ee100d"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "0", "--beta", "1", "--n-max", "10000",
                     "--mode", "weak", "--out", str(weak)]) == 0
     assert sha256(weak) == "48965f25b019d318909615700a74da7b3beef0842401c0cf0e372c5d67f59e89"
@@ -208,6 +211,13 @@ def test_mixing_and_simulate_artifacts_pinned(tmp_path):
     assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", "1e-4", "--steps", "30",
                     "--initial", str(tmp_path / "field.json"), "--out", str(sim)]) == 0
     assert sha256(sim) == "485d05e792512e80d7e5fa250f9cd44f8c8d6f297977938e9f233d2937a7b568"
+
+
+def test_strong_orbit_overflow_is_a_numerical_failure(tmp_path, capsys):
+    code = run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--n-max", "16", "--mode", "strong",
+                    "--out", str(tmp_path / "strong.csv")])
+    assert code == 3
+    assert "int64-safe" in capsys.readouterr().err
 
 
 @pytest.fixture()

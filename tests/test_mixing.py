@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disslab.fields import SpectralField, random_sparse_field, sobolev_norm
 from disslab.fitting import line_fit
@@ -84,6 +86,65 @@ def test_envelope_strict_epsilon(cat):
     with pytest.raises(EnvelopeInfeasible) as err:
         strong_envelope(cat, 1.0, 1.0, 12, epsilon=1e-3, strict=True)
     assert err.value.epsilon_feasible > 1e-3
+
+
+def test_envelope_needs_no_orbit_step_past_n_max(cat):
+    # B^16 k leaves the int64-safe range at the default radius, B^15 k does not
+    env14 = strong_envelope(cat, 1.0, 1.0, 14)
+    env15 = strong_envelope(cat, 1.0, 1.0, 15)
+    assert env15.values[:15].tobytes() == env14.values.tobytes()
+    with pytest.raises(OverflowError, match="int64-safe"):
+        strong_envelope(cat, 1.0, 1.0, 16)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    (((0, 0, 1), (1, 0, 0), (0, 1, 1)),
+     [1.0, 1.0, 1.0, 0.7071067811865476, 0.7071067811865476, 0.5773502691896257, 0.4472135954999579]),
+    (((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)),
+     [1.0, 1.0, 0.7071067811865476, 0.5773502691896257, 0.24253562503633297, 0.18257418583505536,
+      0.10846522890932808]),
+], ids=["3d", "4d"])
+def test_envelope_companions_pinned(rows, expected):
+    # values captured before the candidate set was halved and left undeduplicated
+    assert strong_envelope(ToralAutomorphism(rows), 1.0, 1.0, 6).values.tolist() == expected
+
+
+def _reference_envelope(rows, alpha, beta, n_max, radius, seed_radius=6, limit=1_500_000_000):
+    """e(n) over the full +-ball and the forward seed orbits, duplicates kept, in Python ints."""
+    (a, b), (c, d) = rows
+    ball = [(x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)
+            if 0 < x * x + y * y <= radius * radius]
+    cands = list(ball)
+    orbit = [k for k in ball if k[0] ** 2 + k[1] ** 2 <= seed_radius**2]
+    for _ in range(n_max + 4):
+        orbit = [(a * x + c * y, b * x + d * y) for x, y in orbit]  # k -> A^T k
+        if max(max(abs(x), abs(y)) for x, y in orbit) > limit:
+            break
+        cands += orbit
+    lam = lambda k: float(k[0] ** 2 + k[1] ** 2)
+    weights = [lam(k) ** (-beta / 2) for k in cands]
+    values, cur = [], cands
+    for _ in range(n_max + 1):
+        values.append(max(lam(k) ** (-alpha / 2) * w for k, w in zip(cur, weights)))
+        cur = [(d * x - c * y, -b * x + a * y) for x, y in cur]  # k -> (A^T)^{-1} k
+    return values
+
+
+# [[1, p], [0, 1]] [[1, 0], [q, 1]] [[1, r], [0, 1]] has determinant 1 and
+# trace 2 + q (p + r); it is hyperbolic when the trace exceeds 2 in size
+hyperbolic_sl2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda pqr: ((1 + pqr[0] * pqr[1], pqr[2] * (1 + pqr[0] * pqr[1]) + pqr[0]),
+                 (pqr[1], pqr[1] * pqr[2] + 1))
+).filter(lambda rows: abs(rows[0][0] + rows[1][1]) > 2)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(hyperbolic_sl2, st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.integers(0, 6), st.integers(1, 20))
+def test_envelope_matches_brute_force(rows, alpha, beta, n_max, radius):
+    env = strong_envelope(ToralAutomorphism(rows), alpha, beta, n_max, scan_radius=radius)
+    expected = _reference_envelope(rows, alpha, beta, n_max, radius)
+    # scalar and vectorised powers may differ in the last ulp
+    assert env.values.tolist() == pytest.approx(expected, rel=1e-14)
 
 
 def test_envelope_dominates_correlations(cat, lattice2, rng):
