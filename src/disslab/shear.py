@@ -10,12 +10,16 @@ unconditionally stable and only the splitting commutator contributes error
 
 The x-bands never couple, so the dissipation time uses the exact norm of
 the discretized solution map: one M x M Strang matrix per band, raised to
-the step count.
+the step count.  Advection is unitary and diffusion contracts band k1 by
+at most its heat factor exp(-nu scale k1^2 t), so a band whose heat factor
+lies below a norm already found cannot set the maximum and is never built
+(``cts_norm``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -162,6 +166,11 @@ class CtsState:
         return CtsState(self.convention, self.nu, self.k1.copy(), self.data.copy(), self.time)
 
 
+def _check_dt(dt: float):
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+
+
 def _check_grid(flow: ShearFlow, state: CtsState):
     if state.grid_size < flow.min_grid():
         raise ValueError(
@@ -205,8 +214,7 @@ class _Stepper:
 
 def cts_step(state: CtsState, flow: ShearFlow, dt: float) -> CtsState:
     """One Strang step: half diffusion, exact advection, half diffusion."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     stepper = _Stepper(flow, state, dt)
     data = stepper.diffuse(state.data, half=True)
     data = stepper.advect(data)
@@ -227,6 +235,7 @@ def evolve_cts(
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    _check_dt(dt_target)
     steps = max(1, math.ceil(t / dt_target))
     dt = t / steps
     stepper = _Stepper(flow, state, dt)
@@ -278,16 +287,30 @@ def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02
     diagonal: each band's fused Strang step S = H diag(phase) H is an M x M
     matrix (H the half-step diffusion), built by stepping the unit vectors,
     and the time-t map is S^steps.  The norm is the largest band norm.
-    Bands are handled one at a time, which keeps the working set at a few
-    M x M matrices.
+
+    H is unitarily similar to its damping diagonal, whose largest entry is
+    exp(-nu scale k1^2 dt / 2) at m = 0, and the phase is unitary, so
+    ||S^steps|| <= exp(-nu scale k1^2 t).  Bands are visited by increasing
+    |k1|, and a band whose heat factor lies below the largest norm found so
+    far is skipped: it cannot change the maximum, which is returned bit for
+    bit.  The factor is padded for rounding by 1e-12 + 4 steps eps relative:
+    the rounded damping is raised to the power 2 steps, and computed band
+    norms exceed the heat factor by up to 1.7 steps eps.  Bands are handled
+    one at a time, which keeps the working set at a few M x M matrices.
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    _check_dt(dt_target)
     steps = max(1, math.ceil(t / dt_target))
     m = state.grid_size
+    scale = state.convention.scale_factor
+    pad = 1.0 + 1e-12 + 4.0 * steps * sys.float_info.epsilon
     units = np.eye(m)[:, None, :]  # (M, 1, M): one single-band state per unit vector
     norms = []
-    for i in range(state.k1.size):
+    for i in np.argsort(np.abs(state.k1), kind="stable"):
+        k1 = float(state.k1[i])
+        if math.exp(-state.nu * scale * k1 * k1 * t) * pad < max(norms, default=0.0):
+            continue
         band = CtsState(state.convention, state.nu, state.k1[i : i + 1], state.data[i : i + 1])
         stepper = _Stepper(flow, band, t / steps)
         columns = stepper.diffuse(stepper.advect(stepper.diffuse(units, half=True)), half=True)
@@ -311,12 +334,17 @@ def tau_d_cts(
     The flow is time independent, so the sup over start times in the
     definition is vacuous.  The norm at each t is the exact norm of the
     discretized solution map (``cts_norm``); t is then located by bracket
-    doubling and bisection to 1% relative.
+    doubling and bisection to 1% relative.  A start past tau_d is walked
+    down by halving; a walk that reaches t = 1e-6 without a norm >= 1/e
+    raises ``RuntimeError`` instead of bisecting an invalid bracket.
     """
     if not 1e-4 <= nu <= 1e-1:
         raise ValueError("nu outside the supported desk range [1e-4, 1e-1]")
     if k1_max > 32 or grid_size > 128:
         raise ValueError("truncation exceeds the supported range (K1 <= 32, M <= 128)")
+    if k1_max < 1:
+        raise ValueError(f"k1_max must be at least 1, got {k1_max}")
+    _check_dt(dt_target)
     conv = convention or SpectralConvention(2, "geometric")
     k1 = np.array([k for k in range(-k1_max, k1_max + 1) if k != 0], dtype=np.int64)
     template = CtsState(conv, nu, k1, np.zeros((k1.size, grid_size), dtype=complex))
@@ -331,14 +359,18 @@ def tau_d_cts(
     lam1 = template.lambda_1()
     t_cap = 1.2 / (nu * lam1) + 1.0  # trivial heat bound, padded
     hi = min(t_hint or 1.0, t_cap)
+    doubled = False
     while sigma(hi) >= _E_INV:
         hi *= 2.0
+        doubled = True
         if hi > 4.0 * t_cap:
             raise RuntimeError("no norm drop below 1/e within the trivial bound horizon")
-    lo = hi / 2.0
-    if sigma(lo) < _E_INV:
-        # hint overshot: walk the bracket down
-        while lo > 1e-6 and sigma(lo) < _E_INV:
+    lo = hi / 2.0  # after doubling, the previous hi: its norm is already >= 1/e
+    if not doubled:
+        # the start may overshoot: walk the bracket down
+        while sigma(lo) < _E_INV:
+            if lo <= 1e-6:
+                raise RuntimeError(f"norm below 1/e already at t = {lo:.3g}: no valid bracket")
             hi = lo
             lo /= 2.0
     while (hi - lo) > rel_tol * hi:

@@ -179,6 +179,36 @@ def test_operator_and_cts_artifacts_pinned(tmp_path):
     assert rows == [(0.0010000000000000002, 4.14215087890625), (0.010000000000000004, 1.08203125)]
 
 
+def test_readme_cts_artifact_pinned(tmp_path):
+    # sha256 of the README cts artifact written before bands were skipped by
+    # their heat bound; the bytes must not change
+    out = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
+                    "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "baef1a6e39431d464c1072f7ecfe80a10a22654198111d89353c8e42b740ad08")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--dt", "0", "dt must be finite and positive"),
+    ("--dt", "-0.02", "dt must be finite and positive"),
+    ("--k1max", "0", "k1_max must be at least 1"),
+])
+def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
+    out = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", option, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cts_without_bracket_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    from disslab import shear
+
+    monkeypatch.setattr(shear, "cts_norm", lambda *args, **kwargs: 0.1)
+    assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--out", str(tmp_path / "cts.csv")]) == 3
+    assert "no valid bracket" in capsys.readouterr().err
+
+
 def test_scan_values_pinned(cat):
     # values captured before the lattice-ball scans were folded into fields.ball_modes
     nf = verify_norm_form(cat, 200)

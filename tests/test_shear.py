@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from disslab import shear
 from disslab.fields import SpectralConvention
 from disslab.fitting import line_fit
 from disslab.shear import (
@@ -141,6 +142,90 @@ def test_cts_norm_matches_evolved_unit_vectors(flow, conv, t, nu):
     assert cts_norm(template, flow, t) == pytest.approx(dense, rel=1e-10)
 
 
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    nu=st.floats(1e-4, 1e-1),
+    t=st.floats(0.05, 20.0),
+    k1_max=st.integers(1, 8),
+    grid=st.sampled_from([32, 64]),
+    convention=st.sampled_from(["geometric", "lattice"]),
+    zero_band=st.booleans(),
+    sheared=st.booleans(),
+)
+# 10,000 steps without shear: the zero band's computed norm exceeds the
+# |k1| = 1 heat factor by more than 1e-12 relative, and the |k1| = 1 bands,
+# whose norm is larger still, must not be skipped
+@example(nu=3e-3, t=200.0, k1_max=2, grid=32, convention="lattice", zero_band=True, sheared=False)
+@example(nu=3e-4, t=200.0, k1_max=2, grid=64, convention="geometric", zero_band=True, sheared=False)
+def test_cts_norm_pruning_matches_every_band(nu, t, k1_max, grid, convention, zero_band, sheared):
+    # skipping bands by their heat factor must not change the maximum by a
+    # single bit; without shear (and with the zero band, whose m = +-1 heat
+    # factor ties the |k1| = 1 bands) norms sit on their bounds, so this also
+    # probes the rounding margin
+    flow = ShearFlow.sinusoidal() if sheared else ShearFlow()
+    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention),
+                                   include_zero_x_band=zero_band)
+    brute = max(cts_norm(CtsState(template.convention, nu, template.k1[i : i + 1], template.data[i : i + 1]),
+                         flow, t) for i in range(template.k1.size))
+    assert cts_norm(template, flow, t) == brute
+
+
+def test_cts_norm_builds_only_the_bands_the_heat_bound_admits(flow, conv, monkeypatch):
+    built = []
+
+    class Counting(shear._Stepper):
+        def __init__(self, flow, state, dt):
+            built.extend(state.k1.tolist())
+            super().__init__(flow, state, dt)
+
+    monkeypatch.setattr(shear, "_Stepper", Counting)
+    template = CtsState.from_modes({}, 16, 64, 1e-2, conv)
+    # at t = 1.08 the |k1| = 1 norm is about 1/e; |k1| = 2 is heat-bounded by 0.18
+    assert cts_norm(template, flow, 1.08) > 0.36
+    assert sorted(built) == [-1, 1]
+
+
+def test_tau_d_cts_evaluates_each_time_once(flow, conv, monkeypatch):
+    times = []
+    norm = shear.cts_norm
+
+    def recording(state, flow, t, dt_target=0.02):
+        times.append(t)
+        return norm(state, flow, t, dt_target)
+
+    monkeypatch.setattr(shear, "cts_norm", recording)
+    for hint in (None, 0.3, 9.0):  # doubling from 1, doubling from a short hint, walking down
+        times.clear()
+        tau_d_cts(flow, 1e-2, conv, k1_max=4, grid_size=32, t_hint=hint)
+        assert len(times) == len(set(times))
+
+
+def test_tau_d_cts_walk_down_without_bracket_raises(flow, conv, monkeypatch):
+    monkeypatch.setattr(shear, "cts_norm", lambda *args, **kwargs: 0.1)
+    with pytest.raises(RuntimeError, match="no valid bracket"):
+        tau_d_cts(flow, 1e-2, conv)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.02, math.inf, math.nan])
+def test_time_step_must_be_finite_and_positive(flow, conv, dt):
+    state = make_state(conv, 1e-2)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        evolve_cts(state, flow, 1.0, dt_target=dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        cts_norm(state, flow, 1.0, dt_target=dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        tau_d_cts(flow, 1e-2, conv, dt_target=dt)
+
+
+def test_tau_d_cts_resolved_in_truncation_and_step(flow, conv):
+    # the error budget is the bisection: doubling K1 and M and halving dt
+    # moves tau_d by less than the 1e-3 bisection tolerance
+    for nu in (1e-2, 1e-3, 1e-4):
+        coarse = tau_d_cts(flow, nu, conv, k1_max=16, grid_size=64, rel_tol=1e-3, dt_target=0.02)
+        fine = tau_d_cts(flow, nu, conv, k1_max=32, grid_size=128, rel_tol=1e-3, dt_target=0.01)
+        assert fine == pytest.approx(coarse, rel=1e-3)
+
+
 def test_tau_d_cts_pure_heat_band(conv):
     still = ShearFlow()
     tau = tau_d_cts(still, 1e-2, conv, k1_max=2, grid_size=32)
@@ -160,6 +245,8 @@ def test_tau_d_cts_range_guards(flow, conv):
         tau_d_cts(flow, 1e-5, conv)
     with pytest.raises(ValueError):
         tau_d_cts(flow, 1e-2, conv, k1_max=64)
+    with pytest.raises(ValueError, match="k1_max must be at least 1"):
+        tau_d_cts(flow, 1e-2, conv, k1_max=0)
 
 
 def test_stationary_phase_correlation_decay(flow, conv):
