@@ -26,7 +26,6 @@ import numpy as np
 from .bounds import BoundProfile, check_bound, eval_H, h1_power_closed_form, lattice_count, weyl_constant
 from .dissipation import (
     DissipationReport,
-    TruncationLeakError,
     check_lower_bound_chain,
     dissipation_sweep,
     fit_energy_decay,
@@ -496,7 +495,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModeOverflowError, TruncationLeakError, OverflowError, RuntimeError) as exc:
+    except (ModeOverflowError, OverflowError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

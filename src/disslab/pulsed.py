@@ -13,7 +13,9 @@ energy identities are tested against.
 General volume-preserving maps are supported only through a user-supplied
 truncated Koopman matrix on a finite mode ball (TruncatedKoopman), which
 also provides the matrix-free permutation action induced by an
-automorphism; that path is the operator-norm oracle for dissipation times.
+automorphism.  The operator route of ``dissipation`` walks that permutation
+over the certified threshold ball: a brute-force oracle for dissipation
+times, independent of the lattice route.
 """
 
 from __future__ import annotations
@@ -31,10 +33,15 @@ from .fields import (
     SpectralConvention,
     SpectralField,
     ball_modes,
+    require_memory,
 )
 from .toral import ToralAutomorphism
 
 _UNITARY_TOL = 1e-8
+
+# peak bytes per ball mode of the operator route after the box scan: building
+# the permutation, then the orbit walk (59-80 measured in d = 2..4)
+_ROUTE_BYTES_PER_MODE = 100
 
 
 @dataclass(frozen=True)
@@ -264,10 +271,6 @@ def inviscid_gap(theta0: SpectralField, system: PulsedSystem, n: int) -> dict:
 # truncated Koopman operators on a finite mode ball
 # ---------------------------------------------------------------------------
 
-class TruncationLeakError(RuntimeError):
-    """Damped mass escaping the mode ball exceeded the monitor threshold."""
-
-
 @dataclass
 class TruncatedKoopman:
     """Koopman action restricted to modes in a ball, matrix-free or dense.
@@ -296,25 +299,24 @@ class TruncatedKoopman:
 
     @staticmethod
     def from_automorphism(automorphism: ToralAutomorphism, radius: int) -> "TruncatedKoopman":
-        modes = ball_modes(automorphism.dimension, radius)
+        """Induced partial permutation m -> A^T m on the ball |m| <= radius.
+
+        Memory is checked first, on the volume of the ball of radius
+        R + sqrt(d)/2, which holds the unit cube around every mode.
+        """
         d = automorphism.dimension
+        count = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * (radius + math.sqrt(d) / 2) ** d
+        require_memory(
+            count * _ROUTE_BYTES_PER_MODE,
+            f"operator route over the mode ball of radius {radius} in d = {d} ({count:.3e} modes)",
+        )
+        modes = ball_modes(d, radius)
         images = modes @ automorphism.array  # row convention: A^T m = m @ A
-        base = 2 * radius + 1
-        lookup = -np.ones(base**d, dtype=np.int64)
-        shifted = modes + radius
-        keys = np.zeros(modes.shape[0], dtype=np.int64)
-        for i in range(d):
-            keys = keys * base + shifted[:, i]
-        lookup[keys] = np.arange(modes.shape[0])
-        img_norm_sq = np.sum(images * images, axis=1)
-        inside = img_norm_sq <= radius * radius
+        inside = np.flatnonzero(np.einsum("ij,ij->i", images, images) <= radius * radius)
+        images = images[inside]
         perm = -np.ones(modes.shape[0], dtype=np.int64)
-        img_shifted = images + radius
-        img_keys = np.zeros(modes.shape[0], dtype=np.int64)
-        for i in range(d):
-            img_keys = img_keys * base + np.where(inside, img_shifted[:, i], 0)
-        perm[inside] = lookup[img_keys[inside]]
-        assert np.all(perm[inside] >= 0)
+        # ball_modes rows are lexicographic, so their keys are sorted
+        perm[inside] = np.searchsorted(_row_keys(modes, radius), _row_keys(images, radius))
         return TruncatedKoopman(modes=modes, permutation=perm)
 
     @staticmethod
@@ -345,10 +347,9 @@ class TruncatedKoopman:
         return out
 
 
-def koopman_ball_radius(nu: float, safety: float = 3.2) -> int:
-    """Ball radius for the induced-permutation path at diffusivity nu.
-
-    Mass escaping the ball has already been relocated to |k| > K, so its
-    damped remainder per application is at most exp(-2 nu K^2) of the input
-    mass; safety 3.2 keeps that below 1.3e-9, under the 1e-8 monitor."""
-    return max(8, math.ceil(safety / math.sqrt(nu)))
+def _row_keys(rows: np.ndarray, radius: int) -> np.ndarray:
+    """Keys of rows in the box [-radius, radius]^d, increasing in lexicographic order."""
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in rows.T:
+        keys = keys * (2 * radius + 1) + (column + radius)
+    return keys

@@ -98,9 +98,7 @@ class CtsState:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
-        m = self.data.shape[-1]
-        if m & (m - 1):
-            raise ValueError("M must be a power of two")
+        _check_grid_size(self.data.shape[-1])
         if self.convention.dimension != 2:
             raise ValueError("shear solver lives on T^2")
 
@@ -164,6 +162,11 @@ class CtsState:
 
     def copy(self) -> "CtsState":
         return CtsState(self.convention, self.nu, self.k1.copy(), self.data.copy(), self.time)
+
+
+def _check_grid_size(m: int):
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"M must be a power of two, at least 2, got {m}")
 
 
 def _check_dt(dt: float):
@@ -344,6 +347,7 @@ def tau_d_cts(
         raise ValueError("truncation exceeds the supported range (K1 <= 32, M <= 128)")
     if k1_max < 1:
         raise ValueError(f"k1_max must be at least 1, got {k1_max}")
+    _check_grid_size(grid_size)
     _check_dt(dt_target)
     conv = convention or SpectralConvention(2, "geometric")
     k1 = np.array([k for k in range(-k1_max, k1_max + 1) if k != 0], dtype=np.int64)

@@ -193,6 +193,9 @@ def test_readme_cts_artifact_pinned(tmp_path):
     ("--dt", "0", "dt must be finite and positive"),
     ("--dt", "-0.02", "dt must be finite and positive"),
     ("--k1max", "0", "k1_max must be at least 1"),
+    ("--ygrid", "-64", "M must be a power of two, at least 2, got -64"),
+    ("--ygrid", "0", "M must be a power of two, at least 2, got 0"),
+    ("--ygrid", "1", "M must be a power of two, at least 2, got 1"),
 ])
 def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
     out = tmp_path / "cts.csv"
@@ -266,8 +269,8 @@ def capped_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("matrix, dim, nu", [
-    ("2,1,1,1", "2", "1e-8"),  # radius 32000: a 4.1e9-point box, about 168 GB
-    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-3"),  # radius 102: 1.8e9 points, about 129 GB
+    ("2,1,1,1", "2", "1e-10"),  # radius 100,001: 3.1e10 ball modes, about 3.1 TB
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-4"),  # radius 101: a 1.7e9-point box, about 136 GB
 ])
 def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, capsys, matrix, dim, nu):
     code = run_cli(["dissipation-time", "--matrix", matrix, "--dim", dim, "--nu-grid", f"{nu}:{nu}:1",

@@ -10,7 +10,6 @@ from disslab.pulsed import (
     ball_modes,
     evolve,
     inviscid_gap,
-    koopman_ball_radius,
     step,
 )
 from disslab.toral import ToralAutomorphism
@@ -193,8 +192,3 @@ def test_koopman_adjoint_is_adjoint(cat, rng):
     lhs = np.vdot(v, ku)
     rhs = np.vdot(koopman.koopman_adjoint(v), u)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_ball_radius_scales():
-    assert koopman_ball_radius(1e-2) == 32
-    assert koopman_ball_radius(1e-4) == 320
