@@ -177,7 +177,7 @@ def _cmd_mixing_rate(args) -> int:
     auto = _parse_matrix(args.matrix)
     if args.mode == "strong":
         env = strong_envelope(auto, args.alpha, args.beta, args.n_max)
-        rows = list(zip(env.n_values, env.values, env.tail_certificate))
+        rows = [(n, v, 0.0) for n, v in zip(env.n_values, env.values)]
     else:
         if args.alpha != 0:
             conv = _convention(args)

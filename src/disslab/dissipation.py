@@ -11,10 +11,12 @@ incrementally (G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}).  In d = 2 Gauss
 reduction gives the minimum.  In d = 3, 4 the form is reduced by integral
 LLL (Cohen, Alg. 2.6.7: integer Gram-Schmidt data, exact divisions, no
 round cap; each swap shrinks an integer potential by a factor below 3/4,
-and a nonpositive minor raises ValueError), and the minimum is certified by
-Fincke-Pohst enumeration over the reduced basis: any partial assignment
-whose quadratic partial sum exceeds the incumbent is pruned and every
-candidate is re-evaluated in exact integers.  ``min_energies`` walks
+and a nonpositive minor raises ValueError).  One exact enumerator,
+``_enumerate``, runs on the reduced form's integral Gram-Schmidt data
+(Fincke-Pohst with interval ends from ``math.isqrt`` and floor division, no
+floats): the minimum is the least value among the points at or below the
+smallest diagonal entry, and ``short_vectors`` lists every point of an
+integer ellipsoid for the strong mixing envelope.  ``min_energies`` walks
 n = 1, 2, ... and starts each LLL from the previous reduced basis; a nu grid
 is served by one such walk, each nu taking its first n past 1/nu.
 
@@ -78,26 +80,18 @@ def _gauss_reduce_2d(g: List[List[int]]) -> Tuple[int, Tuple[int, int]]:
     return q(u), (u[0], u[1])
 
 
-def _lll_reduce(g: List[List[int]], basis: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integral LLL (Cohen, Alg. 2.6.7) of the form g, started from ``basis``.
+def _gram_schmidt(gram: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
+    """Integral Gram-Schmidt data (Cohen, Alg. 2.6.7) of an integer Gram matrix.
 
-    ``basis`` lists the starting basis vectors.  Returns the reduced basis
-    and its Gram matrix ``gram[i][j] = basis[i]^T g basis[j]``, LLL-reduced
-    with delta = 3/4.  The Gram-Schmidt data stay integral: d_i are the leading
-    principal minors and lam[k][j] = d_{j+1} mu_kj, so every division is an
-    exact floor division.  Each swap multiplies prod d_i by less than 3/4,
-    hence the loop ends without a round cap; a minor d_k <= 0 means g is not
-    positive definite.
+    ``dm[i]`` is the leading i x i principal minor (``dm[0] = 1``) and
+    ``lam[k][j] = dm[j+1] mu_kj`` for j < k; every division is exact.  By
+    Sylvester's criterion a minor ``dm[i] <= 0`` means the form is not
+    positive definite, which raises ValueError.
     """
-    d = len(g)
-    h = [list(v) for v in basis]
-    gh = [[sum(g[a][c] * v[c] for c in range(d)) for a in range(d)] for v in h]
-    gram = [[sum(x * y for x, y in zip(h[i], gh[j])) for j in range(d)] for i in range(d)]
-    dm = [1] * (d + 1)  # dm[i] = det of the leading i x i block of gram
+    d = len(gram)
+    dm = [1] * (d + 1)
     lam = [[0] * d for _ in range(d)]
-
-    def minor(k: int) -> None:
-        # incremental Gram-Schmidt for vector k
+    for k in range(d):
         for j in range(k + 1):
             u = gram[k][j]
             for i in range(j):
@@ -108,6 +102,25 @@ def _lll_reduce(g: List[List[int]], basis: List[List[int]]) -> Tuple[List[List[i
                 raise ValueError("form is not positive definite")
             else:
                 dm[k + 1] = u
+    return dm, lam
+
+
+def _lll_reduce(g: List[List[int]], basis: List[List[int]]
+                ) -> Tuple[List[List[int]], List[List[int]], List[int], List[List[int]]]:
+    """Integral LLL (Cohen, Alg. 2.6.7) of the form g, started from ``basis``.
+
+    ``basis`` lists the starting basis vectors.  Returns the reduced basis,
+    its Gram matrix ``gram[i][j] = basis[i]^T g basis[j]``, LLL-reduced with
+    delta = 3/4, and that matrix's integral Gram-Schmidt data ``dm, lam``
+    (see ``_gram_schmidt``), kept exact through every size reduction and
+    swap.  Each swap multiplies prod d_i by less than 3/4, hence the loop
+    ends without a round cap.
+    """
+    d = len(g)
+    h = [list(v) for v in basis]
+    gh = [[sum(g[a][c] * v[c] for c in range(d)) for a in range(d)] for v in h]
+    gram = [[sum(x * y for x, y in zip(h[i], gh[j])) for j in range(d)] for i in range(d)]
+    dm, lam = _gram_schmidt(gram)
 
     def size_reduce(k: int, l: int) -> None:
         if abs(2 * lam[k][l]) > dm[l + 1]:
@@ -121,7 +134,7 @@ def _lll_reduce(g: List[List[int]], basis: List[List[int]]) -> Tuple[List[List[i
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
-    def swap(k: int, kmax: int) -> None:
+    def swap(k: int) -> None:
         h[k], h[k - 1] = h[k - 1], h[k]
         gram[k], gram[k - 1] = gram[k - 1], gram[k]
         for row in gram:
@@ -130,83 +143,69 @@ def _lll_reduce(g: List[List[int]], basis: List[List[int]]) -> Tuple[List[List[i
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         m = lam[k][k - 1]
         dk = (dm[k - 1] * dm[k + 1] + m * m) // dm[k]
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, d):
             t = lam[i][k]
             lam[i][k] = (dm[k + 1] * lam[i][k - 1] - m * t) // dm[k]
             lam[i][k - 1] = (dk * t + m * lam[i][k]) // dm[k + 1]
         dm[k] = dk
 
-    minor(0)
-    k, kmax = 1, 0
+    k = 1
     while k < d:
-        if k > kmax:
-            kmax = k
-            minor(k)
         size_reduce(k, k - 1)
         if 4 * dm[k + 1] * dm[k - 1] < 3 * dm[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            swap(k, kmax)
+            swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return h, gram
+    return h, gram, dm, lam
 
 
-def _reduced_minimum(gr: List[List[int]], basis: List[List[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """Fincke-Pohst branch-and-bound over an LLL-reduced Gram matrix ``gr``.
+def _enumerate(dm: List[int], lam: List[List[int]], bound: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Yield (q(x), x) for every nonzero integer x with q(x) <= bound (Fincke-Pohst).
 
-    Candidates are enumerated inside the ellipsoid of the incumbent value and
-    every candidate is re-evaluated in exact integer arithmetic; the
-    minimiser is mapped back to original coordinates through ``basis``.
+    q is the form with integral Gram-Schmidt data ``dm, lam``: with
+    N_i = dm[i+1] x_i + sum_{j>i} lam[j][i] x_j, level i contributes
+    N_i^2 / (dm[i] dm[i+1]).  Levels run from d - 1 down to 0 and x_i
+    increases within a level.  The budget left for levels i, ..., 0 is the
+    exact fraction num/den, so |N_i| <= isqrt(floor(num dm[i] dm[i+1] / den))
+    and the ends of x_i's interval are integer floor divisions.
     """
-    d = len(gr)
-
-    def q_exact(vec):
-        return sum(gr[i][j] * vec[i] * vec[j] for i in range(d) for j in range(d))
-
-    incumbent = min(
-        (q_exact(e), tuple(e))
-        for e in ([1 if i == j else 0 for j in range(d)] for i in range(d))
-    )
-    best_val, best_vec = incumbent
-
-    gf = np.array([[float(v) for v in row] for row in gr])
-    try:
-        chol = np.linalg.cholesky(gf)
-    except np.linalg.LinAlgError as exc:  # reduced form must stay PD
-        raise ValueError("form is not positive definite") from exc
-    # q(x) = sum_i r_ii^2 (x_i + sum_{j>i} mu_ij x_j)^2 with R = chol^T
-    r = chol.T
-    mu = r / np.diag(r)[:, None]
-    diag = np.diag(r) ** 2
-
-    bound = float(best_val) * (1.0 + 1e-9)
+    d = len(dm) - 1
     x = [0] * d
 
-    def recurse(level: int, partial: float):
-        nonlocal best_val, best_vec, bound
-        center = -sum(mu[level][j] * x[j] for j in range(level + 1, d))
-        radius = math.sqrt(max(bound - partial, 0.0) / diag[level])
-        lo = math.ceil(center - radius - 1e-12)
-        hi = math.floor(center + radius + 1e-12)
-        for xi in range(lo, hi + 1):
-            x[level] = xi
-            term = diag[level] * (xi - center) ** 2
-            if partial + term > bound:
-                continue
-            if level == 0:
-                if all(v == 0 for v in x):
-                    continue
-                val = q_exact(x)
-                if 0 < val < best_val:
-                    best_val, best_vec = val, tuple(x)
-                    bound = float(best_val) * (1.0 + 1e-9)
-            else:
-                recurse(level - 1, partial + term)
-        x[level] = 0
+    def level(i: int, num: int, den: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        scale = dm[i] * dm[i + 1]
+        reach = math.isqrt(num * scale // den)
+        shift = sum(lam[j][i] * x[j] for j in range(i + 1, d))
+        for xi in range(-((reach + shift) // dm[i + 1]), (reach - shift) // dm[i + 1] + 1):
+            x[i] = xi
+            n_i = dm[i + 1] * xi + shift
+            rest, rest_den = num * scale - n_i * n_i * den, den * scale
+            if i:
+                yield from level(i - 1, rest, rest_den)
+            elif any(x):
+                yield bound - rest // rest_den, tuple(x)  # the rest is the integer bound - q(x)
+        x[i] = 0
 
-    recurse(d - 1, 0.0)
+    yield from level(d - 1, bound, 1)
+
+
+def _reduced_minimum(basis: List[List[int]], gram: List[List[int]], dm: List[int],
+                     lam: List[List[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """Exact minimum of the form over nonzero vectors, from ``_lll_reduce``'s output.
+
+    The minimum is at most min_i gram_ii (a unit vector), so it is the least
+    value among the points the enumeration finds at that bound; the first
+    point attaining it is mapped back to original coordinates through
+    ``basis``.
+    """
+    d = len(gram)
+    best_val, best_vec = min((gram[i][i], tuple(int(i == j) for j in range(d))) for i in range(d))
+    for val, vec in _enumerate(dm, lam, best_val):
+        if val < best_val:
+            best_val, best_vec = val, vec
     return best_val, tuple(sum(c * v[a] for c, v in zip(best_vec, basis)) for a in range(d))
 
 
@@ -218,13 +217,26 @@ def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ..
     """Exact minimum of k^T G k over nonzero integer vectors, G pos. definite.
 
     d = 2 uses exact Gauss reduction.  d = 3, 4 run integral LLL from the
-    unit basis, then Fincke-Pohst on the reduced form.
+    unit basis, then the exact enumeration on the reduced form.
     """
     gi = [[int(v) for v in row] for row in g]
     if len(gi) == 2:
         return _gauss_reduce_2d(gi)
-    basis, gr = _lll_reduce(gi, _identity(len(gi)))
-    return _reduced_minimum(gr, basis)
+    return _reduced_minimum(*_lll_reduce(gi, _identity(len(gi))))
+
+
+def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...]]:
+    """Every nonzero integer x with x^T g x <= bound, g a positive definite integer form.
+
+    Exact: integral LLL from the unit basis, then the enumeration on the
+    reduced form's integral Gram-Schmidt data, mapped back to original
+    coordinates.  Both x and -x are listed.
+    """
+    gi = [[int(v) for v in row] for row in g]
+    d = len(gi)
+    basis, _, dm, lam = _lll_reduce(gi, _identity(d))
+    return [tuple(sum(c * v[a] for c, v in zip(x, basis)) for a in range(d))
+            for _, x in _enumerate(dm, lam, int(bound))]
 
 
 def _energy_forms(automorphism: ToralAutomorphism) -> Iterator[List[List[int]]]:
@@ -248,11 +260,6 @@ def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]
     return g
 
 
-def min_cumulative_energy(automorphism: ToralAutomorphism, n: int) -> Tuple[int, Tuple[int, ...]]:
-    """min_{k != 0} S_n(k) with a certified integer minimiser (cold start)."""
-    return integer_form_minimum(pulse_energy_form(automorphism, n))
-
-
 def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """Yield (min_{k != 0} S_n(k), minimiser) for n = 1, 2, ...
 
@@ -266,8 +273,9 @@ def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[i
         return
     basis = _identity(automorphism.dimension)
     for g in forms:
-        basis, gr = _lll_reduce(g, basis)
-        yield _reduced_minimum(gr, basis)
+        reduced = _lll_reduce(g, basis)
+        basis = reduced[0]
+        yield _reduced_minimum(*reduced)
 
 
 def _first_passages(min_sums: Iterator[float], thresholds: Sequence[float], n_max: int) -> List[int]:

@@ -5,10 +5,10 @@ e(n) ||f||_alpha ||g||_beta with the lattice envelope
 
     e(n) = sup_{k != 0} lambda(B^n k)^{-alpha/2} lambda(k)^{-beta/2},
 
-B = (A^T)^{-1}.  The sup is evaluated over a scanned ball plus the forward
-images A_*^m k0 of small modes (the near-contracting lattice directions
-where the sup migrates as n grows); the remainder is controlled by the
-crude tail bound |B^n k| >= |k| / |A|^n, reported as a certificate.
+B = (A^T)^{-1}.  The sup is exact: since |B^n k| >= 1 on the punctured
+lattice, every mode that can beat an incumbent lies in one integer
+ellipsoid per dyadic shell of |k|, and ``dissipation.short_vectors``
+enumerates those ellipsoids exactly (Fincke-Pohst on integral LLL data).
 
 Weak rate: the Cesaro quantity ((1/n) sum_k |<U^k f, g>|^2)^{1/2} evaluated
 exactly from the mode orbits (big integers, orbits never wrap), plus the
@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dissipation import short_vectors
 from .fields import SpectralField, ball_modes
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
@@ -187,20 +188,17 @@ def transfer_exponents(alpha: float, beta: float, alpha_new: float, beta_new: fl
 
 @dataclass
 class MixingEnvelope:
-    """Lattice correlation envelope e(n) with per-n tail certificates.
+    """Lattice correlation envelope e(n), n = 0..n_max, exact up to float evaluation.
 
-    ``values[n]`` is the scanned sup; ``tail_certificate[n]`` bounds the
-    possible contribution of unscanned modes via the crude expansion bound,
-    and ``certified[n]`` records whether it is below ``epsilon * values[n]``.
+    ``values[n]`` is the max of one float expression over a candidate set
+    that holds every mode able to beat it (see ``strong_envelope``), so it
+    is the float sup over all nonzero k.
     """
 
     n_values: np.ndarray
     values: np.ndarray
-    tail_certificate: np.ndarray
-    certified: np.ndarray
     alpha: float
     beta: float
-    scan_radius: int
     fitted: Optional[RateFunction] = None
 
     def slope_fit(self, n_lo: int, n_hi: int) -> LineFit:
@@ -208,41 +206,34 @@ class MixingEnvelope:
         return line_fit(self.n_values[mask], np.log(self.values[mask]))
 
 
-class EnvelopeInfeasible(ValueError):
-    """Requested tail accuracy needs an infeasible scan radius."""
-
-    def __init__(self, epsilon_requested: float, epsilon_feasible: float):
-        self.epsilon_feasible = epsilon_feasible
-        super().__init__(
-            f"tail accuracy {epsilon_requested:.2e} needs an infeasible scan "
-            f"radius; feasible at this budget: epsilon >= {epsilon_feasible:.2e}"
-        )
+# log2 slack on P = 1/v0: covers the float rounding of the evaluated terms
+# (a few ulps) and of the shell bounds, so every mode whose float term can
+# reach v0 is enumerated
+_LOG2_PAD = 1e-9
 
 
-_DEFAULT_SCAN_RADIUS = {2: 400, 3: 40, 4: 16}
-_COORD_LIMIT = 1_500_000_000  # keeps squared sums inside int64
+def _envelope_terms(power: List[List[int]], modes: List[Mode], alpha: float, beta: float) -> np.ndarray:
+    """lambda(B^n k)^{-alpha/2} lambda(k)^{-beta/2} per mode, with B^n k exact."""
+    k = np.array(modes, dtype=object).T  # (d, N): one column per mode
+    bk = np.array(power, dtype=object) @ k
+    lam_bk = np.sum(bk.astype(float) ** 2, axis=0)
+    return lam_bk ** (-alpha / 2.0) * np.sum(k.astype(float) ** 2, axis=0) ** (-beta / 2.0)
 
 
-def strong_envelope(
-    automorphism: ToralAutomorphism,
-    alpha: float,
-    beta: float,
-    n_max: int,
-    epsilon: float = 1e-3,
-    scan_radius: Optional[int] = None,
-    orbit_seed_radius: int = 6,
-    strict: bool = False,
-) -> MixingEnvelope:
-    """Evaluate e(n) = sup_k lambda(B^n k)^{-alpha/2} lambda(k)^{-beta/2}.
+def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, n_max: int) -> MixingEnvelope:
+    """Evaluate e(n) = sup_{k != 0} lambda(B^n k)^{-alpha/2} lambda(k)^{-beta/2} exactly.
 
-    Candidates: the ball |k| <= scan_radius plus forward images A_*^m k0 of
-    seeds |k0| <= orbit_seed_radius for m <= n_max + 4 (the sup migrates
-    along the expanding lattice directions when (d-1) alpha > beta).  Both
-    factors are even in k, so only one mode of each +-k pair is scanned, and
-    candidates are not deduplicated: a repeat cannot change the sup.  The
-    tail certificate for |k| > R is |A|^{n alpha} R^{-(alpha+beta)}; in
-    strict mode the run aborts when it cannot be brought below
-    epsilon * e(n) at this scan budget, reporting the feasible epsilon.
+    For each n the incumbent v0 is the best of the unit vectors and the
+    previous n's maximiser; set P = 1/v0, padded outward.  On the punctured
+    lattice |B^n k| >= 1, so a mode that beats v0 has |k| <= P^{1/beta}.  In
+    the dyadic shell 2^j <= |k| < 2^{j+1} it also has |B^n k|^2 <= C_j with
+    the integer C_j >= (P 2^{-j beta})^{2/alpha}, hence
+
+        k^T (4^{j+1} G_n + C_j I) k <= 2 C_j 4^{j+1},   G_n = (B^n)^T B^n,
+
+    an integer ellipsoid that ``dissipation.short_vectors`` enumerates
+    exactly.  Extra candidates cannot change a max, so the candidates are
+    not deduplicated.  B^n and G_n are exact Python integers at every n.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("strong envelopes need alpha > 0 and beta > 0")
@@ -250,58 +241,29 @@ def strong_envelope(
     if not report.ergodic_irreducible:
         raise ValueError("strong envelope requires conditions C1 and C2")
     d = automorphism.dimension
-    if scan_radius is None:
-        scan_radius = _DEFAULT_SCAN_RADIUS[d]
-
-    # the ball is symmetric and lexicographic, so its upper half holds one mode
-    # of each +-k pair; modes are columns, so each squared norm sums
-    # contiguous rows
-    pts = ball_modes(d, scan_radius)
-    pts = pts[pts.shape[0] // 2:].T
-
-    # orbit candidates: forward images of small seeds chase the sup outward
-    seeds = pts[:, np.sum(pts * pts, axis=0) <= orbit_seed_radius**2]
-    a_star = automorphism.array.T
-    chunks = [pts]
-    m = seeds
-    for _ in range(n_max + 4):
-        m = a_star @ m
-        if np.max(np.abs(m)) > _COORD_LIMIT:
-            break
-        chunks.append(m)
-    cur = np.concatenate(chunks, axis=1)  # duplicates cannot change a max
-
-    lam_bk = np.sum(cur.astype(float) ** 2, axis=0)
-    weight_k = lam_bk ** (-beta / 2.0)
-    b_t = np.array(automorphism.inverse_transpose, dtype=np.int64)
-
-    opnorm = automorphism.lipschitz
+    b = automorphism.inverse_transpose
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    power = [list(row) for row in units]  # B^n
+    incumbents = units
     values = np.empty(n_max + 1)
-    tails = np.empty(n_max + 1)
-
     for n in range(n_max + 1):
-        if n:
-            cur = b_t @ cur  # advance B^{n-1} k -> B^n k exactly in int64
-            if np.max(np.abs(cur)) > _COORD_LIMIT:
-                raise OverflowError("backward orbit left the int64-safe range; reduce n_max")
-            lam_bk = np.sum(cur.astype(float) ** 2, axis=0)
-        values[n] = float(np.max(lam_bk ** (-alpha / 2.0) * weight_k))
-        tails[n] = opnorm ** (n * alpha) * float(scan_radius) ** (-(alpha + beta))
-
-    certified = tails <= epsilon * values
-    if strict and not bool(np.all(certified)):
-        eps_feasible = float(np.max(tails / values))
-        raise EnvelopeInfeasible(epsilon, eps_feasible)
-
-    return MixingEnvelope(
-        n_values=np.arange(n_max + 1),
-        values=values,
-        tail_certificate=tails,
-        certified=certified,
-        alpha=alpha,
-        beta=beta,
-        scan_radius=scan_radius,
-    )
+        v0 = float(np.max(_envelope_terms(power, incumbents, alpha, beta)))
+        if v0 == 0.0:
+            raise OverflowError(f"e({n}) underflows float64; reduce n_max")
+        log_p = _LOG2_PAD - math.log2(v0)
+        gram = [[sum(power[l][i] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+        candidates = list(incumbents)
+        for j in range(math.floor(log_p / beta) + 1):
+            c_j = math.ceil(2.0 ** ((log_p - j * beta) * 2.0 / alpha))
+            shell = 4 ** (j + 1)
+            form = [[shell * gram[i][l] + c_j * (i == l) for l in range(d)] for i in range(d)]
+            candidates += short_vectors(form, 2 * c_j * shell)
+        terms = _envelope_terms(power, candidates, alpha, beta)
+        best = int(np.argmax(terms))
+        values[n] = float(terms[best])
+        incumbents = units + [candidates[best]]
+        power = [[sum(b[i][l] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+    return MixingEnvelope(n_values=np.arange(n_max + 1), values=values, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

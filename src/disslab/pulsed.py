@@ -33,13 +33,14 @@ from .fields import (
     SpectralConvention,
     SpectralField,
     ball_modes,
+    ball_size_bound,
     require_memory,
 )
 from .toral import ToralAutomorphism
 
 _UNITARY_TOL = 1e-8
 
-# peak bytes per ball mode of the operator route after the box scan: building
+# peak bytes per ball mode of the operator route after the ball scan: building
 # the permutation, then the orbit walk (59-80 measured in d = 2..4)
 _ROUTE_BYTES_PER_MODE = 100
 
@@ -305,7 +306,7 @@ class TruncatedKoopman:
         R + sqrt(d)/2, which holds the unit cube around every mode.
         """
         d = automorphism.dimension
-        count = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * (radius + math.sqrt(d) / 2) ** d
+        count = ball_size_bound(d, radius)
         require_memory(
             count * _ROUTE_BYTES_PER_MODE,
             f"operator route over the mode ball of radius {radius} in d = {d} ({count:.3e} modes)",

@@ -403,11 +403,6 @@ class ToralAutomorphism:
         at = self.transpose
         return tuple(sum(at[i][j] * int(mode[j]) for j in range(self.dimension)) for i in range(self.dimension))
 
-    def pull_mode(self, mode: Sequence[int]) -> Tuple[int, ...]:
-        """Inverse mode action m -> (A^T)^{-1} m."""
-        b = self.inverse_transpose
-        return tuple(sum(b[i][j] * int(mode[j]) for j in range(self.dimension)) for i in range(self.dimension))
-
     # -- spectral frame -------------------------------------------------------
 
     def conditions(self) -> ConditionReport:

@@ -9,7 +9,6 @@ import pytest
 from disslab.bounds import lattice_count
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
-from disslab.mixing import strong_envelope
 from disslab.toral import ToralAutomorphism, verify_norm_form
 
 
@@ -225,40 +224,53 @@ def test_scan_values_pinned(cat):
 
 def test_mixing_and_simulate_artifacts_pinned(tmp_path):
     # sha256 of the artifacts written before the scans and the pulse were
-    # folded into single implementations; the bytes must not change
-    def sha256(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+    # folded into single implementations; the bytes must not change, except
+    # that the strong tail_cert column reads 0 since the envelope is exact
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    def n_value_columns(path):
+        lines = path.read_text().splitlines()[1:]
+        return "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()
 
     strong, weak, sim = tmp_path / "strong.csv", tmp_path / "weak.csv", tmp_path / "sim.csv"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "1", "--beta", "1", "--n-max", "12",
                     "--mode", "strong", "--out", str(strong)]) == 0
-    assert sha256(strong) == "9262b69e454a34c30e04ea00c8453ed6a565f9dcfce5f2670fe90ca96fdf1a46"
+    assert sha256(strong.read_bytes()) == "5ae47bda716467e960eea8883ab3b8424877593c3ab073e8dbdda62809ce92cf"
+    # the n,value columns as written before the exact envelope
+    assert sha256(n_value_columns(strong)) == "7a48cbf7c99056da10fcd55874451541c93ca65addbdca1182be399428b0e1fc"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "2", "--beta", "1", "--n-max", "12",
                     "--mode", "strong", "--out", str(strong)]) == 0
-    assert sha256(strong) == "0d9b09b849cb967483e371902742ce9e33d36c50e8bb29ee2208f82886ee100d"
+    assert sha256(strong.read_bytes()) == "476fda06bbd98d5d2fbd777f9e3638de26f028316b53bd93b21b62380038d186"
+    assert sha256(n_value_columns(strong)) == "83e09cb5cdf937db5c9381ea2b2cbd7265c98e016153b12e0fe45707a79fac5c"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "0", "--beta", "1", "--n-max", "10000",
                     "--mode", "weak", "--out", str(weak)]) == 0
-    assert sha256(weak) == "48965f25b019d318909615700a74da7b3beef0842401c0cf0e372c5d67f59e89"
+    assert sha256(weak.read_bytes()) == "48965f25b019d318909615700a74da7b3beef0842401c0cf0e372c5d67f59e89"
     field = random_sparse_field(SpectralConvention(2, "lattice"), np.random.default_rng(7), n_modes=12, kmax=9)
     (tmp_path / "field.json").write_text(field.to_json())
     assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", "1e-4", "--steps", "30",
                     "--initial", str(tmp_path / "field.json"), "--out", str(sim)]) == 0
-    assert sha256(sim) == "485d05e792512e80d7e5fa250f9cd44f8c8d6f297977938e9f233d2937a7b568"
+    assert sha256(sim.read_bytes()) == "485d05e792512e80d7e5fa250f9cd44f8c8d6f297977938e9f233d2937a7b568"
 
 
-def test_strong_orbit_overflow_is_a_numerical_failure(tmp_path, capsys):
-    code = run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--n-max", "16", "--mode", "strong",
-                    "--out", str(tmp_path / "strong.csv")])
-    assert code == 3
-    assert "int64-safe" in capsys.readouterr().err
+def test_strong_envelope_runs_past_the_int64_range(tmp_path):
+    # B^16 k leaves int64 for the cat map; the exact envelope works in Python ints
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    for n_max, out in (("12", short), ("30", long)):
+        assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--n-max", n_max, "--mode", "strong",
+                        "--out", str(out)]) == 0
+    rows = long.read_text().splitlines()
+    assert len(rows) == 2 + 31
+    assert rows[:2 + 13] == short.read_text().splitlines()
+    assert all(line.endswith(",0") for line in rows[2:])
 
 
 @pytest.fixture()
 def capped_memory(monkeypatch):
-    # report at most 64 GB of physical memory, so that no host allocates an
-    # oversized box, and fail loudly if a scan starts anyway
+    # report at most 32 GB of physical memory, so that no host allocates an
+    # oversized ball, and fail loudly if a scan starts anyway
     sysconf = os.sysconf
-    cap_pages = 64 * 10**9 // sysconf("SC_PAGE_SIZE")
+    cap_pages = 32 * 10**9 // sysconf("SC_PAGE_SIZE")
     monkeypatch.setattr(os, "sysconf", lambda name: min(sysconf(name), cap_pages)
                         if name == "SC_PHYS_PAGES" else sysconf(name))
 
@@ -270,7 +282,7 @@ def capped_memory(monkeypatch):
 
 @pytest.mark.parametrize("matrix, dim, nu", [
     ("2,1,1,1", "2", "1e-10"),  # radius 100,001: 3.1e10 ball modes, about 3.1 TB
-    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-4"),  # radius 101: a 1.7e9-point box, about 136 GB
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "4", "1e-4"),  # radius 101: 5.3e8 ball modes, about 53 GB
 ])
 def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, capsys, matrix, dim, nu):
     code = run_cli(["dissipation-time", "--matrix", matrix, "--dim", dim, "--nu-grid", f"{nu}:{nu}:1",
@@ -280,10 +292,9 @@ def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, caps
 
 
 @pytest.mark.parametrize("scan", [
-    lambda cat: lattice_count(4, 1e10),  # radius 100,001: a 1.6e21-point box
-    lambda cat: verify_norm_form(cat, 10**6),  # a 4e12-point box
-    lambda cat: strong_envelope(cat, 1, 1, 4, scan_radius=10**6),
-], ids=["lattice_count", "verify_norm_form", "strong_envelope"])
+    lambda cat: lattice_count(4, 1e10),  # radius 100,001: 4.9e20 ball modes
+    lambda cat: verify_norm_form(cat, 10**6),  # 3.1e12 ball modes
+], ids=["lattice_count", "verify_norm_form"])
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan):
     with pytest.raises(ValueError, match="GB"):
         scan(cat)

@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -13,7 +14,6 @@ from disslab.dissipation import (
     dissipation_sweep,
     fit_energy_decay,
     integer_form_minimum,
-    min_cumulative_energy,
     min_energies,
     operator_norm_energies,
     operator_norms,
@@ -52,18 +52,18 @@ def brute_force_min(automorphism, n, radius=25):
 
 
 def test_min_cumulative_energy_first_values(cat):
-    mins = [min_cumulative_energy(cat, n)[0] for n in range(1, 5)]
+    mins = [integer_form_minimum(pulse_energy_form(cat, n))[0] for n in range(1, 5)]
     assert mins == [1, 3, 8, 21]
     assert [v for v, _ in islice(min_energies(cat), 4)] == mins
 
 
 def test_min_cumulative_energy_vs_brute_force(cat):
     for n in range(1, 7):
-        assert min_cumulative_energy(cat, n)[0] == brute_force_min(cat, n)
+        assert integer_form_minimum(pulse_energy_form(cat, n))[0] == brute_force_min(cat, n)
 
 
 def test_minimizer_witness(cat):
-    val, vec = min_cumulative_energy(cat, 3)
+    val, vec = integer_form_minimum(pulse_energy_form(cat, 3))
     assert val == 8
     assert tuple(np.abs(vec)) in {(3, 5), (2, 3)}
     g = np.array(pulse_energy_form(cat, 3), dtype=object)
@@ -72,7 +72,7 @@ def test_minimizer_witness(cat):
 
 
 def test_min_energy_monotone_in_n(cat):
-    mins = [min_cumulative_energy(cat, n)[0] for n in range(1, 12)]
+    mins = [integer_form_minimum(pulse_energy_form(cat, n))[0] for n in range(1, 12)]
     assert all(b > a for a, b in zip(mins, mins[1:]))
 
 
@@ -95,11 +95,11 @@ def test_integer_form_minimum_3d():
 
 def test_huge_entries_stay_exact(cat):
     # G_25 entries exceed 2^53; the integer route must not lose the minimum
-    val, vec = min_cumulative_energy(cat, 25)
+    val, vec = integer_form_minimum(pulse_energy_form(cat, 25))
     g = np.array(pulse_energy_form(cat, 25), dtype=object)
     v = np.array(vec, dtype=object)
     assert int(v @ g @ v) == val
-    ratio = val / min_cumulative_energy(cat, 24)[0]
+    ratio = val / integer_form_minimum(pulse_energy_form(cat, 24))[0]
     assert ratio == pytest.approx(LAM_PLUS, rel=0.05)
 
 
@@ -137,7 +137,9 @@ def check_form_minimum_against_scan(data, dimension):
     # LLL bases of forms this small nearly always hold a shortest vector, so
     # the enumeration is also run alone on the unreduced form
     unit = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
-    for val, vec in (integer_form_minimum(g.tolist()), dissipation._reduced_minimum(g.tolist(), unit)):
+    gram = g.tolist()
+    alone = dissipation._reduced_minimum(unit, gram, *dissipation._gram_schmidt(gram))
+    for val, vec in (integer_form_minimum(gram), alone):
         assert val == scan
         k = np.array(vec, dtype=np.int64)
         assert int(k @ g @ k) == val
@@ -153,6 +155,43 @@ def test_form_minimum_matches_scan_sl3(data):
 @given(data=st.data())
 def test_form_minimum_matches_scan_sl4(data):
     check_form_minimum_against_scan(data, 4)
+
+
+def inverse_diagonal(g):
+    """Exact diagonal of g^-1 (Gauss-Jordan over the rationals; g positive definite)."""
+    d = len(g)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(g)]
+    for c in range(d):
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(d):
+            if r != c:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [a[i][d + i] for i in range(d)]
+
+
+@settings(max_examples=60, **PROPERTY_SETTINGS)
+@given(data=st.data(), dimension=st.integers(2, 4), reduced=st.booleans())
+def test_short_vectors_match_box_scan(data, dimension, reduced):
+    m, _ = data.draw(unimodular_pairs(dimension))
+    w = np.array(data.draw(st.lists(st.integers(1, 9), min_size=dimension, max_size=dimension)))
+    g = (m.T @ (w[:, None] * m)).tolist()
+    unit = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    if reduced:
+        g = dissipation._lll_reduce(g, unit)[1]
+    # a bound at, just below or just above a value the form attains
+    x = data.draw(st.lists(st.integers(-2, 2), min_size=dimension, max_size=dimension).filter(any))
+    bound = int(np.array(x) @ np.array(g) @ np.array(x)) + data.draw(st.sampled_from((-1, 0, 1)))
+    # |x_i|^2 <= (x^T g x) (g^-1)_ii, so this box holds every x with x^T g x <= bound
+    radii = [math.isqrt(math.floor(bound * c)) for c in inverse_diagonal(g)]
+    assume(math.prod(2 * r + 1 for r in radii) <= 100_000)
+    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij"), -1).reshape(-1, dimension)
+    values = np.einsum("ki,ij,kj->k", box, np.array(g), box)
+    expected = sorted(tuple(int(c) for c in k) for k, v in zip(box, values) if 0 < v <= bound)
+    assert sorted(dissipation.short_vectors(g, bound)) == expected
+    # the enumerator alone, on the form's own (unreduced or reduced) Gram-Schmidt data
+    found = list(dissipation._enumerate(*dissipation._gram_schmidt(g), bound))
+    assert sorted(k for _, k in found) == expected
+    assert all(q == int(np.array(k) @ np.array(g) @ np.array(k)) for q, k in found)
 
 
 @st.composite
@@ -199,7 +238,9 @@ def test_non_positive_definite_form_is_a_validation_error(g):
 
 
 def test_exact_route_uses_integer_arithmetic_only():
-    assert "fractions" not in inspect.getsource(dissipation)
+    source = inspect.getsource(dissipation)
+    assert "fractions" not in source
+    assert "cholesky" not in source
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +279,8 @@ def test_tau_d_exact_pinned_at_1e_minus_30(auto, want):
     assert tau_d_exact(auto, 1e-30) == want
     # certified by cold minima on either side of the threshold
     threshold = 1.0 / 1e-30
-    assert min_cumulative_energy(auto, want - 1)[0] <= threshold < min_cumulative_energy(auto, want)[0]
+    below, above = (integer_form_minimum(pulse_energy_form(auto, n))[0] for n in (want - 1, want))
+    assert below <= threshold < above
 
 
 def test_tau_d_exact_requires_c1():

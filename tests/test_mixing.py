@@ -1,14 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from disslab.fields import SpectralField, random_sparse_field, sobolev_norm
 from disslab.fitting import line_fit
 from disslab.mixing import (
-    EnvelopeInfeasible,
     RateFunction,
     fit_rate,
     strong_envelope,
@@ -82,19 +82,23 @@ def test_envelope_monotone(cat):
     assert np.all(np.diff(env.values[1:]) <= 1e-15)
 
 
-def test_envelope_strict_epsilon(cat):
-    with pytest.raises(EnvelopeInfeasible) as err:
-        strong_envelope(cat, 1.0, 1.0, 12, epsilon=1e-3, strict=True)
-    assert err.value.epsilon_feasible > 1e-3
-
-
 def test_envelope_needs_no_orbit_step_past_n_max(cat):
-    # B^16 k leaves the int64-safe range at the default radius, B^15 k does not
+    # e(n) does not depend on n_max
     env14 = strong_envelope(cat, 1.0, 1.0, 14)
     env15 = strong_envelope(cat, 1.0, 1.0, 15)
     assert env15.values[:15].tobytes() == env14.values.tobytes()
-    with pytest.raises(OverflowError, match="int64-safe"):
-        strong_envelope(cat, 1.0, 1.0, 16)
+
+
+@pytest.mark.parametrize("alpha, beta, digest", [
+    (1.0, 1.0, "2dfbba43157b1bdcf7e8398aaf892b39922d1bc33378cdd60d6514f654eafa42"),
+    (2.0, 1.0, "f7b9221f92349931d302dae79f4a2ef2169575e04320bdd9fc058d31d6bb7ac4"),
+    (0.5, 2.0, "f5d34c21c1839c4c36d88b9dcf2c81fba7c6c349d7269b4a1574d11aa508d0ab"),
+    (1.5, 0.7, "acbb5af819f7860254455e9b32355c54154dc818e74a50ee9bdc9c432dc54fd1"),
+])
+def test_envelope_cat_values_pinned(cat, alpha, beta, digest):
+    # sha256 of the float64 values written by the radius-400 ball scan
+    values = strong_envelope(cat, alpha, beta, 12).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("rows, expected", [
@@ -109,25 +113,26 @@ def test_envelope_companions_pinned(rows, expected):
     assert strong_envelope(ToralAutomorphism(rows), 1.0, 1.0, 6).values.tolist() == expected
 
 
-def _reference_envelope(rows, alpha, beta, n_max, radius, seed_radius=6, limit=1_500_000_000):
-    """e(n) over the full +-ball and the forward seed orbits, duplicates kept, in Python ints."""
+def _reference_envelope(rows, alpha, beta, values):
+    """e(n) as a pure-Python max over the full +-ball |k| <= ceil(P^{1/beta}), P = 1/values[n].
+
+    |B^n k| >= 1 for k != 0, so a mode beating values[n] has |k|^beta < P
+    and lies in that ball.
+    """
     (a, b), (c, d) = rows
-    ball = [(x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)
-            if 0 < x * x + y * y <= radius * radius]
-    cands = list(ball)
-    orbit = [k for k in ball if k[0] ** 2 + k[1] ** 2 <= seed_radius**2]
-    for _ in range(n_max + 4):
-        orbit = [(a * x + c * y, b * x + d * y) for x, y in orbit]  # k -> A^T k
-        if max(max(abs(x), abs(y)) for x, y in orbit) > limit:
-            break
-        cands += orbit
-    lam = lambda k: float(k[0] ** 2 + k[1] ** 2)
-    weights = [lam(k) ** (-beta / 2) for k in cands]
-    values, cur = [], cands
-    for _ in range(n_max + 1):
-        values.append(max(lam(k) ** (-alpha / 2) * w for k, w in zip(cur, weights)))
-        cur = [(d * x - c * y, -b * x + a * y) for x, y in cur]  # k -> (A^T)^{-1} k
-    return values
+    out = []
+    for n, value in enumerate(values):
+        radius = math.ceil((1.0 / value) ** (1.0 / beta))
+        best = 0.0
+        for x in range(-radius, radius + 1):
+            for y in range(-radius, radius + 1):
+                if 0 < x * x + y * y <= radius * radius:
+                    u, v = x, y
+                    for _ in range(n):
+                        u, v = d * u - c * v, -b * u + a * v  # k -> (A^T)^{-1} k
+                    best = max(best, float(u * u + v * v) ** (-alpha / 2) * float(x * x + y * y) ** (-beta / 2))
+        out.append(best)
+    return out
 
 
 # [[1, p], [0, 1]] [[1, 0], [q, 1]] [[1, r], [0, 1]] has determinant 1 and
@@ -138,11 +143,14 @@ hyperbolic_sl2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-
 ).filter(lambda rows: abs(rows[0][0] + rows[1][1]) > 2)
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(hyperbolic_sl2, st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.integers(0, 6), st.integers(1, 20))
-def test_envelope_matches_brute_force(rows, alpha, beta, n_max, radius):
-    env = strong_envelope(ToralAutomorphism(rows), alpha, beta, n_max, scan_radius=radius)
-    expected = _reference_envelope(rows, alpha, beta, n_max, radius)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(hyperbolic_sl2, st.floats(0.1, 3.0), st.floats(1.0, 3.0), st.integers(1, 4))
+def test_envelope_matches_brute_force(rows, alpha, beta, n_max):
+    env = strong_envelope(ToralAutomorphism(rows), alpha, beta, n_max)
+    # the reference ball of radius ceil(e(n)^{-1/beta}) stays small
+    assume(math.ceil(float(np.min(env.values)) ** (-1.0 / beta)) <= 30)
+    expected = _reference_envelope(rows, alpha, beta, env.values.tolist())
     # scalar and vectorised powers may differ in the last ulp
     assert env.values.tolist() == pytest.approx(expected, rel=1e-14)
 

@@ -212,11 +212,3 @@ def test_automorphism_requires_unimodular():
 def test_inverse_transpose_exact(cat):
     b = np.array(cat.inverse_transpose)
     assert np.array_equal(b @ np.array(cat.matrix).T, np.eye(2, dtype=np.int64))
-
-
-def test_push_pull_inverse(cat, rng):
-    for _ in range(20):
-        k = tuple(int(v) for v in rng.integers(-9, 10, size=2))
-        if k == (0, 0):
-            continue
-        assert cat.pull_mode(cat.push_mode(k)) == k
