@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,8 +107,15 @@ def _parse_shear(text: str) -> ShearFlow:
     raise ValueError(f"unknown shear spec {text!r}")
 
 
-def _convention(args) -> SpectralConvention:
-    return SpectralConvention(getattr(args, "dim", 2) or 2, args.convention)
+def _matrix_and_convention(args) -> Tuple[ToralAutomorphism, SpectralConvention]:
+    """The automorphism of ``--matrix`` and a convention in its dimension.
+
+    ``--dim`` is optional next to a matrix; one that disagrees is an error.
+    """
+    auto = _parse_matrix(args.matrix)
+    if args.dim is not None and args.dim != auto.dimension:
+        raise ValueError(f"--dim {args.dim} disagrees with the dimension {auto.dimension} of --matrix")
+    return auto, SpectralConvention(auto.dimension, args.convention)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +123,7 @@ def _convention(args) -> SpectralConvention:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    conv = _convention(args)
-    auto = _parse_matrix(args.matrix)
+    auto, conv = _matrix_and_convention(args)
     theta0 = _parse_initial(args.initial, conv)
     system = PulsedSystem(auto, args.nu, conv)
     traj = evolve(theta0, system, args.steps)
@@ -138,8 +144,7 @@ def _sweep_cell(payload: dict) -> List[dict]:
 
 def _run_tau_sweep(args, jobs: int) -> DissipationReport:
     """tau_d over the grid, split into ``jobs`` contiguous slices walked separately."""
-    auto = _parse_matrix(args.matrix)
-    conv = _convention(args)
+    auto, conv = _matrix_and_convention(args)
     nus = _parse_nu_grid(args.nu_grid)
     payloads = [
         {
@@ -174,13 +179,12 @@ def _cmd_dissipation_time(args, jobs: int = 1) -> int:
 
 
 def _cmd_mixing_rate(args) -> int:
-    auto = _parse_matrix(args.matrix)
+    auto, conv = _matrix_and_convention(args)
     if args.mode == "strong":
         env = strong_envelope(auto, args.alpha, args.beta, args.n_max)
         rows = [(n, v, 0.0) for n, v in zip(env.n_values, env.values)]
     else:
         if args.alpha != 0:
-            conv = _convention(args)
             mode = tuple([1] + [0] * (conv.dimension - 1))
             f = SpectralField(conv, {mode: 1.0})
             series = weak_cesaro(auto, f, f, args.n_max)
@@ -196,7 +200,7 @@ def _cmd_mixing_rate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rate = _parse_rate(args.rate, args.alpha, args.beta)
-    conv = _convention(args)
+    conv = SpectralConvention(args.dim or 2, args.convention)
     kwargs = dict(dimension=conv.dimension, lambda_1=conv.lambda_1)
     if args.which in ("H2", "H4"):
         kwargs["weyl_c"] = weyl_constant(conv.dimension, args.vol, args.eps, conv.scaling)
@@ -385,7 +389,7 @@ def _add_common(sub, matrix=True):
     if matrix:
         sub.add_argument("--matrix", required=True, help="row-major integers, e.g. 2,1,1,1")
     sub.add_argument("--convention", default="lattice", choices=["lattice", "geometric"])
-    sub.add_argument("--dim", type=int, default=2)
+    sub.add_argument("--dim", type=int, help="defaults to the --matrix dimension, else 2")
     sub.add_argument("--seed", type=int, default=0)
 
 

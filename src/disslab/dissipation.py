@@ -7,26 +7,26 @@ so its norm is exp(-nu * min_k S_n(k)) and
     tau_d = min { n : min_{k != 0} S_n(k) > 1/nu }.
 
 S_n is an exact integer quadratic form G_n = sum_j (A_*^j)^T A_*^j, built
-incrementally (G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}).  In d = 2 Gauss
-reduction gives the minimum.  In d = 3, 4 the form is reduced by integral
-LLL (Cohen, Alg. 2.6.7: integer Gram-Schmidt data, exact divisions, no
-round cap; each swap shrinks an integer potential by a factor below 3/4,
-and a nonpositive minor raises ValueError).  One exact enumerator,
-``_enumerate``, runs on the reduced form's integral Gram-Schmidt data
-(Fincke-Pohst with interval ends from ``math.isqrt`` and floor division, no
-floats): the minimum is the least value among the points at or below the
-smallest diagonal entry, and ``short_vectors`` lists every point of an
-integer ellipsoid for the strong mixing envelope.  ``min_energies`` walks
-n = 1, 2, ... and starts each LLL from the previous reduced basis; a nu grid
-is served by one such walk, each nu taking its first n past 1/nu.
+incrementally (G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}).  In every
+dimension the form is reduced by integral LLL (Cohen, Alg. 2.6.7: integer
+Gram-Schmidt data, exact divisions, no round cap; each swap shrinks an
+integer potential by a factor below 3/4, and a nonpositive minor raises
+ValueError).  One exact enumerator, ``_enumerate``, runs on the reduced
+form's integral Gram-Schmidt data (Fincke-Pohst with interval ends from
+``math.isqrt`` and floor division, no floats): the minimum is the least
+value among the points at or below the smallest diagonal entry, and
+``short_vectors`` lists every point of an integer ellipsoid for the strong
+mixing envelope.  ``min_energies`` walks n = 1, 2, ... and starts each LLL
+from the previous reduced basis; a nu grid is served by one such walk, each
+nu taking its first n past 1/nu.
 
 Operator route (toral automorphisms): the same first-passage rule on an
 independent stream, brute force over the orbits of the induced permutation
 on one certified threshold ball per grid, |k| <= isqrt(floor(1/nu')) + 1 for
 the grid's smallest nu' = nu * scale.  A mode outside it has |k|^2 > 1/nu',
 so an orbit leaving the ball has passed every threshold and is dropped
-exactly.  ``tau_d_operator`` takes any truncated Koopman operator (the same
-walk, or a dense matrix power) to its first norm below 1/e.
+exactly.  ``tau_d_operator`` runs the same rule on any truncated Koopman
+operator.
 """
 
 from __future__ import annotations
@@ -43,42 +43,9 @@ from .fitting import LineFit, line_fit
 from .pulsed import Trajectory, TruncatedKoopman
 from .toral import ToralAutomorphism
 
-_E_INV = 1.0 / math.e
-
-
 # ---------------------------------------------------------------------------
 # exact integer quadratic-form minimisation
 # ---------------------------------------------------------------------------
-
-def _gauss_reduce_2d(g: List[List[int]]) -> Tuple[int, Tuple[int, int]]:
-    """Lagrange-Gauss reduction of a 2x2 positive definite integer form.
-
-    Exact integer arithmetic throughout; returns (min value, minimizer).
-    The entries of G_n grow like lambda_+^{2n} and overflow float64's
-    53-bit mantissa long before the runs end, so floats are not an option.
-    """
-    # basis vectors in original coordinates
-    u, v = [1, 0], [0, 1]
-
-    def q(w):
-        return g[0][0] * w[0] * w[0] + 2 * g[0][1] * w[0] * w[1] + g[1][1] * w[1] * w[1]
-
-    def b(w, z):
-        return g[0][0] * w[0] * z[0] + g[0][1] * (w[0] * z[1] + w[1] * z[0]) + g[1][1] * w[1] * z[1]
-
-    if q(u) > q(v):
-        u, v = v, u
-    while True:
-        # nearest integer to b(u,v)/q(u), exact
-        num, den = b(u, v), q(u)
-        m = (2 * num + den) // (2 * den) if num >= 0 else -((-2 * num + den) // (2 * den))
-        v = [v[0] - m * u[0], v[1] - m * u[1]]
-        if q(v) < q(u):
-            u, v = v, u
-        else:
-            break
-    return q(u), (u[0], u[1])
-
 
 def _gram_schmidt(gram: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     """Integral Gram-Schmidt data (Cohen, Alg. 2.6.7) of an integer Gram matrix.
@@ -216,12 +183,10 @@ def _identity(d: int) -> List[List[int]]:
 def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
     """Exact minimum of k^T G k over nonzero integer vectors, G pos. definite.
 
-    d = 2 uses exact Gauss reduction.  d = 3, 4 run integral LLL from the
-    unit basis, then the exact enumeration on the reduced form.
+    Integral LLL from the unit basis, then the exact enumeration on the
+    reduced form; a form that is not positive definite raises ValueError.
     """
     gi = [[int(v) for v in row] for row in g]
-    if len(gi) == 2:
-        return _gauss_reduce_2d(gi)
     return _reduced_minimum(*_lll_reduce(gi, _identity(len(gi))))
 
 
@@ -263,16 +228,12 @@ def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]
 def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """Yield (min_{k != 0} S_n(k), minimiser) for n = 1, 2, ...
 
-    In d >= 3 the LLL reduction of G_n starts from the reduced basis of
-    G_{n-1}: the forms differ by one positive term, so the old basis is
-    nearly reduced and few swaps remain.
+    The LLL reduction of G_n starts from the reduced basis of G_{n-1}: the
+    forms differ by one positive term, so the old basis is nearly reduced
+    and few swaps remain.
     """
-    forms = _energy_forms(automorphism)
-    if automorphism.dimension == 2:
-        yield from map(_gauss_reduce_2d, forms)
-        return
     basis = _identity(automorphism.dimension)
-    for g in forms:
+    for g in _energy_forms(automorphism):
         reduced = _lll_reduce(g, basis)
         basis = reduced[0]
         yield _reduced_minimum(*reduced)
@@ -355,6 +316,12 @@ def _orbit_minima(koopman: TruncatedKoopman) -> Iterator[float]:
 
     Orbits are indexed by their first mode k_1 = A^T m, so start modes m
     outside the ball are covered; an orbit leaving the ball is dropped.
+
+    This gives the truncated operator's norms exactly.  With
+    D = diag(exp(-nu lambda_k)) on the ball and the induced partial
+    permutation P, every column of (D P)^{n-1} D is one damped orbit
+    k_1, ..., k_n inside the ball, and distinct columns land on distinct
+    modes, so sigma_n = ||(D P)^{n-1} D|| = exp(-nu * scale * min S_n).
     """
     energy = np.sum(koopman.modes * koopman.modes, axis=1)
     sums, images = energy, koopman.permutation  # images: where each orbit goes next
@@ -368,41 +335,20 @@ def _orbit_minima(koopman: TruncatedKoopman) -> Iterator[float]:
         yield math.inf
 
 
-def operator_norms(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> Iterator[float]:
-    """Yield the exact norms sigma_n, n = 1, 2, ..., of the truncated operator.
-
-    With D = diag(exp(-nu lambda_k)) on the ball and an induced permutation
-    P, sigma_n = ||(D P)^{n-1} D||: every column is one damped orbit
-    k_1, ..., k_n inside the ball and distinct columns land on distinct
-    modes, so sigma_n = exp(-nu * scale * min S_n) from the orbit walk.  A
-    dense unitary K gives sigma_n = ||(D K)^n|| from the matrix power.
-    """
-    if koopman.matrix is None:
-        rate = nu * convention.scale_factor
-        yield from (math.exp(-rate * min_s) for min_s in _orbit_minima(koopman))
-        return
-    lam = convention.scale_factor * np.sum(koopman.modes.astype(float) ** 2, axis=1)
-    step = np.exp(-nu * lam)[:, None] * koopman.matrix
-    power = step
-    while True:
-        yield float(np.linalg.norm(power, 2))
-        power = step @ power
-
-
 def tau_d_operator(
     koopman: TruncatedKoopman,
     nu: float,
     convention: SpectralConvention,
     n_max: int = 100_000,
 ) -> int:
-    """Dissipation time from the truncated operator: first n with sigma_n < 1/e."""
+    """Dissipation time from the truncated operator: first n with min S_n > 1/(nu * scale).
+
+    By ``_orbit_minima`` that is the first n with sigma_n < 1/e, decided in
+    exact integers, so ties agree with the exact route.
+    """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    for n, sigma in enumerate(operator_norms(koopman, nu, convention), start=1):
-        if sigma < _E_INV:
-            return n
-        if n >= n_max:
-            raise RuntimeError("dissipation time exceeds n_max")
+    return _first_passages(_orbit_minima(koopman), [1.0 / (nu * convention.scale_factor)], n_max)[0]
 
 
 def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,

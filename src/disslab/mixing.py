@@ -199,7 +199,6 @@ class MixingEnvelope:
     values: np.ndarray
     alpha: float
     beta: float
-    fitted: Optional[RateFunction] = None
 
     def slope_fit(self, n_lo: int, n_hi: int) -> LineFit:
         mask = (self.n_values >= n_lo) & (self.n_values <= n_hi)

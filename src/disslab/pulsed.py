@@ -10,19 +10,17 @@ series are stored as exact-log increments.  Differencing two large
 accumulated logs would otherwise wipe out the inequality margins that the
 energy identities are tested against.
 
-General volume-preserving maps are supported only through a user-supplied
-truncated Koopman matrix on a finite mode ball (TruncatedKoopman), which
-also provides the matrix-free permutation action induced by an
-automorphism.  The operator route of ``dissipation`` walks that permutation
-over the certified threshold ball: a brute-force oracle for dissipation
-times, independent of the lattice route.
+``TruncatedKoopman`` restricts the Koopman action of an automorphism to a
+finite mode ball as the induced partial permutation.  The operator route of
+``dissipation`` walks that permutation over the certified threshold ball: a
+brute-force oracle for dissipation times, independent of the lattice route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,8 +35,6 @@ from .fields import (
     require_memory,
 )
 from .toral import ToralAutomorphism
-
-_UNITARY_TOL = 1e-8
 
 # peak bytes per ball mode of the operator route after the ball scan: building
 # the permutation, then the orbit walk (59-80 measured in d = 2..4)
@@ -274,25 +270,15 @@ def inviscid_gap(theta0: SpectralField, system: PulsedSystem, n: int) -> dict:
 
 @dataclass
 class TruncatedKoopman:
-    """Koopman action restricted to modes in a ball, matrix-free or dense.
+    """Koopman action of an automorphism restricted to the modes in a ball.
 
     ``permutation`` holds, per source mode index, the target index of
     A^T m, or -1 if the image escapes the ball; it is the compression of a
-    unitary relabeling (a partial isometry).  ``matrix`` holds a dense
-    user-supplied unitary on the ball (columns orthonormal within 1e-8).
+    unitary relabeling (a partial isometry).
     """
 
     modes: np.ndarray  # (N, d) int64
-    permutation: Optional[np.ndarray] = None  # (N,) target index or -1
-    matrix: Optional[np.ndarray] = None  # (N, N)
-
-    def __post_init__(self):
-        if (self.permutation is None) == (self.matrix is None):
-            raise ValueError("exactly one of permutation / matrix must be given")
-        if self.matrix is not None:
-            gram = self.matrix.conj().T @ self.matrix
-            if np.max(np.abs(gram - np.eye(self.size))) > _UNITARY_TOL:
-                raise ValueError("truncated matrix is not unitary within 1e-8")
+    permutation: np.ndarray  # (N,) target index or -1
 
     @property
     def size(self) -> int:
@@ -320,19 +306,11 @@ class TruncatedKoopman:
         perm[inside] = np.searchsorted(_row_keys(modes, radius), _row_keys(images, radius))
         return TruncatedKoopman(modes=modes, permutation=perm)
 
-    @staticmethod
-    def from_matrix(modes: Sequence[Sequence[int]], matrix: np.ndarray) -> "TruncatedKoopman":
-        m = np.asarray(modes, dtype=np.int64)
-        return TruncatedKoopman(modes=m, matrix=np.asarray(matrix))
-
     def koopman_apply(self, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Apply the truncated Koopman step; returns (result, escaped mass).
 
         ``vec`` may be (N,) or (N, r).  Escaped mass is per column: the
         squared magnitude relocated outside the ball (before damping)."""
-        if self.matrix is not None:
-            out = self.matrix @ vec
-            return out, np.zeros(vec.shape[1] if vec.ndim > 1 else 1)
         out = np.zeros_like(vec)
         ok = self.permutation >= 0
         out[self.permutation[ok]] = vec[ok]
@@ -340,8 +318,6 @@ class TruncatedKoopman:
         return out, np.atleast_1d(lost)
 
     def koopman_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix.conj().T @ vec
         out = np.zeros_like(vec)
         ok = self.permutation >= 0
         out[ok] = vec[self.permutation[ok]]

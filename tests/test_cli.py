@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from disslab import dissipation
 from disslab.bounds import lattice_count
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
@@ -139,6 +142,28 @@ def test_validation_error_exit_code(tmp_path):
                     "--initial", "mode:1,0", "--out", str(tmp_path / "x.csv")]) == 2
     assert run_cli(["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "bogus",
                     "--out", str(tmp_path / "y.json")]) == 2
+
+
+@pytest.mark.parametrize("argv, given, actual", [
+    (["dissipation-time", "--matrix", "2,1,1,1", "--dim", "3", "--nu-grid", "1e-2:1e-2:1"], 3, 2),
+    (["mixing-rate", "--matrix", "2,1,1,1", "--dim", "3", "--mode", "weak", "--alpha", "1"], 3, 2),
+    (["simulate", "--matrix", "0,0,1,1,0,0,0,1,1", "--dim", "2", "--nu", "0.1", "--steps", "1",
+      "--initial", "mode:1,0,0"], 2, 3),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-2:1e-2:1", "--config", "run.json"], 3, 2),
+], ids=["dissipation-time", "mixing-rate", "simulate", "config"])
+def test_dim_disagreeing_with_matrix_is_a_validation_error(tmp_path, capsys, monkeypatch, argv, given, actual):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"dim": 3}))
+    assert run_cli([*argv, "--out", "out.json"]) == 2
+    assert f"--dim {given} disagrees with the dimension {actual} of --matrix" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_dim_comes_from_the_matrix(tmp_path):
+    base = ["simulate", "--matrix", "0,0,1,1,0,0,0,1,1", "--nu", "0.1", "--steps", "2", "--initial", "mode:1,0,0"]
+    assert run_cli([*base, "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli([*base, "--dim", "3", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -298,3 +323,22 @@ def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, caps
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan):
     with pytest.raises(ValueError, match="GB"):
         scan(cat)
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # importing disslab.cli (above) loads every module the tracer patches; a
+    # traced name that is renamed or deleted makes install() raise
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    originals = {name: dissipation.__dict__[name] for name in module.SPANS["dissipation"]}
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert all(dissipation.__dict__[name] is not fn for name, fn in originals.items())
+        assert dissipation.tau_d_exact(ToralAutomorphism(((2, 1), (1, 1))), 0.1) == 4
+    finally:
+        tracer.uninstall()
+    assert all(dissipation.__dict__[name] is fn for name, fn in originals.items())
+    assert tracer.metrics()["dissipation.tau_d_exact.calls"] == 1

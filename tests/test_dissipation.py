@@ -16,7 +16,6 @@ from disslab.dissipation import (
     integer_form_minimum,
     min_energies,
     operator_norm_energies,
-    operator_norms,
     pulse_energy_form,
     tau_d_exact,
     tau_d_operator,
@@ -103,6 +102,7 @@ def test_huge_entries_stay_exact(cat):
     assert ratio == pytest.approx(LAM_PLUS, rel=0.05)
 
 
+CAT = ToralAutomorphism(((2, 1), (1, 1)))
 A3 = ToralAutomorphism(((0, 0, 1), (1, 0, 0), (0, 1, 1)))
 A4 = ToralAutomorphism(((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)))
 
@@ -143,6 +143,12 @@ def check_form_minimum_against_scan(data, dimension):
         assert val == scan
         k = np.array(vec, dtype=np.int64)
         assert int(k @ g @ k) == val
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_form_minimum_matches_scan_sl2(data):
+    check_form_minimum_against_scan(data, 2)
 
 
 @settings(max_examples=40, **PROPERTY_SETTINGS)
@@ -208,12 +214,19 @@ def c1_companions(draw, dimension):
 
 
 def check_walk_against_cold(data, dimension):
-    auto = data.draw(c1_companions(dimension))
+    # the only C1 companions in d = 2 are the two of trace +-3
+    auto = data.draw(c1_automorphisms(2) if dimension == 2 else c1_companions(dimension))
     for n, (val, vec) in enumerate(islice(min_energies(auto), 12), start=1):
         g = pulse_energy_form(auto, n)
         assert val == integer_form_minimum(g)[0]
         k = np.array(vec, dtype=object)
         assert int(k @ np.array(g, dtype=object) @ k) == val
+
+
+@settings(max_examples=25, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_min_energies_match_cold_minima_2d(data):
+    check_walk_against_cold(data, 2)
 
 
 @settings(max_examples=25, **PROPERTY_SETTINGS)
@@ -231,6 +244,8 @@ def test_min_energies_match_cold_minima_4d(data):
 @pytest.mark.parametrize("g", [
     [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # singular, positive semidefinite
     [[2, 3, 0, 0], [3, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # indefinite
+    [[1, 2], [2, 1]],  # indefinite
+    [[1, 1], [1, 1]],  # singular, positive semidefinite
 ])
 def test_non_positive_definite_form_is_a_validation_error(g):
     with pytest.raises(ValueError):
@@ -274,7 +289,7 @@ def test_tau_d_exact_pinned_3d_4d(auto, want):
     assert [tau_d_exact(auto, nu) for nu in nus] == want
 
 
-@pytest.mark.parametrize("auto, want", [(A3, 269), (A4, 124)])
+@pytest.mark.parametrize("auto, want", [(A3, 269), (A4, 124), (CAT, 73)])
 def test_tau_d_exact_pinned_at_1e_minus_30(auto, want):
     assert tau_d_exact(auto, 1e-30) == want
     # certified by cold minima on either side of the threshold
@@ -319,7 +334,11 @@ def test_operator_route_matches_exact_at_ties(data, dimension):
     assume(energy <= TIE_ENERGY_CAP[dimension])
     tie = 1.0 / (energy * conv.scale_factor)
     nu = data.draw(st.sampled_from((tie, math.nextafter(tie, math.inf), math.nextafter(tie, 0.0))))
-    assert tau_d_operator_catmap(auto, nu, conv) == tau_d_exact(auto, nu, conv)
+    exact = tau_d_exact(auto, nu, conv)
+    assert tau_d_operator_catmap(auto, nu, conv) == exact
+    # the same walk on the threshold ball, through the public operator entry point
+    radius = math.isqrt(math.floor(1.0 / (nu * conv.scale_factor))) + 1
+    assert tau_d_operator(TruncatedKoopman.from_automorphism(auto, radius), nu, conv) == exact
 
 
 def test_operator_sweep_builds_one_ball_per_grid(cat, monkeypatch):
@@ -343,23 +362,6 @@ def test_tau_d_operator_identity_is_heat():
     nu = 0.007
     tau = tau_d_operator(koopman, nu, conv)
     assert tau == math.ceil(1.0 / nu)
-
-
-def test_tau_d_operator_two_mode_rotation_vs_svd():
-    # dense unitary mixing modes of different eigenvalue; cross-check against
-    # a direct SVD of the 2x2 n-step matrix
-    conv = SpectralConvention(2, "lattice")
-    modes = [(1, 0), (2, 0)]
-    phi = 0.7
-    u = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    koopman = TruncatedKoopman.from_matrix(modes, u)
-    nu = 0.05
-    damp = np.diag(np.exp(-nu * np.array([1.0, 4.0])))
-    t = damp @ u
-    def direct(n):
-        return np.linalg.svd(np.linalg.matrix_power(t, n), compute_uv=False)[0]
-    expected = next(n for n in range(1, 200) if direct(n) < 1 / math.e)
-    assert tau_d_operator(koopman, nu, conv) == expected
 
 
 @st.composite
@@ -390,10 +392,10 @@ def check_walk_against_dense(data, dimension, radii):
     radius = data.draw(st.integers(*radii))
     nu = data.draw(st.floats(0.1 / radius**2, 3.0 / radius))
     n = data.draw(st.integers(1, 8))
-    conv = SpectralConvention(dimension, "lattice")
     koopman = TruncatedKoopman.from_automorphism(auto, radius)
     rate = nu * np.sum(koopman.modes.astype(float) ** 2, axis=1)
-    sigma = next(islice(operator_norms(koopman, nu, conv), n - 1, None))
+    # sigma_n = exp(-nu min S_n) (lattice scale), as _orbit_minima argues
+    sigma = math.exp(-nu * next(islice(dissipation._orbit_minima(koopman), n - 1, None)))
     assert sigma == pytest.approx(dense_operator_norm(koopman, rate, n), rel=1e-12, abs=0.0)
 
 

@@ -176,14 +176,6 @@ def test_truncated_permutation_matches_exact_path(cat, lattice2):
     assert np.sum(np.abs(vec) ** 2) == pytest.approx(field.norm_sq(), rel=1e-12)
 
 
-def test_truncated_unitarity_check():
-    modes = [(1, 0), (0, 1)]
-    good = np.array([[0, 1], [1, 0]], dtype=float)
-    TruncatedKoopman.from_matrix(modes, good)
-    with pytest.raises(ValueError):
-        TruncatedKoopman.from_matrix(modes, np.array([[1, 0], [0, 0.5]]))
-
-
 def test_koopman_adjoint_is_adjoint(cat, rng):
     koopman = TruncatedKoopman.from_automorphism(cat, 6)
     u = rng.standard_normal(koopman.size) + 1j * rng.standard_normal(koopman.size)
