@@ -9,7 +9,8 @@ lambda coupling the mixing rate h to the diffusivity:
            t(l) = hinv(l^{-(a+b)/2} / 2)
   H4(mu) =      as H3 with t(l) = hinv(l^{-(2a+2b+d)/4} / (2 sqrt(ct)))
 
-with G = |grad u|_inf and ct the Weyl constant.  The discrete bound is
+with G = |grad u|_inf and ct the Weyl constant (checked against the exact
+lattice count, a sum of shell counts r_d(s)).  The discrete bound is
 tau_d <= 34 / (mu H1or2(mu)); the continuous bound is 18 / (mu H3or4(mu)).
 Feasibility is monotone towards small lambda in the asymptotic regime, so
 the sup is located by a geometric bracket plus bisection.
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import DissipationReport
-from .fields import ball_modes
+from .fields import shell_counts
 from .mixing import RateFunction
 
 DISCRETE_CONSTANT = 34.0
@@ -55,10 +56,12 @@ def weyl_constant(d: int, vol: float = 1.0, eps: float = 0.0, scaling: str = "ge
 
 
 def lattice_count(d: int, lam_max: float) -> int:
-    """Number of nonzero modes with |k|^2 <= lam_max (direct lattice count)."""
-    # the ball of radius floor(sqrt(lam_max)) + 1 holds every |k|^2 <= lam_max
-    modes = ball_modes(d, int(math.floor(math.sqrt(lam_max))) + 1)
-    return int(np.sum(np.sum(modes * modes, axis=1) <= lam_max))
+    """Number of nonzero modes with |k|^2 <= lam_max (direct lattice count).
+
+    |k|^2 is an integer, so this is the sum of the exact shell counts
+    r_d(s) over 0 < s <= floor(lam_max); no mode rows are built.
+    """
+    return int(np.sum(shell_counts(d, math.floor(lam_max))[1:]))
 
 
 # ---------------------------------------------------------------------------

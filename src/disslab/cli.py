@@ -190,7 +190,10 @@ def _cmd_mixing_rate(args) -> int:
             series = weak_cesaro(auto, f, f, args.n_max)
             rows = [(n + 1, series[n], 0.0) for n in range(args.n_max)]
         else:
-            ns = np.unique(np.round(np.logspace(0, math.log10(args.n_max), 40)).astype(int))
+            # no log grid reaches an n_max below 1; the envelope's own check reports it
+            ns = [args.n_max]
+            if args.n_max >= 1:
+                ns = np.unique(np.round(np.logspace(0, math.log10(args.n_max), 40)).astype(int))
             vals = weak_rate_envelope(auto.dimension, args.beta, ns)
             rows = [(int(n), v, 0.0) for n, v in zip(ns, vals)]
     _write_csv(args.out, ["n", "value", "tail_cert"], rows)

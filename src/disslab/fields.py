@@ -8,7 +8,9 @@ amplitudes.  Two Laplacian eigenvalue conventions are supported:
 
 Toral dynamics permute modes, so supports stay finite and no grid or FFT
 is ever needed for a field; ``ball_modes`` is the package's one scan of
-the lattice ball |k| <= R.
+the lattice ball |k| <= R.  Sums over the ball that depend on |k| alone
+need only the shell counts r_d(s) = #{k : |k|^2 = s}, which
+``shell_counts`` returns without building a single mode row.
 """
 
 from __future__ import annotations
@@ -229,3 +231,32 @@ def ball_modes(dimension: int, radius: int) -> np.ndarray:
         slab[:, 0] = first
         slabs.append(slab)
     return np.concatenate(slabs)
+
+
+def shell_counts(dimension: int, top: int) -> np.ndarray:
+    """Exact counts r_d(s) = #{k in Z^d : |k|^2 = s} for s = 0..top, int64.
+
+    r_2 is one ``np.bincount`` of x^2 + y^2 over the box |x|, |y| <= R,
+    R = isqrt(top); each further coordinate x adds shifted copies,
+    r_{j+1}(s) = sum_{|x| <= R} r_j(s - x^2).  No mode rows are built: the
+    work is O(top) for r_2 plus O(R top) per further dimension, against
+    the O(top^{d/2}) rows of the ball.  The box sums and their bincount
+    hold 8 (2R+1)^2 + 8 (2R^2 + 1) bytes, about 48 per shell; priced at
+    56 bytes per shell (tracemalloc peaks of 48.0-48.5 per shell in
+    d = 2..4 for top >= 10^4, under 2 kB in all for smaller top), a request
+    that would not fit in physical memory raises ValueError before any
+    allocation.
+    """
+    if dimension < 2 or top < 0:
+        raise ValueError(f"shell counts need dimension >= 2 and top >= 0, got {dimension} and {top}")
+    require_memory(56 * (top + 1), f"lattice shell counts up to |k|^2 = {top} ({top + 1} shells)")
+    root = math.isqrt(top)
+    squares = np.arange(-root, root + 1, dtype=np.int64) ** 2
+    counts = np.bincount(np.add.outer(squares, squares).ravel(), minlength=top + 1)[: top + 1].copy()
+    for _ in range(dimension - 2):
+        doubled = 2 * counts
+        grown = counts.copy()
+        for x in range(1, root + 1):
+            grown[x * x:] += doubled[: top + 1 - x * x]
+        counts = grown
+    return counts

@@ -13,7 +13,10 @@ enumerates those ellipsoids exactly (Fincke-Pohst on integral LLL data).
 Weak rate: the Cesaro quantity ((1/n) sum_k |<U^k f, g>|^2)^{1/2} evaluated
 exactly from the mode orbits (big integers, orbits never wrap), plus the
 certified two-term lattice envelope whose n-exponent reproduces the
-alpha = 0 regime table (1/2 above d/2, beta/d below).
+alpha = 0 regime table (1/2 above d/2, beta/d below).  Its ball sums
+A(m) = sum_{0<|k|<=m} |k|^{-2 beta} depend on |k| alone, so they run over
+the exact shell counts r_d(s) of ``fields.shell_counts`` and build no mode
+row; ``lattice_ball_sum`` gives why the floats equal a scan of the ball.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import short_vectors
-from .fields import SpectralField, ball_modes
+from .fields import SpectralField, ball_size_bound, require_memory, shell_counts
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
 
@@ -234,8 +237,10 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     exactly.  Extra candidates cannot change a max, so the candidates are
     not deduplicated.  B^n and G_n are exact Python integers at every n.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("strong envelopes need alpha > 0 and beta > 0")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"strong envelopes need finite alpha > 0 and beta > 0, got alpha = {alpha}, beta = {beta}")
+    if n_max < 0:
+        raise ValueError(f"strong envelopes need n_max >= 0, got n_max = {n_max}")
     report = automorphism.conditions()
     if not report.ergodic_irreducible:
         raise ValueError("strong envelope requires conditions C1 and C2")
@@ -283,6 +288,8 @@ def weak_cesaro(
     """
     if not f.coefficients or not g.coefficients:
         raise ValueError("f and g need nonempty supports")
+    if n < 1:
+        raise ValueError(f"weak Cesaro averages need n_max >= 1, got n_max = {n}")
     fmodes = list(f.coefficients.items())
     gdict: Dict[Mode, complex] = dict(g.coefficients.items())
     cum = 0.0
@@ -301,15 +308,26 @@ def weak_cesaro(
 
 
 def lattice_ball_sum(d: int, beta: float, m_max: int) -> np.ndarray:
-    """Partial sums A(m) = sum_{0 < |k| <= m} |k|^{-2 beta} for m = 1..m_max."""
-    modes = ball_modes(d, m_max)
-    nsq = np.sum(modes * modes, axis=1)
-    radii = np.sqrt(nsq.astype(float))
-    weights = nsq.astype(float) ** (-beta)
-    order = np.argsort(radii, kind="stable")
-    radii, weights = radii[order], np.cumsum(weights[order])
-    idx = np.searchsorted(radii, np.arange(1, m_max + 1), side="right") - 1
-    return np.where(idx >= 0, weights[idx], 0.0)
+    """Partial sums A(m) = sum_{0 < |k| <= m} |k|^{-2 beta} for m = 1..m_max.
+
+    Every mode of the shell |k|^2 = s carries the same weight s^{-beta}, so
+    the sum needs only the shell counts r_d(s) of ``fields.shell_counts``:
+    each weight is repeated r_d(s) times in increasing s and one running
+    sum is read at the last mode with s <= m^2.  That is the sequence of
+    additions of a scan of the ball in stable order of |k|, with the same
+    vectorised float s^{-beta} per mode, so the values are bit-identical to
+    summing over the mode rows.  The repeated weights and their running sum
+    take 16 bytes per mode, priced on ``ball_size_bound`` before the shell
+    counts are built.
+    """
+    count = ball_size_bound(d, m_max)
+    require_memory(16 * count, f"lattice ball sum of radius {m_max} in d = {d} ({count:.3e} modes)")
+    counts = shell_counts(d, m_max * m_max)
+    shells = np.flatnonzero(counts[1:]) + 1
+    sums = np.cumsum(np.repeat(shells.astype(float) ** (-beta), counts[shells]))
+    # the count of modes with 0 < |k|^2 <= m^2, at least 2d for every m >= 1
+    ends = np.cumsum(counts[1:])[np.arange(1, m_max + 1) ** 2 - 1]
+    return sums[ends - 1]
 
 
 def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarray:
@@ -322,7 +340,11 @@ def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarr
     n^{-1/2}) for every beta > 0, so the sub-1/2 regime is exhibited by
     this envelope rather than by any concrete pair (f, g).
     """
+    if not 0 < beta < math.inf:
+        raise ValueError(f"weak envelopes need a finite beta > 0, got beta = {beta}")
     n_values = np.asarray(n_values, dtype=float)
+    if n_values.size == 0 or not np.all(n_values >= 1):
+        raise ValueError(f"weak envelopes need n >= 1 (n_max >= 1), got n = {n_values.tolist()}")
     m_cap = int(math.ceil(max(n_values.max() ** (1.0 / d) * 4.0, 8.0)))
     sums = lattice_ball_sum(d, beta, m_cap)
     scale_terms = np.arange(1, m_cap + 1, dtype=float) ** (-2.0 * beta)

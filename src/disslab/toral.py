@@ -18,11 +18,12 @@ integer arithmetic; eigendata is floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,17 +113,21 @@ def _moebius(n: int) -> int:
     return result
 
 
-def _cyclotomic_table(max_degree: int) -> Dict[int, IntPoly]:
-    """All Phi_m with deg Phi_m = phi(m) <= max_degree (m <= 2*max_degree^2+2 safe)."""
-    table: Dict[int, IntPoly] = {}
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_table(max_degree: int) -> Tuple[Tuple[int, IntPoly], ...]:
+    """All (m, Phi_m) with deg Phi_m = phi(m) <= max_degree, in increasing m.
+
+    Built once per degree (at most 8) and shared, hence an immutable tuple.
+    """
+    table = []
     m = 1
     # phi(m) >= sqrt(m/2), so m <= 2*max_degree^2 exhausts phi(m) <= max_degree
     while m <= 2 * max_degree * max_degree + 2:
         phi = cyclotomic(m)
         if len(phi) - 1 <= max_degree:
-            table[m] = phi
+            table.append((m, phi))
         m += 1
-    return table
+    return tuple(table)
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> IntPoly:
@@ -254,7 +259,7 @@ def check_conditions(matrix: Sequence[Sequence[int]]) -> ConditionReport:
 
     witness = None
     c1 = True
-    for m, phi in sorted(_cyclotomic_table(d).items()):
+    for m, phi in _cyclotomic_table(d):
         if poly_divides(phi, p):
             c1 = False
             witness = {"kind": "cyclotomic_factor", "m": m, "poly": list(phi)}
@@ -304,7 +309,7 @@ def kronecker_classify(p: Sequence[int]) -> KroneckerResult:
     table = _cyclotomic_table(deg)
     remaining = p
     while len(remaining) > 1:
-        for phi in table.values():
+        for _, phi in table:
             if len(phi) <= len(remaining) and poly_divides(phi, remaining):
                 quot, _ = poly_divmod(remaining, phi)
                 remaining = quot

@@ -12,6 +12,7 @@ from disslab import dissipation
 from disslab.bounds import lattice_count
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
+from disslab.mixing import lattice_ball_sum
 from disslab.toral import ToralAutomorphism, verify_norm_form
 
 
@@ -278,6 +279,35 @@ def test_mixing_and_simulate_artifacts_pinned(tmp_path):
     assert sha256(sim.read_bytes()) == "485d05e792512e80d7e5fa250f9cd44f8c8d6f297977938e9f233d2937a7b568"
 
 
+@pytest.mark.parametrize("matrix, digest", [
+    ("0,0,1,1,0,0,0,1,1", "e1ef75532ebcd03afdacd22d74902e3ea2b1ff220f8b70a27cc172bb4360285f"),
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "3a446c3d80bea8ce9101ed3b6ee70796931a4b3c1810bc0aa8129bbcf7c3799c"),
+], ids=["3d", "4d"])
+def test_weak_envelope_artifacts_pinned(tmp_path, matrix, digest):
+    # sha256 of the weak CSVs written when the lattice sums scanned the mode ball
+    out = tmp_path / "weak.csv"
+    assert run_cli(["mixing-rate", "--matrix", matrix, "--alpha", "0", "--beta", "1", "--n-max", "10000",
+                    "--mode", "weak", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--mode", "weak", "--alpha", "0", "--beta", "nan"], "beta"),
+    (["--mode", "weak", "--alpha", "0", "--n-max", "0"], "n_max"),
+    (["--mode", "weak", "--alpha", "0", "--n-max", "-3"], "n_max"),
+    (["--mode", "weak", "--alpha", "1", "--n-max", "0"], "n_max"),
+    (["--mode", "strong", "--n-max", "-1"], "n_max"),
+    (["--mode", "strong", "--alpha", "nan"], "alpha"),
+    (["--mode", "strong", "--beta", "inf"], "beta"),
+], ids=["weak-beta-nan", "weak-n-max-0", "weak-n-max-negative", "cesaro-n-max-0", "strong-n-max-negative",
+        "strong-alpha-nan", "strong-beta-inf"])
+def test_mixing_rate_inputs_are_validation_errors(tmp_path, capsys, flags, name):
+    out = tmp_path / "envelope.csv"
+    assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", *flags, "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strong_envelope_runs_past_the_int64_range(tmp_path):
     # B^16 k leaves int64 for the cat map; the exact envelope works in Python ints
     short, long = tmp_path / "short.csv", tmp_path / "long.csv"
@@ -302,7 +332,10 @@ def capped_memory(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("an oversized lattice-ball scan started")
 
-    monkeypatch.setattr(np, "meshgrid", no_scan)
+    # the ball scan starts with np.meshgrid, the shell counts with np.bincount
+    # and the lattice sums' weights with np.repeat
+    for name in ("meshgrid", "bincount", "repeat"):
+        monkeypatch.setattr(np, name, no_scan)
 
 
 @pytest.mark.parametrize("matrix, dim, nu", [
@@ -319,7 +352,8 @@ def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, caps
 @pytest.mark.parametrize("scan", [
     lambda cat: lattice_count(4, 1e10),  # radius 100,001: 4.9e20 ball modes
     lambda cat: verify_norm_form(cat, 10**6),  # 3.1e12 ball modes
-], ids=["lattice_count", "verify_norm_form"])
+    lambda cat: lattice_ball_sum(4, 1.0, 1000),  # 4.9e12 weights, from only 1e6 + 1 shells
+], ids=["lattice_count", "verify_norm_form", "lattice_ball_sum"])
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan):
     with pytest.raises(ValueError, match="GB"):
         scan(cat)

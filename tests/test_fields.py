@@ -14,6 +14,7 @@ from disslab.fields import (
     ball_modes,
     dissipation_functional,
     random_sparse_field,
+    shell_counts,
     sobolev_norm,
 )
 
@@ -136,7 +137,21 @@ def test_ball_modes_match_product_scan(dimension, radius):
 
 
 def test_one_module_scans_the_lattice_ball():
-    # every lattice-ball scan goes through fields.ball_modes
+    # every lattice-ball scan goes through fields.ball_modes, and sums over
+    # |k| alone (the weak envelope, the Weyl count) scan no ball at all
     src = Path(disslab.__file__).parent
     scanners = sorted(p.name for p in src.glob("*.py") if "np.meshgrid" in p.read_text())
     assert scanners == ["fields.py"]
+    for name in ("mixing.py", "bounds.py"):
+        assert "ball_modes" not in (src / name).read_text()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 15))
+def test_shell_counts_match_ball_norms(dimension, radius):
+    norms = np.sum(ball_modes(dimension, radius) ** 2, axis=1)
+    expected = np.bincount(norms, minlength=radius * radius + 1)[: radius * radius + 1]
+    expected[0] += 1  # the origin, which the ball leaves out
+    got = shell_counts(dimension, radius * radius)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()

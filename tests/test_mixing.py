@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from disslab.fields import SpectralField, random_sparse_field, sobolev_norm
+from disslab.fields import SpectralField, ball_modes, random_sparse_field, sobolev_norm
 from disslab.fitting import line_fit
 from disslab.mixing import (
     RateFunction,
     fit_rate,
+    lattice_ball_sum,
     strong_envelope,
     transfer_exponents,
     transfer_rate,
@@ -199,6 +200,32 @@ def test_cesaro_nonincreasing_and_floored(cat, lattice2, rng):
     ns = np.arange(1, 101)
     floor = f.norm_sq() / np.sqrt(ns)
     assert np.all(vals >= floor * (1 - 1e-12))
+
+
+def _ball_scan_sum(d, beta, m_max):
+    # the ball scan lattice_ball_sum replaced: every mode row, in stable order of |k|
+    modes = ball_modes(d, m_max)
+    nsq = np.sum(modes * modes, axis=1)
+    radii = np.sqrt(nsq.astype(float))
+    weights = nsq.astype(float) ** (-beta)
+    order = np.argsort(radii, kind="stable")
+    radii, weights = radii[order], np.cumsum(weights[order])
+    idx = np.searchsorted(radii, np.arange(1, m_max + 1), side="right") - 1
+    return np.where(idx >= 0, weights[idx], 0.0)
+
+
+# m <= 20 in 4-D keeps the reference scan under 1 M rows; the 4-D weak CLI
+# artifact (m = 40) is pinned in tests/test_cli.py
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, 40 if d < 4 else 20))),
+       st.floats(0.1, 3.0))
+@example((2, 40), 1.0)
+@example((3, 40), 0.5)
+def test_lattice_ball_sum_matches_ball_scan(dim_and_radius, beta):
+    d, m_max = dim_and_radius
+    got = lattice_ball_sum(d, beta, m_max)
+    assert got.shape == (m_max,)
+    assert got.tobytes() == _ball_scan_sum(d, beta, m_max).tobytes()
 
 
 @pytest.mark.parametrize("beta,target", [(2.0, 0.5), (0.5, 0.25)])
