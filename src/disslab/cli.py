@@ -32,7 +32,7 @@ from .dissipation import (
     operator_norm_energies,
 )
 from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
-from .mixing import RateFunction, fit_rate, strong_envelope, weak_cesaro, weak_rate_envelope
+from .mixing import RateFunction, fit_rate, strong_envelope, weak_series
 from .pulsed import PulsedSystem, evolve, inviscid_gap
 from .shear import CtsState, ShearFlow, energy_identity_defects, tau_d_cts, transport_gap_cts
 from .toral import KroneckerViolation, ToralAutomorphism, kronecker_classify, verify_norm_form
@@ -184,18 +184,8 @@ def _cmd_mixing_rate(args) -> int:
         env = strong_envelope(auto, args.alpha, args.beta, args.n_max)
         rows = [(n, v, 0.0) for n, v in zip(env.n_values, env.values)]
     else:
-        if args.alpha != 0:
-            mode = tuple([1] + [0] * (conv.dimension - 1))
-            f = SpectralField(conv, {mode: 1.0})
-            series = weak_cesaro(auto, f, f, args.n_max)
-            rows = [(n + 1, series[n], 0.0) for n in range(args.n_max)]
-        else:
-            # no log grid reaches an n_max below 1; the envelope's own check reports it
-            ns = [args.n_max]
-            if args.n_max >= 1:
-                ns = np.unique(np.round(np.logspace(0, math.log10(args.n_max), 40)).astype(int))
-            vals = weak_rate_envelope(auto.dimension, args.beta, ns)
-            rows = [(int(n), v, 0.0) for n, v in zip(ns, vals)]
+        ns, vals = weak_series(auto, conv, args.alpha, args.beta, args.n_max)
+        rows = [(n, v, 0.0) for n, v in zip(ns, vals)]
     _write_csv(args.out, ["n", "value", "tail_cert"], rows)
     print(f"wrote {args.out}")
     return 0

@@ -32,6 +32,10 @@ PRUNE_TOL = 1e-30
 # int64 lattice scans), so coordinates must stay inside 63 bits
 MODE_LIMIT = 2**62
 
+# element adds that ``shell_counts`` may spend on the coordinates past the
+# second; priced in adds, not seconds, so that a refusal is reproducible
+SHELL_ADDS_LIMIT = 10**10
+
 
 class ModeOverflowError(OverflowError):
     """A lattice mode left the 63-bit integer range."""
@@ -246,11 +250,22 @@ def shell_counts(dimension: int, top: int) -> np.ndarray:
     d = 2..4 for top >= 10^4, under 2 kB in all for smaller top), a request
     that would not fit in physical memory raises ValueError before any
     allocation.
+
+    The further coordinates cost at most (d - 2) R (top + 1) element adds.
+    Above ``SHELL_ADDS_LIMIT`` = 10^10 adds, about 4 s on a 2-vCPU host
+    (0.39-0.44 ns per priced add for d = 3..5), the request also raises
+    ValueError before any allocation.
     """
     if dimension < 2 or top < 0:
         raise ValueError(f"shell counts need dimension >= 2 and top >= 0, got {dimension} and {top}")
     require_memory(56 * (top + 1), f"lattice shell counts up to |k|^2 = {top} ({top + 1} shells)")
     root = math.isqrt(top)
+    adds = (dimension - 2) * root * (top + 1)
+    if adds > SHELL_ADDS_LIMIT:
+        raise ValueError(
+            f"lattice shell counts up to |k|^2 = {top} in d = {dimension} need {adds:.3e} element adds, "
+            f"above the limit of {SHELL_ADDS_LIMIT:.0e}"
+        )
     squares = np.arange(-root, root + 1, dtype=np.int64) ** 2
     counts = np.bincount(np.add.outer(squares, squares).ravel(), minlength=top + 1)[: top + 1].copy()
     for _ in range(dimension - 2):

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import short_vectors
-from .fields import SpectralField, ball_size_bound, require_memory, shell_counts
+from .fields import SpectralConvention, SpectralField, ball_size_bound, require_memory, shell_counts
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
 
@@ -352,6 +352,28 @@ def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarr
     for i, n in enumerate(n_values):
         out[i] = math.sqrt(float(np.min(sums / n + scale_terms)))
     return out
+
+
+def weak_series(
+    automorphism: ToralAutomorphism, convention: SpectralConvention, alpha: float, beta: float, n_max: int
+) -> Tuple[List[int], np.ndarray]:
+    """The weak values (n, value) for the class (alpha, beta).
+
+    At alpha = 0 the certified ``weak_rate_envelope`` on about 40 log-spaced
+    n up to n_max; otherwise the Cesaro series n = 1..n_max of the first unit
+    mode with itself, which uses neither exponent but takes only finite ones.
+    """
+    if alpha == 0:
+        # no log grid reaches an n_max below 1; the envelope's own check reports it
+        ns = [n_max]
+        if n_max >= 1:
+            ns = np.unique(np.round(np.logspace(0, math.log10(n_max), 40)).astype(int)).tolist()
+        return ns, weak_rate_envelope(automorphism.dimension, beta, ns)
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"weak Cesaro series need a finite {name}, got {name} = {value}")
+    unit = SpectralField(convention, {tuple([1] + [0] * (automorphism.dimension - 1)): 1.0})
+    return list(range(1, n_max + 1)), weak_cesaro(automorphism, unit, unit, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,11 +298,13 @@ def test_weak_envelope_artifacts_pinned(tmp_path, matrix, digest):
     (["--mode", "weak", "--alpha", "0", "--n-max", "0"], "n_max"),
     (["--mode", "weak", "--alpha", "0", "--n-max", "-3"], "n_max"),
     (["--mode", "weak", "--alpha", "1", "--n-max", "0"], "n_max"),
+    (["--mode", "weak", "--alpha", "nan", "--beta", "-5", "--n-max", "3"], "alpha"),
+    (["--mode", "weak", "--alpha", "1", "--beta", "inf", "--n-max", "3"], "beta"),
     (["--mode", "strong", "--n-max", "-1"], "n_max"),
     (["--mode", "strong", "--alpha", "nan"], "alpha"),
     (["--mode", "strong", "--beta", "inf"], "beta"),
-], ids=["weak-beta-nan", "weak-n-max-0", "weak-n-max-negative", "cesaro-n-max-0", "strong-n-max-negative",
-        "strong-alpha-nan", "strong-beta-inf"])
+], ids=["weak-beta-nan", "weak-n-max-0", "weak-n-max-negative", "cesaro-n-max-0", "cesaro-alpha-nan",
+        "cesaro-beta-inf", "strong-n-max-negative", "strong-alpha-nan", "strong-beta-inf"])
 def test_mixing_rate_inputs_are_validation_errors(tmp_path, capsys, flags, name):
     out = tmp_path / "envelope.csv"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", *flags, "--out", str(out)]) == 2
@@ -357,6 +361,39 @@ def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, caps
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan):
     with pytest.raises(ValueError, match="GB"):
         scan(cat)
+
+
+def test_cts_and_verify_cts_never_import_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma lazily, about 1 MB of resident memory; the
+    # shear route and its verify suite must run without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from disslab.cli import main\n"
+        f"assert main(['cts', '--nu-grid', '1e-2:1e-3:2', '--k1max', '4', '--ygrid', '32', "
+        f"'--out', {str(tmp_path / 'cts.csv')!r}]) == 0\n"
+        "assert main(['verify', 'cts']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_shell_counts_past_the_work_limit_are_validation_errors(monkeypatch):
+    # lattice_count(4, 1e8) needs 5.6 GB, which a reported 64 GB host holds,
+    # and 2e12 element adds, which the work price refuses before np.bincount
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 64 * 10**9 // sysconf("SC_PAGE_SIZE")
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("an oversized shell count started")
+
+    monkeypatch.setattr(np, "bincount", no_count)
+    with pytest.raises(ValueError, match="element adds"):
+        lattice_count(4, 1e8)
 
 
 def test_perfbench_tracer_installs_and_uninstalls():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disslab import shear
+from disslab import cli, shear
 from disslab.fields import SpectralConvention
 from disslab.fitting import line_fit
 from disslab.shear import (
@@ -182,7 +182,68 @@ def test_cts_norm_builds_only_the_bands_the_heat_bound_admits(flow, conv, monkey
     template = CtsState.from_modes({}, 16, 64, 1e-2, conv)
     # at t = 1.08 the |k1| = 1 norm is about 1/e; |k1| = 2 is heat-bounded by 0.18
     assert cts_norm(template, flow, 1.08) > 0.36
-    assert sorted(built) == [-1, 1]
+    assert sorted(built) == [1]
+
+
+def _signed_band_norm(state, flow, t, i, dt_target=0.02):
+    # the band of the signed k1 = state.k1[i], built as it stands
+    steps = max(1, math.ceil(t / dt_target))
+    band = CtsState(state.convention, state.nu, state.k1[i : i + 1], state.data[i : i + 1])
+    stepper = shear._Stepper(flow, band, t / steps)
+    columns = stepper.diffuse(stepper.advect(stepper.diffuse(np.eye(state.grid_size)[:, None, :], half=True)),
+                              half=True)
+    return np.linalg.norm(np.linalg.matrix_power(columns[:, 0, :].T, steps), 2)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    nu=st.floats(1e-4, 1e-1),
+    t=st.floats(0.05, 20.0),
+    k1_max=st.integers(1, 8),
+    grid=st.sampled_from([32, 64]),
+    convention=st.sampled_from(["geometric", "lattice"]),
+    zero_band=st.booleans(),
+    shear_spec=st.sampled_from(["sin", "coeffs:0.3,1,0.2,-0.5", "coeffs:-0.7,0.4,0,0.25"]),
+)
+def test_cts_norm_over_one_band_per_abs_k1_matches_every_signed_band(
+    nu, t, k1_max, grid, convention, zero_band, shear_spec
+):
+    # band -k1 is the conjugate of band k1, so building k1 = +|k1| alone
+    # must give the maximum over every signed band
+    flow = cli._parse_shear(shear_spec)
+    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention),
+                                   include_zero_x_band=zero_band)
+    brute = max(_signed_band_norm(template, flow, t, i) for i in range(template.k1.size))
+    assert cts_norm(template, flow, t) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("convention, zero_band, shear_spec, dt", [
+    ("geometric", False, "sin", 0.02),
+    ("geometric", False, "sin", 0.3),
+    ("lattice", True, "coeffs:0.3,1,0.2,-0.5", 0.01),
+])
+def test_energy_identity_defects_match_the_cts_step_loop(convention, zero_band, shear_spec, dt):
+    def reference(state, flow, t, dt):
+        steps = max(1, math.ceil(t / dt))
+        dt = t / steps
+        cur = state
+        defects = np.empty(steps)
+        for s in range(steps):
+            nxt = cts_step(cur, flow, dt)
+            mid_h1 = 0.5 * (cur.h1_norm_sq() + nxt.h1_norm_sq())
+            defects[s] = abs(nxt.energy() - cur.energy() + 2.0 * state.nu * dt * mid_h1)
+            cur = nxt
+        return defects
+
+    modes = {(1, 0): 1.0, (2, 1): 0.5, (-3, 2): 0.2j}
+    if zero_band:
+        modes[(0, 3)] = 0.7
+    state = CtsState.from_modes(modes, 8, 64, 1e-2, SpectralConvention(2, convention),
+                                include_zero_x_band=zero_band)
+    flow = cli._parse_shear(shear_spec)
+    got = energy_identity_defects(state, flow, 1.0, dt)
+    want = reference(state, flow, 1.0, dt)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tau_d_cts_evaluates_each_time_once(flow, conv, monkeypatch):
@@ -213,6 +274,8 @@ def test_time_step_must_be_finite_and_positive(flow, conv, dt):
         evolve_cts(state, flow, 1.0, dt_target=dt)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         cts_norm(state, flow, 1.0, dt_target=dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        energy_identity_defects(state, flow, 1.0, dt)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         tau_d_cts(flow, 1e-2, conv, dt_target=dt)
 
