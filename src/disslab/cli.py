@@ -33,7 +33,7 @@ from .dissipation import (
 )
 from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
 from .mixing import RateFunction, fit_rate, strong_envelope, weak_series
-from .pulsed import PulsedSystem, evolve, inviscid_gap
+from .pulsed import PulsedSystem, evolve
 from .shear import CtsState, ShearFlow, energy_identity_defects, tau_d_cts, transport_gap_cts
 from .toral import KroneckerViolation, ToralAutomorphism, kronecker_classify, verify_norm_form
 
@@ -66,8 +66,8 @@ def _parse_matrix(text: str) -> ToralAutomorphism:
 def _parse_nu_grid(text: str) -> np.ndarray:
     lo, hi, pts = text.split(":")
     lo, hi, pts = float(lo), float(hi), int(pts)
-    if lo <= 0 or hi <= 0 or pts < 1:
-        raise ValueError(f"bad nu grid {text!r}")
+    if not (0 < lo < math.inf and 0 < hi < math.inf) or pts < 1:
+        raise ValueError(f"bad nu grid {text!r}: nu ends must be finite and positive, points >= 1")
     if pts == 1:
         return np.array([lo])
     return np.exp(np.linspace(math.log(lo), math.log(hi), pts))
@@ -244,8 +244,8 @@ def _verify_identities(rng) -> List[tuple]:
             worst_energy = max(worst_energy, float(np.max(traj.energy_identity_residuals())))
             lo, hi = traj.sandwich_residuals()
             worst_sandwich = max(worst_sandwich, float(-min(np.min(lo), np.min(hi))))
-            res = inviscid_gap(theta0, system, 8)
-            gap_ok &= res["gap"] <= res["bound"] * (1 + 1e-12)
+            gap, bound = traj.inviscid_gap(8)  # as inviscid_gap(theta0, system, 8), bit for bit
+            gap_ok &= gap <= bound * (1 + 1e-12)
     rows.append(("one-step energy equality", worst_energy < 1e-12, f"max residual {worst_energy:.2e}"))
     rows.append(("H1 sandwich of E_nu", worst_sandwich <= 1e-12, f"worst margin {-worst_sandwich:.2e}"))
     rows.append(("inviscid gap bound", gap_ok, ""))

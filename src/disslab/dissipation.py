@@ -259,11 +259,14 @@ def _first_passages(min_sums: Iterator[float], thresholds: Sequence[float], n_ma
 def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
                 convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
     """tau_d over a nu grid from one walk of the route's min S_n stream."""
-    if any(nu <= 0 for nu in nus):
-        raise ValueError("nu must be positive")
     if convention is None:
         convention = SpectralConvention(automorphism.dimension, "lattice")
-    thresholds = [1.0 / (nu * convention.scale_factor) for nu in nus]
+    bad = [nu for nu in nus if not 0 < nu < math.inf]
+    if bad:
+        raise ValueError(f"nu must be finite and positive, got nu = {bad[0]}")
+    thresholds = [1.0 / (float(nu) * convention.scale_factor) for nu in nus]
+    if math.inf in thresholds:  # never passed: the walk would run to n_max
+        raise ValueError(f"nu = {nus[thresholds.index(math.inf)]} is too small: 1/(nu * scale) overflows float64")
     if method == "exact":
         if not automorphism.conditions().c1_no_root_of_unity:
             raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")

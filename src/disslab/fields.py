@@ -73,7 +73,13 @@ class SpectralConvention:
 
 
 def _check_mode(mode: Iterable[int], dimension: int) -> Mode:
-    m = tuple(int(c) for c in mode)
+    raw = tuple(mode)
+    try:
+        m = tuple(int(c) for c in raw)
+    except (OverflowError, TypeError):  # int(inf), int(None)
+        m = None
+    if m != raw:
+        raise ValueError(f"mode {raw} has a coordinate that is not an integer")
     if len(m) != dimension:
         raise ValueError(f"mode {m} has wrong dimension (expected {dimension})")
     return m
@@ -136,6 +142,13 @@ class SpectralField:
         payload = json.loads(text)
         conv = SpectralConvention(payload["convention"]["dimension"], payload["convention"]["scaling"])
         coeffs = {tuple(rec["k"]): complex(rec["re"], rec["im"]) for rec in payload["modes"]}
+        if len(coeffs) < len(payload["modes"]):
+            seen = set()
+            for rec in payload["modes"]:
+                mode = tuple(rec["k"])
+                if mode in seen:
+                    raise ValueError(f"mode {mode} appears twice in the field JSON")
+                seen.add(mode)
         return SpectralField(conv, coeffs)
 
 

@@ -3,7 +3,12 @@
 For a toral automorphism the Koopman step is an exact relabeling of modes
 (m -> A^T m) followed by diagonal heat damping, so trajectories are exact
 up to floating point; ``evolve`` runs the pulses and ``step`` is its
-one-pulse case.  Per-mode damping exponents nu * S_n(m) reach 1e10 and
+one-pulse case.  Mode orbits are int64: a step runs in machine integers
+when max|m| times the largest column sum of |A| is below ``MODE_LIMIT``,
+which certifies that no product or partial sum can overflow, and in Python
+integers otherwise.  Each |k|^2 is rounded to float once, exactly as
+float(sum of integer squares) would be (``exact_norm_sq``).  Per-mode
+damping exponents nu * S_n(m) reach 1e10 and
 beyond within a dozen steps, so all scalar series are accumulated in a
 per-step normalized frame: weights are renormalized at every step and the
 series are stored as exact-log increments.  Differencing two large
@@ -45,8 +50,9 @@ _ROUTE_BYTES_PER_MODE = 100
 class PulsedSystem:
     """A Koopman action plus a diffusivity.
 
-    ``automorphism`` gives the exact lattice path.  ``nu = 0`` is refused
-    unless ``allow_inviscid`` is set (pure relabeling, used for oracle runs).
+    ``automorphism`` gives the exact lattice path.  ``nu`` must be finite;
+    ``nu = 0`` is refused unless ``allow_inviscid`` is set (pure relabeling,
+    used for oracle runs).
     """
 
     automorphism: ToralAutomorphism
@@ -55,8 +61,8 @@ class PulsedSystem:
     allow_inviscid: bool = False
 
     def __post_init__(self):
-        if self.nu < 0 or (self.nu == 0 and not self.allow_inviscid):
-            raise ValueError("nu must be positive (or zero with allow_inviscid)")
+        if not math.isfinite(self.nu) or self.nu < 0 or (self.nu == 0 and not self.allow_inviscid):
+            raise ValueError(f"nu must be finite and positive (or zero with allow_inviscid), got {self.nu}")
         if self.automorphism.dimension != self.convention.dimension:
             raise ValueError("automorphism and convention dimensions differ")
 
@@ -101,7 +107,7 @@ class Trajectory:
     system: PulsedSystem
     modes0: List[Mode]
     amps0: np.ndarray
-    mode_orbits: List[np.ndarray]  # per step, (n_modes, d) exact Python ints
+    mode_orbits: List[np.ndarray]  # per step, (n_modes, d) int64, every |coordinate| < MODE_LIMIT
     log_damp: np.ndarray  # (n_steps+1, n_modes): -2 nu S_n(mode_j)
     log_energies: np.ndarray
     dln: np.ndarray
@@ -137,7 +143,7 @@ class Trajectory:
 
     def field(self, n: int) -> SpectralField:
         coeffs = {}
-        for j, mode in enumerate(self.mode_orbits[n]):
+        for j, mode in enumerate(self.mode_orbits[n].tolist()):
             damp = math.exp(0.5 * self.log_damp[n, j])
             coeffs[tuple(mode)] = complex(self.amps0[j]) * damp
         return SpectralField(self.system.convention, coeffs)
@@ -161,14 +167,74 @@ class Trajectory:
         upper = (2.0 * self.uh1_rel - self.enu_rel) / self.enu_rel
         return lower, upper
 
+    def inviscid_gap(self, n: int) -> Tuple[float, float]:
+        """(gap, bound) of ``inviscid_gap`` at step n <= n_steps.
+
+        Step n of a longer run is bit-identical to the last step of an
+        n-step run, so one trajectory serves every n up to its length.
+        """
+        half = 0.5 * self.log_damp[n, :]  # = -nu S_n per mode
+        gap_sq = float(np.sum(np.abs(self.amps0) ** 2 * np.expm1(half) ** 2))
+        bound = float(np.sum(np.sqrt(self.system.nu * self.enu_values[:n])))
+        return math.sqrt(gap_sq), bound
+
+
+def exact_norm_sq(k: np.ndarray) -> np.ndarray:
+    """float(sum_i k_i^2) per row of an int64 array with every |k_i| < 2^62.
+
+    Each result is the square sum rounded once to nearest-even, bit-identical
+    to ``float`` of the Python-int sum.  Rows up to 2^30 square-sum exactly
+    in int64.  Otherwise |k_i| = h 2^32 + l, so k_i^2 = h^2 2^64 + 2hl 2^32
+    + l^2, accumulated as a 128-bit (hi, lo) pair of uint64 with carries;
+    the top 63 or 64 bits of hi 2^64 + lo, with a sticky bit for the bits
+    below them, then round exactly as the full value does.
+    """
+    mag = np.abs(k)
+    if mag.size == 0 or int(mag.max()) <= 2**30:
+        return np.einsum("ij,ij->i", k, k).astype(float)
+    mag = mag.astype(np.uint64)
+    high, low = mag >> 32, mag & 0xFFFFFFFF
+    hi = np.zeros(k.shape[0], dtype=np.uint64)
+    lo = np.zeros(k.shape[0], dtype=np.uint64)
+    for h, l in zip(high.T, low.T):
+        cross = 2 * h * l  # < 2^63
+        hi += h * h + (cross >> 32)
+        for part in (l * l, cross << 32):  # the shift keeps the low 32 bits of cross
+            lo += part
+            hi += lo < part  # carry out of the low word
+    out = lo.astype(float)
+    big = np.flatnonzero(hi)
+    if big.size:
+        hi, lo = hi[big], lo[big]
+        # bit length of hi, or one more where the float rounds hi up to a power
+        # of two; top then keeps 63 bits, still past the 53 + 2 rounding needs
+        shift = np.frexp(hi.astype(float))[1].astype(np.uint64)
+        top = (hi << (64 - shift)) | (lo >> shift) | ((lo & ((1 << shift) - 1)) != 0)
+        out[big] = np.ldexp(top.astype(float), shift.astype(np.int64))
+    return out
+
+
+def _exact_pulse(modes: np.ndarray, matrix) -> np.ndarray:
+    """m @ A in Python integers, for a step whose int64 product is not certified."""
+    nxt = modes.astype(object) @ np.array(matrix, dtype=object)
+    over = np.any(np.abs(nxt) >= MODE_LIMIT, axis=1)
+    if over.any():
+        raise ModeOverflowError(f"mode {tuple(nxt[over][0])} left the 63-bit range")
+    return nxt.astype(np.int64)
+
 
 def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
     """Run n pulses, recording every scalar series of the energy identities.
 
     The final energies satisfy
     ||theta_n||^2 = sum_k exp(-2 nu sum_{j=1..n} lambda(A_*^j k)) |theta0^(k)|^2.
-    Each pulse pushes the whole support in one exact product on Python
-    integers; a mode leaving the 63-bit range raises ModeOverflowError.
+    Each pulse pushes the whole support in one product m @ A.  With g the
+    largest column sum of |A|, a step from modes with max|m| g < MODE_LIMIT
+    runs in int64, where no entry or partial sum can overflow; any other
+    step runs in Python integers, and a mode leaving the 63-bit range there
+    raises ModeOverflowError.  So does an initial mode at or past
+    ``MODE_LIMIT``, before the first step.  Every |k|^2 is exact before its
+    one rounding to float (``exact_norm_sq``).
     """
     if n < 1:
         raise ValueError("need at least one step")
@@ -179,9 +245,18 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
     modes0 = sorted(theta0.coefficients.keys())
     amps0 = np.array([theta0.coefficients[m] for m in modes0], dtype=complex)
     n_modes = len(modes0)
-    a = np.array(system.automorphism.matrix, dtype=object)  # row convention: A^T m = m @ A
+    matrix = system.automorphism.matrix  # row convention: A^T m = m @ A
+    gain = max(sum(abs(v) for v in column) for column in zip(*matrix))
+    a = np.array(matrix, dtype=np.int64) if gain < MODE_LIMIT else None
 
-    current = np.array(modes0, dtype=object)
+    try:
+        current = np.array(modes0, dtype=np.int64)
+        inside = -MODE_LIMIT < int(current.min()) and int(current.max()) < MODE_LIMIT
+    except OverflowError:
+        inside = False
+    if not inside:
+        first = next(m for m in modes0 if max(abs(c) for c in m) >= MODE_LIMIT)
+        raise ModeOverflowError(f"initial mode {first} is outside the 63-bit range")
     orbits: List[np.ndarray] = [current]
     log_damp = np.zeros((n + 1, n_modes))
     log_energies = np.empty(n + 1)
@@ -193,7 +268,7 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
 
     logw = 2.0 * np.log(np.abs(amps0))  # unnormalized log weights, step 0
     # bit-identical to SpectralConvention.eigenvalue: exact integer |k|^2, then scale
-    lam = scale * np.sum(current * current, axis=1).astype(float)
+    lam = scale * exact_norm_sq(current)
     log_energies[0] = _logsumexp(logw)
 
     cum = np.zeros(n_modes)
@@ -204,11 +279,11 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
         total = float(np.sum(w))
         log_r[it] = math.log(float(np.sum(w * lam)) / total)
 
-        nxt = current @ a
-        over = np.any(np.abs(nxt) >= MODE_LIMIT, axis=1)
-        if over.any():
-            raise ModeOverflowError(f"mode {tuple(nxt[over][0])} left the 63-bit range")
-        lam_next = scale * np.sum(nxt * nxt, axis=1).astype(float)
+        if int(np.max(np.abs(current))) * gain < MODE_LIMIT:
+            nxt = current @ a
+        else:
+            nxt = _exact_pulse(current, matrix)
+        lam_next = scale * exact_norm_sq(nxt)
         x = 2.0 * nu * lam_next
         decay = np.exp(-x)
         if nu > 0:
@@ -258,10 +333,8 @@ def inviscid_gap(theta0: SpectralField, system: PulsedSystem, n: int) -> dict:
     gap^2 = sum_k (1 - exp(-nu S_n(k)))^2 |theta0^(k)|^2.
     """
     traj = evolve(theta0, system, n)
-    half = 0.5 * traj.log_damp[n, :]  # = -nu S_n per mode
-    gap_sq = float(np.sum(np.abs(traj.amps0) ** 2 * np.expm1(half) ** 2))
-    bound = float(np.sum(np.sqrt(system.nu * traj.enu_values)))
-    return {"gap": math.sqrt(gap_sq), "bound": bound, "trajectory": traj}
+    gap, bound = traj.inviscid_gap(n)
+    return {"gap": gap, "bound": bound, "trajectory": traj}
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,54 @@ def test_dim_disagreeing_with_matrix_is_a_validation_error(tmp_path, capsys, mon
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dissipation-time", "--matrix", "2,1,1,1", "--method", "exact", "--nu-grid", "nan:1e-2:3"], "nu ends"),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--method", "exact", "--nu-grid", "1e-2:inf:3"], "nu ends"),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--method", "exact", "--nu-grid", "1e-320:1e-2:3"], "nu = 1e-320"),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--method", "operator", "--nu-grid", "nan:1e-2:3"], "nu ends"),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--method", "operator", "--nu-grid", "1e-320:1e-2:3"],
+     "nu = 1e-320"),
+    (["bounds", "--which", "H1", "--rate", "power:1,1", "--nu-grid", "nan:1e-2:3"], "nu ends"),
+], ids=["exact-nan", "exact-inf", "exact-underflow", "operator-nan", "operator-underflow", "bounds-nan"])
+def test_nu_grid_ends_must_be_finite(tmp_path, argv, message):
+    # a nan or inf threshold 1/(nu * scale) is never passed, so the exact
+    # walk used to run towards n_max; a subprocess bounds the wait
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out.json"
+    done = subprocess.run([sys.executable, "-m", "disslab.cli", *argv, "--out", str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert message in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nu", ["nan", "inf"])
+def test_simulate_nu_must_be_finite(tmp_path, capsys, nu):
+    out = tmp_path / "t.csv"
+    assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", nu, "--steps", "2", "--initial", "mode:1,0",
+                    "--out", str(out)]) == 2
+    assert "nu must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("records, message", [
+    ([[1, 0], [1.7, 0]], "mode (1.7, 0) has a coordinate that is not an integer"),
+    ([[1, 0], [1, 0]], "mode (1, 0) appears twice"),
+    ([[1, 0], [1.0, 0]], "mode (1.0, 0) appears twice"),
+], ids=["fractional", "duplicate", "duplicate-as-float"])
+def test_field_json_is_never_rewritten(tmp_path, capsys, records, message):
+    # the second record used to overwrite the amplitude of (1, 0): energy 4, exit 0
+    payload = {"convention": {"dimension": 2, "scaling": "lattice"},
+               "modes": [{"k": k, "re": float(i + 1), "im": 0.0} for i, k in enumerate(records)]}
+    path, out = tmp_path / "field.json", tmp_path / "t.csv"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", "0.1", "--steps", "2", "--initial", str(path),
+                    "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dim_comes_from_the_matrix(tmp_path):
     base = ["simulate", "--matrix", "0,0,1,1,0,0,0,1,1", "--nu", "0.1", "--steps", "2", "--initial", "mode:1,0,0"]
     assert run_cli([*base, "--out", str(tmp_path / "a.csv")]) == 0
@@ -181,6 +229,23 @@ def test_numerical_failure_exit_code(tmp_path):
 def test_verify_identities_and_lemmas():
     assert run_cli(["verify", "identities"]) == 0
     assert run_cli(["verify", "lemmas"]) == 0
+
+
+def test_verify_identities_evolves_each_field_once(monkeypatch):
+    # 30 fields of 12 pulses; the gap at n = 8 is read off the same runs
+    from disslab import cli, pulsed
+
+    steps = []
+    original = pulsed.evolve
+
+    def counted(theta0, system, n):
+        steps.append(n)
+        return original(theta0, system, n)
+
+    monkeypatch.setattr(cli, "evolve", counted)
+    monkeypatch.setattr(pulsed, "evolve", counted)
+    assert run_cli(["verify", "identities"]) == 0
+    assert steps == [12] * 30
 
 
 def test_verify_bounds_rejects_corrupted_report(tmp_path):

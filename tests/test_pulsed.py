@@ -1,14 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from disslab.fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
+from disslab import pulsed
+from disslab.fields import MODE_LIMIT, ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
 from disslab.pulsed import (
     PulsedSystem,
     TruncatedKoopman,
     ball_modes,
     evolve,
+    exact_norm_sq,
     inviscid_gap,
     step,
 )
@@ -143,6 +148,184 @@ def test_mode_overflow_detected(cat, lattice2):
     theta = SpectralField(lattice2, {(1, 0): 1.0})
     with pytest.raises(ModeOverflowError):
         evolve(theta, PulsedSystem(cat, 1e-3, lattice2), 120)
+
+
+def test_inviscid_gap_reads_from_a_longer_run(cat, lattice2, rng):
+    # the verify suite reads the gap at n = 8 off its 12-step trajectory
+    for nu in (1e-1, 1e-3, 1e-6):
+        for _ in range(10):
+            theta = random_sparse_field(lattice2, rng, n_modes=6, kmax=6)
+            system = PulsedSystem(cat, nu, lattice2)
+            res = inviscid_gap(theta, system, 8)
+            assert evolve(theta, system, 12).inviscid_gap(8) == (res["gap"], res["bound"])
+
+
+# ---------------------------------------------------------------------------
+# machine-integer pulses against the Python-int reference
+# ---------------------------------------------------------------------------
+
+def _reference_evolve(theta0, system, n):
+    """The object-dtype pulse loop that ``evolve`` replaced: every product,
+    range check and square sum on Python ints."""
+    nu, scale = system.nu, system.convention.scale_factor
+    modes0 = sorted(theta0.coefficients.keys())
+    amps0 = np.array([theta0.coefficients[m] for m in modes0], dtype=complex)
+    a = np.array(system.automorphism.matrix, dtype=object)
+    current = np.array(modes0, dtype=object)
+    orbits = [current]
+    log_damp = np.zeros((n + 1, len(modes0)))
+    log_energies, log_r = np.empty(n + 1), np.empty(n + 1)
+    dln, enu_rel, uh1_rel, h1next_rel = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    logw = 2.0 * np.log(np.abs(amps0))
+    lam = scale * np.sum(current * current, axis=1).astype(float)
+    log_energies[0] = pulsed._logsumexp(logw)
+    cum = np.zeros(len(modes0))
+    for it in range(n):
+        w = np.exp(logw - float(np.max(logw)))
+        total = float(np.sum(w))
+        log_r[it] = math.log(float(np.sum(w * lam)) / total)
+        nxt = current @ a
+        over = np.any(np.abs(nxt) >= MODE_LIMIT, axis=1)
+        if over.any():
+            raise ModeOverflowError(f"mode {tuple(nxt[over][0])} left the 63-bit range")
+        lam_next = scale * np.sum(nxt * nxt, axis=1).astype(float)
+        x = 2.0 * nu * lam_next
+        decay = np.exp(-x)
+        enu_rel[it] = float(np.sum(w * (-np.expm1(-x)))) / total / nu if nu > 0 else 0.0
+        uh1_rel[it] = float(np.sum(w * lam_next)) / total
+        h1next_rel[it] = float(np.sum(w * decay * lam_next)) / total
+        with np.errstate(divide="ignore"):
+            dln[it] = pulsed._logsumexp(np.log(w) - x) - math.log(total)
+        log_energies[it + 1] = log_energies[it] + dln[it]
+        cum = cum - x
+        log_damp[it + 1, :] = cum
+        logw = logw - x
+        lam = lam_next
+        orbits.append(nxt)
+        current = nxt
+    w = np.exp(logw - float(np.max(logw)))
+    log_r[n] = math.log(float(np.sum(w * lam)) / float(np.sum(w)))
+    return {"mode_orbits": [o.tolist() for o in orbits], "log_damp": log_damp, "log_energies": log_energies,
+            "dln": dln, "log_r": log_r, "enu_rel": enu_rel, "uh1_rel": uh1_rel, "h1next_rel": h1next_rel}
+
+
+def _assert_matches_reference(theta, system, n):
+    try:
+        expected = _reference_evolve(theta, system, n)
+    except ModeOverflowError as exc:
+        with pytest.raises(ModeOverflowError) as caught:
+            evolve(theta, system, n)
+        assert str(caught.value) == str(exc)
+        return None
+    traj = evolve(theta, system, n)
+    assert all(orbit.dtype == np.int64 for orbit in traj.mode_orbits)
+    assert [orbit.tolist() for orbit in traj.mode_orbits] == expected.pop("mode_orbits")
+    for name, value in expected.items():
+        assert getattr(traj, name).tobytes() == value.tobytes(), name
+    return traj
+
+
+_GROWING = {  # spectral radii 2.62, 1.47 and 3.07
+    2: ((2, 1), (1, 1)),
+    3: ((0, 0, 1), (1, 0, 0), (0, 1, 1)),
+    4: ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)),
+}
+
+
+@st.composite
+def _crossing_runs(draw):
+    """A field with coordinates up to 2^22..2^29 and up to enough pulses that
+    its orbits cross 2^30 and 2^32 or overflow (d = 3 grows slowest)."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    top = 2 ** draw(st.integers(22, 29))
+    coord = st.one_of(st.integers(-top, top), st.integers(-3, 3))
+    modes = draw(st.lists(st.tuples(*[coord] * d).filter(any), min_size=1, max_size=6, unique=True))
+    amps = draw(st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=len(modes),
+                         max_size=len(modes)))
+    conv = SpectralConvention(d, draw(st.sampled_from(["lattice", "geometric"])))
+    nu = draw(st.sampled_from([1e-30, 1e-20, 1e-12]))
+    steps = draw(st.integers(1, 70 if d == 3 else 30))
+    return SpectralField(conv, dict(zip(modes, amps))), PulsedSystem(ToralAutomorphism(_GROWING[d]), nu, conv), steps
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_crossing_runs())
+@example((SpectralField(SpectralConvention(2, "lattice"), {(2**27, -5): 1.0, (1, 0): 0.5j}),
+          PulsedSystem(ToralAutomorphism(_GROWING[2]), 1e-20, SpectralConvention(2, "lattice")), 12))
+@example((SpectralField(SpectralConvention(3, "geometric"), {(2**29, 3, -2**28): 1.0}),
+          PulsedSystem(ToralAutomorphism(_GROWING[3]), 1e-30, SpectralConvention(3, "geometric")), 12))
+@example((SpectralField(SpectralConvention(4, "lattice"), {(2**26, 0, 1, -2**25): 2.0, (0, 0, 0, 1): 1.0}),
+          PulsedSystem(ToralAutomorphism(_GROWING[4]), 1e-20, SpectralConvention(4, "lattice")), 25))
+# the largest column sum of |A| (5 here), not the largest row sum (4), bounds m @ A
+@example((SpectralField(SpectralConvention(4, "lattice"), {(1 - 2**60, 2**60 - 1, 0, 2**60 - 1): 1.0}),
+          PulsedSystem(ToralAutomorphism(_GROWING[4]), 1e-20, SpectralConvention(4, "lattice")), 1))
+def test_evolve_matches_python_int_reference(run):
+    _assert_matches_reference(*run)
+
+
+@pytest.mark.parametrize("matrix, modes, last, uncertified", [
+    (((2, 1), (1, 1)), {(1, 0): 1.0, (0, 1): 0.5}, 44, 0),  # max|m| * 3 < 2^62 until pulse 45 overflows
+    (((1, 0), (5, 1)), {(2**62 - 12, 1): 1.0, (1, 0): 0.5}, 2, 2),  # max|m| * 6 >= 2^62 from the start
+], ids=["cat", "shear"])
+def test_overflow_matches_python_int_reference(lattice2, monkeypatch, matrix, modes, last, uncertified):
+    # pulses 1..last succeed, bit for bit, with only the uncertified ones in
+    # Python ints; pulse last + 1 raises the same error as the reference
+    theta = SpectralField(lattice2, modes)
+    system = PulsedSystem(ToralAutomorphism(matrix), 1e-30, lattice2)
+    calls = []
+    exact_pulse = pulsed._exact_pulse
+    monkeypatch.setattr(pulsed, "_exact_pulse", lambda *args: calls.append(1) or exact_pulse(*args))
+    assert _assert_matches_reference(theta, system, last) is not None
+    assert len(calls) == uncertified
+    assert _assert_matches_reference(theta, system, last + 1) is None
+
+
+def test_certified_pulses_build_no_python_ints(cat, lattice2, rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certified step ran in Python ints")
+
+    monkeypatch.setattr(pulsed, "_exact_pulse", refuse)
+    theta = random_sparse_field(lattice2, rng, n_modes=400, kmax=60)
+    evolve(theta, PulsedSystem(cat, 1e-6, lattice2), 30)
+
+
+@pytest.mark.parametrize("mode", [(2**62, 1), (-(2**62), 1), (3, 2**70)], ids=["limit", "minus-limit", "past-int64"])
+def test_initial_mode_past_the_limit_raises_before_the_first_pulse(lattice2, mode, monkeypatch):
+    monkeypatch.setattr(pulsed, "_exact_pulse", lambda *args: pytest.fail("a pulse ran"))
+    theta = SpectralField(lattice2, {(1, 0): 1.0, mode: 1.0})
+    system = PulsedSystem(ToralAutomorphism(((1, 1), (0, 1))), 1e-30, lattice2)
+    with pytest.raises(ModeOverflowError, match=re.escape(f"initial mode {mode} is outside the 63-bit range")):
+        evolve(theta, system, 1)
+
+
+_TIES = [  # hi 2^64 + lo exactly halfway between two floats, rounding down and up to even
+    row for p in range(31, 62)
+    for row in ([2**p, 2 ** (p - 27), 2 ** (p - 27), 0], [2**p, 2 ** (p - 26), 2 ** (p - 27), 2 ** (p - 27)],
+                [2**p, 2 ** (p - 27), 2 ** (p - 27), 1])
+]
+_POWERS = [[2**p + delta, sign * (2**q + delta), 0, 0] for p in range(29, 62) for q in (0, 29, 30, 31, 32, p)
+           for delta in (-1, 0, 1) for sign in (1, -1)]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-(2**62) + 1, 2**62 - 1), min_size=d, max_size=d), min_size=1, max_size=30)))
+def test_exact_norm_sq_matches_python_int_rounding(rows):
+    expected = [float(sum(int(c) ** 2 for c in row)) for row in rows]
+    assert exact_norm_sq(np.array(rows, dtype=np.int64)).tolist() == expected
+
+
+@pytest.mark.parametrize("rows", [
+    _TIES,
+    _POWERS,
+    [[2**62 - 1, 0, 0, 0], [2**62 - 1] * 4, [2**62 - 1, 2**31, -1, 0]],  # hi = 2^60 - 1 rounds up to 2^60 as a float
+    [[2**30, -(2**30)]],
+    [[2**31 - 1] * 4, [2**30 + 1, 0, 0, 0]],
+    [[0, 0, 0]],
+], ids=["ties", "powers", "top", "fast-path-top", "past-fast-path", "zero"])
+def test_exact_norm_sq_near_powers_of_two_and_ties(rows):
+    expected = [float(sum(int(c) ** 2 for c in row)) for row in rows]
+    assert exact_norm_sq(np.array(rows, dtype=np.int64)).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
