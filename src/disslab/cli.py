@@ -1,5 +1,6 @@
 """Command line front end: simulate, dissipation-time, mixing-rate, bounds,
-cts, verify, sweep.
+cts, verify, and sweep (an alias of dissipation-time).  ``verify`` takes its
+measurements from ``disslab.checks``, as the acceptance tests do.
 
 Conventions shared by all subcommands:
 
@@ -16,26 +17,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import BoundProfile, check_bound, eval_H, h1_power_closed_form, lattice_count, weyl_constant
-from .dissipation import (
-    DissipationReport,
-    check_lower_bound_chain,
-    dissipation_sweep,
-    fit_energy_decay,
-    operator_norm_energies,
-)
+from . import checks
+from .bounds import BoundProfile, lattice_count, weyl_constant
+from .dissipation import DissipationReport, dissipation_sweep
 from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
-from .mixing import RateFunction, fit_rate, strong_envelope, weak_series
+from .mixing import RateFunction, strong_envelope, weak_series
 from .pulsed import PulsedSystem, evolve
-from .shear import CtsState, ShearFlow, energy_identity_defects, tau_d_cts, transport_gap_cts
-from .toral import KroneckerViolation, ToralAutomorphism, kronecker_classify, verify_norm_form
+from .shear import CtsState, ShearFlow, tau_d_cts, transport_gap_cts
+from .toral import ToralAutomorphism, verify_norm_form
 
 CSV_VERSION = "disslab-csv v1"
 
@@ -136,36 +130,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_cell(payload: dict) -> List[dict]:
-    auto = ToralAutomorphism(tuple(tuple(r) for r in payload["matrix"]))
-    conv = SpectralConvention(payload["dim"], payload["convention"])
-    return dissipation_sweep(auto, payload["nus"], payload["method"], conv).entries
-
-
-def _run_tau_sweep(args, jobs: int) -> DissipationReport:
-    """tau_d over the grid, split into ``jobs`` contiguous slices walked separately."""
+def _cmd_dissipation_time(args) -> int:
     auto, conv = _matrix_and_convention(args)
-    nus = _parse_nu_grid(args.nu_grid)
-    payloads = [
-        {
-            "matrix": [list(r) for r in auto.matrix],
-            "dim": conv.dimension,
-            "convention": conv.scaling,
-            "nus": [float(nu) for nu in part],
-            "method": args.method,
-        }
-        for part in np.array_split(nus, min(max(jobs, 1), nus.size))
-    ]
-    if len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_sweep_cell, payloads))
-    else:
-        parts = [_sweep_cell(p) for p in payloads]
-    return DissipationReport.from_entries([e for part in parts for e in part])  # grid order
-
-
-def _cmd_dissipation_time(args, jobs: int = 1) -> int:
-    report = _run_tau_sweep(args, jobs)
+    report = dissipation_sweep(auto, _parse_nu_grid(args.nu_grid), args.method, conv)
     out = args.out
     with open(out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=1, default=float)
@@ -234,123 +201,70 @@ def _cmd_cts(args) -> int:
 def _verify_identities(rng) -> List[tuple]:
     conv = SpectralConvention(2, "lattice")
     cat = ToralAutomorphism(((2, 1), (1, 1)))
-    rows = []
-    worst_energy, worst_sandwich, gap_ok = 0.0, 0.0, True
-    for nu in (1e-1, 1e-3, 1e-6):
-        for _ in range(10):
-            theta0 = random_sparse_field(conv, rng, n_modes=6, kmax=6)
-            system = PulsedSystem(cat, nu, conv)
-            traj = evolve(theta0, system, 12)
-            worst_energy = max(worst_energy, float(np.max(traj.energy_identity_residuals())))
-            lo, hi = traj.sandwich_residuals()
-            worst_sandwich = max(worst_sandwich, float(-min(np.min(lo), np.min(hi))))
-            gap, bound = traj.inviscid_gap(8)  # as inviscid_gap(theta0, system, 8), bit for bit
-            gap_ok &= gap <= bound * (1 + 1e-12)
-    rows.append(("one-step energy equality", worst_energy < 1e-12, f"max residual {worst_energy:.2e}"))
-    rows.append(("H1 sandwich of E_nu", worst_sandwich <= 1e-12, f"worst margin {-worst_sandwich:.2e}"))
-    rows.append(("inviscid gap bound", gap_ok, ""))
-    return rows
+    trajs = [evolve(random_sparse_field(conv, rng, n_modes=6, kmax=6), PulsedSystem(cat, nu, conv), 12)
+             for nu in (1e-1, 1e-3, 1e-6) for _ in range(10)]
+    energy, sandwich, gap = checks.identity_margins(trajs, 8)
+    return [
+        ("one-step energy equality", energy < 1e-12, f"max residual {energy:.2e}"),
+        ("H1 sandwich of E_nu", sandwich >= -1e-12, f"worst margin {sandwich:.2e}"),
+        ("inviscid gap bound", gap >= -1e-12, ""),
+    ]
 
 
 def _verify_lemmas(rng) -> List[tuple]:
-    rows = []
-    bad = []
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            for c in range(-3, 4):
-                for d in range(-3, 4):
-                    if a * d - b * c != 1:
-                        continue
-                    poly = (1, -(a + d), 1)
-                    roots = np.roots([1, -(a + d), 1])
-                    try:
-                        res = kronecker_classify(poly)
-                    except KroneckerViolation:
-                        bad.append((a, b, c, d))
-                        continue
-                    if np.max(np.abs(roots)) <= 1 + 1e-9 and res.kind != "all_roots_of_unity":
-                        bad.append((a, b, c, d))
-    rows.append(("Kronecker scan of SL2 box [-3,3]", not bad, f"{len(bad)} violations"))
-    cat = ToralAutomorphism(((2, 1), (1, 1)))
-    nf = verify_norm_form(cat, 200)
-    rows.append(
-        (
-            "nonvanishing integer norm form (r <= 200)",
-            nf["integer_form_ok"] and abs(nf["min_product"] - 0.2) < 1e-9,
-            f"min product {nf['min_product']:.6f}",
-        )
-    )
-    return rows
+    _, violations = checks.kronecker_box_scan(3)
+    nf = verify_norm_form(ToralAutomorphism(((2, 1), (1, 1))), 200)
+    nf_ok = nf["integer_form_ok"] and abs(nf["min_product"] - 0.2) < 1e-9
+    return [
+        ("Kronecker scan of SL2 box [-3,3]", not violations, f"{violations} violations"),
+        ("nonvanishing integer norm form (r <= 200)", nf_ok, f"min product {nf['min_product']:.6f}"),
+    ]
 
 
 def _verify_bounds(rng, report_path: Optional[str] = None) -> List[tuple]:
-    rows = []
-    # closed form vs bisection for the power law
-    nus = np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 20))
-    rate = RateFunction.power(1.0, 1.0, 1.0, 1.0)
-    profile = BoundProfile("H1", rate)
-    worst = 0.0
-    for nu in nus:
-        h_bis, _ = eval_H(profile, float(nu))
-        h_cf = h1_power_closed_form(1.0, 1.0, 1.0, 1.0, float(nu))
-        worst = max(worst, abs(h_bis - h_cf) / h_cf)
-    rows.append(("H1 power law: closed form vs bisection", worst < 1e-6, f"max rel diff {worst:.2e}"))
+    worst = checks.h1_bisection_error(np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 20)))
     count = lattice_count(2, 1e4)
     weyl = weyl_constant(2, scaling="lattice") * 1e4
-    rows.append(
-        ("Weyl constant vs direct lattice count", abs(count - weyl) / weyl < 0.01, f"count {count}, asym {weyl:.1f}")
-    )
     cat = ToralAutomorphism(((2, 1), (1, 1)))
     if report_path:
         with open(report_path) as fh:
-            payload = json.load(fh)
-        report = DissipationReport()
-        report.entries = payload["entries"]
+            report = DissipationReport(entries=json.load(fh)["entries"])
     else:
         report = dissipation_sweep(cat, np.exp(np.linspace(math.log(1e-4), math.log(1e-2), 5)), "exact")
-    env = strong_envelope(cat, 1.0, 1.0, 10)
-    fitted = fit_rate(env.n_values[1:], env.values[1:])
-    profile = BoundProfile("H1", fitted)
-    verdicts = check_bound(report, profile)
-    ok = all(v["satisfied"] for v in verdicts)
-    rows.append(("discrete strong bound tau_d <= 34/(nu H1)", ok, f"{len(verdicts)} points"))
-    return rows
+    _, verdicts = checks.strong_bound_verdicts(report, cat, 10)
+    return [
+        ("H1 power law: closed form vs bisection", worst < 1e-6, f"max rel diff {worst:.2e}"),
+        ("Weyl constant vs direct lattice count", abs(count - weyl) / weyl < 0.01, f"count {count}, asym {weyl:.1f}"),
+        ("discrete strong bound tau_d <= 34/(nu H1)", all(v["satisfied"] for v in verdicts), f"{len(verdicts)} points"),
+    ]
 
 
 def _verify_decay(rng) -> List[tuple]:
-    rows = []
     cat = ToralAutomorphism(((2, 1), (1, 1)))
     conv = SpectralConvention(2, "lattice")
     lam_plus = (3 + math.sqrt(5)) / 2
-    energies = operator_norm_energies(cat, 1e-6, 14)
-    fit_op = fit_energy_decay(energies, window=(4, 14))
-    ok1 = abs(fit_op.gamma_hat - lam_plus) / lam_plus < 0.05
-    rows.append(("worst-case decay gamma = lambda_+", ok1, f"gamma_hat {fit_op.gamma_hat:.4f}"))
-    theta0 = SpectralField(conv, {(1, 0): 1.0})
-    traj = evolve(theta0, PulsedSystem(cat, 1e-6, conv), 14)
-    fit_single = fit_energy_decay(traj, window=(4, 14))
-    ok2 = abs(fit_single.gamma_hat - lam_plus**2) / lam_plus**2 < 0.05
-    rows.append(("single-mode decay gamma = lambda_+^2", ok2, f"gamma_hat {fit_single.gamma_hat:.4f}"))
-    chain_ok = True
-    for _ in range(10):
-        theta0 = random_sparse_field(conv, rng, n_modes=5, kmax=5)
-        traj = evolve(theta0, PulsedSystem(cat, 1e-4, conv), 15)
-        chain_ok &= check_lower_bound_chain(traj, cat, 1e-4)["ok"]
-    rows.append(("double-exponential lower-bound chain", chain_ok, ""))
-    return rows
+    fit_op, fit_single = checks.decay_fits(cat, 1e-6, 14)
+    trajs = [evolve(random_sparse_field(conv, rng, n_modes=5, kmax=5), PulsedSystem(cat, 1e-4, conv), 15)
+             for _ in range(10)]
+    return [
+        ("worst-case decay gamma = lambda_+", abs(fit_op.gamma_hat - lam_plus) / lam_plus < 0.05,
+         f"gamma_hat {fit_op.gamma_hat:.4f}"),
+        ("single-mode decay gamma = lambda_+^2", abs(fit_single.gamma_hat - lam_plus**2) / lam_plus**2 < 0.05,
+         f"gamma_hat {fit_single.gamma_hat:.4f}"),
+        ("double-exponential lower-bound chain", not checks.chain_violations(trajs, cat, 1e-4), ""),
+    ]
 
 
 def _verify_cts(rng) -> List[tuple]:
-    rows = []
     flow = ShearFlow.sinusoidal()
     conv = SpectralConvention(2, "geometric")
     state = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, k1_max=8, grid_size=64, nu=1e-2, convention=conv)
-    d1 = float(np.sum(energy_identity_defects(state, flow, 1.0, 0.02)))
-    d2 = float(np.sum(energy_identity_defects(state, flow, 1.0, 0.01)))
-    rows.append(("energy identity defect is O(dt^2)", d1 / max(d2, 1e-300) > 2.5, f"ratio {d1 / d2:.2f}"))
+    d1, d2 = checks.cts_energy_defects(state, flow, 1.0, 0.02)
     gap = transport_gap_cts(state, flow, 1e-3, 2.0)
-    rows.append(("transport gap bound", gap["gap_sq"] <= gap["bound"], f"{gap['gap_sq']:.3e} <= {gap['bound']:.3e}"))
-    return rows
+    return [
+        ("energy identity defect is O(dt^2)", d1 / max(d2, 1e-300) > 2.5, f"ratio {d1 / d2:.2f}"),
+        ("transport gap bound", gap["gap_sq"] <= gap["bound"], f"{gap['gap_sq']:.3e} <= {gap['bound']:.3e}"),
+    ]
 
 
 def _cmd_verify(args) -> int:
@@ -366,12 +280,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"unknown suite {args.suite!r} (choose from {sorted(suites)})")
     rows = suites[args.suite](rng)
     width = max(len(r[0]) for r in rows) + 2
-    failed = 0
     for name, ok, detail in rows:
-        status = "pass" if ok else "FAIL"
-        failed += 0 if ok else 1
-        print(f"{name:<{width}} {status}   {detail}")
-    return 0 if failed == 0 else 1
+        print(f"{name:<{width}} {'pass' if ok else 'FAIL'}   {detail}")
+    return 0 if all(ok for _, ok, _ in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +295,13 @@ def _add_common(sub, matrix=True):
     sub.add_argument("--convention", default="lattice", choices=["lattice", "geometric"])
     sub.add_argument("--dim", type=int, help="defaults to the --matrix dimension, else 2")
     sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_tau_grid(sub):
+    _add_common(sub)
+    sub.add_argument("--nu-grid", required=True, help="lo:hi:points (log spaced)")
+    sub.add_argument("--method", default="exact", choices=["exact", "operator"])
+    sub.add_argument("--out", default="report.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,11 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", required=True, help="field JSON path or mode:k1,k2")
     p.add_argument("--out", default="trajectory.csv")
 
-    p = add_parser("dissipation-time", help="tau_d over a nu grid")
-    _add_common(p)
-    p.add_argument("--nu-grid", required=True, help="lo:hi:points (log spaced)")
-    p.add_argument("--method", default="exact", choices=["exact", "operator"])
-    p.add_argument("--out", default="report.json")
+    _add_tau_grid(add_parser("dissipation-time", help="tau_d over a nu grid"))
 
     p = add_parser("mixing-rate", help="strong envelope or weak Cesaro series")
     _add_common(p)
@@ -443,12 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="check an existing dissipation report (bounds suite)")
 
-    p = add_parser("sweep", help="dissipation-time over a worker pool")
-    _add_common(p)
-    p.add_argument("--nu-grid", required=True)
-    p.add_argument("--method", default="exact", choices=["exact", "operator"])
-    p.add_argument("--jobs", type=int, default=None, help="defaults to DISSLAB_JOBS or 1")
-    p.add_argument("--out", default="report.json")
+    p = add_parser("sweep", help="alias of dissipation-time")
+    _add_tau_grid(p)
+    p.add_argument("--jobs", type=int, help="ignored: one walk over n serves the whole grid")
 
     return parser
 
@@ -475,7 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _apply_config(args, parser, argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "dissipation-time":
+        if args.command in ("dissipation-time", "sweep"):
             return _cmd_dissipation_time(args)
         if args.command == "mixing-rate":
             return _cmd_mixing_rate(args)
@@ -485,9 +396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_cts(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "sweep":
-            jobs = args.jobs or int(os.environ.get("DISSLAB_JOBS", "1"))
-            return _cmd_dissipation_time(args, jobs=jobs)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

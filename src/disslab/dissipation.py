@@ -256,17 +256,23 @@ def _first_passages(min_sums: Iterator[float], thresholds: Sequence[float], n_ma
             raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")
 
 
-def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
-                convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
-    """tau_d over a nu grid from one walk of the route's min S_n stream."""
-    if convention is None:
-        convention = SpectralConvention(automorphism.dimension, "lattice")
+def _thresholds(nus: Sequence[float], convention: SpectralConvention) -> List[float]:
+    """1/(nu * scale) per nu; a nu that is not finite and positive, or whose threshold overflows, is refused."""
     bad = [nu for nu in nus if not 0 < nu < math.inf]
     if bad:
         raise ValueError(f"nu must be finite and positive, got nu = {bad[0]}")
     thresholds = [1.0 / (float(nu) * convention.scale_factor) for nu in nus]
     if math.inf in thresholds:  # never passed: the walk would run to n_max
         raise ValueError(f"nu = {nus[thresholds.index(math.inf)]} is too small: 1/(nu * scale) overflows float64")
+    return thresholds
+
+
+def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
+                convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
+    """tau_d over a nu grid from one walk of the route's min S_n stream."""
+    if convention is None:
+        convention = SpectralConvention(automorphism.dimension, "lattice")
+    thresholds = _thresholds(nus, convention)
     if method == "exact":
         if not automorphism.conditions().c1_no_root_of_unity:
             raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
@@ -349,9 +355,7 @@ def tau_d_operator(
     By ``_orbit_minima`` that is the first n with sigma_n < 1/e, decided in
     exact integers, so ties agree with the exact route.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    return _first_passages(_orbit_minima(koopman), [1.0 / (nu * convention.scale_factor)], n_max)[0]
+    return _first_passages(_orbit_minima(koopman), _thresholds([nu], convention), n_max)[0]
 
 
 def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,
@@ -491,14 +495,6 @@ class DissipationReport:
     fit: Optional[LineFit] = None
     bound_checks: List[dict] = field(default_factory=list)
 
-    @classmethod
-    def from_entries(cls, entries: List[dict]) -> "DissipationReport":
-        """Report over ``entries`` (grid order) with the |ln nu| fit when >= 2 points."""
-        report = cls(entries=entries)
-        if len(entries) >= 2:
-            report.fit = line_fit(np.abs(np.log(report.nus)), report.taus.astype(float))
-        return report
-
     @property
     def nus(self) -> np.ndarray:
         return np.array([e["nu"] for e in self.entries])
@@ -535,6 +531,7 @@ def dissipation_sweep(
     route builds one mode ball, for the grid's smallest nu.
     """
     taus = _tau_d_grid(automorphism, nus, method, convention)
-    return DissipationReport.from_entries(
-        [{"nu": float(nu), "tau_d": int(tau), "method": method} for nu, tau in zip(nus, taus)]
-    )
+    report = DissipationReport([{"nu": float(nu), "tau_d": int(tau), "method": method} for nu, tau in zip(nus, taus)])
+    if len(report.entries) >= 2:
+        report.fit = line_fit(np.abs(np.log(report.nus)), report.taus.astype(float))
+    return report

@@ -118,7 +118,7 @@ class SpectralField:
         return self.coefficients.keys()
 
     def amplitude(self, mode: Iterable[int]) -> complex:
-        return self.coefficients.get(tuple(int(c) for c in mode), 0j)
+        return self.coefficients.get(_check_mode(mode, self.convention.dimension), 0j)
 
     def norm_sq(self) -> float:
         """Parseval: squared L^2 norm is the sum of squared magnitudes."""

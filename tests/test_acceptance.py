@@ -9,29 +9,21 @@ import math
 import numpy as np
 import pytest
 
-from disslab.bounds import BoundProfile, check_bound, eval_H, h1_power_closed_form
-from disslab.dissipation import (
-    check_lower_bound_chain,
-    dissipation_sweep,
-    fit_energy_decay,
-    operator_norm_energies,
-    tau_d_exact,
-    tau_d_operator_catmap,
-)
+from disslab import checks
+from disslab.dissipation import dissipation_sweep, tau_d_exact, tau_d_operator_catmap
 from disslab.fields import SpectralConvention, SpectralField, random_sparse_field
 from disslab.fitting import line_fit
 from disslab.mixing import (
     RateFunction,
-    fit_rate,
     strong_envelope,
     transfer_exponents,
     transfer_rate,
     weak_cesaro,
     weak_rate_envelope,
 )
-from disslab.pulsed import PulsedSystem, evolve, inviscid_gap
-from disslab.shear import CtsState, ShearFlow, energy_identity_defects, tau_d_cts, transport_gap_cts
-from disslab.toral import ToralAutomorphism, kronecker_classify, poly_roots, verify_norm_form
+from disslab.pulsed import PulsedSystem, evolve
+from disslab.shear import CtsState, ShearFlow, tau_d_cts, transport_gap_cts
+from disslab.toral import ToralAutomorphism, verify_norm_form
 
 LAM_PLUS = (3 + math.sqrt(5)) / 2
 BATTERY_NUS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -66,6 +58,12 @@ def battery(cat, conv):
 
 
 @pytest.fixture(scope="module")
+def identity_margins(battery):
+    """Worst energy residual, sandwich margin and gap margin over all 600 runs."""
+    return checks.identity_margins((traj for runs in battery[1].values() for traj in runs), N_STEPS)
+
+
+@pytest.fixture(scope="module")
 def exact_sweep(cat):
     nus = np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 13))
     return dissipation_sweep(cat, nus, "exact")
@@ -84,30 +82,18 @@ def cts_results():
     return flow, geo, nus, np.array(taus)
 
 
-def test_criterion_01_energy_identity(battery):
-    worst = 0.0
-    for runs in battery[1].values():
-        for traj in runs:
-            worst = max(worst, float(np.max(traj.energy_identity_residuals())))
+def test_criterion_01_energy_identity(identity_margins):
+    worst = identity_margins[0]
     report(1, worst < 1e-12, f"one-step energy equality, max relative residual {worst:.2e}")
 
 
-def test_criterion_02_sandwich(battery):
-    worst = math.inf
-    for runs in battery[1].values():
-        for traj in runs:
-            lower, upper = traj.sandwich_residuals()
-            worst = min(worst, float(np.min(lower)), float(np.min(upper)))
+def test_criterion_02_sandwich(identity_margins):
+    worst = identity_margins[1]
     report(2, worst >= -1e-12, f"H1 sandwich of E_nu, worst relative margin {worst:.2e}")
 
 
-def test_criterion_03_inviscid_gap(cat, conv, battery):
-    fields, _ = battery
-    worst = math.inf
-    for nu in BATTERY_NUS:
-        for f in fields[:25]:  # every field appears across the nu grid
-            res = inviscid_gap(f, PulsedSystem(cat, nu, conv), N_STEPS)
-            worst = min(worst, res["bound"] - res["gap"])
+def test_criterion_03_inviscid_gap(identity_margins):
+    worst = identity_margins[2]
     report(3, worst >= -1e-12, f"transport-gap bound, worst margin {worst:.2e}")
 
 
@@ -146,12 +132,8 @@ def test_criterion_05_log_scaling(exact_sweep):
     report(5, ok, f"tau_d vs |ln nu| slope {fit.slope:.4f} (target {slope_target:.4f}), r^2 {fit.r_squared:.4f}")
 
 
-def test_criterion_06_double_exponential_decay(cat, conv):
-    energies = operator_norm_energies(cat, 1e-6, 14)
-    fit_op = fit_energy_decay(energies, window=(4, 14))
-    theta = SpectralField(conv, {(1, 0): 1.0})
-    traj = evolve(theta, PulsedSystem(cat, 1e-6, conv), 14)
-    fit_single = fit_energy_decay(traj, window=(4, 14))
+def test_criterion_06_double_exponential_decay(cat):
+    fit_op, fit_single = checks.decay_fits(cat, 1e-6, 14)
     ok = (
         abs(fit_op.gamma_hat - LAM_PLUS) / LAM_PLUS < 0.05
         and abs(fit_single.gamma_hat - LAM_PLUS**2) / LAM_PLUS**2 < 0.05
@@ -162,12 +144,7 @@ def test_criterion_06_double_exponential_decay(cat, conv):
 
 
 def test_criterion_07_lower_bound_chain(cat, battery):
-    failures = []
-    for nu, runs in battery[1].items():
-        for traj in runs:
-            res = check_lower_bound_chain(traj, cat, nu, slack=1e-9)
-            if not res["ok"]:
-                failures.append((nu, res))
+    failures = [res for nu, runs in battery[1].items() for res in checks.chain_violations(runs, cat, nu, slack=1e-9)]
     report(7, not failures, f"per-step decay chain with 1e-9 slack, {len(failures)} violations")
 
 
@@ -202,18 +179,10 @@ def test_criterion_09_weak_mixing(cat, conv):
 
 
 def test_criterion_10_bound_consistency(cat, exact_sweep):
-    env = strong_envelope(cat, 1.0, 1.0, 12)
-    fitted = fit_rate(env.n_values[1:], env.values[1:])
+    fitted, verdicts = checks.strong_bound_verdicts(exact_sweep, cat, 12)
     assert fitted.kind == "exponential"
-    verdicts = check_bound(exact_sweep, BoundProfile("H1", fitted))
     bound_ok = all(v["satisfied"] for v in verdicts)
-
-    profile = BoundProfile("H1", RateFunction.power(1.0, 1.0, 1.0, 1.0))
-    worst = 0.0
-    for nu in np.logspace(-8, -2, 20):
-        h_bis, _ = eval_H(profile, float(nu))
-        h_cf = h1_power_closed_form(1.0, 1.0, 1.0, 1.0, float(nu))
-        worst = max(worst, abs(h_bis - h_cf) / h_cf)
+    worst = checks.h1_bisection_error(np.logspace(-8, -2, 20))
     report(10, bound_ok and worst < 1e-6,
            f"tau_d <= 34/(nu H1) at {len(verdicts)} sweep points; "
            f"closed form vs bisection max rel diff {worst:.2e}")
@@ -239,20 +208,7 @@ def test_criterion_11_trivial_bound(cat, exact_sweep, cts_results):
 
 
 def test_criterion_12_number_theory(cat):
-    violations = 0
-    checked = 0
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            for c in range(-3, 4):
-                for d in range(-3, 4):
-                    if a * d - b * c != 1:
-                        continue
-                    checked += 1
-                    p = (1, -(a + d), 1)
-                    res = kronecker_classify(p)
-                    in_disk = float(np.max(np.abs(poly_roots(p)))) <= 1 + 1e-9
-                    if in_disk != (res.kind == "all_roots_of_unity"):
-                        violations += 1
+    checked, violations = checks.kronecker_box_scan(3)
     nf = verify_norm_form(cat, 200)
     ok = (
         violations == 0
@@ -266,8 +222,7 @@ def test_criterion_12_number_theory(cat):
 def test_criterion_13_continuous_time(cts_results):
     flow, geo, nus, taus = cts_results
     state = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, 16, 64, 1e-2, geo)
-    d_coarse = float(np.sum(energy_identity_defects(state, flow, 1.0, 0.02)))
-    d_fine = float(np.sum(energy_identity_defects(state, flow, 1.0, 0.01)))
+    d_coarse, d_fine = checks.cts_energy_defects(state, flow, 1.0, 0.02)
     second_order = 2.5 < d_coarse / d_fine < 6.0
 
     gap = transport_gap_cts(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, geo), flow, 1e-3, 2.0)

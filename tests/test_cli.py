@@ -92,7 +92,7 @@ def test_sweep_matches_serial(tmp_path):
         parallel = tmp_path / f"parallel-{label}.json"
         assert run_cli(["dissipation-time", *base, "--out", str(serial)]) == 0
         assert run_cli(["sweep", *base, "--jobs", "2", "--out", str(parallel)]) == 0
-        # two grid slices, each walked on its own, must merge to the one-walk bytes
+        # sweep is an alias of dissipation-time and ignores --jobs
         assert serial.read_bytes() == parallel.read_bytes()
         assert serial.with_suffix(".csv").read_bytes() == parallel.with_suffix(".csv").read_bytes()
 
@@ -246,6 +246,22 @@ def test_verify_identities_evolves_each_field_once(monkeypatch):
     monkeypatch.setattr(pulsed, "evolve", counted)
     assert run_cli(["verify", "identities"]) == 0
     assert steps == [12] * 30
+
+
+def test_verify_identities_prints_the_worst_sandwich_margin(monkeypatch, capsys):
+    from disslab import checks
+
+    margins, measure = [], checks.identity_margins
+
+    def recorded(trajs, gap_step):
+        margins.append(measure(trajs, gap_step))
+        return margins[-1]
+
+    monkeypatch.setattr(checks, "identity_margins", recorded)
+    assert run_cli(["verify", "identities"]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("H1 sandwich of E_nu"))
+    assert margins[0][1] > 0
+    assert line.split()[-1] == f"{margins[0][1]:.2e}"
 
 
 def test_verify_bounds_rejects_corrupted_report(tmp_path):
@@ -428,22 +444,29 @@ def test_oversized_scans_are_validation_errors(capped_memory, cat, scan):
         scan(cat)
 
 
-def test_cts_and_verify_cts_never_import_numpy_ma(tmp_path):
+@pytest.mark.parametrize("commands, forbidden", [
     # np.unique loads numpy.ma lazily, about 1 MB of resident memory; the
     # shear route and its verify suite must run without it
+    ([["cts", "--nu-grid", "1e-2:1e-3:2", "--k1max", "4", "--ygrid", "32", "--out", "{tmp}/cts.csv"],
+      ["verify", "cts"]], ["numpy.ma"]),
+    # one walk over n serves a whole nu grid, so no command starts a process pool
+    ([["sweep", "--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:4", "--jobs", "2", "--out", "{tmp}/sweep.json"],
+      ["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:4", "--out", "{tmp}/report.json"]],
+     ["concurrent.futures.process", "multiprocessing"]),
+], ids=["numpy-ma", "process-pool"])
+def test_commands_never_import(tmp_path, commands, forbidden):
     src = Path(__file__).resolve().parents[1] / "src"
+    argvs = [[arg.format(tmp=tmp_path) for arg in argv] for argv in commands]
     script = (
         "import sys\n"
         "from disslab.cli import main\n"
-        f"assert main(['cts', '--nu-grid', '1e-2:1e-3:2', '--k1max', '4', '--ygrid', '32', "
-        f"'--out', {str(tmp_path / 'cts.csv')!r}]) == 0\n"
-        "assert main(['verify', 'cts']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
+        f"print([name for name in {forbidden!r} if name in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_shell_counts_past_the_work_limit_are_validation_errors(monkeypatch):

@@ -364,6 +364,15 @@ def test_tau_d_operator_identity_is_heat():
     assert tau == math.ceil(1.0 / nu)
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, 5e-324, 0.0, -1.0])
+def test_tau_d_operator_rejects_bad_nu(cat, lattice2, nu):
+    # the grid routes' checks: nan used to walk the whole horizon, inf to
+    # return 1, and 5e-324 (threshold 1/nu overflows) to fail numerically
+    koopman = TruncatedKoopman.from_automorphism(cat, 10)
+    with pytest.raises(ValueError, match="nu"):
+        tau_d_operator(koopman, nu, lattice2)
+
+
 @st.composite
 def c1_automorphisms(draw, dimension):
     """SL_d(Z) matrices as products of elementary row operations, filtered to C1."""

@@ -47,6 +47,14 @@ def test_mode_zero_rejected(lattice2):
         SpectralField(lattice2, {(0, 0): 1.0})
 
 
+@pytest.mark.parametrize("mode", [(1.7, 0), (1, 0, 0)], ids=["fractional", "wrong-dimension"])
+def test_amplitude_checks_its_mode(lattice2, mode):
+    f = SpectralField(lattice2, {(1, 0): 1.0})
+    assert f.amplitude((1, 0)) == 1.0
+    with pytest.raises(ValueError, match="mode"):
+        f.amplitude(mode)
+
+
 def test_parseval(lattice2, rng):
     for _ in range(20):
         f = random_sparse_field(lattice2, rng)
