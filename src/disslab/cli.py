@@ -28,7 +28,7 @@ from .dissipation import DissipationReport, dissipation_sweep
 from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
 from .mixing import RateFunction, strong_envelope, weak_series
 from .pulsed import PulsedSystem, evolve
-from .shear import CtsState, ShearFlow, tau_d_cts, transport_gap_cts
+from .shear import NU_DESK, CtsState, ShearFlow, tau_d_cts, transport_gap_cts
 from .toral import ToralAutomorphism, verify_norm_form
 
 CSV_VERSION = "disslab-csv v1"
@@ -95,6 +95,8 @@ def _parse_shear(text: str) -> ShearFlow:
     if text.startswith("coeffs:"):
         # alternating cos/sin coefficients per harmonic: a1,b1,a2,b2,...
         vals = [float(v) for v in text[len("coeffs:") :].split(",")]
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"--shear coefficients must be finite, got {text!r}")
         cos = tuple(vals[0::2])
         sin = tuple(vals[1::2])
         return ShearFlow(cos_coeffs=cos, sin_coeffs=sin, nondegenerate_critical_points=False)
@@ -178,10 +180,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_cts(args) -> int:
     flow = _parse_shear(args.shear)
     conv = SpectralConvention(2, args.convention if args.convention else "geometric")
+    # the written ends must lie in the desk range; the log-spaced points may
+    # round just past it (exp(log 0.1) = 0.10000000000000002) and are clamped
+    lo, hi = NU_DESK
     nus = _parse_nu_grid(args.nu_grid)
+    if not all(lo <= float(end) <= hi for end in args.nu_grid.split(":")[:2]):
+        raise ValueError(f"nu outside the supported desk range [1e-4, 1e-1]: {args.nu_grid!r}")
     rows = []
     hint = None
-    for nu in sorted(nus, reverse=True):  # large nu first: cheap, seeds the hint
+    for nu in sorted(np.clip(nus, lo, hi), reverse=True):  # large nu first: cheap, seeds the hint
         tau = tau_d_cts(
             flow, float(nu), conv, k1_max=args.k1max, grid_size=args.ygrid,
             dt_target=args.dt, t_hint=hint,

@@ -17,7 +17,10 @@ matrices, equal singular values, and one matrix per |k1| is built.
 Advection is unitary and diffusion contracts band k1 by at most its heat
 factor exp(-nu scale k1^2 t), so a band whose heat factor lies below a
 norm already found cannot set the maximum and is never built
-(``cts_norm``).
+(``cts_norm``).  The dissipation time asks only whether the norm reaches
+1/e: ``cts_norm_reaches`` stops at the first band that reaches it and
+never builds a band whose heat factor lies below it.  Both walk the bands
+through one generator, ``_band_walk``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 from .fields import SpectralConvention
 
 _E_INV = 1.0 / math.e
+NU_DESK = (1e-4, 1e-1)  # the nu range tau_d_cts supports
 
 
 @dataclass(frozen=True)
@@ -296,48 +300,92 @@ def energy_identity_defects(
 # dissipation time and the transport gap
 # ---------------------------------------------------------------------------
 
-def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> float:
-    """Exact 2-norm of the time-t map of ``evolve_cts`` on the state's bands.
+def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
+    """The bands of the time-t map of ``evolve_cts``, by increasing |k1|.
+
+    Yields (padded heat bound, norm) per distinct |k1|, where norm() builds
+    the band and returns its exact 2-norm.  Consumers read the bound first
+    and build only the bands they need; a band map that is not finite
+    raises ``RuntimeError``, so a NaN never reads as a small norm.
 
     The shear u = (v(y), 0) never couples x-bands, so the map is block
     diagonal: each band's fused Strang step S = H diag(phase) H is an M x M
     matrix (H the half-step diffusion), built by stepping the unit vectors,
-    and the time-t map is S^steps.  The norm is the largest band norm over
-    all signed k1 of the state.
+    and the time-t map is S^steps.
 
     H is real, since its Fourier multiplier is real and even in m, and the
     phase of band -k1 is the complex conjugate of the phase of band k1.  So
     S(-k1) = conj S(k1), S(-k1)^steps = conj(S(k1)^steps), and both have
     the same singular values: one matrix is built per distinct |k1|, with
-    k1 = +|k1|, and still gives the maximum over every signed band.
+    k1 = +|k1|, and stands for every signed band.
 
     H is unitarily similar to its damping diagonal, whose largest entry is
     exp(-nu scale k1^2 dt / 2) at m = 0, and the phase is unitary, so
-    ||S^steps|| <= exp(-nu scale k1^2 t).  Bands are visited by increasing
-    |k1|, and a band whose heat factor lies below the largest norm found so
-    far is skipped: it cannot change the maximum, which is returned bit for
-    bit.  The factor is padded for rounding by 1e-12 + 4 steps eps relative:
-    the rounded damping is raised to the power 2 steps, and computed band
-    norms exceed the heat factor by up to 1.7 steps eps.  Bands are handled
-    one at a time, which keeps the working set at a few M x M matrices.
+    ||S^steps|| <= exp(-nu scale k1^2 t), the band's heat factor.  The
+    factor is padded for rounding by 1e-12 + 4 steps eps relative: the
+    rounded damping is raised to the power 2 steps, and computed band norms
+    exceed the heat factor by up to 1.7 steps eps.  Heat factors fall with
+    |k1|, so once a bound lies below a threshold every later one does too.
+    Bands are built one at a time, which keeps the working set at a few
+    M x M matrices.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     _check_dt(dt_target)
     steps = max(1, math.ceil(t / dt_target))
-    m = state.grid_size
     scale = state.convention.scale_factor
     pad = 1.0 + 1e-12 + 4.0 * steps * sys.float_info.epsilon
-    units = np.eye(m)[:, None, :]  # (M, 1, M): one single-band state per unit vector
-    norms = []
-    for k1 in sorted(set(np.abs(state.k1).tolist())):  # not np.unique, which imports numpy.ma
-        if math.exp(-state.nu * scale * k1 * k1 * t) * pad < max(norms, default=0.0):
-            continue
+    units = np.eye(state.grid_size)[:, None, :]  # (M, 1, M): one single-band state per unit vector
+
+    def norm(k1: int) -> float:
         band = CtsState(state.convention, state.nu, np.array([k1], dtype=np.int64), state.data[:1])
-        stepper = _Stepper(flow, band, t / steps)
-        strang = stepper.strang(units)[:, 0, :].T  # column j is the step applied to e_j
-        norms.append(np.linalg.norm(np.linalg.matrix_power(strang, steps), 2))
+        strang = _Stepper(flow, band, t / steps).strang(units)[:, 0, :].T  # column j is the step applied to e_j
+        power = np.linalg.matrix_power(strang, steps)
+        # a NaN entry would stop the SVD with LinAlgError, a ValueError, and an inf one gives a NaN norm
+        if not np.isfinite(power).all():
+            raise RuntimeError(f"solution map norm at t = {t} is not finite")
+        return float(np.linalg.norm(power, 2))
+
+    for k1 in sorted(set(np.abs(state.k1).tolist())):  # not np.unique, which imports numpy.ma
+        yield math.exp(-state.nu * scale * k1 * k1 * t) * pad, lambda k1=k1: norm(k1)
+
+
+def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> float:
+    """Exact 2-norm of the time-t map of ``evolve_cts`` on the state's bands.
+
+    The norm is the largest band norm over all signed k1 of the state (see
+    ``_band_walk``).  The walk stops at the first band whose padded heat
+    factor lies below the largest norm found so far: that band and every
+    later one cannot change the maximum, which is returned bit for bit.
+    ``tau_d_cts`` does not call this; it needs only ``cts_norm_reaches``.
+    """
+    norms = []
+    for bound, norm in _band_walk(state, flow, t, dt_target):
+        if bound < max(norms, default=0.0):
+            break
+        norms.append(norm())
     return float(np.max(norms))
+
+
+def cts_norm_reaches(state: CtsState, flow: ShearFlow, t: float, level: float, dt_target: float = 0.02) -> bool:
+    """Whether ``cts_norm(state, flow, t, dt_target) >= level``, decided without the maximum.
+
+    The walk returns True at the first band whose norm is >= level, and
+    False at the first band whose padded heat factor is < level: that
+    band's norm and every later one's lie at or below their padded heat
+    factors, hence below the level.  Each band it builds is built as
+    ``cts_norm`` builds it and gives the same float, and ``cts_norm`` builds
+    every band this walk builds (none of them has reached the level, so the
+    running maximum stays below it and below their bounds).  So the answer
+    equals the comparison of the maximum with the level, bit for bit, on
+    the same rounding assumption on which ``cts_norm`` skips bands.
+    """
+    for bound, norm in _band_walk(state, flow, t, dt_target):
+        if bound < level:
+            return False
+        if norm() >= level:
+            return True
+    return False
 
 
 def tau_d_cts(
@@ -353,13 +401,19 @@ def tau_d_cts(
     """Continuous dissipation time: smallest t with operator norm < 1/e.
 
     The flow is time independent, so the sup over start times in the
-    definition is vacuous.  The norm at each t is the exact norm of the
-    discretized solution map (``cts_norm``); t is then located by bracket
-    doubling and bisection to 1% relative.  A start past tau_d is walked
-    down by halving; a walk that reaches t = 1e-6 without a norm >= 1/e
-    raises ``RuntimeError`` instead of bisecting an invalid bracket.
+    definition is vacuous.  The norm sigma(t) is the exact norm of the
+    discretized solution map (``cts_norm``), and the search uses it only
+    through sigma(t) >= 1/e: each probe is decided by ``cts_norm_reaches``,
+    which stops at the first band that reaches 1/e and never builds a band
+    whose heat bound lies below it.  Each decision equals the comparison of
+    the full maximum with 1/e, so the probes and the result are those of
+    the maximum.  t is located by bracket doubling and bisection to 1%
+    relative.  A start past tau_d is walked down by halving; a walk that
+    reaches t = 1e-6 without a norm >= 1/e raises ``RuntimeError`` instead
+    of bisecting an invalid bracket, and so does a band norm that is not
+    finite.
     """
-    if not 1e-4 <= nu <= 1e-1:
+    if not NU_DESK[0] <= nu <= NU_DESK[1]:
         raise ValueError("nu outside the supported desk range [1e-4, 1e-1]")
     if k1_max > 32 or grid_size > 128:
         raise ValueError("truncation exceeds the supported range (K1 <= 32, M <= 128)")
@@ -372,17 +426,14 @@ def tau_d_cts(
     template = CtsState(conv, nu, k1, np.zeros((k1.size, grid_size), dtype=complex))
     _check_grid(flow, template)
 
-    def sigma(t: float) -> float:
-        val = cts_norm(template, flow, t, dt_target=dt_target)
-        if not math.isfinite(val):
-            raise RuntimeError(f"solution map norm at t = {t} is not finite")
-        return val
+    def reaches(t: float) -> bool:  # sigma(t) >= 1/e
+        return cts_norm_reaches(template, flow, t, _E_INV, dt_target=dt_target)
 
     lam1 = template.lambda_1()
     t_cap = 1.2 / (nu * lam1) + 1.0  # trivial heat bound, padded
     hi = min(t_hint or 1.0, t_cap)
     doubled = False
-    while sigma(hi) >= _E_INV:
+    while reaches(hi):
         hi *= 2.0
         doubled = True
         if hi > 4.0 * t_cap:
@@ -390,14 +441,14 @@ def tau_d_cts(
     lo = hi / 2.0  # after doubling, the previous hi: its norm is already >= 1/e
     if not doubled:
         # the start may overshoot: walk the bracket down
-        while sigma(lo) < _E_INV:
+        while not reaches(lo):
             if lo <= 1e-6:
                 raise RuntimeError(f"norm below 1/e already at t = {lo:.3g}: no valid bracket")
             hi = lo
             lo /= 2.0
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if sigma(mid) < _E_INV:
+        if not reaches(mid):
             hi = mid
         else:
             lo = mid

@@ -304,6 +304,10 @@ def test_readme_cts_artifact_pinned(tmp_path):
     ("--ygrid", "-64", "M must be a power of two, at least 2, got -64"),
     ("--ygrid", "0", "M must be a power of two, at least 2, got 0"),
     ("--ygrid", "1", "M must be a power of two, at least 2, got 1"),
+    ("--nu-grid", "1e-5:1e-2:2", "nu outside the supported desk range"),
+    ("--shear", "coeffs:nan,1", "--shear coefficients must be finite"),
+    ("--shear", "coeffs:inf", "--shear coefficients must be finite"),
+    ("--shear", "coeffs:0.3,-inf", "--shear coefficients must be finite"),
 ])
 def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
     out = tmp_path / "cts.csv"
@@ -315,9 +319,28 @@ def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
 def test_cts_without_bracket_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     from disslab import shear
 
-    monkeypatch.setattr(shear, "cts_norm", lambda *args, **kwargs: 0.1)
+    monkeypatch.setattr(shear, "cts_norm_reaches", lambda *args, **kwargs: False)
     assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--out", str(tmp_path / "cts.csv")]) == 3
     assert "no valid bracket" in capsys.readouterr().err
+
+
+def test_cts_band_map_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    from disslab import shear
+
+    monkeypatch.setattr(shear._Stepper, "strang", lambda self, data: np.full_like(data, np.nan))
+    out = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["1e-2:1e-1:2", "1e-1:1e-2:2"])
+def test_cts_grid_may_end_at_the_desk_edge(tmp_path, grid):
+    # exp(log 0.1) rounds to 0.10000000000000002, just past the desk range
+    out = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--nu-grid", grid, "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[2:]] == [
+        "0.010000000000000004", "0.10000000000000001"]
 
 
 def test_scan_values_pinned(cat):

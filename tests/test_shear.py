@@ -13,6 +13,7 @@ from disslab.shear import (
     ShearFlow,
     advect_exact,
     cts_norm,
+    cts_norm_reaches,
     cts_step,
     energy_identity_defects,
     evolve_cts,
@@ -248,23 +249,79 @@ def test_energy_identity_defects_match_the_cts_step_loop(convention, zero_band, 
 
 def test_tau_d_cts_evaluates_each_time_once(flow, conv, monkeypatch):
     times = []
-    norm = shear.cts_norm
+    reaches = shear.cts_norm_reaches
 
-    def recording(state, flow, t, dt_target=0.02):
+    def recording(state, flow, t, level, dt_target=0.02):
         times.append(t)
-        return norm(state, flow, t, dt_target)
+        return reaches(state, flow, t, level, dt_target)
 
-    monkeypatch.setattr(shear, "cts_norm", recording)
+    monkeypatch.setattr(shear, "cts_norm_reaches", recording)
     for hint in (None, 0.3, 9.0):  # doubling from 1, doubling from a short hint, walking down
         times.clear()
         tau_d_cts(flow, 1e-2, conv, k1_max=4, grid_size=32, t_hint=hint)
+        assert times
         assert len(times) == len(set(times))
 
 
 def test_tau_d_cts_walk_down_without_bracket_raises(flow, conv, monkeypatch):
-    monkeypatch.setattr(shear, "cts_norm", lambda *args, **kwargs: 0.1)
+    monkeypatch.setattr(shear, "cts_norm_reaches", lambda *args, **kwargs: False)
     with pytest.raises(RuntimeError, match="no valid bracket"):
         tau_d_cts(flow, 1e-2, conv)
+
+
+def test_tau_d_cts_rejects_a_band_map_that_is_not_finite(flow, conv, monkeypatch):
+    # the SVD stops on a NaN with LinAlgError, a ValueError: the walk must
+    # report a numerical failure, never a norm below 1/e or a bad input
+    monkeypatch.setattr(shear._Stepper, "strang", lambda self, data: np.full_like(data, np.nan))
+    with pytest.raises(RuntimeError, match="not finite"):
+        tau_d_cts(flow, 1e-2, conv)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    nu=st.floats(1e-4, 1e-1),
+    t=st.floats(0.05, 20.0),
+    k1_max=st.integers(1, 8),
+    grid=st.sampled_from([32, 64]),
+    convention=st.sampled_from(["geometric", "lattice"]),
+    zero_band=st.booleans(),
+    sheared=st.booleans(),
+    level=st.sampled_from(["sigma", "below", "above", "1/e"]),
+)
+@example(nu=3e-3, t=200.0, k1_max=2, grid=32, convention="lattice", zero_band=True, sheared=False, level="sigma")
+@example(nu=3e-4, t=200.0, k1_max=2, grid=64, convention="geometric", zero_band=True, sheared=False, level="above")
+@example(nu=1e-2, t=1.08, k1_max=16, grid=64, convention="geometric", zero_band=False, sheared=True, level="1/e")
+def test_cts_norm_reaches_decides_as_the_maximum(nu, t, k1_max, grid, convention, zero_band, sheared, level):
+    # the decision walk must answer sigma >= level exactly as the maximum
+    # does, also at sigma itself and one float to either side of it
+    flow = ShearFlow.sinusoidal() if sheared else ShearFlow()
+    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention),
+                                   include_zero_x_band=zero_band)
+    sigma = cts_norm(template, flow, t)
+    level = {"sigma": sigma, "below": math.nextafter(sigma, -math.inf),
+             "above": math.nextafter(sigma, math.inf), "1/e": 1.0 / math.e}[level]
+    assert cts_norm_reaches(template, flow, t, level) == (sigma >= level)
+
+
+def test_readme_cts_grid_builds_60_band_matrices(monkeypatch, tmp_path):
+    # 41 decisions on the README grid; the full maximum built 87 band matrices
+    built, decisions = [], []
+    reaches = shear.cts_norm_reaches
+
+    class Counting(shear._Stepper):
+        def __init__(self, flow, state, dt):
+            built.append(state.k1.tolist())
+            super().__init__(flow, state, dt)
+
+    def recording(*args, **kwargs):
+        decisions.append(args[2])
+        return reaches(*args, **kwargs)
+
+    monkeypatch.setattr(shear, "_Stepper", Counting)
+    monkeypatch.setattr(shear, "cts_norm_reaches", recording)
+    assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
+                     "--out", str(tmp_path / "cts.csv")]) == 0
+    assert (len(decisions), len(built)) == (41, 60)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.02, math.inf, math.nan])
