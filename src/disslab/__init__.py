@@ -12,7 +12,7 @@ rate into a dissipation-time bound.
 
 from .fields import SpectralConvention, SpectralField, sobolev_norm, dissipation_functional
 from .toral import ToralAutomorphism, ConditionReport, check_conditions, kronecker_classify
-from .pulsed import PulsedSystem, Trajectory, TruncatedKoopman, step, evolve, inviscid_gap
+from .pulsed import PulsedSystem, Trajectory, TruncatedKoopman, step, evolve, evolve_many, inviscid_gap
 from .dissipation import (
     DissipationReport,
     DecayFit,
@@ -40,6 +40,7 @@ __all__ = [
     "TruncatedKoopman",
     "step",
     "evolve",
+    "evolve_many",
     "inviscid_gap",
     "DissipationReport",
     "DecayFit",

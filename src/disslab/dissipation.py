@@ -206,14 +206,12 @@ def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...
 
 def _energy_forms(automorphism: ToralAutomorphism) -> Iterator[List[List[int]]]:
     """Yield G_1, G_2, ... with G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}."""
-    d = automorphism.dimension
-    at = [list(row) for row in automorphism.transpose]
-    power = _identity(d)
-    g = [[0] * d for _ in range(d)]
+    at = np.array(automorphism.transpose, dtype=object)  # Python-int entries: exact at every n
+    power, g = at, at.T @ at
     while True:
-        power = [[sum(at[i][l] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
-        g = [[g[i][j] + sum(power[l][i] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
-        yield g
+        yield g.tolist()
+        power = at @ power
+        g = g + power.T @ power
 
 
 def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]]:

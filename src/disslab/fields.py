@@ -19,7 +19,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Tuple
+from itertools import compress
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +86,30 @@ def _check_mode(mode: Iterable[int], dimension: int) -> Mode:
     return m
 
 
+def _integer_coefficients(coefficients: Dict, dimension: int) -> Optional[Dict[Mode, complex]]:
+    """The pruned coefficients of valid integer modes, checked as one int64 array.
+
+    Returns None, for ``SpectralField``'s per-mode checks to accept or reject
+    in order, unless every key is an integer d-tuple other than mode 0 and
+    every amplitude converts to a complex number of finite squared magnitude.
+    """
+    try:
+        keys = np.array(list(coefficients))
+        amps = [complex(a) for a in coefficients.values()]
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if keys.dtype != np.int64 or keys.shape != (len(amps), dimension) or not np.all(np.any(keys, axis=1)):
+        return None
+    with np.errstate(over="ignore"):
+        mag_sq = np.abs(np.array(amps, dtype=complex)) ** 2
+    if not np.all(np.isfinite(mag_sq)):
+        return None  # abs(a) ** 2 overflows or is nan: left to the per-mode path
+    keep = mag_sq > PRUNE_TOL
+    if not keep.all():
+        keys, amps = keys[keep], list(compress(amps, keep))
+    return dict(zip(map(tuple, keys.tolist()), amps))
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Sparse mean-zero field: finite map from nonzero modes to amplitudes.
@@ -98,14 +123,16 @@ class SpectralField:
     enforce_reality: bool = False
 
     def __post_init__(self):
-        clean: Dict[Mode, complex] = {}
-        for mode, amp in self.coefficients.items():
-            m = _check_mode(mode, self.convention.dimension)
-            if all(c == 0 for c in m):
-                raise ValueError("mode 0 is not allowed (fields are mean zero)")
-            a = complex(amp)
-            if abs(a) ** 2 > PRUNE_TOL:
-                clean[m] = a
+        clean = _integer_coefficients(self.coefficients, self.convention.dimension)
+        if clean is None:
+            clean = {}
+            for mode, amp in self.coefficients.items():
+                m = _check_mode(mode, self.convention.dimension)
+                if all(c == 0 for c in m):
+                    raise ValueError("mode 0 is not allowed (fields are mean zero)")
+                a = complex(amp)
+                if abs(a) ** 2 > PRUNE_TOL:
+                    clean[m] = a
         object.__setattr__(self, "coefficients", clean)
         if self.enforce_reality:
             for m, a in clean.items():
@@ -141,14 +168,12 @@ class SpectralField:
     def from_json(text: str) -> "SpectralField":
         payload = json.loads(text)
         conv = SpectralConvention(payload["convention"]["dimension"], payload["convention"]["scaling"])
-        coeffs = {tuple(rec["k"]): complex(rec["re"], rec["im"]) for rec in payload["modes"]}
-        if len(coeffs) < len(payload["modes"]):
-            seen = set()
-            for rec in payload["modes"]:
-                mode = tuple(rec["k"])
-                if mode in seen:
-                    raise ValueError(f"mode {mode} appears twice in the field JSON")
-                seen.add(mode)
+        coeffs = {}
+        for rec in payload["modes"]:
+            mode = tuple(rec["k"])
+            if mode in coeffs:
+                raise ValueError(f"mode {mode} appears twice in the field JSON")
+            coeffs[mode] = complex(rec["re"], rec["im"])
         return SpectralField(conv, coeffs)
 
 

@@ -2,8 +2,11 @@
 
 For a toral automorphism the Koopman step is an exact relabeling of modes
 (m -> A^T m) followed by diagonal heat damping, so trajectories are exact
-up to floating point; ``evolve`` runs the pulses and ``step`` is its
-one-pulse case.  Mode orbits are int64: a step runs in machine integers
+up to floating point.  ``evolve_many`` runs the pulses of a battery of
+fields: those that share an automorphism, a convention and a mode count
+walk as the rows of one array walk, each row bit-identical to its field
+run alone.  ``evolve`` is its one-field case and ``step`` the one-pulse
+case of ``evolve``.  Mode orbits are int64: a step runs in machine integers
 when max|m| times the largest column sum of |A| is below ``MODE_LIMIT``,
 which certifies that no product or partial sum can overflow, and in Python
 integers otherwise.  Each |k|^2 is rounded to float once, exactly as
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,12 +80,31 @@ def step(theta: SpectralField, system: PulsedSystem) -> SpectralField:
     return evolve(theta, system, 1).field(1)
 
 
+def _log(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry, which NumPy's vectorized log need not match bit for bit."""
+    return np.array([math.log(v) for v in values.tolist()])
+
+
 def _logsumexp(terms: np.ndarray) -> float:
     finite = terms[np.isfinite(terms)]
     if finite.size == 0:
         return -math.inf
     m = float(np.max(finite))
     return m + math.log(float(np.sum(np.exp(finite - m))))
+
+
+def _logsumexp_rows(terms: np.ndarray) -> np.ndarray:
+    """``_logsumexp`` of each row of a 2-D array.
+
+    A row sum of a C-contiguous array has the bits of ``np.sum`` on that row,
+    so all-finite rows go in one reduction; a row with a non-finite term,
+    which ``_logsumexp`` drops, changing the summation order, goes alone."""
+    top = np.max(terms, axis=1)
+    with np.errstate(invalid="ignore"):
+        out = top + _log(np.sum(np.exp(terms - top[:, None]), axis=1))
+    for row in np.flatnonzero(~np.all(np.isfinite(terms), axis=1)):
+        out[row] = _logsumexp(terms[row])
+    return out
 
 
 @dataclass
@@ -228,27 +250,53 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
 
     The final energies satisfy
     ||theta_n||^2 = sum_k exp(-2 nu sum_{j=1..n} lambda(A_*^j k)) |theta0^(k)|^2.
-    Each pulse pushes the whole support in one product m @ A.  With g the
-    largest column sum of |A|, a step from modes with max|m| g < MODE_LIMIT
-    runs in int64, where no entry or partial sum can overflow; any other
-    step runs in Python integers, and a mode leaving the 63-bit range there
-    raises ModeOverflowError.  So does an initial mode at or past
-    ``MODE_LIMIT``, before the first step.  Every |k|^2 is exact before its
-    one rounding to float (``exact_norm_sq``).
+    This is ``evolve_many``'s one-field case: an empty field or n < 1 raises
+    ValueError, and an initial mode at or past ``MODE_LIMIT``, or a mode
+    leaving the 63-bit range during a pulse, raises ModeOverflowError.
+    """
+    return evolve_many([theta0], [system], n)[0]
+
+
+def evolve_many(fields: Sequence[SpectralField], systems: Sequence[PulsedSystem], n: int) -> List[Trajectory]:
+    """Run n pulses of each field under its system, one trajectory per field.
+
+    Fields whose systems share the automorphism and convention, and whose
+    mode counts are equal, walk together as the rows of (fields x modes)
+    arrays; nu may differ per row.  Each pulse pushes a whole group in one
+    product m @ A.  With g the largest column sum of |A|, a pulse from modes
+    with max|m| g < MODE_LIMIT runs in int64, where no entry or partial sum
+    can overflow; any other pulse runs in Python integers, and a mode leaving
+    the 63-bit range there raises the ModeOverflowError that the single run
+    of its field raises.  Every |k|^2 is exact before its one rounding to
+    float (``exact_norm_sq``), and each trajectory is bit-identical to its
+    field's run alone.
+
+    Every field is checked before the first pulse: an empty field raises
+    ValueError and an initial mode at or past ``MODE_LIMIT`` raises
+    ModeOverflowError.
     """
     if n < 1:
         raise ValueError("need at least one step")
+    if len(fields) != len(systems):
+        raise ValueError(f"{len(fields)} fields but {len(systems)} systems")
+    starts = [_start(theta0) for theta0 in fields]
+    groups: Dict[tuple, List[int]] = {}
+    for i, (system, (_, _, rows)) in enumerate(zip(systems, starts)):
+        groups.setdefault((system.automorphism.matrix, system.convention, rows.shape), []).append(i)
+    trajs: List[Trajectory] = [None] * len(fields)
+    for rows in groups.values():
+        walked = _walk([systems[i] for i in rows], [starts[i] for i in rows], n)
+        for i, traj in zip(rows, walked):
+            trajs[i] = traj
+    return trajs
+
+
+def _start(theta0: SpectralField) -> Tuple[List[Mode], np.ndarray, np.ndarray]:
+    """(sorted modes, their amplitudes, the modes as int64 rows) of an initial field."""
     if not theta0.coefficients:
         raise ValueError("initial field is empty")
-    nu = system.nu
-    scale = system.convention.scale_factor
     modes0 = sorted(theta0.coefficients.keys())
     amps0 = np.array([theta0.coefficients[m] for m in modes0], dtype=complex)
-    n_modes = len(modes0)
-    matrix = system.automorphism.matrix  # row convention: A^T m = m @ A
-    gain = max(sum(abs(v) for v in column) for column in zip(*matrix))
-    a = np.array(matrix, dtype=np.int64) if gain < MODE_LIMIT else None
-
     try:
         current = np.array(modes0, dtype=np.int64)
         inside = -MODE_LIMIT < int(current.min()) and int(current.max()) < MODE_LIMIT
@@ -257,71 +305,89 @@ def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
     if not inside:
         first = next(m for m in modes0 if max(abs(c) for c in m) >= MODE_LIMIT)
         raise ModeOverflowError(f"initial mode {first} is outside the 63-bit range")
+    return modes0, amps0, current
+
+
+def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]:
+    """n pulses of fields that share an automorphism, a convention and a mode count.
+
+    Row f of every (fields x modes) array is field f; each per-trajectory
+    series is a reduction along axis 1."""
+    nu = np.array([system.nu for system in systems])
+    scale = systems[0].convention.scale_factor
+    matrix = systems[0].automorphism.matrix  # row convention: A^T m = m @ A
+    gain = max(sum(abs(v) for v in column) for column in zip(*matrix))
+    a = np.array(matrix, dtype=np.int64) if gain < MODE_LIMIT else None
+    n_fields, n_modes = len(starts), len(starts[0][0])
+    amps0 = np.array([amps for _, amps, _ in starts])
+    current = np.concatenate([rows for _, _, rows in starts])  # field-major (fields * modes, d)
+
     orbits: List[np.ndarray] = [current]
-    log_damp = np.zeros((n + 1, n_modes))
-    log_energies = np.empty(n + 1)
-    dln = np.empty(n)
-    log_r = np.empty(n + 1)
-    enu_rel = np.empty(n)
-    uh1_rel = np.empty(n)
-    h1next_rel = np.empty(n)
+    log_damp = np.zeros((n_fields, n + 1, n_modes))
+    log_energies = np.empty((n_fields, n + 1))
+    dln = np.empty((n_fields, n))
+    log_r = np.empty((n_fields, n + 1))
+    enu_rel = np.empty((n_fields, n))
+    uh1_rel = np.empty((n_fields, n))
+    h1next_rel = np.empty((n_fields, n))
 
     logw = 2.0 * np.log(np.abs(amps0))  # unnormalized log weights, step 0
     # bit-identical to SpectralConvention.eigenvalue: exact integer |k|^2, then scale
-    lam = scale * exact_norm_sq(current)
-    log_energies[0] = _logsumexp(logw)
+    lam = scale * exact_norm_sq(current).reshape(n_fields, n_modes)
+    log_energies[:, 0] = _logsumexp_rows(logw)
 
-    cum = np.zeros(n_modes)
+    viscous = nu > 0
+    cum = np.zeros((n_fields, n_modes))
     for it in range(n):
         # normalized frame of step `it`
-        shift = float(np.max(logw))
-        w = np.exp(logw - shift)
-        total = float(np.sum(w))
-        log_r[it] = math.log(float(np.sum(w * lam)) / total)
+        w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+        total = np.sum(w, axis=1)
+        log_r[:, it] = _log(np.sum(w * lam, axis=1) / total)
 
         if int(np.max(np.abs(current))) * gain < MODE_LIMIT:
             nxt = current @ a
         else:
             nxt = _exact_pulse(current, matrix)
-        lam_next = scale * exact_norm_sq(nxt)
-        x = 2.0 * nu * lam_next
+        lam_next = scale * exact_norm_sq(nxt).reshape(n_fields, n_modes)
+        x = (2.0 * nu)[:, None] * lam_next
         decay = np.exp(-x)
-        if nu > 0:
-            enu_rel[it] = float(np.sum(w * (-np.expm1(-x)))) / total / nu
-        else:
-            enu_rel[it] = 0.0
-        uh1_rel[it] = float(np.sum(w * lam_next)) / total
-        h1next_rel[it] = float(np.sum(w * decay * lam_next)) / total
+        with np.errstate(invalid="ignore"):  # 0 / 0 on the inviscid rows
+            enu_rel[:, it] = np.where(viscous, np.sum(w * (-np.expm1(-x)), axis=1) / total / nu, 0.0)
+        uh1_rel[:, it] = np.sum(w * lam_next, axis=1) / total
+        h1next_rel[:, it] = np.sum(w * decay * lam_next, axis=1) / total
         # the energy ratio can land deep in the denormal range, where direct
         # summation loses mantissa bits; stay in log space unconditionally
         with np.errstate(divide="ignore"):
-            dln[it] = _logsumexp(np.log(w) - x) - math.log(total)
-        log_energies[it + 1] = log_energies[it] + dln[it]
+            dln[:, it] = _logsumexp_rows(np.log(w) - x) - _log(total)
+        log_energies[:, it + 1] = log_energies[:, it] + dln[:, it]
 
         cum = cum - x
-        log_damp[it + 1, :] = cum
+        log_damp[:, it + 1, :] = cum
         logw = logw - x
         lam = lam_next
         orbits.append(nxt)
         current = nxt
 
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
-    log_r[n] = math.log(float(np.sum(w * lam)) / float(np.sum(w)))
+    w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+    log_r[:, n] = _log(np.sum(w * lam, axis=1) / np.sum(w, axis=1))
 
-    return Trajectory(
-        system=system,
-        modes0=modes0,
-        amps0=amps0,
-        mode_orbits=orbits,
-        log_damp=log_damp,
-        log_energies=log_energies,
-        dln=dln,
-        log_r=log_r,
-        enu_rel=enu_rel,
-        uh1_rel=uh1_rel,
-        h1next_rel=h1next_rel,
-    )
+    orbits = [orbit.reshape(n_fields, n_modes, -1) for orbit in orbits]
+    return [
+        Trajectory(
+            system=system,
+            modes0=modes0,
+            amps0=amps,
+            mode_orbits=[orbit[f] for orbit in orbits],
+            log_damp=log_damp[f],
+            log_energies=log_energies[f],
+            dln=dln[f],
+            log_r=log_r[f],
+            enu_rel=enu_rel[f],
+            uh1_rel=uh1_rel[f],
+            h1next_rel=h1next_rel[f],
+        )
+        for f, (system, (modes0, amps, _)) in enumerate(zip(systems, starts))
+    ]
 
 
 def inviscid_gap(theta0: SpectralField, system: PulsedSystem, n: int) -> dict:

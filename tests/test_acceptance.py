@@ -21,7 +21,7 @@ from disslab.mixing import (
     weak_cesaro,
     weak_rate_envelope,
 )
-from disslab.pulsed import PulsedSystem, evolve
+from disslab.pulsed import PulsedSystem, evolve_many
 from disslab.shear import CtsState, ShearFlow, tau_d_cts, transport_gap_cts
 from disslab.toral import ToralAutomorphism, verify_norm_form
 
@@ -51,9 +51,9 @@ def battery(cat, conv):
     """100 random sparse fields evolved 20 steps at each battery nu."""
     rng = np.random.default_rng(1234)
     fields = [random_sparse_field(conv, rng, n_modes=6, kmax=6) for _ in range(N_FIELDS)]
-    runs = {}
-    for nu in BATTERY_NUS:
-        runs[nu] = [evolve(f, PulsedSystem(cat, nu, conv), N_STEPS) for f in fields]
+    trajs = evolve_many(fields * len(BATTERY_NUS),
+                        [PulsedSystem(cat, nu, conv) for nu in BATTERY_NUS for _ in fields], N_STEPS)
+    runs = {nu: trajs[i * N_FIELDS:(i + 1) * N_FIELDS] for i, nu in enumerate(BATTERY_NUS)}
     return fields, runs
 
 

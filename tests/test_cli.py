@@ -232,20 +232,39 @@ def test_verify_identities_and_lemmas():
 
 
 def test_verify_identities_evolves_each_field_once(monkeypatch):
-    # 30 fields of 12 pulses; the gap at n = 8 is read off the same runs
+    # one batch of 30 fields of 12 pulses; the gap at n = 8 is read off the same runs
     from disslab import cli, pulsed
 
-    steps = []
-    original = pulsed.evolve
+    calls = []
+    original = pulsed.evolve_many
 
-    def counted(theta0, system, n):
-        steps.append(n)
-        return original(theta0, system, n)
+    def counted(fields, systems, n):
+        calls.append((len(fields), n))
+        return original(fields, systems, n)
 
-    monkeypatch.setattr(cli, "evolve", counted)
-    monkeypatch.setattr(pulsed, "evolve", counted)
+    monkeypatch.setattr(cli, "evolve_many", counted)
+    monkeypatch.setattr(pulsed, "evolve_many", counted)
     assert run_cli(["verify", "identities"]) == 0
-    assert steps == [12] * 30
+    assert calls == [(30, 12)]
+
+
+# sha256 of the stdout of `verify identities` and `verify decay` for seeds 0-2,
+# as printed by the field-at-a-time pulse loop that `evolve_many` replaced
+_VERIFY_STDOUT_SHA256 = {
+    ("identities", 0): "4d102d70a0ec03bf52a736169ba4dcd4330e9c893a38e6350ef36d043cc3a82d",
+    ("identities", 1): "5d34b0f73a3f8b2673d3d57a3602681175f339d647ea8682bba59b976e8718d8",
+    ("identities", 2): "967630ff1bbf39cfea7797aa4c3b81ed52fd942a56258092e5a8e34004af2ef0",
+    ("decay", 0): "fe9ec7e072ae6d4e18fce18cc35064976ab9f33da809b3f7de074ccfe98d4adc",
+    ("decay", 1): "fe9ec7e072ae6d4e18fce18cc35064976ab9f33da809b3f7de074ccfe98d4adc",
+    ("decay", 2): "fe9ec7e072ae6d4e18fce18cc35064976ab9f33da809b3f7de074ccfe98d4adc",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(_VERIFY_STDOUT_SHA256))
+def test_verify_batch_stdout_pinned(capsys, suite, seed):
+    assert run_cli(["verify", suite, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_STDOUT_SHA256[suite, seed]
 
 
 def test_verify_identities_prints_the_worst_sandwich_margin(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disslab
+from disslab import fields
 from disslab.fields import (
     SpectralConvention,
     SpectralField,
@@ -53,6 +54,43 @@ def test_amplitude_checks_its_mode(lattice2, mode):
     assert f.amplitude((1, 0)) == 1.0
     with pytest.raises(ValueError, match="mode"):
         f.amplitude(mode)
+
+
+def _built_or_refused(convention, coefficients):
+    """(key, coordinate types, amplitude) per kept mode, or (error type, message)."""
+    try:
+        field = SpectralField(convention, coefficients)
+    except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+        return type(exc), str(exc)
+    return [(m, [type(c) for c in m], type(m), a) for m, a in field.coefficients.items()]
+
+
+@pytest.mark.parametrize("coefficients", [
+    {(1, 0): 1.0, (-3, 7): 2 - 1j, (0, 5): 1e-16, (4, 4): 0.5j},  # one amplitude pruned
+    {(np.int64(2), np.int64(-1)): 1.0, (True, 0): 3},  # numpy and bool coordinates
+    {(1.0, 2): 1.0, (3, 4): 1.0},  # integral float
+    {(1.5, 2): 1.0},
+    {(1, 2, 3): 1.0},
+    {(1, 2): 1.0, (0, 0): 1.0},
+    {(0, 0): 1.0, (1, 2): "x"},  # mode 0 before a bad amplitude
+    {(1, 2): "x", (0, 0): 1.0},  # a bad amplitude before mode 0
+    {(0, 0): 1.0, (1, 2): 10**400},  # mode 0 before an amplitude past float range
+    {(1, 2): 1e200, (0, 0): 1.0},  # abs(a) ** 2 overflows in Python floats before mode 0
+    {(1, 2): complex("nan"), (2, 1): complex("inf")},
+    {(2**63, 1): 1.0},
+    {(2**70, 1): 1.0},
+    {(True, False): 1.0},
+    {(1, 2): 1.0, (3,): 1.0},
+    {5: 1.0},
+    {},
+], ids=lambda c: repr(list(c.items())[:2]))
+def test_integer_key_check_matches_per_mode_checks(lattice2, monkeypatch, coefficients):
+    # the one-array check of an integer key set accepts, prunes and keys
+    # (tuples of Python ints) as the per-mode checks do, and any other key
+    # set reaches those checks and their messages
+    batched = _built_or_refused(lattice2, coefficients)
+    monkeypatch.setattr(fields, "_integer_coefficients", lambda *args: None)
+    assert batched == _built_or_refused(lattice2, coefficients)
 
 
 def test_parseval(lattice2, rng):

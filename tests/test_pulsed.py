@@ -13,6 +13,7 @@ from disslab.pulsed import (
     TruncatedKoopman,
     ball_modes,
     evolve,
+    evolve_many,
     exact_norm_sq,
     inviscid_gap,
     step,
@@ -259,8 +260,116 @@ def _crossing_runs(draw):
 # the largest column sum of |A| (5 here), not the largest row sum (4), bounds m @ A
 @example((SpectralField(SpectralConvention(4, "lattice"), {(1 - 2**60, 2**60 - 1, 0, 2**60 - 1): 1.0}),
           PulsedSystem(ToralAutomorphism(_GROWING[4]), 1e-20, SpectralConvention(4, "lattice")), 1))
+# nine modes whose smallest weights underflow by the last pulses: the energy
+# ratio sums the finite terms alone, an order that a sum with zeros misses
+@example((SpectralField(SpectralConvention(2, "lattice"), {
+    (-6, 2): 1.0, (-5, -2): 1j, (-3, -4): 1j, (-3, 0): 2.0, (-3, 5): 0.5, (-1, -1): 3.0, (-1, 1): 3.0,
+    (2, -4): 0.5, (4, 6): 1j}), PulsedSystem(ToralAutomorphism(_GROWING[2]), 1e-3, SpectralConvention(2, "lattice")), 8))
 def test_evolve_matches_python_int_reference(run):
     _assert_matches_reference(*run)
+
+
+# ---------------------------------------------------------------------------
+# batched pulses against one field at a time
+# ---------------------------------------------------------------------------
+
+_SHEAR2 = ((1, 0), (5, 1))
+
+
+@st.composite
+def _batches(draw):
+    """2..8 fields over 1..3 kinds (dimension, automorphism, convention, mode
+    count), so that groups of several rows form next to groups of one; nu,
+    0 included, differs per row.  Coordinates reach 2^22..2^29 and pulses
+    run long enough that orbits cross 2^30 and 2^32, take the Python-int path
+    or overflow; nu = 1e-3 underflows weights, whose rows go through
+    ``_logsumexp`` alone."""
+    kind = st.sampled_from([2, 3, 4]).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.sampled_from([_GROWING[2], _SHEAR2] if d == 2 else [_GROWING[d]]),
+        st.sampled_from(["lattice", "geometric"]),
+        st.sampled_from([1, 2, 9, 17]),
+    ))
+    kinds = draw(st.lists(kind, min_size=1, max_size=3))
+    runs = []
+    for _ in range(draw(st.integers(2, 8))):
+        d, matrix, scaling, count = draw(st.sampled_from(kinds))
+        top = 2 ** draw(st.integers(22, 29))
+        coord = st.one_of(st.integers(-top, top), st.integers(-3, 3))
+        modes = draw(st.lists(st.tuples(*[coord] * d).filter(any), min_size=count, max_size=count, unique=True))
+        amps = draw(st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=count,
+                             max_size=count))
+        conv = SpectralConvention(d, scaling)
+        nu = draw(st.sampled_from([0.0, 1e-30, 1e-20, 1e-12, 1e-3]))
+        system = PulsedSystem(ToralAutomorphism(matrix), nu, conv, allow_inviscid=True)
+        runs.append((SpectralField(conv, dict(zip(modes, amps))), system))
+    return runs, draw(st.integers(1, 40))
+
+
+def _single_runs(runs, n):
+    """Each field's trajectory alone, or the message of its ModeOverflowError."""
+    out = []
+    for theta, system in runs:
+        try:
+            out.append(evolve(theta, system, n))
+        except ModeOverflowError as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_batches())
+def test_evolve_many_matches_one_field_at_a_time(batch):
+    runs, n = batch
+    singles = _single_runs(runs, n)
+    errors = [single for single in singles if isinstance(single, str)]
+    if errors:
+        # the batch raises the error of one of its overflowing fields, then
+        # runs without them
+        with pytest.raises(ModeOverflowError) as caught:
+            evolve_many(*zip(*runs), n)
+        assert str(caught.value) in errors
+        runs = [run for run, single in zip(runs, singles) if not isinstance(single, str)]
+        singles = [single for single in singles if not isinstance(single, str)]
+        if not runs:
+            return
+    for traj, single in zip(evolve_many(*zip(*runs), n), singles):
+        assert traj.system is single.system and traj.modes0 == single.modes0
+        assert all(orbit.dtype == np.int64 for orbit in traj.mode_orbits)
+        assert [orbit.tolist() for orbit in traj.mode_orbits] == [orbit.tolist() for orbit in single.mode_orbits]
+        for name in ("amps0", "log_damp", "log_energies", "dln", "log_r", "enu_rel", "uh1_rel", "h1next_rel"):
+            assert getattr(traj, name).tobytes() == getattr(single, name).tobytes(), name
+        assert traj.field(n).coefficients == single.field(n).coefficients
+
+
+@pytest.mark.parametrize("bad, kind", [
+    ({(2**40, 3): 1.0, (0, 1): 0.5}, "left the 63-bit range"),
+    ({(2**62, 1): 1.0, (0, 1): 0.5}, "is outside the 63-bit range"),
+], ids=["pulse", "initial"])
+def test_overflowing_field_in_a_batch_raises_its_single_run_error(cat, lattice2, rng, bad, kind):
+    # one field that overflows during the 20 pulses, or before the first,
+    # in the same group as fields that do not
+    system = PulsedSystem(cat, 1e-30, lattice2)
+    fine = [random_sparse_field(lattice2, rng, n_modes=2, kmax=2) for _ in range(3)]
+    theta = SpectralField(lattice2, bad)
+    with pytest.raises(ModeOverflowError, match=kind) as single:
+        evolve(theta, system, 20)
+    with pytest.raises(ModeOverflowError) as batched:
+        evolve_many([fine[0], theta, *fine[1:]], [system] * 4, 20)
+    assert str(batched.value) == str(single.value)
+    assert len(evolve_many(fine, [system] * 3, 20)) == 3
+
+
+def test_evolve_many_checks_its_arguments(cat, lattice2):
+    system = PulsedSystem(cat, 1e-3, lattice2)
+    theta = SpectralField(lattice2, {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="at least one step"):
+        evolve_many([theta], [system], 0)
+    with pytest.raises(ValueError, match="empty"):
+        evolve_many([theta, SpectralField(lattice2, {})], [system] * 2, 3)
+    with pytest.raises(ValueError, match="2 fields but 1 systems"):
+        evolve_many([theta, theta], [system], 3)
+    assert evolve_many([], [], 3) == []
 
 
 @pytest.mark.parametrize("matrix, modes, last, uncertified", [
