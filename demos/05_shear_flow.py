@@ -22,7 +22,7 @@ d1 = float(np.sum(energy_identity_defects(state, flow, 1.0, 0.02)))
 d2 = float(np.sum(energy_identity_defects(state, flow, 1.0, 0.01)))
 print(f"\nenergy identity defect, dt = 0.02 vs 0.01: ratio {d1 / d2:.2f} (second order)")
 
-gap = transport_gap_cts(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, conv), flow, 1e-3, 2.0)
+gap = transport_gap_cts(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, conv), flow, 2.0)
 print(f"transport gap at t = 2, nu = 1e-3: {gap['gap_sq']:.3e} <= bound {gap['bound']:.3e}")
 
 print("\ndissipation times (exact band norms + bisection):")

@@ -99,7 +99,7 @@ def _parse_shear(text: str) -> ShearFlow:
             raise ValueError(f"--shear coefficients must be finite, got {text!r}")
         cos = tuple(vals[0::2])
         sin = tuple(vals[1::2])
-        return ShearFlow(cos_coeffs=cos, sin_coeffs=sin, nondegenerate_critical_points=False)
+        return ShearFlow(cos_coeffs=cos, sin_coeffs=sin)
     raise ValueError(f"unknown shear spec {text!r}")
 
 
@@ -268,7 +268,7 @@ def _verify_cts(rng) -> List[tuple]:
     conv = SpectralConvention(2, "geometric")
     state = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, k1_max=8, grid_size=64, nu=1e-2, convention=conv)
     d1, d2 = checks.cts_energy_defects(state, flow, 1.0, 0.02)
-    gap = transport_gap_cts(state, flow, 1e-3, 2.0)
+    gap = transport_gap_cts(CtsState(conv, 1e-3, state.k1, state.data), flow, 2.0)
     return [
         ("energy identity defect is O(dt^2)", d1 / max(d2, 1e-300) > 2.5, f"ratio {d1 / d2:.2f}"),
         ("transport gap bound", gap["gap_sq"] <= gap["bound"], f"{gap['gap_sq']:.3e} <= {gap['bound']:.3e}"),

@@ -21,10 +21,19 @@ norm already found cannot set the maximum and is never built
 1/e: ``cts_norm_reaches`` stops at the first band that reaches it and
 never builds a band whose heat factor lies below it.  Both walk the bands
 through one generator, ``_band_walk``.
+
+Each piece of the discretisation has one home: ``_phase`` is the transport
+factor exp(-2 pi i t k1 v(y)) of the Strang step, of pure transport and of
+the correlations; ``CtsState.eigenvalues`` is the band eigenvalue grid
+scale (k1^2 + m^2) of the diffusion step and of the H^1 norm; ``_steps``
+turns a time and a target step into the step count of every integration.
+``cts_step`` is the one-step case of ``evolve_cts``, and the transport gap
+diffuses at the state's own nu.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,21 +51,19 @@ NU_DESK = (1e-4, 1e-1)  # the nu range tau_d_cts supports
 class ShearFlow:
     """Shear profile v(y) = mean + sum_m a_m cos(2 pi m y) + b_m sin(2 pi m y).
 
-    ``grad_norm`` is sup |v'| (the L-infinity norm of the velocity gradient),
-    evaluated on a 4096-point grid.  ``nondegenerate_critical_points`` is
-    caller-supplied metadata (True for sin-like profiles: v'' != 0 where
-    v' = 0); it gates which stationary-phase decay claims apply.
+    ``grad_norm`` bounds sup |v'| (the L-infinity norm of the velocity
+    gradient) from above by sum_m 2 pi m hypot(a_m, b_m), which it equals
+    for a single harmonic.
     """
 
     cos_coeffs: Tuple[float, ...] = ()
     sin_coeffs: Tuple[float, ...] = ()
     mean: float = 0.0
-    nondegenerate_critical_points: bool = True
 
     @staticmethod
     def sinusoidal(amplitude: float = 1.0) -> "ShearFlow":
         """v(y) = amplitude * sin(2 pi y)."""
-        return ShearFlow(sin_coeffs=(amplitude,), nondegenerate_critical_points=True)
+        return ShearFlow(sin_coeffs=(amplitude,))
 
     @property
     def bandwidth(self) -> int:
@@ -70,18 +77,11 @@ class ShearFlow:
             out += b * np.sin(2.0 * math.pi * m * y)
         return out
 
-    def derivative_values(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y, dtype=float)
-        for m, a in enumerate(self.cos_coeffs, start=1):
-            out -= a * 2.0 * math.pi * m * np.sin(2.0 * math.pi * m * y)
-        for m, b in enumerate(self.sin_coeffs, start=1):
-            out += b * 2.0 * math.pi * m * np.cos(2.0 * math.pi * m * y)
-        return out
-
     @property
     def grad_norm(self) -> float:
-        y = np.arange(4096) / 4096.0
-        return float(np.max(np.abs(self.derivative_values(y))))
+        # |v'| <= sum_m 2 pi m |a_m sin + b_m cos| <= sum_m 2 pi m hypot(a_m, b_m)
+        harmonics = itertools.zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
+        return sum((2.0 * math.pi * m * math.hypot(a, b) for m, (a, b) in enumerate(harmonics, start=1)), 0.0)
 
     def min_grid(self) -> int:
         return max(32, 8 * self.bandwidth)
@@ -101,11 +101,10 @@ class CtsState:
     nu: float
     k1: np.ndarray  # (n_bands,) int
     data: np.ndarray  # (n_bands, M) complex
-    time: float = 0.0
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
         _check_grid_size(self.data.shape[-1])
         if self.convention.dimension != 2:
             raise ValueError("shear solver lives on T^2")
@@ -140,10 +139,6 @@ class CtsState:
             data[row] += amp * np.exp(2j * math.pi * m * j / grid_size)
         return CtsState(conv, nu, k1_arr, data)
 
-    def y_frequencies(self) -> np.ndarray:
-        m = self.grid_size
-        return (np.fft.fftfreq(m) * m).astype(np.int64)
-
     def spectral(self) -> np.ndarray:
         """True Fourier coefficients c_{k1, m} (FFT / M)."""
         return np.fft.fft(self.data, axis=-1) / self.grid_size
@@ -151,25 +146,18 @@ class CtsState:
     def energy(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2) / self.grid_size)
 
-    def h1_norm_sq(self) -> float:
-        coeffs = self.spectral()
-        lam = self._lambdas()
-        return float(np.sum(lam * np.abs(coeffs) ** 2))
+    def eigenvalues(self) -> np.ndarray:
+        """Laplacian eigenvalues scale (k1^2 + m^2), in the layout of ``data``'s FFT."""
+        m = np.fft.fftfreq(self.grid_size) * self.grid_size  # exact integers: M is a power of two
+        return self.convention.scale_factor * (self.k1[:, None].astype(float) ** 2 + m[None, :] ** 2)
 
-    def _lambdas(self) -> np.ndarray:
-        m = self.y_frequencies()
-        scale = self.convention.scale_factor
-        lam = scale * (self.k1[:, None].astype(float) ** 2 + m[None, :].astype(float) ** 2)
-        return lam
+    def h1_norm_sq(self) -> float:
+        return float(np.sum(self.eigenvalues() * np.abs(self.spectral()) ** 2))
 
     def lambda_1(self) -> float:
         """Smallest eigenvalue present in the truncated space."""
-        lam = self._lambdas()
-        nonzero = lam > 0
-        return float(np.min(lam[nonzero]))
-
-    def copy(self) -> "CtsState":
-        return CtsState(self.convention, self.nu, self.k1.copy(), self.data.copy(), self.time)
+        lam = self.eigenvalues()
+        return float(np.min(lam[lam > 0]))
 
 
 def _check_grid_size(m: int):
@@ -180,6 +168,25 @@ def _check_grid_size(m: int):
 def _check_dt(dt: float):
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
+
+
+def _steps(t: float, dt_target: float) -> Tuple[int, float]:
+    """The Strang step count for time t at step dt_target, and the step t / steps."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+    _check_dt(dt_target)
+    steps = max(1, math.ceil(t / dt_target))
+    return steps, t / steps
+
+
+def _phase(k1: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-2 pi i t k1 v(y)): pure transport of bands k1 over time t, per collocation value v."""
+    return np.exp(-2j * math.pi * t * k1[:, None].astype(float) * v[None, :])
+
+
+def _profile(flow: ShearFlow, m: int) -> np.ndarray:
+    """v at the m collocation points y_j = j / m."""
+    return flow.values(np.arange(m) / m)
 
 
 def _check_grid(flow: ShearFlow, state: CtsState):
@@ -195,22 +202,14 @@ class _Stepper:
 
     def __init__(self, flow: ShearFlow, state: CtsState, dt: float):
         _check_grid(flow, state)
-        m = state.grid_size
-        y = np.arange(m) / m
-        v = flow.values(y)
-        scale = state.convention.scale_factor
-        mfreq = (np.fft.fftfreq(m) * m).astype(float)
-        lam = scale * (state.k1[:, None].astype(float) ** 2 + mfreq[None, :] ** 2)
+        lam = state.eigenvalues()
         self.half_damp = np.exp(-state.nu * lam * dt / 2.0)
         self.full_damp = self.half_damp * self.half_damp
-        self.phase = np.exp(-2j * math.pi * dt * state.k1[:, None].astype(float) * v[None, :])
-        # the constant mode never participates, even with the zero band included
-        zero_rows = state.k1 == 0
-        if np.any(zero_rows):
-            self.kill_mean = (zero_rows[:, None]) & (mfreq[None, :] == 0)
-        else:
-            self.kill_mean = None
-        self.dt = dt
+        self.phase = _phase(state.k1, _profile(flow, state.grid_size), dt)
+        # the constant mode (k1, m) = (0, 0), the one zero eigenvalue, never
+        # participates, even with the zero band included
+        constant = lam == 0
+        self.kill_mean = constant if np.any(constant) else None
 
     def diffuse(self, data: np.ndarray, half: bool) -> np.ndarray:
         coeffs = np.fft.fft(data, axis=-1)
@@ -229,9 +228,8 @@ class _Stepper:
 
 def cts_step(state: CtsState, flow: ShearFlow, dt: float) -> CtsState:
     """One Strang step: half diffusion, exact advection, half diffusion."""
-    _check_dt(dt)
-    data = _Stepper(flow, state, dt).strang(state.data)
-    return CtsState(state.convention, state.nu, state.k1, data, state.time + dt)
+    _check_dt(dt)  # before evolve_cts, which would read a bad dt as a bad time
+    return evolve_cts(state, flow, dt, dt_target=dt)  # dt / dt is exactly 1: one step of length dt
 
 
 def evolve_cts(
@@ -243,28 +241,22 @@ def evolve_cts(
     """Advance the state by time t with merged Strang substeps.
 
     Consecutive diffusion half-steps are fused into full steps, halving
-    the FFT count; the endpoint state is the exact Strang composition.
+    the FFT count; the endpoint state is the exact Strang composition.  One
+    step is the unfused Strang step of ``cts_step``.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    _check_dt(dt_target)
-    steps = max(1, math.ceil(t / dt_target))
-    dt = t / steps
+    steps, dt = _steps(t, dt_target)
     stepper = _Stepper(flow, state, dt)
     data = stepper.diffuse(state.data, half=True)
     for s in range(steps):
         data = stepper.advect(data)
         data = stepper.diffuse(data, half=(s == steps - 1))
-    return CtsState(state.convention, state.nu, state.k1, data, state.time + t)
+    return CtsState(state.convention, state.nu, state.k1, data)
 
 
 def advect_exact(state: CtsState, flow: ShearFlow, t: float) -> CtsState:
     """Pure transport (nu = 0): multiply each band by exp(-2 pi i k1 v(y) t)."""
-    m = state.grid_size
-    y = np.arange(m) / m
-    v = flow.values(y)
-    phase = np.exp(-2j * math.pi * t * state.k1[:, None].astype(float) * v[None, :])
-    return CtsState(state.convention, state.nu, state.k1, state.data * phase, state.time + t)
+    phase = _phase(state.k1, _profile(flow, state.grid_size), t)
+    return CtsState(state.convention, state.nu, state.k1, state.data * phase)
 
 
 def energy_identity_defects(
@@ -278,17 +270,13 @@ def energy_identity_defects(
     O(dt^3) locally, O(dt^2) accumulated, which the self-convergence test
     verifies by halving dt.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    _check_dt(dt)
-    steps = max(1, math.ceil(t / dt))
-    dt = t / steps
+    steps, dt = _steps(t, dt)
     stepper = _Stepper(flow, state, dt)
     cur = state
     energy, h1 = cur.energy(), cur.h1_norm_sq()
     defects = np.empty(steps)
     for s in range(steps):
-        cur = CtsState(state.convention, state.nu, state.k1, stepper.strang(cur.data), cur.time + dt)
+        cur = CtsState(state.convention, state.nu, state.k1, stepper.strang(cur.data))
         next_energy, next_h1 = cur.energy(), cur.h1_norm_sq()
         mid_h1 = 0.5 * (h1 + next_h1)
         defects[s] = abs(next_energy - energy + 2.0 * state.nu * dt * mid_h1)
@@ -329,17 +317,14 @@ def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
     Bands are built one at a time, which keeps the working set at a few
     M x M matrices.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    _check_dt(dt_target)
-    steps = max(1, math.ceil(t / dt_target))
+    steps, dt = _steps(t, dt_target)
     scale = state.convention.scale_factor
     pad = 1.0 + 1e-12 + 4.0 * steps * sys.float_info.epsilon
     units = np.eye(state.grid_size)[:, None, :]  # (M, 1, M): one single-band state per unit vector
 
     def norm(k1: int) -> float:
         band = CtsState(state.convention, state.nu, np.array([k1], dtype=np.int64), state.data[:1])
-        strang = _Stepper(flow, band, t / steps).strang(units)[:, 0, :].T  # column j is the step applied to e_j
+        strang = _Stepper(flow, band, dt).strang(units)[:, 0, :].T  # column j is the step applied to e_j
         power = np.linalg.matrix_power(strang, steps)
         # a NaN entry would stop the SVD with LinAlgError, a ValueError, and an inf one gives a NaN norm
         if not np.isfinite(power).all():
@@ -421,15 +406,13 @@ def tau_d_cts(
         raise ValueError(f"k1_max must be at least 1, got {k1_max}")
     _check_grid_size(grid_size)
     _check_dt(dt_target)
-    conv = convention or SpectralConvention(2, "geometric")
-    k1 = np.array([k for k in range(-k1_max, k1_max + 1) if k != 0], dtype=np.int64)
-    template = CtsState(conv, nu, k1, np.zeros((k1.size, grid_size), dtype=complex))
+    template = CtsState.from_modes({}, k1_max, grid_size, nu, convention)
     _check_grid(flow, template)
 
     def reaches(t: float) -> bool:  # sigma(t) >= 1/e
         return cts_norm_reaches(template, flow, t, _E_INV, dt_target=dt_target)
 
-    lam1 = template.lambda_1()
+    lam1 = template.convention.lambda_1
     t_cap = 1.2 / (nu * lam1) + 1.0  # trivial heat bound, padded
     hi = min(t_hint or 1.0, t_cap)
     doubled = False
@@ -455,23 +438,21 @@ def tau_d_cts(
     return 0.5 * (lo + hi)
 
 
-def transport_gap_cts(
-    state: CtsState, flow: ShearFlow, nu: float, t: float, dt_target: float = 0.02
-) -> dict:
+def transport_gap_cts(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> dict:
     """Squared distance to the inviscid transport and its a priori bound.
 
-    gap^2 = ||theta(t) - phi(t)||^2  with phi the exact nu = 0 shear flow;
+    gap^2 = ||theta(t) - phi(t)||^2  with theta evolved at the state's nu
+    and phi the exact nu = 0 shear flow;
     bound = (nu / (2 |grad u|)) exp(2 |grad u| t) ||theta_0||_1^2.
     """
     if t <= 0 or t > 10.0:
         raise ValueError("t must lie in (0, 10]")
-    start = CtsState(state.convention, nu, state.k1, state.data.copy(), 0.0)
-    evolved = evolve_cts(start, flow, t, dt_target=dt_target)
-    transported = advect_exact(start, flow, t)
+    evolved = evolve_cts(state, flow, t, dt_target=dt_target)
+    transported = advect_exact(state, flow, t)
     diff = evolved.data - transported.data
     gap_sq = float(np.sum(np.abs(diff) ** 2) / state.grid_size)
     grad = flow.grad_norm
-    bound = nu / (2.0 * grad) * math.exp(2.0 * grad * t) * start.h1_norm_sq()
+    bound = state.nu / (2.0 * grad) * math.exp(2.0 * grad * t) * state.h1_norm_sq()
     return {"gap_sq": gap_sq, "bound": bound}
 
 
@@ -488,6 +469,10 @@ def shear_correlation(
     """
     if not np.array_equal(state.k1, other.k1):
         raise ValueError("states must share the same band layout")
+    # a band where either field vanishes adds exact zeros to the pairing: its
+    # phase is never built, and its zero row keeps the summation order
+    shared = np.any(state.data != 0, axis=-1) & np.any(other.data != 0, axis=-1)
+    k1 = state.k1[shared]
 
     def upsample(data: np.ndarray) -> np.ndarray:
         m = data.shape[-1]
@@ -498,13 +483,12 @@ def shear_correlation(
         wide[..., quad_size - half :] = spec[..., half:]
         return np.fft.ifft(wide, axis=-1) * quad_size
 
-    a = upsample(state.data)
-    b = upsample(other.data)
-    y = np.arange(quad_size) / quad_size
-    v = flow.values(y)
+    a = upsample(state.data[shared])
+    b = np.conj(upsample(other.data[shared]))
+    v = _profile(flow, quad_size)
+    vals = np.zeros((state.k1.size, quad_size), dtype=complex)
     out = np.empty(len(times))
     for i, t in enumerate(times):
-        phase = np.exp(-2j * math.pi * t * state.k1[:, None].astype(float) * v[None, :])
-        vals = a * phase * np.conj(b)
+        vals[shared] = a * _phase(k1, v, t) * b
         out[i] = abs(complex(np.sum(vals) / quad_size))
     return out

@@ -165,21 +165,27 @@ def _int_det(matrix: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _root_bound(p: IntPoly) -> float:
-    """Upper bound on root magnitudes of monic p (numeric roots, inflated)."""
-    if len(p) <= 1:
-        return 1.0
-    rho = float(np.max(np.abs(poly_roots(p))))
-    return max(1.0, rho) * (1.0 + 1e-6) + 1e-9
+def _ceil_root(c: int, i: int) -> int:
+    """The smallest integer r >= 0 with r^i >= c, by exact bisection."""
+    lo, hi = 0, 1 << -(-c.bit_length() // i)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**i >= c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def irreducible_over_q(p: IntPoly) -> Tuple[bool, Optional[IntPoly]]:
     """Is the monic integer polynomial irreducible over Q?
 
-    Trial division by monic integer factors of degree <= deg/2, with
-    coefficient bounds |coef| <= C(deg, j) * rho^j from the root magnitudes
-    (every monic factor's coefficients are elementary symmetric functions of
-    a subset of roots).  Returns (flag, witness factor).
+    Trial division by monic integer factors of degree <= deg/2.  A factor's
+    constant term divides p(0), and its coefficient of x^j is an elementary
+    symmetric function of fdeg - j roots, so |coef| <= C(fdeg, j) rho^(fdeg-j)
+    for any bound rho on the root magnitudes.  rho is Fujiwara's
+    2 max_i |p_{deg-i}|^{1/i}, each root rounded up in integers, so the
+    search is exact.  Returns (flag, witness factor).
     """
     p = _poly_trim(p)
     deg = len(p) - 1
@@ -187,29 +193,16 @@ def irreducible_over_q(p: IntPoly) -> Tuple[bool, Optional[IntPoly]]:
         return True, None
     if p[0] == 0:
         return False, (0, 1)  # x divides p
-    rho = _root_bound(p)
-    # degree-1 factors: integer roots divide the constant term
-    for r in _divisors(abs(p[0])):
-        for root in (r, -r):
-            if _poly_eval_int(p, root) == 0:
-                return False, (-root, 1)
-    for fdeg in range(2, deg // 2 + 1):
-        bounds = [int(math.floor(math.comb(fdeg, fdeg - j) * rho ** (fdeg - j))) + 1 for j in range(fdeg)]
-        ranges = [range(-b, b + 1) for b in bounds]
-        for tail in itertools.product(*ranges):
-            if tail[0] == 0 or p[0] % tail[0] != 0:
-                continue  # constant term of a factor divides p's constant term
-            cand = tuple(tail) + (1,)
+    rho = 2 * max(_ceil_root(abs(p[deg - i]), i) for i in range(1, deg + 1))
+    # constant terms of a factor: the divisors of p(0), with either sign
+    constants = [c for r in _divisors(p[0]) for c in (r, -r)]
+    for fdeg in range(1, deg // 2 + 1):
+        ranges = [range(-b, b + 1) for b in (math.comb(fdeg, j) * rho ** (fdeg - j) for j in range(1, fdeg))]
+        for tail in itertools.product(constants, *ranges):
+            cand = tail + (1,)
             if poly_divides(cand, p):
                 return False, cand
     return True, None
-
-
-def _poly_eval_int(p: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _divisors(n: int) -> List[int]:

@@ -68,6 +68,15 @@ def test_dissipation_time_report(tmp_path):
     assert len(csv_lines) == 7
 
 
+def test_dissipation_time_on_a_wide_4d_companion(tmp_path):
+    # the companion of x^4 - 1000 x^3 + 1: the C1/C2 checks must not scan
+    # every constant term up to the square of a root bound
+    out = tmp_path / "report.json"
+    assert run_cli(["dissipation-time", "--matrix", "0,0,0,-1,1,0,0,0,0,1,0,0,0,0,1,1000",
+                    "--nu-grid", "1e-3:1e-2:2", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["entries"]) == 2
+
+
 def test_deterministic_output(tmp_path):
     digests = []
     for name in ("a.json", "b.json"):
@@ -257,6 +266,9 @@ _VERIFY_STDOUT_SHA256 = {
     ("decay", 0): "fe9ec7e072ae6d4e18fce18cc35064976ab9f33da809b3f7de074ccfe98d4adc",
     ("decay", 1): "fe9ec7e072ae6d4e18fce18cc35064976ab9f33da809b3f7de074ccfe98d4adc",
     ("decay", 2): "fe9ec7e072ae6d4e18fce18cc35064976ab9f33da809b3f7de074ccfe98d4adc",
+    ("cts", 0): "b20207720a20e6ec638ed08c878e62b553323483f53dc2bce3180f363cac4acc",
+    ("lemmas", 0): "28534b9c222093630e35728a072ca15a02a2ab7f850b49b64c18deb1b26e519b",
+    ("bounds", 0): "498e604e616e273d9da251dc82b8dc9f6b6ddc61bc5de20dd7ab4158c003588b",
 }
 
 

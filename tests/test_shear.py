@@ -42,6 +42,32 @@ def test_grad_norm(flow):
     assert flow.grad_norm == pytest.approx(2 * math.pi, rel=1e-10)
 
 
+def test_grad_norm_of_sin_is_2_pi(flow):
+    assert flow.grad_norm == 2 * math.pi
+
+
+@pytest.mark.parametrize("shear_spec", ["coeffs:0.3,1,0.2,-0.5", "coeffs:-0.7,0.4,0,0.25"])
+def test_grad_norm_bounds_the_sampled_gradient(shear_spec):
+    # sup |v'| is attained between samples; the bound must lie above every sample
+    flow = cli._parse_shear(shear_spec)
+    y = np.arange(2**20) / 2**20
+    dv = np.zeros_like(y)
+    for m, a in enumerate(flow.cos_coeffs, start=1):
+        dv -= 2 * math.pi * m * a * np.sin(2 * math.pi * m * y)
+    for m, b in enumerate(flow.sin_coeffs, start=1):
+        dv += 2 * math.pi * m * b * np.cos(2 * math.pi * m * y)
+    assert flow.grad_norm >= np.max(np.abs(dv))
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -1e-3])
+def test_cts_state_refuses_a_nu_that_is_not_finite_and_nonnegative(conv, nu):
+    with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
+        CtsState.from_modes({(1, 0): 1.0}, 4, 64, nu, conv)
+    state = make_state(conv, 1e-3)
+    with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
+        CtsState(conv, nu, state.k1, state.data)
+
+
 def test_grid_guard(conv):
     wide = ShearFlow(sin_coeffs=tuple([0.0] * 15 + [1.0]))
     state = CtsState.from_modes({(1, 0): 1.0}, 4, 64, 1e-2, conv)
@@ -109,21 +135,21 @@ def test_trivial_decay_bound(flow, conv):
 
 def test_transport_gap_inequality(flow, conv):
     state = make_state(conv, 1e-3, modes={(1, 0): 1.0})
-    res = transport_gap_cts(state, flow, 1e-3, 2.0)
+    res = transport_gap_cts(state, flow, 2.0)
     assert res["gap_sq"] <= res["bound"]
     assert res["gap_sq"] > 0
 
 
 def test_transport_gap_zero_without_diffusion(flow, conv):
     state = make_state(conv, 0.0)
-    res = transport_gap_cts(state, flow, 0.0, 1.0)
+    res = transport_gap_cts(state, flow, 1.0)
     assert res["gap_sq"] < 1e-25
 
 
 def test_transport_gap_short_time(flow, conv):
     state = make_state(conv, 1e-3)
-    r1 = transport_gap_cts(state, flow, 1e-3, 0.01)
-    r2 = transport_gap_cts(state, flow, 1e-3, 0.02)
+    r1 = transport_gap_cts(state, flow, 0.01)
+    r2 = transport_gap_cts(state, flow, 0.02)
     # gap^2 = O(t^2): quadrupling under doubling; bound stays order one
     assert r2["gap_sq"] / r1["gap_sq"] == pytest.approx(4.0, rel=0.3)
     assert r1["bound"] > 1e-5
@@ -335,6 +361,10 @@ def test_time_step_must_be_finite_and_positive(flow, conv, dt):
         energy_identity_defects(state, flow, 1.0, dt)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         tau_d_cts(flow, 1e-2, conv, dt_target=dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        cts_step(state, flow, dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        transport_gap_cts(state, flow, 1.0, dt_target=dt)
 
 
 def test_tau_d_cts_resolved_in_truncation_and_step(flow, conv):
@@ -367,6 +397,30 @@ def test_tau_d_cts_range_guards(flow, conv):
         tau_d_cts(flow, 1e-2, conv, k1_max=64)
     with pytest.raises(ValueError, match="k1_max must be at least 1"):
         tau_d_cts(flow, 1e-2, conv, k1_max=0)
+
+
+@pytest.mark.parametrize("shear_spec", ["sin", "coeffs:0.3,1,0.2,-0.5"])
+def test_shear_correlation_skips_empty_bands_bit_for_bit(conv, shear_spec):
+    # bands where either field vanishes are skipped; the result must equal
+    # the pairing over every band, float for float
+    flow = cli._parse_shear(shear_spec)
+    state = CtsState.from_modes({(1, 0): 1.0, (-2, 1): 0.5, (3, 2): 0.2}, 3, 64, 0.0, conv)
+    other = CtsState.from_modes({(1, 2): 0.3, (-2, 1): 1j, (-3, 0): 0.4}, 3, 64, 0.0, conv)
+    times = np.linspace(0.1, 6.0, 40)
+    quad = 512
+    y = np.arange(quad) / quad
+
+    def upsample(data):
+        spec = np.fft.fft(data, axis=-1) / 64
+        wide = np.zeros((data.shape[0], quad), dtype=complex)
+        wide[:, :32], wide[:, quad - 32 :] = spec[:, :32], spec[:, 32:]
+        return np.fft.ifft(wide, axis=-1) * quad
+
+    a, b, v = upsample(state.data), upsample(other.data), flow.values(y)
+    want = [abs(complex(np.sum(a * np.exp(-2j * math.pi * t * state.k1[:, None].astype(float) * v[None, :])
+                               * np.conj(b)) / quad)) for t in times]
+    got = shear_correlation(state, flow, other, times, quad_size=quad)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_stationary_phase_correlation_decay(flow, conv):

@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disslab.toral import (
     ToralAutomorphism,
@@ -12,6 +15,8 @@ from disslab.toral import (
     irreducible_over_q,
     kronecker_classify,
     norm_form,
+    poly_divides,
+    poly_mul,
     poly_roots,
     verify_norm_form,
 )
@@ -57,6 +62,45 @@ def test_conditions_reducible_block():
     rep = check_conditions(m)
     assert rep.c1_no_root_of_unity and not rep.c2_irreducible_char_poly
     assert rep.witness["kind"] == "rational_factor"
+
+
+def _companion(p):
+    # companion matrix of the monic p = (c_0, ..., c_{d-1}, 1): its char poly is p
+    d = len(p) - 1
+    return [[int(i == j + 1) for j in range(d - 1)] + [-p[i]] for i in range(d)]
+
+
+@pytest.mark.parametrize("p, irreducible", [
+    ((1, 0, 0, -1000, 1), True),  # x^4 - 1000 x^3 + 1
+    (poly_mul((1, 500, 1), (1, -300, 1)), False),  # (x^2 + 500 x + 1)(x^2 - 300 x + 1)
+])
+def test_conditions_decide_wide_companions_quickly(p, irreducible):
+    # a factor's constant term divides p(0) = 1, so only the other
+    # coefficients range over the integer root bound
+    matrix = _companion(p)
+    assert char_poly(matrix) == p
+    start = time.perf_counter()
+    rep = check_conditions(matrix)
+    assert time.perf_counter() - start < 1.0
+    assert rep.c1_no_root_of_unity
+    assert rep.c2_irreducible_char_poly == irreducible
+    if not irreducible:
+        factor = tuple(rep.witness["poly"])
+        assert rep.witness["kind"] == "rational_factor"
+        assert len(factor) == 3 and poly_divides(factor, p)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(q=st.tuples(st.integers(-30, 30), st.integers(-60, 60)),
+       r=st.tuples(st.integers(-30, 30), st.integers(-60, 60)))
+def test_products_of_quadratics_are_reducible_with_a_dividing_witness(q, r):
+    q, r = q + (1,), r + (1,)
+    if q[0] == 0 or r[0] == 0:
+        return  # x divides the product: the trivial witness
+    p = poly_mul(q, r)
+    ok, factor = irreducible_over_q(p)
+    assert not ok
+    assert 1 <= len(factor) - 1 <= 2 and factor[-1] == 1 and poly_divides(factor, p)
 
 
 def test_conditions_transpose_and_inverse_transpose_match(cat):
