@@ -162,7 +162,7 @@ def _cmd_mixing_rate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rate = _parse_rate(args.rate, args.alpha, args.beta)
-    conv = SpectralConvention(args.dim or 2, args.convention)
+    conv = SpectralConvention(2 if args.dim is None else args.dim, args.convention)
     kwargs = dict(dimension=conv.dimension, lambda_1=conv.lambda_1)
     if args.which in ("H2", "H4"):
         kwargs["weyl_c"] = weyl_constant(conv.dimension, args.vol, args.eps, conv.scaling)
@@ -312,6 +312,10 @@ def _add_tau_grid(sub):
     sub.add_argument("--out", default="report.json")
 
 
+# parsed names that are not long options, so a config file cannot set them
+_POSITIONALS = ("command", "suite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="disslab", description=__doc__)
     config_parent = argparse.ArgumentParser(add_help=False)
@@ -373,17 +377,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: List[str]):
+    """Re-parse argv with the config file's long options placed before the user's flags.
+
+    Each entry the subcommand has becomes a ``--key=value`` token, so argparse
+    converts and checks it like a flag and keeps the last value: explicit
+    flags win.  Other keys are ignored.
+    """
     if not args.config:
         return args
     with open(args.config) as fh:
         payload = json.load(fh)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+    tokens = []
     for key, value in payload.items():
         attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
-            continue
-        setattr(args, attr, value)
-    return args
+        if hasattr(args, attr) and attr not in _POSITIONALS:
+            tokens.append(f"--{attr.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def main(argv: Optional[List[str]] = None) -> int:

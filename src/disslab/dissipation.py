@@ -17,11 +17,18 @@ form's integral Gram-Schmidt data (Fincke-Pohst with interval ends from
 value among the points at or below the smallest diagonal entry, and
 ``short_vectors`` lists every point of an integer ellipsoid for the strong
 mixing envelope.  ``min_energies`` walks n = 1, 2, ... and starts each LLL
-from the previous reduced basis; a nu grid is served by one such walk, each
-nu taking its first n past 1/nu.
+from the previous reduced basis.
+
+tau_d only asks whether min S_n > T = 1/(nu * scale), so a nu grid is served
+by one walk of yes/no tests, ``_exceeds_tests``, each nu taking its first n
+past its T.  In integers with bound = floor(T), a test answers False from a
+vector of the last reduced basis with S_n <= bound, else from the warm LLL
+reduction of G_n (a diagonal entry <= bound), else from the enumeration at
+the bound; most n never reach LLL and few reach the enumeration.
 
 Operator route (toral automorphisms): the same first-passage rule on an
-independent stream, brute force over the orbits of the induced permutation
+independent stream of tests, exact orbit minima compared with T, brute
+force over the orbits of the induced permutation
 on one certified threshold ball per grid, |k| <= isqrt(floor(1/nu')) + 1 for
 the grid's smallest nu' = nu * scale.  A mode outside it has |k|^2 > 1/nu',
 so an orbit leaving the ball has passed every threshold and is dropped
@@ -34,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,16 +244,58 @@ def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[i
         yield _reduced_minimum(*reduced)
 
 
-def _first_passages(min_sums: Iterator[float], thresholds: Sequence[float], n_max: int) -> List[int]:
-    """tau_d for each threshold 1/(nu * scale) from one stream of min S_n, n = 1, 2, ...
+def _exceeds_tests(automorphism: ToralAutomorphism) -> Iterator[Callable[[float], bool]]:
+    """Yield exceeds_n for n = 1, 2, ...: exceeds_n(T) is True exactly when min S_n > T.
 
-    The exact integers min S_n grow strictly with n, so thresholds are passed
-    in increasing order; each comparison is strict and exact.
+    With bound = floor(T), min S_n > T exactly when no nonzero k has
+    S_n(k) <= bound, so each test decides in integers, cheapest step first:
+
+    1. a vector of the last reduced basis (carried from an earlier n) with
+       S_n(b) <= bound answers False, and no LLL runs for this n;
+    2. otherwise ``_lll_reduce`` runs once for this n, warm-started from that
+       basis, and a diagonal entry of the reduced Gram matrix <= bound
+       answers False;
+    3. otherwise ``_enumerate`` at the bound decides: False at its first
+       point, True if there is none.  LLL's shortest diagonal entry is not
+       always the minimum, so this step cannot be skipped.
+    """
+    basis = _identity(automorphism.dimension)
+
+    def test(g: List[List[int]]) -> Callable[[float], bool]:
+        reduced = None  # this n's LLL output, once step 2 has run
+
+        def exceeds(t: float) -> bool:
+            nonlocal basis, reduced
+            bound = math.floor(t)
+            if reduced is None:
+                values = (sum(bi * gij * bj for bi, row in zip(b, g) for gij, bj in zip(row, b)) for b in basis)
+                if any(value <= bound for value in values):
+                    return False
+                reduced = _lll_reduce(g, basis)
+                basis = reduced[0]
+            _, gram, dm, lam = reduced
+            if min(gram[i][i] for i in range(len(gram))) <= bound:
+                return False
+            return next(_enumerate(dm, lam, bound), None) is None
+
+        return exceeds
+
+    for g in _energy_forms(automorphism):
+        yield test(g)
+
+
+def _first_passages(exceeds: Iterator[Callable[[float], bool]], thresholds: Sequence[float],
+                    n_max: int) -> List[int]:
+    """tau_d for each threshold 1/(nu * scale) from one stream of tests, n = 1, 2, ...
+
+    The n-th item of ``exceeds`` answers, exactly, whether min S_n > T.  min
+    S_n grows strictly with n, so thresholds are passed in increasing order
+    and each n is asked only about the thresholds not yet passed.
     """
     pending = sorted(range(len(thresholds)), key=thresholds.__getitem__)
     taus = [0] * len(thresholds)
-    for n, min_s in enumerate(min_sums, start=1):
-        while pending and min_s > thresholds[pending[0]]:
+    for n, exceeds_n in enumerate(exceeds, start=1):
+        while pending and exceeds_n(thresholds[pending[0]]):
             taus[pending.pop(0)] = n
         if not pending:
             return taus
@@ -267,20 +316,20 @@ def _thresholds(nus: Sequence[float], convention: SpectralConvention) -> List[fl
 
 def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
                 convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
-    """tau_d over a nu grid from one walk of the route's min S_n stream."""
+    """tau_d over a nu grid from one walk of the route's stream of min S_n > T tests."""
     if convention is None:
         convention = SpectralConvention(automorphism.dimension, "lattice")
     thresholds = _thresholds(nus, convention)
     if method == "exact":
         if not automorphism.conditions().c1_no_root_of_unity:
             raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
-        min_sums = (min_s for min_s, _ in min_energies(automorphism))
+        exceeds = _exceeds_tests(automorphism)
     elif method == "operator":
         radius = math.isqrt(math.floor(max(thresholds, default=0.0))) + 1
-        min_sums = _orbit_minima(TruncatedKoopman.from_automorphism(automorphism, radius))
+        exceeds = _orbit_tests(TruncatedKoopman.from_automorphism(automorphism, radius))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _first_passages(min_sums, thresholds, n_max)
+    return _first_passages(exceeds, thresholds, n_max)
 
 
 def tau_d_exact(
@@ -342,6 +391,11 @@ def _orbit_minima(koopman: TruncatedKoopman) -> Iterator[float]:
         yield math.inf
 
 
+def _orbit_tests(koopman: TruncatedKoopman) -> Iterator[Callable[[float], bool]]:
+    """``_orbit_minima`` as first-passage tests; an int compared with a float is exact."""
+    return (lambda t, m=m: m > t for m in _orbit_minima(koopman))
+
+
 def tau_d_operator(
     koopman: TruncatedKoopman,
     nu: float,
@@ -353,7 +407,7 @@ def tau_d_operator(
     By ``_orbit_minima`` that is the first n with sigma_n < 1/e, decided in
     exact integers, so ties agree with the exact route.
     """
-    return _first_passages(_orbit_minima(koopman), _thresholds([nu], convention), n_max)[0]
+    return _first_passages(_orbit_tests(koopman), _thresholds([nu], convention), n_max)[0]
 
 
 def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,

@@ -19,7 +19,6 @@ integer arithmetic; eigendata is floating point.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,50 +164,52 @@ def _int_det(matrix: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _ceil_root(c: int, i: int) -> int:
-    """The smallest integer r >= 0 with r^i >= c, by exact bisection."""
-    lo, hi = 0, 1 << -(-c.bit_length() // i)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**i >= c:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def irreducible_over_q(p: IntPoly) -> Tuple[bool, Optional[IntPoly]]:
-    """Is the monic integer polynomial irreducible over Q?
+    """Is the monic integer polynomial of degree <= 4 irreducible over Q?
 
-    Trial division by monic integer factors of degree <= deg/2.  A factor's
-    constant term divides p(0), and its coefficient of x^j is an elementary
-    symmetric function of fdeg - j roots, so |coef| <= C(fdeg, j) rho^(fdeg-j)
-    for any bound rho on the root magnitudes.  rho is Fujiwara's
-    2 max_i |p_{deg-i}|^{1/i}, each root rounded up in integers, so the
-    search is exact.  Returns (flag, witness factor).
+    A reducible monic p has a monic integer factor of degree <= deg/2 (Gauss's
+    lemma) whose constant term c divides p(0).  A linear factor is x + c.  For
+    the quartic x^4 + p3 x^3 + p2 x^2 + p1 x + p0, a quadratic factor
+    x^2 + b x + c has the cofactor x^2 + (p3 - b) x + f with f = p0 / c, and
+    the x coefficient gives b (f - c) = p1 - c p3.  For f != c that fixes b;
+    for f = c the x^2 coefficient gives b^2 - p3 b + p2 - 2c = 0, solved with
+    ``math.isqrt``.  Each candidate is confirmed by exact division, so the
+    search takes no root bound and no scan.  Returns (flag, witness factor).
     """
     p = _poly_trim(p)
     deg = len(p) - 1
+    if deg > 4:
+        raise ValueError(f"degree must be <= 4, got {deg}")
     if deg <= 1:
         return True, None
     if p[0] == 0:
         return False, (0, 1)  # x divides p
-    rho = 2 * max(_ceil_root(abs(p[deg - i]), i) for i in range(1, deg + 1))
     # constant terms of a factor: the divisors of p(0), with either sign
     constants = [c for r in _divisors(p[0]) for c in (r, -r)]
-    for fdeg in range(1, deg // 2 + 1):
-        ranges = [range(-b, b + 1) for b in (math.comb(fdeg, j) * rho ** (fdeg - j) for j in range(1, fdeg))]
-        for tail in itertools.product(constants, *ranges):
-            cand = tail + (1,)
-            if poly_divides(cand, p):
-                return False, cand
+    candidates = [(c, 1) for c in constants]
+    if deg == 4:
+        p0, p1, p2, p3 = p[:4]
+        for c in constants:
+            f = p0 // c
+            if f != c:
+                b, rem = divmod(p1 - c * p3, f - c)
+                candidates += [(c, b, 1)] if rem == 0 else []
+            else:
+                disc = p3 * p3 - 4 * (p2 - 2 * c)
+                s = math.isqrt(max(disc, 0))  # p3^2 - s^2 = 4 (p2 - 2c): p3 and s share a parity
+                if s * s == disc:
+                    candidates += [(c, b, 1) for b in sorted({(p3 - s) // 2, (p3 + s) // 2})]
+    for cand in candidates:
+        if poly_divides(cand, p):
+            return False, cand
     return True, None
 
 
 def _divisors(n: int) -> List[int]:
+    """The positive divisors of n, ascending, found up to isqrt(|n|)."""
     n = abs(n)
-    out = [i for i in range(1, n + 1) if n % i == 0]
-    return out
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def poly_roots(p: IntPoly) -> np.ndarray:

@@ -149,6 +149,46 @@ def test_config_file_merging(tmp_path):
     assert e1 == pytest.approx(math.exp(-2 * 0.1 * 5), rel=1e-12)
 
 
+def test_config_values_are_parsed_like_flags(tmp_path):
+    # a string value used to reach the solver raw: TypeError, exit 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k1max": "4"}))
+    base = ["cts", "--nu-grid", "1e-2:1e-2:1"]
+    assert run_cli([*base, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli([*base, "--k1max", "4", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entry, option", [({"n-max": "x"}, "--n-max"), ({"convention": "bogus"}, "--convention")])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, entry, option):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    with pytest.raises(SystemExit) as done:
+        run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--config", str(cfg), "--out", str(tmp_path / "m.csv")])
+    assert done.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_config_keys_the_subcommand_lacks_are_ignored(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bogus": 1, "command": "cts", "suite": "cts", "nu-grid": "1e-2:1e-2:1",
+                               "n-max": 3}))
+    base = ["mixing-rate", "--matrix", "2,1,1,1"]
+    assert run_cli([*base, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli([*base, "--n-max", "3", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_bounds_dim_zero_is_a_validation_error(tmp_path, capsys):
+    # --dim 0 used to fall back to d = 2 and exit 0
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bounds", "--which", "H1", "--rate", "power:1,1", "--nu-grid", "1e-6:1e-2:9", "--dim", "0",
+                    "--out", str(out)]) == 2
+    assert "dimension must be 2, 3 or 4, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_error_exit_code(tmp_path):
     assert run_cli(["simulate", "--matrix", "2,1,1", "--nu", "0.1", "--steps", "1",
                     "--initial", "mode:1,0", "--out", str(tmp_path / "x.csv")]) == 2

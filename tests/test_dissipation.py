@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from disslab import dissipation
+from disslab import cli, dissipation
 from disslab.dissipation import (
     check_lower_bound_chain,
     dissipation_sweep,
@@ -296,6 +296,68 @@ def test_tau_d_exact_pinned_at_1e_minus_30(auto, want):
     threshold = 1.0 / 1e-30
     below, above = (integer_form_minimum(pulse_energy_form(auto, n))[0] for n in (want - 1, want))
     assert below <= threshold < above
+
+
+@pytest.mark.parametrize("matrix, grid, want", [
+    ("2,1,1,1", "1e-300:1e-2:9", [719, 630, 541, 452, 363, 273, 184, 95, 6]),
+    ("0,0,1,1,0,0,0,1,1", "1e-300:1e-4:9", [2708, 2374, 2040, 1705, 1371, 1037, 702, 368, 34]),
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "1e-300:1e-4:9", [1231, 1080, 928, 777, 625, 473, 321, 169, 17]),
+], ids=["2d", "3d", "4d"])
+def test_tau_d_exact_pinned_on_deep_grids(matrix, grid, want):
+    # values of the walk that computed min S_n at every n
+    auto = cli._parse_matrix(matrix)
+    assert dissipation._tau_d_grid(auto, cli._parse_nu_grid(grid), "exact", None) == want
+
+
+def check_exceeds_against_minima(auto, n_max=12):
+    for exceeds, (m, _) in islice(zip(dissipation._exceeds_tests(auto), min_energies(auto)), n_max):
+        for t in (m - 1, m, m + 1, math.nextafter(m, math.inf), math.nextafter(m, -math.inf)):
+            assert exceeds(t) == (m > t)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+@settings(max_examples=15, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_exceeds_decides_min_energy_above_threshold(data, dimension):
+    check_exceeds_against_minima(data.draw(c1_companions(dimension)))
+
+
+@pytest.mark.parametrize("rows, n, diagonal, minimum", [
+    (((0, 0, 1), (1, 0, -1), (0, 1, 2)), 12, 181, 179),
+    (((0, 0, 0, -1), (1, 0, 0, 3), (0, 1, 0, 0), (0, 0, 1, -2)), 5, 27, 25),
+])
+def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minimum):
+    # the warm LLL basis of G_n has no vector at min S_n: only the enumeration sees it
+    auto = ToralAutomorphism(rows)
+    basis = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    for g in islice(dissipation._energy_forms(auto), n):
+        basis, gram, _, _ = dissipation._lll_reduce(g, basis)
+    assert min(gram[i][i] for i in range(len(rows))) == diagonal
+    assert next(islice(min_energies(auto), n - 1, None))[0] == minimum
+    check_exceeds_against_minima(auto, n)
+
+
+def test_exceeds_answers_from_the_carried_basis_without_lll(cat, monkeypatch):
+    # a carried basis vector at exactly the bound already answers False
+    reductions = []
+    lll = dissipation._lll_reduce
+    monkeypatch.setattr(dissipation, "_lll_reduce", lambda *a: reductions.append(1) or lll(*a))
+    g = pulse_energy_form(cat, 1)
+    exceeds = next(dissipation._exceeds_tests(cat))
+    assert not exceeds(min(g[0][0], g[1][1]) + 0.5)
+    assert not exceeds(min(g[0][0], g[1][1]))
+    assert reductions == []
+
+
+def test_exact_4d_grid_reduces_21_forms_and_enumerates_5(monkeypatch, tmp_path):
+    # the walk that computed min S_n at every n reduced and enumerated all 83 forms
+    reductions, enumerations = [], []
+    lll, enumerate_ = dissipation._lll_reduce, dissipation._enumerate
+    monkeypatch.setattr(dissipation, "_lll_reduce", lambda *a: reductions.append(1) or lll(*a))
+    monkeypatch.setattr(dissipation, "_enumerate", lambda *a: enumerations.append(1) or enumerate_(*a))
+    assert cli.main(["dissipation-time", "--matrix", "0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "--nu-grid",
+                     "1e-20:1e-4:5", "--out", str(tmp_path / "exact-4d.json")]) == 0
+    assert (len(reductions), len(enumerations)) == (21, 5)
 
 
 def test_tau_d_exact_requires_c1():

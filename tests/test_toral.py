@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -73,10 +74,12 @@ def _companion(p):
 @pytest.mark.parametrize("p, irreducible", [
     ((1, 0, 0, -1000, 1), True),  # x^4 - 1000 x^3 + 1
     (poly_mul((1, 500, 1), (1, -300, 1)), False),  # (x^2 + 500 x + 1)(x^2 - 300 x + 1)
+    ((1, 0, 0, -10**6, 1), True),  # x^4 - 10^6 x^3 + 1
+    (poly_mul((1, 1000, 1), (-1, -999, 1)), False),  # (x^2 + 1000 x + 1)(x^2 - 999 x - 1)
 ])
 def test_conditions_decide_wide_companions_quickly(p, irreducible):
-    # a factor's constant term divides p(0) = 1, so only the other
-    # coefficients range over the integer root bound
+    # a factor's constant term divides p(0) = +-1, and its middle
+    # coefficient is solved for, not scanned over a root bound
     matrix = _companion(p)
     assert char_poly(matrix) == p
     start = time.perf_counter()
@@ -101,6 +104,42 @@ def test_products_of_quadratics_are_reducible_with_a_dividing_witness(q, r):
     ok, factor = irreducible_over_q(p)
     assert not ok
     assert 1 <= len(factor) - 1 <= 2 and factor[-1] == 1 and poly_divides(factor, p)
+
+
+def brute_force_factor(p):
+    """Scan every monic factor of degree <= deg/2 within Fujiwara's root bound."""
+    deg = len(p) - 1
+    if p[0] == 0:
+        return (0, 1)
+    # rho = 2 max_i |p_{deg-i}|^{1/i}, each root rounded up in integers
+    rho = 2 * max(next(r for r in itertools.count() if r**i >= abs(p[deg - i])) for i in range(1, deg + 1))
+    constants = [c for r in range(1, abs(p[0]) + 1) if p[0] % r == 0 for c in (r, -r)]
+    for fdeg in range(1, deg // 2 + 1):
+        ranges = [range(-b, b + 1) for b in (math.comb(fdeg, j) * rho ** (fdeg - j) for j in range(1, fdeg))]
+        for tail in itertools.product(constants, *ranges):
+            if poly_divides(tail + (1,), p):
+                return tail + (1,)
+    return None
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(p=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)))
+def test_quartic_factor_search_matches_brute_force(p):
+    p = p + (1,)
+    factor = brute_force_factor(p)
+    assert irreducible_over_q(p) == (factor is None, factor)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(q=st.tuples(st.integers(-4, 4), st.integers(-6, 6)), r=st.tuples(st.integers(-4, 4), st.integers(-6, 6)))
+def test_quartic_products_match_brute_force(q, r):
+    p = poly_mul(q + (1,), r + (1,))
+    assert irreducible_over_q(p) == (False, brute_force_factor(p))
+
+
+def test_irreducibility_is_decided_up_to_degree_4():
+    with pytest.raises(ValueError, match="degree must be <= 4"):
+        irreducible_over_q((1, 0, 0, 0, 0, 1))
 
 
 def test_conditions_transpose_and_inverse_transpose_match(cat):
