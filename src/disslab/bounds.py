@@ -19,7 +19,7 @@ the sup is located by a geometric bracket plus bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,7 +78,6 @@ class BoundProfile:
     grad_u_norm: Optional[float] = None  # continuous bounds only
     weyl_c: Optional[float] = None  # weak bounds only
     lambda_1: float = 1.0
-    evaluated: List[dict] = field(default_factory=list)  # {nu, H, bound, degenerate}
 
     def __post_init__(self):
         if self.which not in ("H1", "H2", "H3", "H4"):
@@ -93,19 +92,13 @@ class BoundProfile:
         return DISCRETE_CONSTANT if self.which in ("H1", "H2") else CONTINUOUS_CONSTANT
 
     def evaluate_grid(self, nus: Sequence[float]) -> List[dict]:
+        """One {nu, H, bound, degenerate} record per nu."""
         c = self.universal_constant
-        self.evaluated = []
-        for nu in nus:
-            h_val, degenerate = eval_H(self, float(nu))
-            self.evaluated.append(
-                {
-                    "nu": float(nu),
-                    "H": h_val,
-                    "bound": c / (float(nu) * h_val),
-                    "degenerate": degenerate,
-                }
-            )
-        return self.evaluated
+        evaluated = []
+        for nu in map(float, nus):
+            h_val, degenerate = eval_H(self, nu)
+            evaluated.append({"nu": nu, "H": h_val, "bound": c / (nu * h_val), "degenerate": degenerate})
+        return evaluated
 
 
 def _feasible(profile: BoundProfile, nu: float, lam: float) -> bool:

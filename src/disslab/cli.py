@@ -15,6 +15,7 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -67,25 +68,38 @@ def _parse_nu_grid(text: str) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), pts))
 
 
+@contextlib.contextmanager
+def _json_file(path: str):
+    """Open a JSON input file; a missing key or a value of the wrong type met
+    while reading it is a ValueError that names the file."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except KeyError as exc:
+            raise ValueError(f"{path} has no key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"{path} holds a value of the wrong type: {exc}") from None
+
+
 def _parse_initial(text: str, convention: SpectralConvention) -> SpectralField:
     if text.startswith("mode:"):
         mode = tuple(int(v) for v in text[len("mode:") :].split(","))
         return SpectralField(convention, {mode: 1.0 + 0j})
-    with open(text) as fh:
+    with _json_file(text) as fh:
         return SpectralField.from_json(fh.read())
 
 
-def _parse_rate(text: str, alpha: float, beta: float) -> RateFunction:
+def _parse_rate(text: str, alpha: float, beta: float, mode: str) -> RateFunction:
     if text.startswith("power:"):
         c, p = (float(v) for v in text[len("power:") :].split(","))
-        return RateFunction.power(c, p, alpha, beta)
+        return RateFunction.power(c, p, alpha, beta, mode)
     if text.startswith("exp:"):
         c1, c2 = (float(v) for v in text[len("exp:") :].split(","))
-        return RateFunction.exponential(c1, c2, alpha, beta)
+        return RateFunction.exponential(c1, c2, alpha, beta, mode)
     if text.startswith("file:"):
-        with open(text[len("file:") :]) as fh:
+        with _json_file(text[len("file:") :]) as fh:
             payload = json.load(fh)
-        return RateFunction.tabulated(payload["t"], payload["h"], alpha, beta)
+            return RateFunction.tabulated(payload["t"], payload["h"], alpha, beta, mode)
     raise ValueError(f"unknown rate spec {text!r} (power:c,p | exp:c1,c2 | file:path)")
 
 
@@ -161,7 +175,8 @@ def _cmd_mixing_rate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rate = _parse_rate(args.rate, args.alpha, args.beta)
+    # H2 and H4 are the weak-rate bounds
+    rate = _parse_rate(args.rate, args.alpha, args.beta, "weak" if args.which in ("H2", "H4") else "strong")
     conv = SpectralConvention(2 if args.dim is None else args.dim, args.convention)
     kwargs = dict(dimension=conv.dimension, lambda_1=conv.lambda_1)
     if args.which in ("H2", "H4"):
@@ -179,7 +194,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cts(args) -> int:
     flow = _parse_shear(args.shear)
-    conv = SpectralConvention(2, args.convention if args.convention else "geometric")
+    conv = SpectralConvention(2, args.convention)
     # the written ends must lie in the desk range; the log-spaced points may
     # round just past it (exp(log 0.1) = 0.10000000000000002) and are clamped
     lo, hi = NU_DESK
@@ -235,7 +250,7 @@ def _verify_bounds(rng, report_path: Optional[str] = None) -> List[tuple]:
     weyl = weyl_constant(2, scaling="lattice") * 1e4
     cat = ToralAutomorphism(((2, 1), (1, 1)))
     if report_path:
-        with open(report_path) as fh:
+        with _json_file(report_path) as fh:
             report = DissipationReport(entries=json.load(fh)["entries"])
     else:
         report = dissipation_sweep(cat, np.exp(np.linspace(math.log(1e-4), math.log(1e-2), 5)), "exact")
@@ -385,13 +400,12 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
     """
     if not args.config:
         return args
-    with open(args.config) as fh:
-        payload = json.load(fh)
     tokens = []
-    for key, value in payload.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in _POSITIONALS:
-            tokens.append(f"--{attr.replace('_', '-')}={value}")
+    with _json_file(args.config) as fh:
+        for key, value in json.load(fh).items():
+            attr = key.replace("-", "_")
+            if hasattr(args, attr) and attr not in _POSITIONALS:
+                tokens.append(f"--{attr.replace('_', '-')}={value}")
     at = argv.index(args.command) + 1
     return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 

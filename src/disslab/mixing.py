@@ -214,10 +214,10 @@ class MixingEnvelope:
 _LOG2_PAD = 1e-9
 
 
-def _envelope_terms(power: List[List[int]], modes: List[Mode], alpha: float, beta: float) -> np.ndarray:
+def _envelope_terms(power: np.ndarray, modes: List[Mode], alpha: float, beta: float) -> np.ndarray:
     """lambda(B^n k)^{-alpha/2} lambda(k)^{-beta/2} per mode, with B^n k exact."""
     k = np.array(modes, dtype=object).T  # (d, N): one column per mode
-    bk = np.array(power, dtype=object) @ k
+    bk = power @ k
     lam_bk = np.sum(bk.astype(float) ** 2, axis=0)
     return lam_bk ** (-alpha / 2.0) * np.sum(k.astype(float) ** 2, axis=0) ** (-beta / 2.0)
 
@@ -245,9 +245,9 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     if not report.ergodic_irreducible:
         raise ValueError("strong envelope requires conditions C1 and C2")
     d = automorphism.dimension
-    b = automorphism.inverse_transpose
+    b = np.array(automorphism.inverse_transpose, dtype=object)  # Python-int entries: exact at every n
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    power = [list(row) for row in units]  # B^n
+    power = np.array(units, dtype=object)  # B^n
     incumbents = units
     values = np.empty(n_max + 1)
     for n in range(n_max + 1):
@@ -255,7 +255,7 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
         if v0 == 0.0:
             raise OverflowError(f"e({n}) underflows float64; reduce n_max")
         log_p = _LOG2_PAD - math.log2(v0)
-        gram = [[sum(power[l][i] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+        gram = (power.T @ power).tolist()
         candidates = list(incumbents)
         for j in range(math.floor(log_p / beta) + 1):
             c_j = math.ceil(2.0 ** ((log_p - j * beta) * 2.0 / alpha))
@@ -266,7 +266,7 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
         best = int(np.argmax(terms))
         values[n] = float(terms[best])
         incumbents = units + [candidates[best]]
-        power = [[sum(b[i][l] * power[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+        power = b @ power
     return MixingEnvelope(n_values=np.arange(n_max + 1), values=values, alpha=alpha, beta=beta)
 
 

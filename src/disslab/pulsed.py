@@ -19,16 +19,18 @@ accumulated logs would otherwise wipe out the inequality margins that the
 energy identities are tested against.
 
 ``TruncatedKoopman`` restricts the Koopman action of an automorphism to a
-finite mode ball as the induced partial permutation.  The operator route of
-``dissipation`` walks that permutation over the certified threshold ball: a
-brute-force oracle for dissipation times, independent of the lattice route.
+finite mode ball as the induced partial permutation; the ball goes through
+the pulses' one certified push, and each |A^T m|^2 is exact.  The operator
+route of ``dissipation`` walks that permutation over the certified
+threshold ball: a brute-force oracle for dissipation times, independent of
+the lattice route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -245,6 +247,25 @@ def _exact_pulse(modes: np.ndarray, matrix) -> np.ndarray:
     return nxt.astype(np.int64)
 
 
+def _pusher(matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The certified push of int64 mode rows, m -> m @ A (row convention: A^T m = m @ A).
+
+    With g the largest column sum of |A|, rows with max|m| g < MODE_LIMIT
+    push in int64, where no entry or partial sum can overflow; other rows
+    push in Python integers (``_exact_pulse``).  g and the int64 matrix are
+    formed once, here.
+    """
+    gain = max(sum(abs(v) for v in column) for column in zip(*matrix))
+    a = np.array(matrix, dtype=np.int64) if gain < MODE_LIMIT else None
+
+    def push(modes: np.ndarray) -> np.ndarray:
+        if int(np.max(np.abs(modes))) * gain < MODE_LIMIT:
+            return modes @ a
+        return _exact_pulse(modes, matrix)
+
+    return push
+
+
 def evolve(theta0: SpectralField, system: PulsedSystem, n: int) -> Trajectory:
     """Run n pulses, recording every scalar series of the energy identities.
 
@@ -263,23 +284,27 @@ def evolve_many(fields: Sequence[SpectralField], systems: Sequence[PulsedSystem]
     Fields whose systems share the automorphism and convention, and whose
     mode counts are equal, walk together as the rows of (fields x modes)
     arrays; nu may differ per row.  Each pulse pushes a whole group in one
-    product m @ A.  With g the largest column sum of |A|, a pulse from modes
-    with max|m| g < MODE_LIMIT runs in int64, where no entry or partial sum
-    can overflow; any other pulse runs in Python integers, and a mode leaving
-    the 63-bit range there raises the ModeOverflowError that the single run
-    of its field raises.  Every |k|^2 is exact before its one rounding to
+    certified product m @ A (``_pusher``), and a mode leaving the 63-bit
+    range raises the ModeOverflowError that the single run of its field
+    raises.  Every |k|^2 is exact before its one rounding to
     float (``exact_norm_sq``), and each trajectory is bit-identical to its
     field's run alone.
 
     Every field is checked before the first pulse: an empty field raises
     ValueError and an initial mode at or past ``MODE_LIMIT`` raises
-    ModeOverflowError.
+    ModeOverflowError.  The stored series, (n + 1) (8 + 8 d) bytes per
+    mode, are priced before anything is allocated: a run that needs more
+    than physical memory raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one step")
     if len(fields) != len(systems):
         raise ValueError(f"{len(fields)} fields but {len(systems)} systems")
     starts = [_start(theta0) for theta0 in fields]
+    # each of the n + 1 steps keeps, per mode, one float of log_damp and d int64 orbit coordinates
+    modes = sum(len(rows) for _, _, rows in starts)
+    words = sum(rows.size for _, _, rows in starts) + modes
+    require_memory(8 * (n + 1) * words, f"{n} pulses of {modes} modes")
     groups: Dict[tuple, List[int]] = {}
     for i, (system, (_, _, rows)) in enumerate(zip(systems, starts)):
         groups.setdefault((system.automorphism.matrix, system.convention, rows.shape), []).append(i)
@@ -315,9 +340,7 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
     series is a reduction along axis 1."""
     nu = np.array([system.nu for system in systems])
     scale = systems[0].convention.scale_factor
-    matrix = systems[0].automorphism.matrix  # row convention: A^T m = m @ A
-    gain = max(sum(abs(v) for v in column) for column in zip(*matrix))
-    a = np.array(matrix, dtype=np.int64) if gain < MODE_LIMIT else None
+    push = _pusher(systems[0].automorphism.matrix)
     n_fields, n_modes = len(starts), len(starts[0][0])
     amps0 = np.array([amps for _, amps, _ in starts])
     current = np.concatenate([rows for _, _, rows in starts])  # field-major (fields * modes, d)
@@ -344,10 +367,7 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
         total = np.sum(w, axis=1)
         log_r[:, it] = _log(np.sum(w * lam, axis=1) / total)
 
-        if int(np.max(np.abs(current))) * gain < MODE_LIMIT:
-            nxt = current @ a
-        else:
-            nxt = _exact_pulse(current, matrix)
+        nxt = push(current)
         lam_next = scale * exact_norm_sq(nxt).reshape(n_fields, n_modes)
         x = (2.0 * nu)[:, None] * lam_next
         decay = np.exp(-x)
@@ -428,7 +448,11 @@ class TruncatedKoopman:
         """Induced partial permutation m -> A^T m on the ball |m| <= radius.
 
         Memory is checked first, on the volume of the ball of radius
-        R + sqrt(d)/2, which holds the unit cube around every mode.
+        R + sqrt(d)/2, which holds the unit cube around every mode.  The ball
+        goes through the one certified push of ``evolve_many`` and each
+        image's |A^T m|^2 is exact (``exact_norm_sq``), so an image outside
+        the ball never wraps into it; an image past the 63-bit range raises
+        ModeOverflowError.
         """
         d = automorphism.dimension
         count = ball_size_bound(d, radius)
@@ -437,8 +461,8 @@ class TruncatedKoopman:
             f"operator route over the mode ball of radius {radius} in d = {d} ({count:.3e} modes)",
         )
         modes = ball_modes(d, radius)
-        images = modes @ automorphism.array  # row convention: A^T m = m @ A
-        inside = np.flatnonzero(np.einsum("ij,ij->i", images, images) <= radius * radius)
+        images = _pusher(automorphism.matrix)(modes)
+        inside = np.flatnonzero(exact_norm_sq(images) <= radius * radius)
         images = images[inside]
         perm = -np.ones(modes.shape[0], dtype=np.int64)
         # ball_modes rows are lexicographic, so their keys are sorted

@@ -13,7 +13,10 @@ contracting eigendirections.
 
 Integer polynomials are dense coefficient tuples, constant term first,
 as in (1, -3, 1) for 1 - 3x + x^2.  All condition decisions use exact
-integer arithmetic; eigendata is floating point.
+integer arithmetic; eigendata is floating point.  One Faddeev-LeVerrier
+pass gives the characteristic polynomial, the determinant and the
+adjugate (hence the inverse); the cyclotomic polynomial Phi_m is x^m - 1
+divided exactly by the Phi_d of the proper divisors d of m.
 """
 
 from __future__ import annotations
@@ -58,17 +61,14 @@ def poly_divmod(p: Sequence[int], q: Sequence[int]) -> Tuple[Optional[IntPoly], 
     q = _poly_trim(q)
     if not q or q[-1] != 1:
         return None, _poly_trim(p)
-    rem = list(p)
+    rem = list(_poly_trim(p))
     quot = [0] * max(len(rem) - len(q) + 1, 0)
-    while len(_poly_trim(rem)) >= len(q):
-        rem = list(_poly_trim(rem))
-        shift = len(rem) - len(q)
-        coef = rem[-1]
+    for shift in reversed(range(len(quot))):
+        coef = rem[shift + len(q) - 1]
         quot[shift] = coef
         for i, b in enumerate(q):
             rem[shift + i] -= coef * b
-        rem = rem[:-1]
-    return _poly_trim(quot), _poly_trim(rem)
+    return _poly_trim(quot), _poly_trim(rem[: len(q) - 1])
 
 
 def poly_divides(q: Sequence[int], p: Sequence[int]) -> bool:
@@ -77,39 +77,16 @@ def poly_divides(q: Sequence[int], p: Sequence[int]) -> bool:
 
 
 def cyclotomic(m: int) -> IntPoly:
-    """m-th cyclotomic polynomial via Phi_m = prod_{d|m} (x^d - 1)^{mu(m/d)}."""
-    num: IntPoly = (1,)
-    dens: List[IntPoly] = []
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        mu = _moebius(m // d)
-        xd_minus_1 = tuple([-1] + [0] * (d - 1) + [1])
-        if mu == 1:
-            num = poly_mul(num, xd_minus_1)
-        elif mu == -1:
-            dens.append(xd_minus_1)
-    for den in dens:
-        quot, rem = poly_divmod(num, den)
-        assert quot is not None and not rem, "cyclotomic division must be exact"
-        num = quot
-    return num
-
-
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    result, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    """m-th cyclotomic polynomial: Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, for the divisors n of m in turn."""
+    phis = {}
+    for n in _divisors(m):
+        p: IntPoly = (-1,) + (0,) * (n - 1) + (1,)
+        for d, phi in phis.items():
+            if n % d == 0:
+                p, rem = poly_divmod(p, phi)
+                assert not rem, "cyclotomic division must be exact"
+        phis[n] = p
+    return phis[m]
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,39 +106,37 @@ def _cyclotomic_table(max_degree: int) -> Tuple[Tuple[int, IntPoly], ...]:
     return tuple(table)
 
 
-def char_poly(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Characteristic polynomial det(xI - A) with exact integer coefficients.
+def _leverrier(matrix: Sequence[Sequence[int]]) -> Tuple[IntPoly, np.ndarray]:
+    """One Faddeev-LeVerrier pass in Python integers: (det(xI - A), M_d).
 
-    Faddeev-LeVerrier; the divisions are exact over Z.
+    M_1 = I, c_{d-k} = -tr(A M_k) / k (exact over Z), M_{k+1} = A M_k + c_{d-k} I.
+    Cayley-Hamilton gives A M_d = -c_0 I, so det A = (-1)^d c_0 and
+    adj A = (-1)^{d+1} M_d.
     """
-    a = [[int(v) for v in row] for row in matrix]
+    a = np.array([[int(v) for v in row] for row in matrix], dtype=object)
     d = len(a)
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    eye = np.eye(d, dtype=int).astype(object)
+    coeffs = [0] * d + [1]
+    m = eye
     for k in range(1, d + 1):
-        am = [[sum(a[i][l] * m[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
-        trace = sum(am[i][i] for i in range(d))
+        am = a @ m
+        trace = int(np.trace(am))
         assert trace % k == 0, "LeVerrier division must be exact"
-        c = -trace // k
-        coeffs[d - k] = c
-        m = am
-        for i in range(d):
-            m[i][i] += c
-    return tuple(coeffs)
+        coeffs[d - k] = -trace // k
+        if k < d:
+            m = am + coeffs[d - k] * eye
+    return tuple(coeffs), m
+
+
+def char_poly(matrix: Sequence[Sequence[int]]) -> IntPoly:
+    """Characteristic polynomial det(xI - A) with exact integer coefficients."""
+    return _leverrier(matrix)[0]
 
 
 def _int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free expansion (d <= 4)."""
-    a = [[int(v) for v in row] for row in matrix]
-    d = len(a)
-    if d == 1:
-        return a[0][0]
-    total = 0
-    for j in range(d):
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        total += (-1) ** j * a[0][j] * _int_det(minor)
-    return total
+    """Exact determinant, (-1)^d p(0) of the characteristic polynomial p."""
+    p = char_poly(matrix)
+    return (-1) ** (len(p) - 1) * p[0]
 
 
 def irreducible_over_q(p: IntPoly) -> Tuple[bool, Optional[IntPoly]]:
@@ -248,8 +223,8 @@ def check_conditions(matrix: Sequence[Sequence[int]]) -> ConditionReport:
         raise ValueError("matrix must be square")
     if d not in (2, 3, 4):
         raise ValueError(f"dimension must be 2, 3 or 4, got {d}")
-    det = _int_det(rows)
     p = char_poly(rows)
+    det = (-1) ** d * p[0]  # p(0) = det(-A)
 
     witness = None
     c1 = True
@@ -371,25 +346,15 @@ class ToralAutomorphism:
         return len(self.matrix)
 
     @property
-    def array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
-
-    @property
     def transpose(self) -> Tuple[Tuple[int, ...], ...]:
         d = self.dimension
         return tuple(tuple(self.matrix[j][i] for j in range(d)) for i in range(d))
 
     @property
     def inverse(self) -> Tuple[Tuple[int, ...], ...]:
-        """Exact integer inverse (adjugate; det = 1)."""
-        rows = [list(r) for r in self.matrix]
-        d = self.dimension
-        adj = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
-                adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-        return tuple(tuple(r) for r in adj)
+        """Exact integer inverse: the adjugate (-1)^{d+1} M_d of ``_leverrier`` (det = 1)."""
+        sign = (-1) ** (self.dimension + 1)
+        return tuple(tuple(sign * v for v in row) for row in _leverrier(self.matrix)[1].tolist())
 
     @property
     def inverse_transpose(self) -> Tuple[Tuple[int, ...], ...]:

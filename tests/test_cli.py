@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from disslab import dissipation
-from disslab.bounds import lattice_count
+from disslab.bounds import BoundProfile, lattice_count, weyl_constant
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
-from disslab.mixing import lattice_ball_sum
+from disslab.mixing import RateFunction, lattice_ball_sum
 from disslab.toral import ToralAutomorphism, verify_norm_form
 
 
@@ -528,6 +528,20 @@ def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, caps
     assert "GB" in capsys.readouterr().err
 
 
+def test_pulse_walk_past_physical_memory_is_a_validation_error(tmp_path, capsys, capped_memory, monkeypatch):
+    # the orbits of this shear grow linearly and never reach MODE_LIMIT, so
+    # 400,000 pulses of 4,000 modes would store 8 (1 + d) 4,000 400,001 B, about 38 GB
+    field = random_sparse_field(SpectralConvention(2, "lattice"), np.random.default_rng(0), n_modes=4000, kmax=60)
+    path, out = tmp_path / "field.json", tmp_path / "trajectory.csv"
+    path.write_text(field.to_json())
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("the pulse walk allocated its series"))
+    code = run_cli(["simulate", "--matrix", "1,1,0,1", "--nu", "1e-6", "--steps", "400000",
+                    "--initial", str(path), "--out", str(out)])
+    assert code == 2
+    assert "400000 pulses of 4000 modes needing 38.4 GB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scan", [
     lambda cat: lattice_count(4, 1e10),  # radius 100,001: 4.9e20 ball modes
     lambda cat: verify_norm_form(cat, 10**6),  # 3.1e12 ball modes
@@ -595,3 +609,65 @@ def test_perfbench_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert all(dissipation.__dict__[name] is fn for name, fn in originals.items())
     assert tracer.metrics()["dissipation.tau_d_exact.calls"] == 1
+
+
+@pytest.mark.parametrize("name, content, argv, message", [
+    ("field.json", {"convention": {"dimension": 2, "scaling": "lattice"}},
+     ["simulate", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "{file}"], "has no key 'modes'"),
+    ("rate.json", {"t": [1, 2]},
+     ["bounds", "--which", "H1", "--rate", "file:{file}", "--nu-grid", "1e-4:1e-2:3"], "has no key 'h'"),
+    ("report.json", {"fit": None}, ["verify", "bounds", "--report", "{file}"], "has no key 'entries'"),
+    ("run.json", [1, 2],
+     ["simulate", "--config", "{file}", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "mode:1,0"],
+     "holds a value of the wrong type: 'list'"),
+], ids=["field-without-modes", "rate-without-h", "report-without-entries", "config-list"])
+def test_outside_json_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, name, content, argv, message):
+    path, out = tmp_path / name, tmp_path / "out.csv"
+    path.write_text(json.dumps(content))
+    argv = [arg.format(file=path) for arg in argv]
+    code = run_cli(argv if argv[0] == "verify" else [*argv, "--out", str(out)])
+    printed = capsys.readouterr()
+    assert code == 2
+    assert f"error: {path} {message}" in printed.err
+    assert "Traceback" not in printed.err and not printed.out
+    assert not out.exists()
+
+
+def test_weak_bounds_take_alpha_zero(tmp_path, capsys):
+    # H2 and H4 are the weak-rate bounds: their rates are built in weak mode,
+    # where alpha = 0 is the weak class; H1 still asks for a strong rate
+    weyl_c = weyl_constant(2, scaling="lattice")
+    rate = RateFunction.power(1.0, 0.5, 0.0, 1.0, mode="weak")
+    for which in ("H2", "H4"):
+        profile = BoundProfile(which, rate, weyl_c=weyl_c, grad_u_norm=1.0)
+        assert all(math.isfinite(e["bound"]) and e["bound"] > 0 for e in profile.evaluate_grid([1e-4, 1e-3, 1e-2]))
+        out = tmp_path / f"{which}.csv"
+        assert run_cli(["bounds", "--which", which, "--rate", "power:1,0.5", "--alpha", "0",
+                        "--nu-grid", "1e-4:1e-2:3", "--out", str(out)]) == 0
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=2)))
+    assert run_cli(["bounds", "--which", "H1", "--rate", "power:1,0.5", "--alpha", "0",
+                    "--nu-grid", "1e-4:1e-2:3", "--out", str(tmp_path / "H1.csv")]) == 2
+    assert "strong rates need alpha > 0" in capsys.readouterr().err
+
+
+def test_weak_bounds_refuse_a_tabulated_rate_below_the_weak_floor(tmp_path, capsys):
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"t": [1, 4, 16], "h": [1.0, 0.4, 0.1]}))  # 0.4 < 1/sqrt(4)
+    for which in ("H2", "H4"):
+        out = tmp_path / f"{which}.csv"
+        assert run_cli(["bounds", "--which", which, "--rate", f"file:{path}", "--nu-grid", "1e-4:1e-2:3",
+                        "--out", str(out)]) == 2
+        assert "weak rates cannot decay faster than 1/sqrt(n)" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli(["bounds", "--which", "H1", "--rate", f"file:{path}", "--nu-grid", "1e-4:1e-2:3",
+                    "--out", str(tmp_path / "H1.csv")]) == 0
+
+
+@pytest.mark.parametrize("matrix", ["1,1000,0,1", "1,3000000000,0,1", "1,10000000000,0,1"])
+def test_operator_ball_images_past_int64_squares(tmp_path, matrix):
+    # the modes (0, +-1) are fixed, so min S_n = n and tau_d = 101 at nu = 1e-2;
+    # for the two wide shears |A^T m|^2 of the radius-11 ball passes 2^63
+    out = tmp_path / "report.json"
+    assert run_cli(["dissipation-time", "--method", "operator", "--matrix", matrix, "--nu-grid", "1e-2:1e-2:1",
+                    "--out", str(out)]) == 0
+    assert [e["tau_d"] for e in json.loads(out.read_text())["entries"]] == [101]

@@ -303,3 +303,14 @@ def test_fit_rate_from_envelope(cat):
 def test_fit_rate_rejects_increasing():
     with pytest.raises(ValueError):
         fit_rate([1, 2, 3, 4, 5], [1.0, 0.9, 1.1, 0.7, 0.6])
+
+
+def test_strong_envelopes_pinned():
+    # sha256 over the float64 values of e(0..10) for three automorphisms at four
+    # (alpha, beta), captured when B^n and G_n were formed by list comprehensions
+    h = hashlib.sha256()
+    for rows in [((2, 1), (1, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 1)),
+                 ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3))]:
+        for alpha, beta in [(1.0, 1.0), (2.0, 1.0), (0.5, 2.0), (1.5, 0.75)]:
+            h.update(strong_envelope(ToralAutomorphism(rows), alpha, beta, 10).values.tobytes())
+    assert h.hexdigest() == "465d6f4e2433cf51a669289e6b6209cd200b00e2b23056c69b702a09b781c7a8"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from disslab.toral import (
     ToralAutomorphism,
+    _cyclotomic_table,
+    _int_det,
+    _leverrier,
     char_poly,
     check_conditions,
     cyclotomic,
@@ -17,6 +21,7 @@ from disslab.toral import (
     kronecker_classify,
     norm_form,
     poly_divides,
+    poly_divmod,
     poly_mul,
     poly_roots,
     verify_norm_form,
@@ -295,3 +300,128 @@ def test_automorphism_requires_unimodular():
 def test_inverse_transpose_exact(cat):
     b = np.array(cat.inverse_transpose)
     assert np.array_equal(b @ np.array(cat.matrix).T, np.eye(2, dtype=np.int64))
+
+
+# References for the one LeVerrier pass and the cyclotomics by division: the
+# Laplace determinant, the adjugate from minors and the Moebius product that
+# the package used before.
+
+def laplace_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * laplace_det([row[:j] + row[j + 1:] for row in a[1:]]) for j in range(len(a)))
+
+
+def minors_adjugate(a):
+    d = len(a)
+    return [[(-1) ** (i + j) * laplace_det([row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j])
+             for j in range(d)] for i in range(d)]
+
+
+def moebius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def moebius_cyclotomic(m):
+    """prod_{d | m} (x^d - 1)^{mu(m/d)}: the numerator product, then one long division."""
+    num, den = (1,), (1,)
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        xd_minus_1 = (-1,) + (0,) * (d - 1) + (1,)
+        if moebius(m // d) == 1:
+            num = poly_mul(num, xd_minus_1)
+        elif moebius(m // d) == -1:
+            den = poly_mul(den, xd_minus_1)
+    num, quot = list(num), [0] * (len(num) - len(den) + 1)
+    for shift in reversed(range(len(quot))):
+        quot[shift] = num[shift + len(den) - 1]
+        for i, b in enumerate(den):
+            num[shift + i] -= quot[shift] * b
+    assert not any(num)
+    return tuple(quot)
+
+
+square_matrices = st.integers(2, 4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(square_matrices)
+def test_leverrier_matches_laplace_and_minors(a):
+    d = len(a)
+    p, m_d = _leverrier(a)
+    assert char_poly(a) == p
+    assert p[-1] == 1 and len(p) == d + 1
+    det = laplace_det(a)
+    assert _int_det(a) == det == (-1) ** d * p[0]
+    assert check_conditions(a).in_SL == (det == 1)
+    # A M_d = -c_0 I, so adj A = (-1)^{d+1} M_d for every A, singular or not
+    assert ((-1) ** (d + 1) * m_d).tolist() == minors_adjugate(a)
+    # the trace of A is -c_{d-1}
+    assert p[d - 1] == -sum(a[i][i] for i in range(d))
+    if det == 1:
+        assert [list(row) for row in ToralAutomorphism(a).inverse] == minors_adjugate(a)
+
+
+# unimodular matrices: products of elementary column operations from I
+unimodular = st.integers(2, 4).flatmap(lambda d: st.lists(
+    st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-3, 3)), max_size=10).map(
+    lambda ops: _elementary_product(d, ops)))
+
+
+def _elementary_product(d, ops):
+    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, j, c in ops:
+        if i != j:
+            for row in a:
+                row[i] += c * row[j]
+    return a
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(unimodular)
+def test_inverse_is_the_minors_adjugate(a):
+    auto = ToralAutomorphism(a)
+    inv = [list(row) for row in auto.inverse]
+    assert inv == minors_adjugate(a)
+    assert np.array_equal(np.array(a, dtype=object) @ np.array(inv, dtype=object), np.eye(len(a), dtype=int))
+    assert all(type(v) is int for row in inv for v in row)
+
+
+def test_cyclotomic_by_division_matches_moebius_product():
+    for m in range(1, 131):
+        assert cyclotomic(m) == moebius_cyclotomic(m), m
+
+
+def test_cyclotomic_table_pinned():
+    # sha256 of repr(_cyclotomic_table(8)) as the Moebius-product construction built it
+    digest = "378611ebccfee38919bd240e83eeafa204e40b1f52077f4300b753502f127458"
+    assert hashlib.sha256(repr(_cyclotomic_table(8)).encode()).hexdigest() == digest
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(-6, 6), max_size=9), st.lists(st.integers(-6, 6), max_size=5), st.booleans())
+def test_poly_divmod_is_division_with_remainder(p, q, monic):
+    if monic:
+        q = q + [1]
+    quot, rem = poly_divmod(p, q)
+    trimmed = list(q)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    if not trimmed or trimmed[-1] != 1:
+        assert quot is None
+        return
+    product = poly_mul(quot, trimmed)
+    padded = [0] * max(len(p), len(product), len(rem))
+    for poly, sign in ((product, 1), (rem, 1), (p, -1)):
+        for i, c in enumerate(poly):
+            padded[i] += sign * c
+    assert not any(padded)
+    assert len(rem) < len(trimmed) and (not rem or rem[-1] != 0)
