@@ -19,7 +19,7 @@ import contextlib
 import json
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {CSV_VERSION}\n")
         fh.write(",".join(columns) + "\n")
@@ -137,10 +137,7 @@ def _cmd_simulate(args) -> int:
     theta0 = _parse_initial(args.initial, conv)
     system = PulsedSystem(auto, args.nu, conv)
     traj = evolve(theta0, system, args.steps)
-    rows = []
-    for n in range(traj.n_steps + 1):
-        enu = traj.enu_values[n] if n < traj.n_steps else float("nan")
-        rows.append((n, traj.energies[n], traj.h1_norms_sq[n], enu))
+    rows = zip(range(traj.n_steps + 1), traj.energies, traj.h1_norms_sq, [*traj.enu_values, float("nan")])
     _write_csv(args.out, ["n", "energy", "h1", "e_nu"], rows)
     print(f"wrote {args.out} ({traj.n_steps} steps)")
     return 0
@@ -188,6 +185,9 @@ def _cmd_bounds(args) -> int:
     evaluated = profile.evaluate_grid(nus)
     rows = [(e["nu"], e["H"], e["bound"]) for e in evaluated]
     _write_csv(args.out, ["nu", "H", "bound"], rows)
+    degenerate = [_fmt(e["nu"]) for e in evaluated if e["degenerate"]]
+    if degenerate:
+        print(f"H fell back to lambda_1 (the trivial heat bound) at nu = {', '.join(degenerate)}")
     print(f"wrote {args.out}")
     return 0
 
@@ -251,7 +251,8 @@ def _verify_bounds(rng, report_path: Optional[str] = None) -> List[tuple]:
     cat = ToralAutomorphism(((2, 1), (1, 1)))
     if report_path:
         with _json_file(report_path) as fh:
-            report = DissipationReport(entries=json.load(fh)["entries"])
+            entries = [{"nu": e["nu"], "tau_d": e["tau_d"]} for e in json.load(fh)["entries"]]
+        report = DissipationReport(entries=entries)
     else:
         report = dissipation_sweep(cat, np.exp(np.linspace(math.log(1e-4), math.log(1e-2), 5)), "exact")
     _, verdicts = checks.strong_bound_verdicts(report, cat, 10)

@@ -6,25 +6,26 @@ so its norm is exp(-nu * min_k S_n(k)) and
 
     tau_d = min { n : min_{k != 0} S_n(k) > 1/nu }.
 
-S_n is an exact integer quadratic form G_n = sum_j (A_*^j)^T A_*^j, built
-incrementally (G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}).  In every
-dimension the form is reduced by integral LLL (Cohen, Alg. 2.6.7: integer
+S_n is an exact integer quadratic form G_n = sum_j (A_*^j)^T A_*^j.  One
+walk, ``_walk``, carries G_n in a basis B (the unit basis at first) as
+gram = B G_n B^T, grown by (B P^T)(B P^T)^T with P = A_*^n; its lazy
+``reduce()`` runs integral LLL on gram (Cohen, Alg. 2.6.7: integer
 Gram-Schmidt data, exact divisions, no round cap; each swap shrinks an
 integer potential by a factor below 3/4, and a nonpositive minor raises
-ValueError).  One exact enumerator, ``_enumerate``, runs on the reduced
-form's integral Gram-Schmidt data (Fincke-Pohst with interval ends from
-``math.isqrt`` and floor division, no floats): the minimum is the least
-value among the points at or below the smallest diagonal entry, and
-``short_vectors`` lists every point of an integer ellipsoid for the strong
-mixing envelope.  ``min_energies`` walks n = 1, 2, ... and starts each LLL
-from the previous reduced basis.
+ValueError) and hands the reduced basis to the next n.  One exact
+enumerator, ``_enumerate``, runs on the reduced form's integral
+Gram-Schmidt data (Fincke-Pohst with interval ends from ``math.isqrt`` and
+floor division, no floats): the minimum is the least value among the points
+at or below the smallest diagonal entry, and ``short_vectors`` lists every
+point of an integer ellipsoid for the strong mixing envelope.
+``min_energies`` reduces at every n; ``pulse_energy_form`` never does.
 
 tau_d only asks whether min S_n > T = 1/(nu * scale), so a nu grid is served
 by one walk of yes/no tests, ``_exceeds_tests``, each nu taking its first n
 past its T.  In integers with bound = floor(T), a test answers False from a
-vector of the last reduced basis with S_n <= bound, else from the warm LLL
-reduction of G_n (a diagonal entry <= bound), else from the enumeration at
-the bound; most n never reach LLL and few reach the enumeration.
+carried Gram diagonal entry <= bound, else from the warm LLL reduction of
+G_n (a diagonal entry <= bound), else from the enumeration at the bound;
+most n never reach LLL and few reach the enumeration.
 
 Operator route (toral automorphisms): the same first-passage rule on an
 independent stream of tests, exact orbit minima compared with T, brute
@@ -39,6 +40,7 @@ operator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -53,6 +55,10 @@ from .toral import ToralAutomorphism
 # ---------------------------------------------------------------------------
 # exact integer quadratic-form minimisation
 # ---------------------------------------------------------------------------
+
+# a basis (rows), its Gram matrix and that matrix's integral Gram-Schmidt data
+_Reduction = Tuple[List[List[int]], List[List[int]], List[int], List[List[int]]]
+
 
 def _gram_schmidt(gram: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     """Integral Gram-Schmidt data (Cohen, Alg. 2.6.7) of an integer Gram matrix.
@@ -79,40 +85,32 @@ def _gram_schmidt(gram: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     return dm, lam
 
 
-def _lll_reduce(g: List[List[int]], basis: List[List[int]]
-                ) -> Tuple[List[List[int]], List[List[int]], List[int], List[List[int]]]:
-    """Integral LLL (Cohen, Alg. 2.6.7) of the form g, started from ``basis``.
+def _lll_reduce(gram: Sequence[Sequence[int]]) -> _Reduction:
+    """Integral LLL (Cohen, Alg. 2.6.7) of an integer Gram matrix, from its own basis.
 
-    ``basis`` lists the starting basis vectors.  Returns the reduced basis,
-    its Gram matrix ``gram[i][j] = basis[i]^T g basis[j]``, LLL-reduced with
-    delta = 3/4, and that matrix's integral Gram-Schmidt data ``dm, lam``
-    (see ``_gram_schmidt``), kept exact through every size reduction and
-    swap.  Each swap multiplies prod d_i by less than 3/4, hence the loop
-    ends without a round cap.
+    Returns the transform rows U (the reduced basis in the coordinates of
+    ``gram``), the reduced Gram matrix U gram U^T, LLL-reduced with
+    delta = 3/4, and its integral Gram-Schmidt data ``dm, lam`` (see
+    ``_gram_schmidt``), kept exact through every size reduction and swap.
+    The loop reads only ``dm`` and ``lam``, so the reduced Gram matrix is
+    formed once at the end.  Each swap multiplies prod d_i by less than 3/4,
+    hence the loop ends without a round cap.
     """
+    g = [[int(v) for v in row] for row in gram]
     d = len(g)
-    h = [list(v) for v in basis]
-    gh = [[sum(g[a][c] * v[c] for c in range(d)) for a in range(d)] for v in h]
-    gram = [[sum(x * y for x, y in zip(h[i], gh[j])) for j in range(d)] for i in range(d)]
-    dm, lam = _gram_schmidt(gram)
+    dm, lam = _gram_schmidt(g)
+    u = _identity(d)
 
     def size_reduce(k: int, l: int) -> None:
         if abs(2 * lam[k][l]) > dm[l + 1]:
             q = (2 * lam[k][l] + dm[l + 1]) // (2 * dm[l + 1])  # nearest integer
-            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-            for i in range(d):
-                gram[k][i] -= q * gram[l][i]
-            for i in range(d):
-                gram[i][k] -= q * gram[i][l]
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
             lam[k][l] -= q * dm[l + 1]
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
     def swap(k: int) -> None:
-        h[k], h[k - 1] = h[k - 1], h[k]
-        gram[k], gram[k - 1] = gram[k - 1], gram[k]
-        for row in gram:
-            row[k], row[k - 1] = row[k - 1], row[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         m = lam[k][k - 1]
@@ -133,7 +131,7 @@ def _lll_reduce(g: List[List[int]], basis: List[List[int]]
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return h, gram, dm, lam
+    return u, [[_dot(row, v) for v in u] for row in _matmul(u, g)], dm, lam
 
 
 def _enumerate(dm: List[int], lam: List[List[int]], bound: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -166,9 +164,27 @@ def _enumerate(dm: List[int], lam: List[List[int]], bound: int) -> Iterator[Tupl
     yield from level(d - 1, bound, 1)
 
 
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(operator.mul, x, y))
+
+
+def _matmul(x: List[List[int]], y: List[List[int]]) -> List[List[int]]:
+    """Exact product of integer matrices given as lists of rows."""
+    return [[_dot(row, col) for col in zip(*y)] for row in x]
+
+
+def _identity(d: int) -> List[List[int]]:
+    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+
+def _map_back(x: Sequence[int], basis: List[List[int]]) -> Tuple[int, ...]:
+    """The vector with coordinates x in ``basis`` (rows), in original coordinates."""
+    return tuple(_dot(x, column) for column in zip(*basis))
+
+
 def _reduced_minimum(basis: List[List[int]], gram: List[List[int]], dm: List[int],
                      lam: List[List[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """Exact minimum of the form over nonzero vectors, from ``_lll_reduce``'s output.
+    """Exact minimum of the form over nonzero vectors, from a reduced basis and its data.
 
     The minimum is at most min_i gram_ii (a unit vector), so it is the least
     value among the points the enumeration finds at that bound; the first
@@ -180,11 +196,7 @@ def _reduced_minimum(basis: List[List[int]], gram: List[List[int]], dm: List[int
     for val, vec in _enumerate(dm, lam, best_val):
         if val < best_val:
             best_val, best_vec = val, vec
-    return best_val, tuple(sum(c * v[a] for c, v in zip(best_vec, basis)) for a in range(d))
-
-
-def _identity(d: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    return best_val, _map_back(best_vec, basis)
 
 
 def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
@@ -193,8 +205,7 @@ def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ..
     Integral LLL from the unit basis, then the exact enumeration on the
     reduced form; a form that is not positive definite raises ValueError.
     """
-    gi = [[int(v) for v in row] for row in g]
-    return _reduced_minimum(*_lll_reduce(gi, _identity(len(gi))))
+    return _reduced_minimum(*_lll_reduce(g))
 
 
 def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...]]:
@@ -204,21 +215,41 @@ def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...
     reduced form's integral Gram-Schmidt data, mapped back to original
     coordinates.  Both x and -x are listed.
     """
-    gi = [[int(v) for v in row] for row in g]
-    d = len(gi)
-    basis, _, dm, lam = _lll_reduce(gi, _identity(d))
-    return [tuple(sum(c * v[a] for c, v in zip(x, basis)) for a in range(d))
-            for _, x in _enumerate(dm, lam, int(bound))]
+    basis, _, dm, lam = _lll_reduce(g)
+    return [_map_back(x, basis) for _, x in _enumerate(dm, lam, int(bound))]
+
+
+def _walk(automorphism: ToralAutomorphism) -> Iterator[Tuple[List[List[int]], Callable[[], _Reduction]]]:
+    """Yield (gram, reduce) for n = 1, 2, ...: gram = B G_n B^T in the carried basis B.
+
+    The rows of B are basis vectors in original coordinates.  ``reduce()``
+    runs ``_lll_reduce`` on gram at most once for this n and returns the
+    reduced basis in original coordinates, its Gram matrix and integral
+    Gram-Schmidt data; the next n then carries that basis and Gram matrix.
+    """
+    step = [list(row) for row in automorphism.matrix]
+    basis, image = _identity(len(step)), step  # image = B P^T, P = A_*^n and P^T = A^n
+    gram = [[0] * len(step) for _ in step]
+    while True:
+        gram = [[gij + _dot(u, v) for gij, v in zip(row, image)] for row, u in zip(gram, image)]
+        done = []  # (U, this n's reduction) once reduce() has run
+
+        def reduce(gram=gram, basis=basis, done=done) -> _Reduction:
+            if not done:
+                u, reduced, dm, lam = _lll_reduce(gram)
+                done.append((u, (_matmul(u, basis), reduced, dm, lam)))
+            return done[0][1]
+
+        yield gram, reduce
+        if done:
+            u, (basis, gram, _, _) = done[0]
+            image = _matmul(u, image)
+        image = _matmul(image, step)
 
 
 def _energy_forms(automorphism: ToralAutomorphism) -> Iterator[List[List[int]]]:
-    """Yield G_1, G_2, ... with G_{n+1} = G_n + (A_*^{n+1})^T A_*^{n+1}."""
-    at = np.array(automorphism.transpose, dtype=object)  # Python-int entries: exact at every n
-    power, g = at, at.T @ at
-    while True:
-        yield g.tolist()
-        power = at @ power
-        g = g + power.T @ power
+    """Yield G_1, G_2, ...: the walk read without reductions, in the unit basis."""
+    return (gram for gram, _ in _walk(automorphism))
 
 
 def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]]:
@@ -233,15 +264,12 @@ def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]
 def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """Yield (min_{k != 0} S_n(k), minimiser) for n = 1, 2, ...
 
-    The LLL reduction of G_n starts from the reduced basis of G_{n-1}: the
-    forms differ by one positive term, so the old basis is nearly reduced
-    and few swaps remain.
+    The walk reduces at every n, each LLL starting from the reduced basis
+    of G_{n-1}: the forms differ by one positive term, so the old basis is
+    nearly reduced and few swaps remain.
     """
-    basis = _identity(automorphism.dimension)
-    for g in _energy_forms(automorphism):
-        reduced = _lll_reduce(g, basis)
-        basis = reduced[0]
-        yield _reduced_minimum(*reduced)
+    for _, reduce in _walk(automorphism):
+        yield _reduced_minimum(*reduce())
 
 
 def _exceeds_tests(automorphism: ToralAutomorphism) -> Iterator[Callable[[float], bool]]:
@@ -250,38 +278,26 @@ def _exceeds_tests(automorphism: ToralAutomorphism) -> Iterator[Callable[[float]
     With bound = floor(T), min S_n > T exactly when no nonzero k has
     S_n(k) <= bound, so each test decides in integers, cheapest step first:
 
-    1. a vector of the last reduced basis (carried from an earlier n) with
-       S_n(b) <= bound answers False, and no LLL runs for this n;
-    2. otherwise ``_lll_reduce`` runs once for this n, warm-started from that
-       basis, and a diagonal entry of the reduced Gram matrix <= bound
-       answers False;
+    1. a diagonal entry <= bound of the walk's Gram matrix, G_n in the basis
+       carried from the last reduction, answers False, and no LLL runs for
+       this n;
+    2. otherwise the walk's warm ``reduce()`` runs once for this n, and a
+       diagonal entry of the reduced Gram matrix <= bound answers False;
     3. otherwise ``_enumerate`` at the bound decides: False at its first
        point, True if there is none.  LLL's shortest diagonal entry is not
        always the minimum, so this step cannot be skipped.
     """
-    basis = _identity(automorphism.dimension)
-
-    def test(g: List[List[int]]) -> Callable[[float], bool]:
-        reduced = None  # this n's LLL output, once step 2 has run
-
-        def exceeds(t: float) -> bool:
-            nonlocal basis, reduced
+    for gram, reduce in _walk(automorphism):
+        def exceeds(t: float, gram=gram, reduce=reduce) -> bool:
             bound = math.floor(t)
-            if reduced is None:
-                values = (sum(bi * gij * bj for bi, row in zip(b, g) for gij, bj in zip(row, b)) for b in basis)
-                if any(value <= bound for value in values):
-                    return False
-                reduced = _lll_reduce(g, basis)
-                basis = reduced[0]
-            _, gram, dm, lam = reduced
             if min(gram[i][i] for i in range(len(gram))) <= bound:
+                return False
+            _, reduced, dm, lam = reduce()
+            if min(reduced[i][i] for i in range(len(reduced))) <= bound:
                 return False
             return next(_enumerate(dm, lam, bound), None) is None
 
-        return exceeds
-
-    for g in _energy_forms(automorphism):
-        yield test(g)
+        yield exceeds
 
 
 def _first_passages(exceeds: Iterator[Callable[[float], bool]], thresholds: Sequence[float],
@@ -436,18 +452,11 @@ class DecayFit:
     r_squared: float
 
 
-def fit_energy_decay(
-    energies_or_traj,
-    window: Optional[Tuple[int, int]] = None,
-    skip_transient: int = 2,
-    max_ratio: float = 0.99,
-) -> DecayFit:
-    """Fit a double-exponential decay law to an energy series.
+def fit_energy_decay(energies_or_traj, window: Tuple[int, int]) -> DecayFit:
+    """Fit a double-exponential decay law to an energy series over steps lo..hi of ``window``.
 
-    Without an explicit window, usable steps have energy ratio within
-    (1e-300, max_ratio) and the first ``skip_transient`` steps are dropped.
-    An explicit window bypasses the ratio ceiling (ratios arbitrarily close
-    to 1 stay usable because energies are accumulated in log space).
+    Usable steps have energy ratio within (1e-300, 1); ratios arbitrarily
+    close to 1 stay usable because energies are accumulated in log space.
     """
     if isinstance(energies_or_traj, Trajectory):
         log_ratio = energies_or_traj.log_energies - energies_or_traj.log_energies[0]
@@ -456,19 +465,13 @@ def fit_energy_decay(
         with np.errstate(divide="ignore"):
             log_ratio = np.log(energies / energies[0])
     n_all = np.arange(log_ratio.size)
-
-    usable = (log_ratio > -690.0) & (log_ratio < 0.0)  # ratio in (1e-300, 1)
-    if window is None:
-        usable &= log_ratio < math.log(max_ratio)
-        usable &= n_all >= max(1, skip_transient)
-    else:
-        lo, hi = window
-        usable &= (n_all >= lo) & (n_all <= hi)
+    lo, hi = window
+    usable = (log_ratio > -690.0) & (log_ratio < 0.0) & (n_all >= lo) & (n_all <= hi)  # ratio in (1e-300, 1)
     idx = np.nonzero(usable)[0]
     if idx.size < 6:
         raise ValueError(
             f"only {idx.size} usable steps (need >= 6); increase nu, take more "
-            "steps, or pass an explicit window"
+            "steps, or widen the window"
         )
     y = np.log(-log_ratio[idx])
     fit_n = line_fit(idx.astype(float), y)

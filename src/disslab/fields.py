@@ -214,7 +214,6 @@ def random_sparse_field(
     rng: np.random.Generator,
     n_modes: int = 8,
     kmax: int = 8,
-    real: bool = False,
 ) -> SpectralField:
     """Random sparse field with modes drawn from the box [-kmax, kmax]^d."""
     coeffs: Dict[Mode, complex] = {}
@@ -223,11 +222,8 @@ def random_sparse_field(
         mode = tuple(int(c) for c in rng.integers(-kmax, kmax + 1, size=d))
         if all(c == 0 for c in mode):
             continue
-        amp = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs[mode] = amp
-        if real:
-            coeffs[tuple(-c for c in mode)] = amp.conjugate()
-    return SpectralField(convention, coeffs, enforce_reality=real)
+        coeffs[mode] = complex(rng.standard_normal(), rng.standard_normal())
+    return SpectralField(convention, coeffs)
 
 
 def require_memory(need: float, what: str) -> None:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib.util
 import json
@@ -15,6 +16,7 @@ from disslab.bounds import BoundProfile, lattice_count, weyl_constant
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
 from disslab.mixing import RateFunction, lattice_ball_sum
+from disslab.pulsed import Trajectory
 from disslab.toral import ToralAutomorphism, verify_norm_form
 
 
@@ -35,6 +37,18 @@ def test_simulate_single_mode(tmp_path):
     energies = [float(line.split(",")[1]) for line in lines[2:]]
     expected = [math.exp(-0.02 * s) for s in (0, 5, 39, 272, 1869)]
     assert energies == pytest.approx(expected, rel=1e-12)
+
+
+def test_simulate_reads_each_series_once(tmp_path, monkeypatch):
+    # the CSV rows come from one read of each series, not one per row
+    reads = collections.Counter()
+    for name in ("energies", "h1_norms_sq", "enu_values"):
+        get = getattr(Trajectory, name).fget
+        monkeypatch.setattr(Trajectory, name, property(lambda self, name=name, get=get: reads.update([name]) or get(self)))
+    assert run_cli(["simulate", "--matrix", "1,1,0,1", "--nu", "1e-9", "--steps", "200",
+                    "--initial", "mode:1,0", "--out", str(tmp_path / "traj.csv")]) == 0
+    assert reads == {"energies": 1, "h1_norms_sq": 1, "enu_values": 1}
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) == 2 + 201
 
 
 def test_simulate_initial_from_file(tmp_path):
@@ -178,6 +192,20 @@ def test_config_keys_the_subcommand_lacks_are_ignored(tmp_path):
     assert run_cli([*base, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
     assert run_cli([*base, "--n-max", "3", "--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_bounds_names_its_degenerate_points(tmp_path, capsys):
+    # H4 of exp:1,0.5 falls back to lambda_1 = 1 at the five largest nu of the grid
+    out = tmp_path / "h4.csv"
+    assert run_cli(["bounds", "--which", "H4", "--rate", "exp:1,0.5", "--nu-grid", "1e-8:1e-2:13",
+                    "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    prefix = "H fell back to lambda_1 (the trivial heat bound) at nu = "
+    assert line.startswith(prefix)
+    named = [float(v) for v in line[len(prefix):].split(", ")]
+    assert named == pytest.approx([10 ** e for e in (-4, -3.5, -3, -2.5, -2)], rel=1e-12)
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert [nu for nu, h, _ in rows if h == 1.0] == named
 
 
 def test_bounds_dim_zero_is_a_validation_error(tmp_path, capsys):
@@ -617,10 +645,14 @@ def test_perfbench_tracer_installs_and_uninstalls():
     ("rate.json", {"t": [1, 2]},
      ["bounds", "--which", "H1", "--rate", "file:{file}", "--nu-grid", "1e-4:1e-2:3"], "has no key 'h'"),
     ("report.json", {"fit": None}, ["verify", "bounds", "--report", "{file}"], "has no key 'entries'"),
+    ("report.json", {"entries": [1, 2]}, ["verify", "bounds", "--report", "{file}"],
+     "holds a value of the wrong type: 'int' object is not subscriptable"),
+    ("report.json", {"entries": [{"nu": 0.01}]}, ["verify", "bounds", "--report", "{file}"], "has no key 'tau_d'"),
     ("run.json", [1, 2],
      ["simulate", "--config", "{file}", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "mode:1,0"],
      "holds a value of the wrong type: 'list'"),
-], ids=["field-without-modes", "rate-without-h", "report-without-entries", "config-list"])
+], ids=["field-without-modes", "rate-without-h", "report-without-entries", "report-entries-not-objects",
+      "report-entry-without-tau_d", "config-list"])
 def test_outside_json_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, name, content, argv, message):
     path, out = tmp_path / name, tmp_path / "out.csv"
     path.write_text(json.dumps(content))

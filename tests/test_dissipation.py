@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 from fractions import Fraction
@@ -181,9 +182,8 @@ def test_short_vectors_match_box_scan(data, dimension, reduced):
     m, _ = data.draw(unimodular_pairs(dimension))
     w = np.array(data.draw(st.lists(st.integers(1, 9), min_size=dimension, max_size=dimension)))
     g = (m.T @ (w[:, None] * m)).tolist()
-    unit = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
     if reduced:
-        g = dissipation._lll_reduce(g, unit)[1]
+        g = dissipation._lll_reduce(g)[1]
     # a bound at, just below or just above a value the form attains
     x = data.draw(st.lists(st.integers(-2, 2), min_size=dimension, max_size=dimension).filter(any))
     bound = int(np.array(x) @ np.array(g) @ np.array(x)) + data.draw(st.sampled_from((-1, 0, 1)))
@@ -329,12 +329,43 @@ def test_exceeds_decides_min_energy_above_threshold(data, dimension):
 def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minimum):
     # the warm LLL basis of G_n has no vector at min S_n: only the enumeration sees it
     auto = ToralAutomorphism(rows)
-    basis = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
-    for g in islice(dissipation._energy_forms(auto), n):
-        basis, gram, _, _ = dissipation._lll_reduce(g, basis)
+    for _, reduce in islice(dissipation._walk(auto), n):
+        _, gram, _, _ = reduce()
     assert min(gram[i][i] for i in range(len(rows))) == diagonal
     assert next(islice(min_energies(auto), n - 1, None))[0] == minimum
     check_exceeds_against_minima(auto, n)
+
+
+@pytest.mark.parametrize("auto, digest", [
+    (CAT, "bd1144c0460777e31c7ab4b436d93da502da4c0e175d9dc9e7f343bc6e8b34ab"),
+    (A3, "f2d90dd46371aa179a90edfa56701e5563ed900c18572282c734465f1ae17af6"),
+    (A4, "0ecc07f008d20ff09ea0cfb6fa798e2a70c979214f07f922af6d86c807b8e480"),
+], ids=["cat", "3d", "4d"])
+def test_min_energies_pinned_to_n_80(auto, digest):
+    # sha256 of repr(list of (min S_n, minimiser)) for n = 1..80, as first computed
+    # by the walk that reduced each G_n in a basis of its own
+    text = repr(list(islice(min_energies(auto), 80)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=20, **PROPERTY_SETTINGS)
+@given(data=st.data(), dimension=st.integers(2, 4))
+def test_walk_carries_g_n_in_its_basis(data, dimension):
+    # whichever n reduce, the walk's Gram matrix is B G_n B^T for the basis B
+    # the last reduction handed on, and every reduction is of that form
+    auto = data.draw(c1_companions(dimension))
+    reduce_at = data.draw(st.lists(st.booleans(), min_size=12, max_size=12))
+    basis = np.eye(dimension, dtype=object)
+    for n, ((gram, reduce), reduces) in enumerate(zip(dissipation._walk(auto), reduce_at), start=1):
+        g = np.array(pulse_energy_form(auto, n), dtype=object)
+        assert gram == (basis @ g @ basis.T).tolist()
+        if reduces:
+            reduced_basis, reduced, dm, lam = reduce()
+            assert reduce()[0] is reduced_basis  # at most one LLL per n
+            basis = np.array(reduced_basis, dtype=object)
+            assert reduced == (basis @ g @ basis.T).tolist()
+            assert (dm, lam) == dissipation._gram_schmidt(reduced)
+    check_exceeds_against_minima(auto)
 
 
 def test_exceeds_answers_from_the_carried_basis_without_lll(cat, monkeypatch):
@@ -511,8 +542,8 @@ def test_fit_rejects_pure_heat(cat):
 def test_fit_needs_enough_usable_steps(cat, lattice2):
     theta = SpectralField(lattice2, {(1, 0): 1.0})
     traj = evolve(theta, PulsedSystem(cat, 1e-6, lattice2), 6)
-    with pytest.raises(ValueError):
-        fit_energy_decay(traj)  # auto window: nothing below the 0.99 ceiling
+    with pytest.raises(ValueError, match="only 5 usable steps"):
+        fit_energy_decay(traj, window=(1, 5))  # a window of 5 usable steps
 
 
 def test_chain_single_mode_first_step(cat, lattice2):
