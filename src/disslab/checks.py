@@ -17,7 +17,7 @@ from .fields import SpectralConvention, SpectralField
 from .mixing import RateFunction, fit_rate, strong_envelope
 from .pulsed import PulsedSystem, Trajectory, evolve
 from .shear import CtsState, ShearFlow, energy_identity_defects
-from .toral import KroneckerViolation, ToralAutomorphism, kronecker_classify, poly_roots
+from .toral import ToralAutomorphism, kronecker_classify, poly_mul
 
 
 def identity_margins(trajs: Iterable[Trajectory], gap_step: int) -> Tuple[float, float, float]:
@@ -34,23 +34,40 @@ def identity_margins(trajs: Iterable[Trajectory], gap_step: int) -> Tuple[float,
     return worst_energy, worst_sandwich, worst_gap
 
 
+def roots_in_closed_disk(p: Sequence[int]) -> bool:
+    """Do all roots of the monic integer polynomial p lie in |z| <= 1?  Exact.
+
+    Graeffe root squaring q(x^2) = (-1)^deg p(x) p(-x) squares every root.
+    While all roots lie in the closed disk, Vieta bounds each coefficient
+    of every iterate by |q_i| <= C(deg, i), so the iterates repeat; a root
+    outside the disk drives the Mahler measure, and with it some
+    coefficient, past that bound."""
+    q = tuple(int(c) for c in p)
+    deg = len(q) - 1
+    seen = set()
+    while q not in seen:
+        if any(abs(c) > math.comb(deg, i) for i, c in enumerate(q)):
+            return False
+        seen.add(q)
+        square = poly_mul(q, [c if i % 2 == 0 else -c for i, c in enumerate(q)])
+        q = tuple((-1) ** deg * c for c in square[::2])
+    return True
+
+
 def kronecker_box_scan(box: int) -> Tuple[int, int]:
     """(checked, violations) over the SL2 matrices with entries in [-box, box].
 
-    A violation is a characteristic polynomial whose roots lie in the closed
-    unit disk (to 1e-9) exactly when ``kronecker_classify`` does not call them
-    all roots of unity, or one that the classifier rejects."""
+    A violation is a characteristic polynomial that ``kronecker_classify``
+    calls all roots of unity exactly when Graeffe root squaring
+    (``roots_in_closed_disk``) finds a root outside the closed unit disk."""
     checked = violations = 0
     for a, b, c, d in itertools.product(range(-box, box + 1), repeat=4):
         if a * d - b * c != 1:
             continue
         checked += 1
         p = (1, -(a + d), 1)
-        try:
-            unity = kronecker_classify(p).kind == "all_roots_of_unity"
-        except KroneckerViolation:
-            unity = None  # equal to neither outcome of the disk test: a violation
-        violations += (float(np.max(np.abs(poly_roots(p)))) <= 1 + 1e-9) != unity
+        unity = kronecker_classify(p).kind == "all_roots_of_unity"
+        violations += unity != roots_in_closed_disk(p)
     return checked, violations
 
 

@@ -234,7 +234,7 @@ def _verify_identities(rng) -> List[tuple]:
     ]
 
 
-def _verify_lemmas(rng) -> List[tuple]:
+def _verify_lemmas() -> List[tuple]:
     _, violations = checks.kronecker_box_scan(3)
     nf = verify_norm_form(ToralAutomorphism(((2, 1), (1, 1))), 200)
     nf_ok = nf["integer_form_ok"] and abs(nf["min_product"] - 0.2) < 1e-9
@@ -244,7 +244,7 @@ def _verify_lemmas(rng) -> List[tuple]:
     ]
 
 
-def _verify_bounds(rng, report_path: Optional[str] = None) -> List[tuple]:
+def _verify_bounds(report_path: Optional[str] = None) -> List[tuple]:
     worst = checks.h1_bisection_error(np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 20)))
     count = lattice_count(2, 1e4)
     weyl = weyl_constant(2, scaling="lattice") * 1e4
@@ -279,7 +279,7 @@ def _verify_decay(rng) -> List[tuple]:
     ]
 
 
-def _verify_cts(rng) -> List[tuple]:
+def _verify_cts() -> List[tuple]:
     flow = ShearFlow.sinusoidal()
     conv = SpectralConvention(2, "geometric")
     state = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, k1_max=8, grid_size=64, nu=1e-2, convention=conv)
@@ -292,17 +292,18 @@ def _verify_cts(rng) -> List[tuple]:
 
 
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    # only the suites that draw from the rng build it: numpy.random costs
+    # about 6 MB of resident memory
     suites = {
-        "identities": _verify_identities,
+        "identities": lambda: _verify_identities(np.random.default_rng(args.seed)),
         "lemmas": _verify_lemmas,
-        "bounds": lambda r: _verify_bounds(r, args.report),
-        "decay": _verify_decay,
+        "bounds": lambda: _verify_bounds(args.report),
+        "decay": lambda: _verify_decay(np.random.default_rng(args.seed)),
         "cts": _verify_cts,
     }
     if args.suite not in suites:
         raise ValueError(f"unknown suite {args.suite!r} (choose from {sorted(suites)})")
-    rows = suites[args.suite](rng)
+    rows = suites[args.suite]()
     width = max(len(r[0]) for r in rows) + 2
     for name, ok, detail in rows:
         print(f"{name:<{width}} {'pass' if ok else 'FAIL'}   {detail}")

@@ -7,10 +7,16 @@ amplitudes.  Two Laplacian eigenvalue conventions are supported:
 * ``geometric``:  lambda_k = 4 pi^2 |k|^2   (Laplace-Beltrami on R^d/Z^d)
 
 Toral dynamics permute modes, so supports stay finite and no grid or FFT
-is ever needed for a field; ``ball_modes`` is the package's one scan of
-the lattice ball |k| <= R.  Sums over the ball that depend on |k| alone
-need only the shell counts r_d(s) = #{k : |k|^2 = s}, which
-``shell_counts`` returns without building a single mode row.
+is ever needed for a field.  ``ball_batches`` is the package's one scan of
+the lattice ball |k| <= R: it streams the ball in lexicographic batches of
+about ``BATCH_ROWS`` rows, so a scan that reduces as it goes holds one batch
+and one (d-1)-box, never the ball; ``ball_modes`` is the concatenation of
+its batches, for the operator route, which needs the whole ball.  Sums over
+the ball that depend on |k| alone need only the shell counts
+r_d(s) = #{k : |k|^2 = s}, which ``shell_counts`` returns without building
+a single mode row.  What a scan keeps resident is priced against physical
+memory (``require_memory``) and the elements it visits against
+``WORK_LIMIT`` (``require_work``), both before any allocation.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +39,17 @@ PRUNE_TOL = 1e-30
 # int64 lattice scans), so coordinates must stay inside 63 bits
 MODE_LIMIT = 2**62
 
-# element adds that ``shell_counts`` may spend on the coordinates past the
-# second; priced in adds, not seconds, so that a refusal is reproducible
-SHELL_ADDS_LIMIT = 10**10
+# rows per batch of a streamed ball scan: slabs are concatenated until a
+# batch holds at least this many; also the weights per chunk of a ball sum
+BATCH_ROWS = 2**13
+
+# elements a lattice scan may visit: the element adds of ``shell_counts``,
+# the rows of a ``ball_batches`` scan, the weights of a lattice ball sum.
+# Priced in counts, not seconds, so that a refusal is reproducible.  Measured
+# on a 2-vCPU host: 0.50-0.53 ns per shell add (d = 3..5), 7.5-20 ns per
+# ball-sum weight and 64-90 ns per row of the norm-form scan (d = 2..4), so
+# the limit stands for about 5 s, 1-3 min and 11-15 min of those scans
+WORK_LIMIT = 10**10
 
 
 class ModeOverflowError(OverflowError):
@@ -233,79 +247,125 @@ def require_memory(need: float, what: str) -> None:
         raise ValueError(f"{what} needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory")
 
 
+def require_work(count: float, unit: str, what: str) -> None:
+    """Raise ValueError when a scan would visit more than ``WORK_LIMIT`` elements."""
+    if count > WORK_LIMIT:
+        raise ValueError(f"{what} needs {count:.3e} {unit}, above the work limit of {WORK_LIMIT:.0e}")
+
+
 def ball_size_bound(dimension: int, radius: int) -> float:
     """Upper bound on the number of modes |k| <= radius: the volume of the
     ball of radius R + sqrt(d)/2, which holds the unit cube around each."""
     return math.pi ** (dimension / 2) / math.gamma(dimension / 2 + 1) * (radius + math.sqrt(dimension) / 2) ** dimension
 
 
-def ball_modes(dimension: int, radius: int) -> np.ndarray:
-    """All nonzero integer modes with |k| <= radius, shape (N, d), int64.
+def ball_batches(dimension: int, radius: int) -> Iterator[np.ndarray]:
+    """The nonzero integer modes with |k| <= radius, in lexicographic batches.
 
-    Rows come in lexicographic order.  The ball is built one slab of the
-    first coordinate i at a time, each slab the rows of the (d-1)-box of
-    radius R with |rest|^2 <= R^2 - i^2, so the scan holds the ball twice
-    (the slabs and their concatenation) plus one (d-1)-box, never the
-    (2R+1)^d box.  That is 16d bytes per mode plus the (d-1)-box; priced at
-    16d + 16 bytes per mode of ``ball_size_bound`` (tracemalloc peaks of
-    32-56 per bounded mode in d = 2..4 for R >= 4), a ball that would not fit
-    in physical memory raises ValueError before any allocation.
+    Each batch is an (n, d) int64 array; the batches concatenate to
+    ``ball_modes``.  The ball is cut into slabs of the first coordinate i,
+    each the rows of the (d-1)-box of radius R with |rest|^2 <= R^2 - i^2,
+    and consecutive slabs are concatenated until a batch holds at least
+    ``BATCH_ROWS`` rows.  The last slab, the single row (R, 0, ...), joins
+    the batch before it, so that for R >= 1 no batch has one row (numpy
+    multiplies a one-column matrix on another BLAS path, whose last bits
+    differ).
+
+    Resident are the (d-1)-box with its norms (8d + 9 bytes per box row)
+    and at most three batches of under BATCH_ROWS + box rows each: the
+    slabs of the next batch, their concatenation and the batch a consumer
+    still holds, 24d bytes per row.  Both are priced against physical
+    memory (tracemalloc peaks of 0.7-1.0 of the price for d = 2..4 when the
+    batches are dropped), and the ``ball_size_bound`` rows against
+    ``WORK_LIMIT``, before any allocation.
     """
-    count = ball_size_bound(dimension, radius)
+    require_work(ball_size_bound(dimension, radius), "ball rows", f"mode ball scan of radius {radius} in d = {dimension}")
+    box = (2 * radius + 1) ** (dimension - 1)
     require_memory(
-        count * (16 * dimension + 16),
-        f"mode ball of radius {radius} in d = {dimension} ({count:.3e} modes)",
+        box * (8 * dimension + 9) + 24 * dimension * (BATCH_ROWS + box),
+        f"mode ball scan of radius {radius} in d = {dimension} (a (d-1)-box of {box:.3e} rows)",
     )
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     grids = np.meshgrid(np.zeros(1, dtype=np.int64), *([rng] * (dimension - 1)), indexing="ij", copy=False)
     widest = np.stack(grids, axis=-1).reshape(-1, dimension)  # the slab i = 0 of the box
     norm_sq = np.einsum("ij,ij->i", widest, widest)
-    slabs = []
+    pending, rows = [], 0
     for first in range(-radius, radius + 1):
         keep = norm_sq <= radius * radius - first * first
         if first == 0:
             keep &= norm_sq > 0
         slab = widest[keep]
         slab[:, 0] = first
-        slabs.append(slab)
-    return np.concatenate(slabs)
+        pending.append(slab)
+        rows += len(slab)
+        if rows >= BATCH_ROWS and first < radius - 1:
+            yield np.concatenate(pending)
+            pending, rows = [], 0
+    yield np.concatenate(pending)
+
+
+def ball_modes(dimension: int, radius: int) -> np.ndarray:
+    """All nonzero integer modes with |k| <= radius, shape (N, d), int64.
+
+    Rows come in lexicographic order: the concatenation of ``ball_batches``.
+    The batches and their concatenation hold the ball twice, 16d bytes per
+    mode, plus the scan's (d-1)-box; priced at 16d + 16 bytes per mode of
+    ``ball_size_bound`` (tracemalloc peaks of 32-53 per bounded mode in
+    d = 2..4 for R >= 10), a ball that would not fit in physical memory
+    raises ValueError before any allocation.
+    """
+    count = ball_size_bound(dimension, radius)
+    require_memory(
+        count * (16 * dimension + 16),
+        f"mode ball of radius {radius} in d = {dimension} ({count:.3e} modes)",
+    )
+    return np.concatenate(list(ball_batches(dimension, radius)))
+
+
+# the r_2 quadrant is counted in this many blocks of rows, so that the sums
+# of one block take 8 / SHELL_BLOCKS bytes per shell
+SHELL_BLOCKS = 2
 
 
 def shell_counts(dimension: int, top: int) -> np.ndarray:
     """Exact counts r_d(s) = #{k in Z^d : |k|^2 = s} for s = 0..top, int64.
 
-    r_2 is one ``np.bincount`` of x^2 + y^2 over the box |x|, |y| <= R,
-    R = isqrt(top); each further coordinate x adds shifted copies,
+    Every k != 0 of Z^2 is one of the four quarter turns of exactly one
+    point of the quadrant 0 < x <= R, 0 <= y <= R, R = isqrt(top), so r_2
+    is four times the bincount of x^2 + y^2 over that quadrant, taken in
+    ``SHELL_BLOCKS`` blocks of rows with the sums past top clipped into one
+    spare bin.  Each further coordinate x adds shifted copies in place,
     r_{j+1}(s) = sum_{|x| <= R} r_j(s - x^2).  No mode rows are built: the
     work is O(top) for r_2 plus O(R top) per further dimension, against
-    the O(top^{d/2}) rows of the ball.  The box sums and their bincount
-    hold 8 (2R+1)^2 + 8 (2R^2 + 1) bytes, about 48 per shell; priced at
-    56 bytes per shell (tracemalloc peaks of 48.0-48.5 per shell in
-    d = 2..4 for top >= 10^4, under 2 kB in all for smaller top), a request
-    that would not fit in physical memory raises ValueError before any
+    the O(top^{d/2}) rows of the ball.  The counts, one block's bincount
+    and its sums hold about 16 + 8 / SHELL_BLOCKS bytes per shell, and the
+    further coordinates the counts and their double, 16; priced at 28
+    bytes per shell (tracemalloc peaks of 20.0-25.9 per shell in d = 2..4
+    for top >= 10^3, under 5 kB in all for smaller top), a request that
+    would not fit in physical memory raises ValueError before any
     allocation.
 
-    The further coordinates cost at most (d - 2) R (top + 1) element adds.
-    Above ``SHELL_ADDS_LIMIT`` = 10^10 adds, about 4 s on a 2-vCPU host
-    (0.39-0.44 ns per priced add for d = 3..5), the request also raises
+    The further coordinates cost at most (d - 2) R (top + 1) element adds;
+    past ``WORK_LIMIT`` adds (0.50-0.53 ns each) the request also raises
     ValueError before any allocation.
     """
     if dimension < 2 or top < 0:
         raise ValueError(f"shell counts need dimension >= 2 and top >= 0, got {dimension} and {top}")
-    require_memory(56 * (top + 1), f"lattice shell counts up to |k|^2 = {top} ({top + 1} shells)")
+    require_memory(28 * (top + 1), f"lattice shell counts up to |k|^2 = {top} ({top + 1} shells)")
     root = math.isqrt(top)
-    adds = (dimension - 2) * root * (top + 1)
-    if adds > SHELL_ADDS_LIMIT:
-        raise ValueError(
-            f"lattice shell counts up to |k|^2 = {top} in d = {dimension} need {adds:.3e} element adds, "
-            f"above the limit of {SHELL_ADDS_LIMIT:.0e}"
-        )
-    squares = np.arange(-root, root + 1, dtype=np.int64) ** 2
-    counts = np.bincount(np.add.outer(squares, squares).ravel(), minlength=top + 1)[: top + 1].copy()
+    require_work((dimension - 2) * root * (top + 1), "element adds",
+                 f"lattice shell counts up to |k|^2 = {top} in d = {dimension}")
+    squares = np.arange(root + 1, dtype=np.int64) ** 2
+    counts = np.zeros(top + 2, dtype=np.int64)  # bin top + 1 gathers every sum past top
+    for rows in np.array_split(squares[1:], SHELL_BLOCKS):
+        sums = np.add.outer(rows, squares).ravel()
+        counts += np.bincount(np.minimum(sums, top + 1, out=sums), minlength=top + 2)
+    counts = counts[: top + 1]
+    counts *= 4  # each point of the quadrant x > 0, y >= 0 stands for its four rotations
+    counts[0] = 1
+    doubled = np.empty_like(counts)
     for _ in range(dimension - 2):
-        doubled = 2 * counts
-        grown = counts.copy()
+        np.multiply(counts, 2, out=doubled)
         for x in range(1, root + 1):
-            grown[x * x:] += doubled[: top + 1 - x * x]
-        counts = grown
+            counts[x * x:] += doubled[: top + 1 - x * x]
     return counts

@@ -29,7 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import short_vectors
-from .fields import SpectralConvention, SpectralField, ball_size_bound, require_memory, shell_counts
+from .fields import (
+    BATCH_ROWS,
+    SpectralConvention,
+    SpectralField,
+    ball_size_bound,
+    require_memory,
+    require_work,
+    shell_counts,
+)
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
 
@@ -317,17 +325,42 @@ def lattice_ball_sum(d: int, beta: float, m_max: int) -> np.ndarray:
     additions of a scan of the ball in stable order of |k|, with the same
     vectorised float s^{-beta} per mode, so the values are bit-identical to
     summing over the mode rows.  The repeated weights and their running sum
-    take 16 bytes per mode, priced on ``ball_size_bound`` before the shell
-    counts are built.
+    are built in chunks of ``BATCH_ROWS`` weights: the sum carried from the
+    chunks before is added into each chunk's first weight, so ``np.cumsum``
+    makes exactly the additions of one running sum over all weights.
+
+    Resident are the shell counts, the shell, weight and mode end of every
+    nonempty shell (at most 32 bytes per shell, 40 while the ends are
+    summed) and one chunk; priced at 40 bytes per shell and 16 per chunk
+    weight (tracemalloc peaks of 19-34 bytes per shell beyond one chunk in
+    d = 2..4) against physical memory, and the ``ball_size_bound`` weights
+    against ``fields.WORK_LIMIT``, both before the shell counts are built.
     """
-    count = ball_size_bound(d, m_max)
-    require_memory(16 * count, f"lattice ball sum of radius {m_max} in d = {d} ({count:.3e} modes)")
-    counts = shell_counts(d, m_max * m_max)
+    what = f"lattice ball sum of radius {m_max} in d = {d}"
+    require_work(ball_size_bound(d, m_max), "weights", what)
+    top = m_max * m_max
+    require_memory(40 * (top + 1) + 16 * BATCH_ROWS, f"{what} ({top + 1} shells)")
+    counts = shell_counts(d, top)
     shells = np.flatnonzero(counts[1:]) + 1
-    sums = np.cumsum(np.repeat(shells.astype(float) ** (-beta), counts[shells]))
-    # the count of modes with 0 < |k|^2 <= m^2, at least 2d for every m >= 1
-    ends = np.cumsum(counts[1:])[np.arange(1, m_max + 1) ** 2 - 1]
-    return sums[ends - 1]
+    weights = shells.astype(float) ** (-beta)
+    ends = np.cumsum(counts[shells])  # modes up to and including each nonempty shell
+    total = int(ends[-1]) if m_max else 0
+    # index of the last mode with 0 < |k|^2 <= m^2 (shell 1 is never empty)
+    last = ends[np.searchsorted(shells, np.arange(1, m_max + 1) ** 2, side="right") - 1] - 1
+    out = np.empty(m_max)
+    carry = 0.0
+    for start in range(0, total, BATCH_ROWS):
+        stop = min(start + BATCH_ROWS, total)
+        # the shells whose weights overlap start..stop-1, and by how many
+        lo, hi = np.searchsorted(ends, start, side="right"), np.searchsorted(ends, stop) + 1
+        overlap = np.minimum(ends[lo:hi], stop) - np.maximum(ends[lo:hi] - counts[shells[lo:hi]], start)
+        run = np.repeat(weights[lo:hi], overlap)
+        run[0] += carry
+        np.cumsum(run, out=run)
+        carry = run[-1]
+        read = slice(np.searchsorted(last, start), np.searchsorted(last, stop))
+        out[read] = run[last[read] - start]
+    return out
 
 
 def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarray:
@@ -367,7 +400,8 @@ def weak_series(
         # no log grid reaches an n_max below 1; the envelope's own check reports it
         ns = [n_max]
         if n_max >= 1:
-            ns = np.unique(np.round(np.logspace(0, math.log10(n_max), 40)).astype(int)).tolist()
+            # sorted(set()), not np.unique, which loads numpy.ma
+            ns = sorted(set(np.round(np.logspace(0, math.log10(n_max), 40)).astype(int).tolist()))
         return ns, weak_rate_envelope(automorphism.dimension, beta, ns)
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not math.isfinite(value):

@@ -12,11 +12,12 @@ nonvanishing quantifies how far lattice vectors stay from the expanding /
 contracting eigendirections.
 
 Integer polynomials are dense coefficient tuples, constant term first,
-as in (1, -3, 1) for 1 - 3x + x^2.  All condition decisions use exact
-integer arithmetic; eigendata is floating point.  One Faddeev-LeVerrier
-pass gives the characteristic polynomial, the determinant and the
-adjugate (hence the inverse); the cyclotomic polynomial Phi_m is x^m - 1
-divided exactly by the Phi_d of the proper divisors d of m.
+as in (1, -3, 1) for 1 - 3x + x^2.  The condition checks and the
+Kronecker dichotomy are decided in exact integer arithmetic; eigendata is
+floating point.  One Faddeev-LeVerrier pass gives the characteristic
+polynomial, the determinant and the adjugate (hence the inverse); the
+cyclotomic polynomial Phi_m is x^m - 1 divided exactly by the Phi_d of the
+proper divisors d of m.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import ball_modes
+from .fields import ball_batches
 
 IntPoly = Tuple[int, ...]
 
 _EIGEN_RESIDUAL_TOL = 1e-10
-_UNIT_DISK_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +243,27 @@ def check_conditions(matrix: Sequence[Sequence[int]]) -> ConditionReport:
 @dataclass(frozen=True)
 class KroneckerResult:
     kind: str  # "root_outside_disk" | "all_roots_of_unity"
-    root: Optional[complex] = None
+    cofactor: IntPoly = (1,)  # p with every cyclotomic factor divided out
 
-
-class KroneckerViolation(RuntimeError):
-    """A monic integer polynomial with all roots in the closed unit disk has a
-    non-cyclotomic irreducible factor.  This cannot happen; reaching it means
-    the classification itself is broken."""
+    @property
+    def root(self) -> Optional[complex]:
+        """A largest root of the cofactor, in floating point; for display only."""
+        if len(self.cofactor) == 1:
+            return None
+        roots = poly_roots(self.cofactor)
+        return complex(roots[int(np.argmax(np.abs(roots)))])
 
 
 def kronecker_classify(p: Sequence[int]) -> KroneckerResult:
-    """Classify a monic integer polynomial of degree <= 8.
+    """Classify a monic integer polynomial of degree <= 8, exactly.
 
-    Either some root lies strictly outside the unit disk (returned with the
-    root), or all roots lie in the closed disk, in which case every
-    irreducible factor must be cyclotomic and the polynomial's roots are all
-    roots of unity.  A residual case raises KroneckerViolation.
+    Either some root lies strictly outside the unit disk, or every root is a
+    root of unity.  By Kronecker's theorem a monic integer polynomial with
+    p(0) != 0 and every root in the closed unit disk is a product of
+    cyclotomic polynomials, so every Phi_m with phi(m) <= deg p is divided
+    out as often as it divides: the roots are all roots of unity exactly
+    when the cofactor is 1, and otherwise the cofactor, which has no
+    cyclotomic factor, has a root outside the disk.
     """
     p = _poly_trim(p)
     if not p or p[-1] != 1:
@@ -266,26 +271,17 @@ def kronecker_classify(p: Sequence[int]) -> KroneckerResult:
     deg = len(p) - 1
     if deg > 8:
         raise ValueError("degree must be <= 8")
-    if deg == 0:
-        return KroneckerResult("all_roots_of_unity")
-    if p[0] == 0:
+    if deg > 0 and p[0] == 0:
         raise ValueError("zero root (constant term 0): outside the dichotomy")
-    roots = poly_roots(p)
-    idx = int(np.argmax(np.abs(roots)))
-    if abs(roots[idx]) > 1.0 + _UNIT_DISK_TOL:
-        return KroneckerResult("root_outside_disk", root=complex(roots[idx]))
-    # all roots in the closed disk: verify every irreducible factor is cyclotomic
-    table = _cyclotomic_table(deg)
-    remaining = p
-    while len(remaining) > 1:
-        for _, phi in table:
-            if len(phi) <= len(remaining) and poly_divides(phi, remaining):
-                quot, _ = poly_divmod(remaining, phi)
-                remaining = quot
+    cofactor = p
+    for _, phi in _cyclotomic_table(deg):
+        while len(phi) <= len(cofactor):
+            quot, rem = poly_divmod(cofactor, phi)
+            if rem:
                 break
-        else:
-            raise KroneckerViolation(f"non-cyclotomic factor remains in {p}")
-    return KroneckerResult("all_roots_of_unity")
+            cofactor = quot
+    kind = "all_roots_of_unity" if cofactor == (1,) else "root_outside_disk"
+    return KroneckerResult(kind, cofactor)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +396,6 @@ class ToralAutomorphism:
         return float(np.linalg.norm(np.array(self.matrix, dtype=float), 2))
 
     @property
-    def sigma_min(self) -> float:
-        return float(np.min(np.linalg.svd(np.array(self.matrix, dtype=float), compute_uv=False)))
-
-    @property
     def c_star(self) -> float:
         """Norm equivalence |k|/c_star <= |a(k)| <= c_star |k| for the frame."""
         _, vecs = self._eigen()
@@ -443,6 +435,12 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     Returns the minimum of prod_i |a_i(k)| under the fixed frame and, for
     d = 2, checks exactly (integer arithmetic) that the norm form N(k) is a
     nonzero integer at every scanned k.  Requires C1 and C2.
+
+    The ball streams through ``fields.ball_batches``: each batch updates
+    running values (the first minimum, the form check, min |N(k)| and the
+    row count) and is dropped, so the scan holds one batch and one
+    (d-1)-box, whatever the radius.  Its ``ball_size_bound`` rows are priced
+    against ``fields.WORK_LIMIT`` before any allocation.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -453,32 +451,37 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     _, vecs = automorphism._eigen()
     vinv = np.linalg.inv(vecs)
 
-    pts = ball_modes(d, radius)
-    coords = vinv @ pts.T.astype(complex)
-    products = np.prod(np.abs(coords), axis=0)
-    i_min = int(np.argmin(products))
-    result = {
-        "min_product": float(products[i_min]),
-        "argmin": tuple(int(c) for c in pts[i_min]),
-        "integer_form_ok": True,
-        "scanned": int(pts.shape[0]),
-    }
-
-    if d == 2:
-        t = automorphism.matrix[0][0] + automorphism.matrix[1][1]
-        nvals = norm_form(automorphism, pts.T)
-        result["integer_form_ok"] = bool(np.all(nvals != 0))
-        # product identity |a+ a-| = |N(k)| / (a21^2 |T^2 - 4|) for this frame
-        result["min_abs_norm_form"] = int(np.min(np.abs(nvals)))
-        result["disc"] = int(t * t - 4)
-    else:
+    best, argmin, ok, scanned, min_abs, q = math.inf, None, True, 0, math.inf, None
+    for batch in ball_batches(d, radius):
+        # a batch of at least two rows keeps the matrix product on one BLAS path
+        coords = vinv @ batch.T.astype(complex)
+        products = np.prod(np.abs(coords), axis=0)
+        i_min = int(np.argmin(products))
+        if products[i_min] < best:  # strict: the first minimum, as one argmin over the ball
+            best, argmin = float(products[i_min]), tuple(int(c) for c in batch[i_min])
+        scanned += batch.shape[0]
+        if d == 2:
+            nvals = norm_form(automorphism, batch.T)
+            ok &= bool(np.all(nvals != 0))
+            min_abs = min(min_abs, int(np.min(np.abs(nvals))))
+            continue
         # rational product check: q * prod_i a_i(k) should be a nonzero integer
-        # for a fixed denominator q (the frame normalization is rational)
-        sample = complex(np.prod(coords[:, 0]))
-        q = Fraction(sample.real).limit_denominator(10**6).denominator
+        # for a fixed denominator q (the frame normalization is rational), read
+        # off the first row of the ball
+        if q is None:
+            sample = complex(np.prod(coords[:, 0]))
+            q = Fraction(sample.real).limit_denominator(10**6).denominator
         scaled = products * q
         near_int = np.abs(scaled - np.round(scaled)) <= 1e-6 * np.maximum(1.0, scaled)
         nonzero = np.abs(np.round(scaled)) >= 1
-        result["integer_form_ok"] = bool(np.all(near_int & nonzero))
+        ok &= bool(np.all(near_int & nonzero))
+
+    result = {"min_product": best, "argmin": argmin, "integer_form_ok": ok, "scanned": scanned}
+    if d == 2:
+        t = automorphism.matrix[0][0] + automorphism.matrix[1][1]
+        # product identity |a+ a-| = |N(k)| / (a21^2 |T^2 - 4|) for this frame
+        result["min_abs_norm_form"] = min_abs
+        result["disc"] = int(t * t - 4)
+    else:
         result["denominator"] = int(q)
     return result

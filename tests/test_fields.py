@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,8 +184,46 @@ def test_ball_modes_match_product_scan(dimension, radius):
     assert [tuple(int(c) for c in row) for row in got] == expected
 
 
+@pytest.mark.parametrize("batch_rows", [2, 16])
+@pytest.mark.parametrize("dimension, radius", [(2, 1), (2, 2), (2, 30), (3, 6), (4, 4)])
+def test_ball_modes_are_the_concatenated_batches(monkeypatch, dimension, radius, batch_rows):
+    whole = ball_modes(dimension, radius)  # at the default batch size
+    monkeypatch.setattr(fields, "BATCH_ROWS", batch_rows)
+    batches = list(fields.ball_batches(dimension, radius))
+    assert np.concatenate(batches).tobytes() == whole.tobytes()
+    assert ball_modes(dimension, radius).tobytes() == whole.tobytes()
+    # each batch but the last reaches the batch size, and none is a single
+    # row: the last slab (R, 0, ...) joins the batch before it
+    assert all(len(batch) >= batch_rows for batch in batches[:-1])
+    assert min(len(batch) for batch in batches) >= 2
+
+
+def _traced_peak(scan):
+    tracemalloc.start()
+    try:
+        scan()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: shell_counts(2, 10**5),
+    lambda: shell_counts(3, 10**4),
+    lambda: shell_counts(4, 10**3),
+    lambda: collections.deque(fields.ball_batches(2, 300), maxlen=0),
+    lambda: collections.deque(fields.ball_batches(3, 40), maxlen=0),
+    lambda: collections.deque(fields.ball_batches(4, 12), maxlen=0),
+], ids=["shells-2", "shells-3", "shells-4", "batches-2", "batches-3", "batches-4"])
+def test_scans_stay_within_their_memory_price(monkeypatch, scan):
+    prices = []
+    monkeypatch.setattr(fields, "require_memory", lambda need, what: prices.append(need))
+    peak = _traced_peak(scan)
+    assert prices and peak <= max(prices)
+
+
 def test_one_module_scans_the_lattice_ball():
-    # every lattice-ball scan goes through fields.ball_modes, and sums over
+    # every lattice-ball scan goes through fields.ball_batches, and sums over
     # |k| alone (the weak envelope, the Weyl count) scan no ball at all
     src = Path(disslab.__file__).parent
     scanners = sorted(p.name for p in src.glob("*.py") if "np.meshgrid" in p.read_text())

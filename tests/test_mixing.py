@@ -1,12 +1,14 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from disslab.fields import SpectralField, ball_modes, random_sparse_field, sobolev_norm
+from disslab import fields, mixing
+from disslab.fields import SpectralField, ball_modes, random_sparse_field, shell_counts, sobolev_norm
 from disslab.fitting import line_fit
 from disslab.mixing import (
     RateFunction,
@@ -226,6 +228,38 @@ def test_lattice_ball_sum_matches_ball_scan(dim_and_radius, beta):
     got = lattice_ball_sum(d, beta, m_max)
     assert got.shape == (m_max,)
     assert got.tobytes() == _ball_scan_sum(d, beta, m_max).tobytes()
+
+
+def _one_running_sum(d, beta, m_max):
+    # every repeated weight in one np.cumsum, as before the sums were chunked
+    counts = shell_counts(d, m_max * m_max)
+    shells = np.flatnonzero(counts[1:]) + 1
+    sums = np.cumsum(np.repeat(shells.astype(float) ** (-beta), counts[shells]))
+    return sums[np.cumsum(counts[1:])[np.arange(1, m_max + 1) ** 2 - 1] - 1]
+
+
+@pytest.mark.parametrize("chunk", [3, 1000, 2**13, 2**20])
+@pytest.mark.parametrize("d, beta, m_max", [(2, 1.0, 60), (3, 0.5, 15), (4, 2.5, 8), (2, 0.37, 1)])
+def test_lattice_ball_sum_is_chunk_size_independent(monkeypatch, chunk, d, beta, m_max):
+    monkeypatch.setattr(mixing, "BATCH_ROWS", chunk)
+    assert lattice_ball_sum(d, beta, m_max).tobytes() == _one_running_sum(d, beta, m_max).tobytes()
+
+
+def test_lattice_ball_sum_holds_one_chunk(monkeypatch):
+    # the 502,624 repeated weights of m = 400 and their running sum took 9.6 MB
+    prices = []
+    for module in (fields, mixing):
+        monkeypatch.setattr(module, "require_memory", lambda need, what: prices.append(need))
+    tracemalloc.start()
+    try:
+        assert lattice_ball_sum(2, 1.0, 400).tobytes() == _one_running_sum(2, 1.0, 400).tobytes()
+        tracemalloc.reset_peak()
+        lattice_ball_sum(2, 1.0, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert peak <= max(prices)
 
 
 @pytest.mark.parametrize("beta,target", [(2.0, 0.5), (0.5, 0.25)])

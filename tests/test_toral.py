@@ -2,12 +2,15 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disslab import fields
+from disslab.checks import roots_in_closed_disk
 from disslab.toral import (
     ToralAutomorphism,
     _cyclotomic_table,
@@ -175,7 +178,47 @@ def test_kronecker_golden():
 
 def test_kronecker_roots_of_unity():
     assert kronecker_classify((1, 0, 1)).kind == "all_roots_of_unity"
-    assert kronecker_classify((1, 1, 0, 1, 1, 1)).kind in ("all_roots_of_unity", "root_outside_disk")
+    # 1 + x + x^3 + x^4 + x^5 has two roots of modulus 1.261
+    assert kronecker_classify((1, 1, 0, 1, 1, 1)).kind == "root_outside_disk"
+
+
+@pytest.mark.parametrize("p", [
+    (-1, 3, -3, 1),  # (x - 1)^3, the unipotent [[1,1,0],[0,1,1],[0,0,1]]
+    (1, -4, 6, -4, 1),  # (x - 1)^4
+    poly_mul(poly_mul(cyclotomic(3), cyclotomic(3)), poly_mul(cyclotomic(3), cyclotomic(3))),  # Phi_3^4
+    poly_mul(cyclotomic(8), cyclotomic(8)),  # Phi_8^2
+    poly_mul((-1, 1), poly_mul((1, 1), (1, 1))),  # (x - 1)(x + 1)^2
+])
+def test_kronecker_repeated_cyclotomic_factors(p):
+    # a root of multiplicity m moves by about eps^(1/m) in floating point
+    res = kronecker_classify(p)
+    assert (res.kind, res.cofactor, res.root) == ("all_roots_of_unity", (1,), None)
+
+
+def _cyclotomics_times_factors(draw):
+    """A monic integer polynomial of degree <= 8 with p(0) != 0: a product
+    of cyclotomic polynomials and random monic factors."""
+    p = (1,)
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            factor = draw(st.sampled_from([phi for _, phi in _cyclotomic_table(8)]))
+        else:
+            middle = draw(st.lists(st.integers(-3, 3), max_size=3))
+            factor = (draw(st.sampled_from([-2, -1, 1, 2])), *middle, 1)
+        if len(p) + len(factor) - 2 <= 8:
+            p = poly_mul(p, factor)
+    return p
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.composite(_cyclotomics_times_factors)())
+def test_kronecker_matches_graeffe_root_squaring(p):
+    res = kronecker_classify(p)
+    assert (res.kind == "all_roots_of_unity") == roots_in_closed_disk(p)
+    # the cofactor divides p, and its largest root lies outside the disk
+    assert poly_divides(res.cofactor, p)
+    if res.kind == "root_outside_disk":
+        assert abs(res.root) > 1 + 1e-6
 
 
 def test_kronecker_rejects_non_monic_and_zero_root():
@@ -274,6 +317,28 @@ def test_verify_norm_form_radius_200(cat):
     assert res["integer_form_ok"]
     assert res["min_product"] == pytest.approx(0.2, abs=1e-9)
     assert res["min_abs_norm_form"] == 1
+
+
+@pytest.mark.parametrize("automorphism, radius", [
+    (ToralAutomorphism(((2, 1), (1, 1))), 200),
+    (ToralAutomorphism(PLASTIC), 8),
+    (ToralAutomorphism(((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3))), 5),
+], ids=["cat", "plastic", "companion-4d"])
+def test_verify_norm_form_is_batch_size_independent(monkeypatch, automorphism, radius):
+    default = verify_norm_form(automorphism, radius)
+    monkeypatch.setattr(fields, "BATCH_ROWS", 2**4)
+    assert verify_norm_form(automorphism, radius) == default
+
+
+def test_verify_norm_form_holds_one_batch(cat):
+    # the whole radius-200 ball, its complex coordinates and norm form took 9.6 MB
+    tracemalloc.start()
+    try:
+        verify_norm_form(cat, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_norm_form_plateau(cat):
