@@ -46,9 +46,10 @@ BATCH_ROWS = 2**13
 # elements a lattice scan may visit: the element adds of ``shell_counts``,
 # the rows of a ``ball_batches`` scan, the weights of a lattice ball sum.
 # Priced in counts, not seconds, so that a refusal is reproducible.  Measured
-# on a 2-vCPU host: 0.50-0.53 ns per shell add (d = 3..5), 7.5-20 ns per
-# ball-sum weight and 64-90 ns per row of the norm-form scan (d = 2..4), so
-# the limit stands for about 5 s, 1-3 min and 11-15 min of those scans
+# on a 2-vCPU host: 0.50-0.53 ns per shell add (d = 3..5) and 7.5-20 ns per
+# ball-sum weight, so the limit stands for about 5 s and 1-3 min of those
+# scans; the norm-form scan weighs each of its rows at
+# ``toral.NORM_FORM_ROW_WEIGHT`` element adds
 WORK_LIMIT = 10**10
 
 
@@ -87,14 +88,25 @@ class SpectralConvention:
         return nu * self.scale_factor / target.scale_factor
 
 
+def integer_tuple(values: Iterable, name: str, part: str) -> Tuple[int, ...]:
+    """``values`` as Python ints, refusing any value whose ``int()`` differs from it.
+
+    The ValueError names the values and the first such value, as in
+    "mode (1.7, 0) has a coordinate that is not an integer: 1.7".
+    """
+    raw = tuple(values)
+    for v in raw:
+        try:
+            exact = int(v) == v
+        except (OverflowError, TypeError, ValueError):  # int(inf), int(None), int(nan)
+            exact = False
+        if not exact:
+            raise ValueError(f"{name} {raw} has {part} that is not an integer: {v!r}")
+    return tuple(int(v) for v in raw)
+
+
 def _check_mode(mode: Iterable[int], dimension: int) -> Mode:
-    raw = tuple(mode)
-    try:
-        m = tuple(int(c) for c in raw)
-    except (OverflowError, TypeError):  # int(inf), int(None)
-        m = None
-    if m != raw:
-        raise ValueError(f"mode {raw} has a coordinate that is not an integer")
+    m = integer_tuple(mode, "mode", "a coordinate")
     if len(m) != dimension:
         raise ValueError(f"mode {m} has wrong dimension (expected {dimension})")
     return m

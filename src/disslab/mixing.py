@@ -221,6 +221,13 @@ class MixingEnvelope:
 # reach v0 is enumerated
 _LOG2_PAD = 1e-9
 
+# dyadic shells one n of the strong envelope may enumerate.  Shell j costs
+# one LLL and one enumeration on integers of about 2j bits, so an n of S
+# shells costs about S^2: for the cat map (alpha = 1, 2-vCPU host) 1,001
+# shells at n = 1 took 0.55 s and 1,162 at n = 2 took 0.93 s.  The README,
+# verify and demo runs need at most 17 shells per n, the tier-1 tests 41
+STRONG_SHELL_LIMIT = 1000
+
 
 def _envelope_terms(power: np.ndarray, modes: List[Mode], alpha: float, beta: float) -> np.ndarray:
     """lambda(B^n k)^{-alpha/2} lambda(k)^{-beta/2} per mode, with B^n k exact."""
@@ -244,6 +251,8 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     an integer ellipsoid that ``dissipation.short_vectors`` enumerates
     exactly.  Extra candidates cannot change a max, so the candidates are
     not deduplicated.  B^n and G_n are exact Python integers at every n.
+    An n that needs more than ``STRONG_SHELL_LIMIT`` shells (a small beta)
+    raises ValueError before its first shell.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError(f"strong envelopes need finite alpha > 0 and beta > 0, got alpha = {alpha}, beta = {beta}")
@@ -263,9 +272,13 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
         if v0 == 0.0:
             raise OverflowError(f"e({n}) underflows float64; reduce n_max")
         log_p = _LOG2_PAD - math.log2(v0)
+        shells = math.floor(log_p / beta) + 1
+        if shells > STRONG_SHELL_LIMIT:
+            raise ValueError(f"strong envelope at n = {n} needs {shells} dyadic shells, above the limit of "
+                             f"{STRONG_SHELL_LIMIT}; raise beta = {beta} or lower n_max")
         gram = (power.T @ power).tolist()
         candidates = list(incumbents)
-        for j in range(math.floor(log_p / beta) + 1):
+        for j in range(shells):
             c_j = math.ceil(2.0 ** ((log_p - j * beta) * 2.0 / alpha))
             shell = 4 ** (j + 1)
             form = [[shell * gram[i][l] + c_j * (i == l) for l in range(d)] for i in range(d)]

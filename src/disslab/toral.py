@@ -7,34 +7,41 @@ Provides the ergodicity / irreducibility condition checks
 
 the Kronecker dichotomy for monic integer polynomials (a root strictly
 outside the unit disk, or every root a root of unity), eigencoordinates
-a_i(k) with k = sum_i a_i(k) v_i, and the integer norm form N(k) whose
-nonvanishing quantifies how far lattice vectors stay from the expanding /
-contracting eigendirections.
+a_i(k) with k = sum_i a_i(k) v_i, and the integer norm form
+N(k) = det[k | Ak | ... | A^(d-1) k] in every dimension d = 2, 3, 4, a
+fixed multiple of prod_i a_i(k) whose nonvanishing quantifies how far
+lattice vectors stay from the expanding / contracting eigendirections.
 
 Integer polynomials are dense coefficient tuples, constant term first,
-as in (1, -3, 1) for 1 - 3x + x^2.  The condition checks and the
-Kronecker dichotomy are decided in exact integer arithmetic; eigendata is
-floating point.  One Faddeev-LeVerrier pass gives the characteristic
-polynomial, the determinant and the adjugate (hence the inverse); the
-cyclotomic polynomial Phi_m is x^m - 1 divided exactly by the Phi_d of the
-proper divisors d of m.
+as in (1, -3, 1) for 1 - 3x + x^2.  The condition checks, the Kronecker
+dichotomy and the norm form are decided in exact integer arithmetic;
+eigendata is floating point.  One Faddeev-LeVerrier pass gives the
+characteristic polynomial, the determinant and the adjugate (hence the
+inverse); the cyclotomic polynomial Phi_m is x^m - 1 divided exactly by the
+Phi_d of the proper divisors d of m.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import ball_batches
+from .fields import ball_batches, ball_size_bound, integer_tuple, require_work
 
 IntPoly = Tuple[int, ...]
 
 _EIGEN_RESIDUAL_TOL = 1e-10
+
+# ``fields.WORK_LIMIT`` elements (shell adds of 0.5 ns) per norm-form row: a
+# row took 44-72, 94-115 and 191-225 ns in d = 2, 3, 4 (fastest of five scans
+# of 0.8-3.1 million rows, 2-vCPU host), so the limit's 2.5e7 rows take 1-6 s
+NORM_FORM_ROW_WEIGHT = 400
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +177,9 @@ def irreducible_over_q(p: IntPoly) -> Tuple[bool, Optional[IntPoly]]:
                 b, rem = divmod(p1 - c * p3, f - c)
                 candidates += [(c, b, 1)] if rem == 0 else []
             else:
-                disc = p3 * p3 - 4 * (p2 - 2 * c)
-                s = math.isqrt(max(disc, 0))  # p3^2 - s^2 = 4 (p2 - 2c): p3 and s share a parity
-                if s * s == disc:
+                delta = p3 * p3 - 4 * (p2 - 2 * c)
+                s = math.isqrt(max(delta, 0))  # p3^2 - s^2 = 4 (p2 - 2c): p3 and s share a parity
+                if s * s == delta:
                     candidates += [(c, b, 1) for b in sorted({(p3 - s) // 2, (p3 + s) // 2})]
     for cand in candidates:
         if poly_divides(cand, p):
@@ -216,8 +223,9 @@ def check_conditions(matrix: Sequence[Sequence[int]]) -> ConditionReport:
     C1 is exact: an eigenvalue is a root of unity iff some cyclotomic
     polynomial Phi_m with phi(m) <= d divides char(A).  C2 is exact trial
     factorisation.  det != 1 is flagged but a report is still produced.
+    An entry that is not an integer raises ValueError.
     """
-    rows = [list(map(int, row)) for row in matrix]
+    rows = [integer_tuple(row, "matrix row", "an entry") for row in matrix]
     d = len(rows)
     if any(len(row) != d for row in rows):
         raise ValueError("matrix must be square")
@@ -325,7 +333,7 @@ class ToralAutomorphism:
     matrix: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        rows = tuple(integer_tuple(row, "matrix row", "an entry") for row in self.matrix)
         object.__setattr__(self, "matrix", rows)
         d = len(rows)
         if any(len(r) != d for r in rows):
@@ -413,75 +421,65 @@ def eigen_coordinates(automorphism: ToralAutomorphism, mode: Sequence[int]) -> n
 
 
 def norm_form(automorphism: ToralAutomorphism, mode):
-    """Integer norm form N(k) for d = 2 with the ((lambda - a22)/a21, 1) frame.
+    """Integer norm form N(k) = det[k | Ak | ... | A^(d-1) k], of degree d in k.
 
-    With trace T, det 1, and s = a21 k1 + a22 k2 the eigencoordinate product
-    is a_+ a_- = -N(k) / (a21^2 (T^2 - 4)) where N(k) = s^2 - T k2 s + k2^2.
-    For the standard cat map (a21 = a22 = 1, T = 3) this reduces to
-    N(k) = k1^2 - k1 k2 - k2^2, nonzero on the whole punctured lattice.
-    ``mode`` is one mode or a (2, N) integer array of modes (one per column).
+    With k = V a(k) in the eigenframe V of ``_eigen``, the Krylov matrix is
+    V diag(a(k)) W with W_im = lambda_i^m, so prod_i a_i(k) = N(k) / (det V det W),
+    and N(k) = 0 at some k != 0 exactly when char(A) is reducible over Q.  For
+    the cat map N(k) = k1^2 - k1 k2 - k2^2.  ``mode`` is one mode or a (d, N)
+    integer array of modes (one per column).  The d! Leibniz terms are summed
+    in int64 when d! g^(d(d-1)/2) max|k|^d < 2^63, g the largest row sum of
+    |A| (so |A^m k| <= g^m max|k|), and in Python ints otherwise.
     """
-    if automorphism.dimension != 2:
-        raise ValueError("exact integer norm form is implemented for d = 2 only")
-    (a11, _), (a21, a22) = automorphism.matrix
-    k1, k2 = mode
-    s = a21 * k1 + a22 * k2
-    return s * s - (a11 + a22) * k2 * s + k2 * k2
+    d, a = automorphism.dimension, automorphism.matrix
+    machine = isinstance(mode, np.ndarray) and mode.dtype == np.int64
+    cols = mode if machine else np.frompyfunc(int, 1, 1)(np.array(mode, dtype=object))  # Python ints
+    g = max(sum(map(abs, row)) for row in a)
+    if math.factorial(d) * g ** (d * (d - 1) // 2) * int(np.max(np.abs(cols))) ** d >= 2**63:
+        cols = cols.astype(object)
+    krylov = [list(cols)]  # krylov[m][i] = (A^m k)_i
+    for _ in range(d - 1):
+        krylov.append([sum(c * v for c, v in zip(row, krylov[-1]) if c) for row in a])
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        term = functools.reduce(operator.mul, (krylov[m][i] for m, i in enumerate(perm)))
+        odd = sum(i > j for i, j in itertools.combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return int(total) if np.ndim(total) == 0 else total
 
 
 def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     """Scan 0 < |k| <= radius for the minimal eigencoordinate product.
 
-    Returns the minimum of prod_i |a_i(k)| under the fixed frame and, for
-    d = 2, checks exactly (integer arithmetic) that the norm form N(k) is a
-    nonzero integer at every scanned k.  Requires C1 and C2.
+    Returns the minimum of prod_i |a_i(k)| under the fixed frame and checks
+    exactly that the norm form N(k) is a nonzero integer at every scanned
+    k, with the least |N(k)|.  Requires C1 and C2.
 
     The ball streams through ``fields.ball_batches``: each batch updates
-    running values (the first minimum, the form check, min |N(k)| and the
-    row count) and is dropped, so the scan holds one batch and one
-    (d-1)-box, whatever the radius.  Its ``ball_size_bound`` rows are priced
-    against ``fields.WORK_LIMIT`` before any allocation.
+    running values (the first minimum, min |N(k)| and the row count) and is
+    dropped, so the scan holds one batch and one (d-1)-box, whatever the
+    radius.  Its ``ball_size_bound`` rows, at ``NORM_FORM_ROW_WEIGHT``
+    elements each, are priced against ``fields.WORK_LIMIT`` before any
+    allocation.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    report = automorphism.conditions()
-    if not report.ergodic_irreducible:
+    if not automorphism.conditions().ergodic_irreducible:
         raise ValueError("norm-form verification requires conditions C1 and C2")
     d = automorphism.dimension
-    _, vecs = automorphism._eigen()
-    vinv = np.linalg.inv(vecs)
+    rows = ball_size_bound(d, radius)
+    require_work(NORM_FORM_ROW_WEIGHT * rows, f"element adds ({rows:.3e} ball rows at {NORM_FORM_ROW_WEIGHT} each)",
+                 f"norm-form scan of radius {radius} in d = {d}")
+    vinv = np.linalg.inv(automorphism._eigen()[1])
 
-    best, argmin, ok, scanned, min_abs, q = math.inf, None, True, 0, math.inf, None
+    best, argmin, scanned, min_abs = math.inf, None, 0, math.inf
     for batch in ball_batches(d, radius):
         # a batch of at least two rows keeps the matrix product on one BLAS path
-        coords = vinv @ batch.T.astype(complex)
-        products = np.prod(np.abs(coords), axis=0)
+        products = np.prod(np.abs(vinv @ batch.T.astype(vinv.dtype)), axis=0)
         i_min = int(np.argmin(products))
         if products[i_min] < best:  # strict: the first minimum, as one argmin over the ball
             best, argmin = float(products[i_min]), tuple(int(c) for c in batch[i_min])
+        min_abs = min(min_abs, int(np.min(np.abs(norm_form(automorphism, batch.T)))))
         scanned += batch.shape[0]
-        if d == 2:
-            nvals = norm_form(automorphism, batch.T)
-            ok &= bool(np.all(nvals != 0))
-            min_abs = min(min_abs, int(np.min(np.abs(nvals))))
-            continue
-        # rational product check: q * prod_i a_i(k) should be a nonzero integer
-        # for a fixed denominator q (the frame normalization is rational), read
-        # off the first row of the ball
-        if q is None:
-            sample = complex(np.prod(coords[:, 0]))
-            q = Fraction(sample.real).limit_denominator(10**6).denominator
-        scaled = products * q
-        near_int = np.abs(scaled - np.round(scaled)) <= 1e-6 * np.maximum(1.0, scaled)
-        nonzero = np.abs(np.round(scaled)) >= 1
-        ok &= bool(np.all(near_int & nonzero))
-
-    result = {"min_product": best, "argmin": argmin, "integer_form_ok": ok, "scanned": scanned}
-    if d == 2:
-        t = automorphism.matrix[0][0] + automorphism.matrix[1][1]
-        # product identity |a+ a-| = |N(k)| / (a21^2 |T^2 - 4|) for this frame
-        result["min_abs_norm_form"] = min_abs
-        result["disc"] = int(t * t - 4)
-    else:
-        result["denominator"] = int(q)
-    return result
+    return {"min_product": best, "argmin": argmin, "integer_form_ok": min_abs > 0,
+            "min_abs_norm_form": min_abs, "scanned": scanned}

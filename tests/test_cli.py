@@ -449,8 +449,8 @@ def test_scan_values_pinned(cat):
     assert (nf["min_product"], nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == (
         0.19999999999975474, (-89, -55), 1, 125628)
     nf = verify_norm_form(ToralAutomorphism(((0, 1, 0), (0, 0, 1), (1, 1, 0))), 8)
-    assert (nf["min_product"], nf["argmin"], nf["denominator"], nf["scanned"]) == (
-        0.0434782608695636, (0, -3, 4), 23, 2108)
+    assert (nf["min_product"], nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == (
+        0.0434782608695636, (0, -3, 4), 1, 2108)
     assert lattice_count(2, 1e4) == 31416
 
 
@@ -507,8 +507,10 @@ def test_weak_envelope_artifacts_pinned(tmp_path, matrix, digest):
     (["--mode", "strong", "--n-max", "-1"], "n_max"),
     (["--mode", "strong", "--alpha", "nan"], "alpha"),
     (["--mode", "strong", "--beta", "inf"], "beta"),
+    # n = 1 would walk 5,001 dyadic shells of integers up to 10^4 bits
+    (["--mode", "strong", "--beta", "1e-4", "--n-max", "12"], "at n = 1 needs 5001 dyadic shells"),
 ], ids=["weak-beta-nan", "weak-n-max-0", "weak-n-max-negative", "cesaro-n-max-0", "cesaro-alpha-nan",
-        "cesaro-beta-inf", "strong-n-max-negative", "strong-alpha-nan", "strong-beta-inf"])
+        "cesaro-beta-inf", "strong-n-max-negative", "strong-alpha-nan", "strong-beta-inf", "strong-beta-tiny"])
 def test_mixing_rate_inputs_are_validation_errors(tmp_path, capsys, flags, name):
     out = tmp_path / "envelope.csv"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", *flags, "--out", str(out)]) == 2
@@ -574,9 +576,12 @@ def test_pulse_walk_past_physical_memory_is_a_validation_error(tmp_path, capsys,
 @pytest.mark.parametrize("scan, message", [
     (lambda cat: lattice_count(4, 1e10), "GB"),  # radius 100,001: 4.9e20 ball modes
     # the streamed scans hold one batch, so their size is priced as work
-    (lambda cat: verify_norm_form(cat, 10**6), "3.142e+12 ball rows, above the work limit"),
+    (lambda cat: verify_norm_form(cat, 10**6), "1.257e+15 element adds (3.142e+12 ball rows at 400 each)"),
+    # the rows of the norm-form scan are priced at its own per-row cost, so
+    # radius 10^4 (3e8 rows, about 20 s of scan) is refused too
+    (lambda cat: verify_norm_form(cat, 10**4), "1.257e+11 element adds (3.142e+08 ball rows at 400 each)"),
     (lambda cat: lattice_ball_sum(4, 1.0, 1000), "4.955e+12 weights, above the work limit"),  # from 1e6 + 1 shells
-], ids=["lattice_count", "verify_norm_form", "lattice_ball_sum"])
+], ids=["lattice_count", "verify_norm_form", "verify_norm_form_by_row_cost", "lattice_ball_sum"])
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         scan(cat)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disslab import fields
@@ -247,6 +247,18 @@ def test_kronecker_exhaustive_sl2_box():
                         assert res.kind == "root_outside_disk"
 
 
+def test_kronecker_exhaustive_sl3_box():
+    # every SL3 matrix with entries in [-1, 1]: the division rule against
+    # Graeffe root squaring, on polynomials with repeated cyclotomic factors
+    # such as (x - 1)^3 and (x - 1)(x + 1)^2, which float roots misplace
+    polys = [char_poly(np.reshape(entries, (3, 3)).tolist())
+             for entries in itertools.product((-1, 0, 1), repeat=9)
+             if round(np.linalg.det(np.reshape(entries, (3, 3)))) == 1]
+    assert len(polys) == 3480 and len(set(polys)) == 32
+    disagree = [p for p in polys if (kronecker_classify(p).kind == "all_roots_of_unity") != roots_in_closed_disk(p)]
+    assert disagree == []
+
+
 def test_eigen_frame_cat(cat):
     vecs = cat.eigenvectors
     # frame is (lambda - 1, 1) per column
@@ -355,6 +367,90 @@ def test_norm_form_d3_near_integer():
     auto = ToralAutomorphism(PLASTIC)
     res = verify_norm_form(auto, 8)
     assert res["integer_form_ok"]
+
+
+@pytest.mark.parametrize("matrix", [
+    ((0, 0, 1), (1, 0, -7), (0, 1, -7)),
+    ((0, 0, 1), (1, 0, -5), (0, 1, 11)),
+    ((0, 0, 0, -1), (1, 0, 0, -8), (0, 1, 0, 8), (0, 0, 1, 5)),
+    ((0, 0, 0, -1), (1, 0, 0, 11), (0, 1, 0, 8), (0, 0, 1, -3)),
+], ids=["3d-1492", "3d-1836", "4d-1083797", "4d-776552"])
+def test_norm_form_exact_in_higher_dimensions(matrix):
+    # a denominator guessed from the float product at the first ball row
+    # (373 for the first, whose true constant is 1492) once made these
+    # C1-and-C2 companions fail the nonvanishing check
+    res = verify_norm_form(ToralAutomorphism(matrix), 4)
+    assert res["integer_form_ok"] and res["min_abs_norm_form"] == 1
+
+
+@pytest.mark.parametrize("matrix, radius, constant", [
+    (((2, 1), (1, 1)), 40, 5),
+    (PLASTIC, 8, 23),
+    (((0, 0, 1), (1, 0, 0), (0, 1, 1)), 8, 31),
+    (((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)), 5, 2696),
+], ids=["cat", "plastic", "A3", "A4"])
+def test_norm_form_over_eigencoordinate_product(matrix, radius, constant):
+    ratios = _norm_form_ratios(ToralAutomorphism(matrix), radius)
+    assert np.allclose(ratios, constant, rtol=1e-9, atol=0)
+
+
+def _norm_form_ratios(automorphism, radius):
+    """|N(k)| / prod_i |a_i(k)| over the ball, and its closed form |det V det W|."""
+    modes = fields.ball_modes(automorphism.dimension, radius)
+    values, vecs = automorphism._eigen()
+    products = np.prod(np.abs(np.linalg.solve(vecs, modes.T.astype(complex))), axis=0)
+    ratios = np.abs(norm_form(automorphism, modes.T)) / products
+    vandermonde = values[:, None] ** np.arange(automorphism.dimension)[None, :]
+    assert np.allclose(ratios, abs(np.linalg.det(vecs) * np.linalg.det(vandermonde)), rtol=1e-9, atol=0)
+    return ratios
+
+
+@st.composite
+def _ergodic_automorphisms(draw):
+    """C1-and-C2 automorphisms in d = 2..4: a companion of det 1 conjugated by I + s E_ij."""
+    d = draw(st.integers(2, 4))
+    coeffs = [(-1) ** (d + 1)] + draw(st.lists(st.integers(-5, 5), min_size=d - 1, max_size=d - 1))
+    companion = np.zeros((d, d), dtype=object)
+    companion[1:, :-1] = np.eye(d - 1, dtype=int)
+    companion[:, -1] = coeffs
+    i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+    shear = np.eye(d, dtype=int).astype(object)
+    shear[i, j] = draw(st.integers(-2, 2))
+    inverse = np.eye(d, dtype=int).astype(object)
+    inverse[i, j] = -shear[i, j]
+    automorphism = ToralAutomorphism(tuple(map(tuple, (shear @ companion @ inverse).tolist())))
+    assume(automorphism.conditions().ergodic_irreducible)
+    return automorphism
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(automorphism=_ergodic_automorphisms(),
+       rows=st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4),
+       shift=st.integers(40, 61))
+def test_norm_form_is_the_krylov_determinant(automorphism, rows, shift):
+    d = automorphism.dimension
+    a = np.array(automorphism.matrix, dtype=object)
+    small = np.array(rows, dtype=np.int64)[:, :d]  # summed in int64
+    large = small.copy()
+    large[:, 0] += 2**shift  # an int64 array summed in Python ints
+    for k in small.tolist() + large.tolist():
+        krylov = [np.array(k, dtype=object)]
+        for _ in range(d - 1):
+            krylov.append(a @ krylov[-1])
+        assert norm_form(automorphism, tuple(k)) == _int_det(np.array(krylov).T.tolist())
+    for modes in (small, large):
+        assert norm_form(automorphism, modes.T).tolist() == [norm_form(automorphism, tuple(k)) for k in modes.tolist()]
+    ratios = _norm_form_ratios(automorphism, {2: 12, 3: 4, 4: 2}[d])
+    assert np.allclose(ratios, ratios[0], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("build", [ToralAutomorphism, check_conditions], ids=["automorphism", "conditions"])
+def test_matrix_entries_must_be_integers(build):
+    # int() used to truncate each entry: (2.9, 1) became the cat map's row (2, 1)
+    for rows, entry in ((((2.9, 1), (1, 1)), "2.9"), ([[2.5, 1], [1, 1]], "2.5"), (((2, 1), (1, None)), "None")):
+        with pytest.raises(ValueError, match=f"has an entry that is not an integer: {entry}$"):
+            build(rows)
+    assert build(((2.0, 1), (1, np.int64(1)))) == build(((2, 1), (1, 1)))
 
 
 def test_automorphism_requires_unimodular():
