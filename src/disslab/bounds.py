@@ -43,8 +43,8 @@ def weyl_constant(d: int, vol: float = 1.0, eps: float = 0.0, scaling: str = "ge
     bare-lattice eigenvalues |k|^2 the count of modes is the ball volume,
     ct = (1+eps) pi^{d/2} / Gamma(d/2 + 1).
     """
-    if d < 1 or vol <= 0:
-        raise ValueError("need d >= 1 and vol > 0")
+    if d < 1 or not 0 < vol < math.inf:
+        raise ValueError(f"need d >= 1 and a finite vol > 0, got d = {d}, vol = {vol}")
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     gamma = math.gamma(d / 2.0 + 1.0)
@@ -82,10 +82,11 @@ class BoundProfile:
     def __post_init__(self):
         if self.which not in ("H1", "H2", "H3", "H4"):
             raise ValueError(f"unknown bound {self.which!r}")
-        if self.which in ("H3", "H4") and not self.grad_u_norm:
-            raise ValueError(f"{self.which} needs grad_u_norm")
-        if self.which in ("H2", "H4") and not self.weyl_c:
-            raise ValueError(f"{self.which} needs the Weyl constant")
+        # None, nan and inf all fail 0 < x < inf
+        if self.which in ("H3", "H4") and not 0 < (self.grad_u_norm or 0) < math.inf:
+            raise ValueError(f"{self.which} needs a finite grad_u_norm > 0, got {self.grad_u_norm}")
+        if self.which in ("H2", "H4") and not 0 < (self.weyl_c or 0) < math.inf:
+            raise ValueError(f"{self.which} needs a finite Weyl constant weyl_c > 0, got {self.weyl_c}")
 
     @property
     def universal_constant(self) -> float:

@@ -129,7 +129,7 @@ def _integer_coefficients(coefficients: Dict, dimension: int) -> Optional[Dict[M
     with np.errstate(over="ignore"):
         mag_sq = np.abs(np.array(amps, dtype=complex)) ** 2
     if not np.all(np.isfinite(mag_sq)):
-        return None  # abs(a) ** 2 overflows or is nan: left to the per-mode path
+        return None  # abs(a) ** 2 overflows or a part is not finite: left to the per-mode path
     keep = mag_sq > PRUNE_TOL
     if not keep.all():
         keys, amps = keys[keep], list(compress(amps, keep))
@@ -140,13 +140,13 @@ def _integer_coefficients(coefficients: Dict, dimension: int) -> Optional[Dict[M
 class SpectralField:
     """Sparse mean-zero field: finite map from nonzero modes to amplitudes.
 
-    ``enforce_reality`` asserts hermitian symmetry coef(-k) == conj(coef(k)),
-    i.e. the field is real valued on the torus.
+    Amplitudes are complex and need not be hermitian symmetric.  Mode 0 and
+    an amplitude with a part that is not finite raise ValueError; an
+    amplitude of squared magnitude at most ``PRUNE_TOL`` is dropped.
     """
 
     convention: SpectralConvention
     coefficients: Dict[Mode, complex] = field(default_factory=dict)
-    enforce_reality: bool = False
 
     def __post_init__(self):
         clean = _integer_coefficients(self.coefficients, self.convention.dimension)
@@ -157,15 +157,11 @@ class SpectralField:
                 if all(c == 0 for c in m):
                     raise ValueError("mode 0 is not allowed (fields are mean zero)")
                 a = complex(amp)
+                if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                    raise ValueError(f"mode {m} has an amplitude that is not finite: {a}")
                 if abs(a) ** 2 > PRUNE_TOL:
                     clean[m] = a
         object.__setattr__(self, "coefficients", clean)
-        if self.enforce_reality:
-            for m, a in clean.items():
-                neg = tuple(-c for c in m)
-                b = clean.get(neg, 0j)
-                if abs(b - a.conjugate()) > 1e-12 * max(1.0, abs(a)):
-                    raise ValueError(f"reality violated at mode {m}")
 
     def modes(self):
         return self.coefficients.keys()

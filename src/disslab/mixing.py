@@ -54,8 +54,10 @@ class RateFunction:
 
     kind "power": h(t) = c * t^{-p}; kind "exponential": h(t) = c1 e^{-c2 t};
     kind "tabulated": monotone samples (t_i, h_i) with log-linear
-    interpolation.  Strong mode requires alpha > 0 and beta > 0; weak mode
-    tabulated rates must respect the 1/sqrt(n) floor.
+    interpolation.  Every parameter and sample must be finite, the law
+    parameters positive and the class exponents nonnegative.  Strong mode
+    requires alpha > 0 and beta > 0; weak mode tabulated rates must respect
+    the 1/sqrt(n) floor.
     """
 
     kind: str
@@ -70,22 +72,23 @@ class RateFunction:
             raise ValueError(f"unknown rate kind {self.kind!r}")
         if self.mode not in ("strong", "weak"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("class exponents must be nonnegative")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"class exponents must be finite and nonnegative, got {name} = {value}")
         if self.mode == "strong" and (self.alpha == 0 or self.beta == 0):
             raise ValueError("strong rates need alpha > 0 and beta > 0")
-        if self.kind == "power":
-            c, p = self.params
-            if c <= 0 or p <= 0:
-                raise ValueError("power law needs c > 0, p > 0")
-        elif self.kind == "exponential":
-            c1, c2 = self.params
-            if c1 <= 0 or c2 <= 0:
-                raise ValueError("exponential law needs c1 > 0, c2 > 0")
+        if self.kind in ("power", "exponential"):
+            names = ("c", "p") if self.kind == "power" else ("c1", "c2")
+            for name, value in zip(names, self.params, strict=True):
+                if not 0 < value < math.inf:
+                    raise ValueError(f"{self.kind} law needs finite {names[0]} > 0 and {names[1]} > 0, "
+                                     f"got {name} = {value}")
         else:
             t, h = self.samples
             t = np.asarray(t, dtype=float)
             h = np.asarray(h, dtype=float)
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(h))):
+                raise ValueError("tabulated times and rates must be finite")
             if t.size < 2 or np.any(np.diff(t) <= 0):
                 raise ValueError("tabulated times must be strictly increasing")
             if np.any(h <= 0) or np.any(np.diff(h) >= 0):

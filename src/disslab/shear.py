@@ -49,7 +49,7 @@ NU_DESK = (1e-4, 1e-1)  # the nu range tau_d_cts supports
 
 @dataclass(frozen=True)
 class ShearFlow:
-    """Shear profile v(y) = mean + sum_m a_m cos(2 pi m y) + b_m sin(2 pi m y).
+    """Shear profile v(y) = sum_m a_m cos(2 pi m y) + b_m sin(2 pi m y).
 
     ``grad_norm`` bounds sup |v'| (the L-infinity norm of the velocity
     gradient) from above by sum_m 2 pi m hypot(a_m, b_m), which it equals
@@ -58,19 +58,18 @@ class ShearFlow:
 
     cos_coeffs: Tuple[float, ...] = ()
     sin_coeffs: Tuple[float, ...] = ()
-    mean: float = 0.0
 
     @staticmethod
-    def sinusoidal(amplitude: float = 1.0) -> "ShearFlow":
-        """v(y) = amplitude * sin(2 pi y)."""
-        return ShearFlow(sin_coeffs=(amplitude,))
+    def sinusoidal() -> "ShearFlow":
+        """v(y) = sin(2 pi y)."""
+        return ShearFlow(sin_coeffs=(1.0,))
 
     @property
     def bandwidth(self) -> int:
         return max(len(self.cos_coeffs), len(self.sin_coeffs), 1)
 
     def values(self, y: np.ndarray) -> np.ndarray:
-        out = np.full_like(y, self.mean, dtype=float)
+        out = np.zeros_like(y, dtype=float)
         for m, a in enumerate(self.cos_coeffs, start=1):
             out += a * np.cos(2.0 * math.pi * m * y)
         for m, b in enumerate(self.sin_coeffs, start=1):
@@ -92,9 +91,8 @@ class CtsState:
     """theta_hat_{k1}(y_j) on nonzero x-wavenumbers and y collocation points.
 
     ``data`` has shape (n_bands, M) (collocation values per band).  The
-    k1 = 0 band is excluded by default (functions with zero horizontal
-    average); ``include_zero_x_band`` re-admits it for trivial-bound runs,
-    with the constant (0, 0) mode always projected out.
+    state lives in the zero-horizontal-average subspace: there is no k1 = 0
+    band, so every Laplacian eigenvalue of the state is positive.
     """
 
     convention: SpectralConvention
@@ -108,6 +106,8 @@ class CtsState:
         _check_grid_size(self.data.shape[-1])
         if self.convention.dimension != 2:
             raise ValueError("shear solver lives on T^2")
+        if not np.all(self.k1):
+            raise ValueError("the k1 = 0 band lies outside the zero-horizontal-average subspace")
 
     @property
     def grid_size(self) -> int:
@@ -120,19 +120,16 @@ class CtsState:
         grid_size: int,
         nu: float,
         convention: Optional[SpectralConvention] = None,
-        include_zero_x_band: bool = False,
     ) -> "CtsState":
-        """Build a state from {(k1, m): amplitude} full Fourier modes."""
+        """Build a state from {(k1, m): amplitude} full Fourier modes, all with k1 != 0."""
         conv = convention or SpectralConvention(2, "geometric")
-        k1_vals = [k for k in range(-k1_max, k1_max + 1) if k != 0 or include_zero_x_band]
+        k1_vals = [k for k in range(-k1_max, k1_max + 1) if k != 0]
         k1_arr = np.array(k1_vals, dtype=np.int64)
         data = np.zeros((len(k1_vals), grid_size), dtype=complex)
         j = np.arange(grid_size)
         for (k1, m), amp in modes.items():
-            if k1 == 0 and not include_zero_x_band:
+            if k1 == 0:
                 raise ValueError("mode with k1 = 0 in a zero-horizontal-average state")
-            if k1 == 0 and m == 0:
-                raise ValueError("constant mode is excluded (mean zero)")
             if abs(k1) > k1_max or abs(m) > grid_size // 2 - 1:
                 raise ValueError(f"mode {(k1, m)} outside the truncation")
             row = int(np.nonzero(k1_arr == k1)[0][0])
@@ -156,8 +153,7 @@ class CtsState:
 
     def lambda_1(self) -> float:
         """Smallest eigenvalue present in the truncated space."""
-        lam = self.eigenvalues()
-        return float(np.min(lam[lam > 0]))
+        return float(np.min(self.eigenvalues()))
 
 
 def _check_grid_size(m: int):
@@ -202,20 +198,13 @@ class _Stepper:
 
     def __init__(self, flow: ShearFlow, state: CtsState, dt: float):
         _check_grid(flow, state)
-        lam = state.eigenvalues()
-        self.half_damp = np.exp(-state.nu * lam * dt / 2.0)
+        self.half_damp = np.exp(-state.nu * state.eigenvalues() * dt / 2.0)
         self.full_damp = self.half_damp * self.half_damp
         self.phase = _phase(state.k1, _profile(flow, state.grid_size), dt)
-        # the constant mode (k1, m) = (0, 0), the one zero eigenvalue, never
-        # participates, even with the zero band included
-        constant = lam == 0
-        self.kill_mean = constant if np.any(constant) else None
 
     def diffuse(self, data: np.ndarray, half: bool) -> np.ndarray:
         coeffs = np.fft.fft(data, axis=-1)
         coeffs *= self.half_damp if half else self.full_damp
-        if self.kill_mean is not None:
-            coeffs[..., self.kill_mean] = 0.0
         return np.fft.ifft(coeffs, axis=-1)
 
     def advect(self, data: np.ndarray) -> np.ndarray:

@@ -288,6 +288,41 @@ def test_field_json_is_never_rewritten(tmp_path, capsys, records, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("re", [math.nan, math.inf], ids=["NaN", "Infinity"])
+def test_field_json_amplitudes_must_be_finite(tmp_path, capsys, re):
+    # json reads the NaN and Infinity tokens; a NaN amplitude used to be
+    # pruned, and an infinite one gave energy 1 at step 0 and NaN after it
+    payload = {"convention": {"dimension": 2, "scaling": "lattice"},
+               "modes": [{"k": [1, 0], "re": 1.0, "im": 0.0}, {"k": [2, 1], "re": re, "im": 0.0}]}
+    path, out = tmp_path / "field.json", tmp_path / "t.csv"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", "0.1", "--steps", "2", "--initial", str(path),
+                    "--out", str(out)]) == 2
+    assert "mode (2, 1) has an amplitude that is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--which", "H3", "--rate", "power:1,1", "--grad-u", "nan"], "grad_u_norm"),
+    (["--which", "H3", "--rate", "power:1,1", "--grad-u", "-1"], "grad_u_norm"),
+    (["--which", "H1", "--rate", "power:nan,1"], "c = nan"),
+    (["--which", "H1", "--rate", "exp:inf,1"], "c1 = inf"),
+    (["--which", "H1", "--rate", "power:1,inf"], "p = inf"),
+    (["--which", "H1", "--rate", "power:1,1", "--alpha", "nan"], "alpha = nan"),
+    (["--which", "H1", "--rate", "power:1,1", "--alpha", "inf"], "alpha = inf"),
+    (["--which", "H2", "--rate", "power:1,0.5", "--vol", "nan"], "vol = nan"),
+    (["--which", "H2", "--rate", "power:1,0.5", "--vol", "inf"], "vol = inf"),
+], ids=["grad-u-nan", "grad-u-negative", "power-c-nan", "exp-c1-inf", "power-p-inf", "alpha-nan", "alpha-inf",
+        "vol-nan", "vol-inf"])
+def test_bound_parameters_must_be_finite_and_positive(tmp_path, capsys, flags, name):
+    # each used to exit 0 with H = lambda_1 or finite bounds, or, for a
+    # negative --grad-u, to report an unbounded feasible set (exit 3)
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bounds", *flags, "--nu-grid", "1e-4:1e-2:3", "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dim_comes_from_the_matrix(tmp_path):
     base = ["simulate", "--matrix", "0,0,1,1,0,0,0,1,1", "--nu", "0.1", "--steps", "2", "--initial", "mode:1,0,0"]
     assert run_cli([*base, "--out", str(tmp_path / "a.csv")]) == 0

@@ -95,6 +95,22 @@ def test_integer_key_check_matches_per_mode_checks(lattice2, monkeypatch, coeffi
     assert batched == _built_or_refused(lattice2, coefficients)
 
 
+_NOT_FINITE = (ValueError, r"mode \(1, 2\) has an amplitude that is not finite")
+
+
+@pytest.mark.parametrize("amp, error", [
+    (complex("nan"), _NOT_FINITE),
+    (complex("inf"), _NOT_FINITE),
+    (complex(1.0, -math.inf), _NOT_FINITE),
+    (complex(math.nan, 0.0), _NOT_FINITE),
+    (1e200, (OverflowError, "out of range")),  # finite, but abs(a) ** 2 overflows
+])
+def test_amplitudes_must_be_finite(lattice2, amp, error):
+    # a nan amplitude used to be pruned and an infinite one kept
+    with pytest.raises(error[0], match=error[1]):
+        SpectralField(lattice2, {(3, 1): 1.0, (1, 2): amp})
+
+
 def test_parseval(lattice2, rng):
     for _ in range(20):
         f = random_sparse_field(lattice2, rng)
@@ -142,13 +158,6 @@ def test_dissipation_functional_rejects_nonpositive_nu(lattice2):
     f = SpectralField(lattice2, {(1, 0): 1.0})
     with pytest.raises(ValueError):
         dissipation_functional(f, lambda m: m, 0.0)
-
-
-def test_reality_flag(lattice2):
-    good = {(1, 0): 1 + 2j, (-1, 0): 1 - 2j}
-    SpectralField(lattice2, good, enforce_reality=True)
-    with pytest.raises(ValueError):
-        SpectralField(lattice2, {(1, 0): 1 + 2j, (-1, 0): 1 + 2j}, enforce_reality=True)
 
 
 def test_json_round_trip(lattice2, rng):

@@ -39,13 +39,6 @@ def test_step_two_pulses(cat, lattice2):
     assert out.amplitude((5, 3)) == pytest.approx(math.exp(-0.01 * 39), rel=1e-13)
 
 
-def test_inviscid_step_is_isometry(cat, lattice2, rng):
-    system = PulsedSystem(cat, 0.0, lattice2, allow_inviscid=True)
-    theta = random_sparse_field(lattice2, rng)
-    out = step(theta, system)
-    assert out.norm_sq() == pytest.approx(theta.norm_sq(), rel=1e-14)
-
-
 def test_step_of_empty_field_raises(cat, lattice2):
     # step is evolve's one-pulse case and shares its empty-field contract
     with pytest.raises(ValueError):
@@ -279,8 +272,8 @@ _SHEAR2 = ((1, 0), (5, 1))
 @st.composite
 def _batches(draw):
     """2..8 fields over 1..3 kinds (dimension, automorphism, convention, mode
-    count), so that groups of several rows form next to groups of one; nu,
-    0 included, differs per row.  Coordinates reach 2^22..2^29 and pulses
+    count), so that groups of several rows form next to groups of one; nu
+    differs per row.  Coordinates reach 2^22..2^29 and pulses
     run long enough that orbits cross 2^30 and 2^32, take the Python-int path
     or overflow; nu = 1e-3 underflows weights, whose rows go through
     ``_logsumexp`` alone."""
@@ -300,8 +293,8 @@ def _batches(draw):
         amps = draw(st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=count,
                              max_size=count))
         conv = SpectralConvention(d, scaling)
-        nu = draw(st.sampled_from([0.0, 1e-30, 1e-20, 1e-12, 1e-3]))
-        system = PulsedSystem(ToralAutomorphism(matrix), nu, conv, allow_inviscid=True)
+        nu = draw(st.sampled_from([1e-30, 1e-20, 1e-12, 1e-3]))
+        system = PulsedSystem(ToralAutomorphism(matrix), nu, conv)
         runs.append((SpectralField(conv, dict(zip(modes, amps))), system))
     return runs, draw(st.integers(1, 40))
 

@@ -78,8 +78,9 @@ def test_grid_guard(conv):
 def test_zero_band_excluded(conv):
     with pytest.raises(ValueError):
         CtsState.from_modes({(0, 1): 1.0}, 4, 64, 1e-2, conv)
-    state = CtsState.from_modes({(0, 1): 1.0}, 4, 64, 1e-2, conv, include_zero_x_band=True)
-    assert state.energy() == pytest.approx(1.0)
+    state = make_state(conv, 1e-2)
+    with pytest.raises(ValueError, match="k1 = 0 band"):
+        CtsState(conv, 1e-2, np.zeros_like(state.k1), state.data)
 
 
 def test_inviscid_evolution_is_transport(flow, conv):
@@ -176,22 +177,19 @@ def test_cts_norm_matches_evolved_unit_vectors(flow, conv, t, nu):
     k1_max=st.integers(1, 8),
     grid=st.sampled_from([32, 64]),
     convention=st.sampled_from(["geometric", "lattice"]),
-    zero_band=st.booleans(),
     sheared=st.booleans(),
 )
-# 10,000 steps without shear: the zero band's computed norm exceeds the
-# |k1| = 1 heat factor by more than 1e-12 relative, and the |k1| = 1 bands,
-# whose norm is larger still, must not be skipped
-@example(nu=3e-3, t=200.0, k1_max=2, grid=32, convention="lattice", zero_band=True, sheared=False)
-@example(nu=3e-4, t=200.0, k1_max=2, grid=64, convention="geometric", zero_band=True, sheared=False)
-def test_cts_norm_pruning_matches_every_band(nu, t, k1_max, grid, convention, zero_band, sheared):
+# 10,000 steps without shear: the |k1| = 1 band's computed norm sits on its
+# heat factor (1.5e-12 and 3.2e-12 relative above it), and the walk must
+# return it bit for bit while it skips the |k1| = 2 band
+@example(nu=3e-3, t=200.0, k1_max=2, grid=32, convention="lattice", sheared=False)
+@example(nu=3e-4, t=200.0, k1_max=2, grid=64, convention="geometric", sheared=False)
+def test_cts_norm_pruning_matches_every_band(nu, t, k1_max, grid, convention, sheared):
     # skipping bands by their heat factor must not change the maximum by a
-    # single bit; without shear (and with the zero band, whose m = +-1 heat
-    # factor ties the |k1| = 1 bands) norms sit on their bounds, so this also
+    # single bit; without shear norms sit on their bounds, so this also
     # probes the rounding margin
     flow = ShearFlow.sinusoidal() if sheared else ShearFlow()
-    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention),
-                                   include_zero_x_band=zero_band)
+    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention))
     brute = max(cts_norm(CtsState(template.convention, nu, template.k1[i : i + 1], template.data[i : i + 1]),
                          flow, t) for i in range(template.k1.size))
     assert cts_norm(template, flow, t) == brute
@@ -229,27 +227,25 @@ def _signed_band_norm(state, flow, t, i, dt_target=0.02):
     k1_max=st.integers(1, 8),
     grid=st.sampled_from([32, 64]),
     convention=st.sampled_from(["geometric", "lattice"]),
-    zero_band=st.booleans(),
     shear_spec=st.sampled_from(["sin", "coeffs:0.3,1,0.2,-0.5", "coeffs:-0.7,0.4,0,0.25"]),
 )
 def test_cts_norm_over_one_band_per_abs_k1_matches_every_signed_band(
-    nu, t, k1_max, grid, convention, zero_band, shear_spec
+    nu, t, k1_max, grid, convention, shear_spec
 ):
     # band -k1 is the conjugate of band k1, so building k1 = +|k1| alone
     # must give the maximum over every signed band
     flow = cli._parse_shear(shear_spec)
-    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention),
-                                   include_zero_x_band=zero_band)
+    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention))
     brute = max(_signed_band_norm(template, flow, t, i) for i in range(template.k1.size))
     assert cts_norm(template, flow, t) == pytest.approx(brute, rel=1e-12)
 
 
-@pytest.mark.parametrize("convention, zero_band, shear_spec, dt", [
-    ("geometric", False, "sin", 0.02),
-    ("geometric", False, "sin", 0.3),
-    ("lattice", True, "coeffs:0.3,1,0.2,-0.5", 0.01),
+@pytest.mark.parametrize("convention, shear_spec, dt", [
+    ("geometric", "sin", 0.02),
+    ("geometric", "sin", 0.3),
+    ("lattice", "coeffs:0.3,1,0.2,-0.5", 0.01),
 ])
-def test_energy_identity_defects_match_the_cts_step_loop(convention, zero_band, shear_spec, dt):
+def test_energy_identity_defects_match_the_cts_step_loop(convention, shear_spec, dt):
     def reference(state, flow, t, dt):
         steps = max(1, math.ceil(t / dt))
         dt = t / steps
@@ -263,10 +259,7 @@ def test_energy_identity_defects_match_the_cts_step_loop(convention, zero_band, 
         return defects
 
     modes = {(1, 0): 1.0, (2, 1): 0.5, (-3, 2): 0.2j}
-    if zero_band:
-        modes[(0, 3)] = 0.7
-    state = CtsState.from_modes(modes, 8, 64, 1e-2, SpectralConvention(2, convention),
-                                include_zero_x_band=zero_band)
+    state = CtsState.from_modes(modes, 8, 64, 1e-2, SpectralConvention(2, convention))
     flow = cli._parse_shear(shear_spec)
     got = energy_identity_defects(state, flow, 1.0, dt)
     want = reference(state, flow, 1.0, dt)
@@ -310,19 +303,21 @@ def test_tau_d_cts_rejects_a_band_map_that_is_not_finite(flow, conv, monkeypatch
     k1_max=st.integers(1, 8),
     grid=st.sampled_from([32, 64]),
     convention=st.sampled_from(["geometric", "lattice"]),
-    zero_band=st.booleans(),
     sheared=st.booleans(),
     level=st.sampled_from(["sigma", "below", "above", "1/e"]),
 )
-@example(nu=3e-3, t=200.0, k1_max=2, grid=32, convention="lattice", zero_band=True, sheared=False, level="sigma")
-@example(nu=3e-4, t=200.0, k1_max=2, grid=64, convention="geometric", zero_band=True, sheared=False, level="above")
-@example(nu=1e-2, t=1.08, k1_max=16, grid=64, convention="geometric", zero_band=False, sheared=True, level="1/e")
-def test_cts_norm_reaches_decides_as_the_maximum(nu, t, k1_max, grid, convention, zero_band, sheared, level):
+# 10,000 steps without shear: the |k1| = 1 band's norm sits 1.5e-12 and
+# 3.2e-12 relative above its heat factor, past the pad's fixed 1e-12, so the
+# level sigma fails without the pad's step-count term; one float above sigma
+# the walk must pass that band and stop at the next
+@example(nu=3e-3, t=200.0, k1_max=2, grid=32, convention="lattice", sheared=False, level="sigma")
+@example(nu=3e-4, t=200.0, k1_max=2, grid=64, convention="geometric", sheared=False, level="above")
+@example(nu=1e-2, t=1.08, k1_max=16, grid=64, convention="geometric", sheared=True, level="1/e")
+def test_cts_norm_reaches_decides_as_the_maximum(nu, t, k1_max, grid, convention, sheared, level):
     # the decision walk must answer sigma >= level exactly as the maximum
     # does, also at sigma itself and one float to either side of it
     flow = ShearFlow.sinusoidal() if sheared else ShearFlow()
-    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention),
-                                   include_zero_x_band=zero_band)
+    template = CtsState.from_modes({}, k1_max, grid, nu, SpectralConvention(2, convention))
     sigma = cts_norm(template, flow, t)
     level = {"sigma": sigma, "below": math.nextafter(sigma, -math.inf),
              "above": math.nextafter(sigma, math.inf), "1/e": 1.0 / math.e}[level]
