@@ -131,8 +131,8 @@ def eval_H(profile: BoundProfile, nu: float) -> Tuple[float, bool]:
     (lambda_1, True) when no feasible lambda >= lambda_1 exists, i.e. the
     bound degenerates to the trivial heat bound.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     lam1 = profile.lambda_1
     # geometric scan upward to find some feasible point and the first
     # infeasible point beyond it

@@ -363,19 +363,12 @@ def tau_d_exact(
     return _tau_d_grid(automorphism, [nu], "exact", convention, n_max)[0]
 
 
-def operator_norm_energies(
-    automorphism: ToralAutomorphism,
-    nu: float,
-    n_max: int,
-    convention: Optional[SpectralConvention] = None,
-) -> np.ndarray:
-    """Worst-case energy series ||(e^{nu Lap} U)^n||^2 = exp(-2 nu min S_n)."""
-    if convention is None:
-        convention = SpectralConvention(automorphism.dimension, "lattice")
+def operator_norm_energies(automorphism: ToralAutomorphism, nu: float, n_max: int) -> np.ndarray:
+    """Worst-case energy series ||(e^{nu Lap} U)^n||^2 = exp(-2 nu min S_n), lattice scale."""
     out = np.empty(n_max + 1)
     out[0] = 1.0
     for n, (min_s, _) in enumerate(islice(min_energies(automorphism), n_max), start=1):
-        out[n] = math.exp(-2.0 * nu * convention.scale_factor * min_s)
+        out[n] = math.exp(-2.0 * nu * min_s)
     return out
 
 
@@ -412,18 +405,13 @@ def _orbit_tests(koopman: TruncatedKoopman) -> Iterator[Callable[[float], bool]]
     return (lambda t, m=m: m > t for m in _orbit_minima(koopman))
 
 
-def tau_d_operator(
-    koopman: TruncatedKoopman,
-    nu: float,
-    convention: SpectralConvention,
-    n_max: int = 100_000,
-) -> int:
+def tau_d_operator(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> int:
     """Dissipation time from the truncated operator: first n with min S_n > 1/(nu * scale).
 
     By ``_orbit_minima`` that is the first n with sigma_n < 1/e, decided in
     exact integers, so ties agree with the exact route.
     """
-    return _first_passages(_orbit_tests(koopman), _thresholds([nu], convention), n_max)[0]
+    return _first_passages(_orbit_tests(koopman), _thresholds([nu], convention), 100_000)[0]
 
 
 def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,

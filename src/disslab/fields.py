@@ -221,8 +221,8 @@ def dissipation_functional(
     the Koopman image has (U theta)^(pushforward(m)) = theta^(m).  As
     nu -> 0+ this tends to 2 ||theta||_1^2.
     """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     total = 0.0
     for mode, amp in field.coefficients.items():
         image = _check_mode(pushforward(mode), field.convention.dimension)
@@ -274,10 +274,7 @@ def ball_batches(dimension: int, radius: int) -> Iterator[np.ndarray]:
     ``ball_modes``.  The ball is cut into slabs of the first coordinate i,
     each the rows of the (d-1)-box of radius R with |rest|^2 <= R^2 - i^2,
     and consecutive slabs are concatenated until a batch holds at least
-    ``BATCH_ROWS`` rows.  The last slab, the single row (R, 0, ...), joins
-    the batch before it, so that for R >= 1 no batch has one row (numpy
-    multiplies a one-column matrix on another BLAS path, whose last bits
-    differ).
+    ``BATCH_ROWS`` rows.
 
     Resident are the (d-1)-box with its norms (8d + 9 bytes per box row)
     and at most three batches of under BATCH_ROWS + box rows each: the
@@ -306,10 +303,11 @@ def ball_batches(dimension: int, radius: int) -> Iterator[np.ndarray]:
         slab[:, 0] = first
         pending.append(slab)
         rows += len(slab)
-        if rows >= BATCH_ROWS and first < radius - 1:
+        if rows >= BATCH_ROWS:
             yield np.concatenate(pending)
             pending, rows = [], 0
-    yield np.concatenate(pending)
+    if pending:
+        yield np.concatenate(pending)
 
 
 def ball_modes(dimension: int, radius: int) -> np.ndarray:

@@ -89,6 +89,8 @@ class RateFunction:
             h = np.asarray(h, dtype=float)
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(h))):
                 raise ValueError("tabulated times and rates must be finite")
+            if np.any(t <= 0):
+                raise ValueError(f"tabulated times must be positive, got t = {t[t <= 0].tolist()}")
             if t.size < 2 or np.any(np.diff(t) <= 0):
                 raise ValueError("tabulated times must be strictly increasing")
             if np.any(h <= 0) or np.any(np.diff(h) >= 0):
@@ -124,7 +126,7 @@ class RateFunction:
         if t >= ts[-1]:
             return hs[-1]
         i = bisect_right(ts, t) - 1
-        w = (math.log(t) - math.log(ts[i])) / (math.log(ts[i + 1]) - math.log(ts[i])) if ts[i] > 0 else 0.0
+        w = (math.log(t) - math.log(ts[i])) / (math.log(ts[i + 1]) - math.log(ts[i]))
         return math.exp((1 - w) * math.log(hs[i]) + w * math.log(hs[i + 1]))
 
     def inverse(self, y: float) -> float:
@@ -430,17 +432,12 @@ def weak_series(
 # rate fitting
 # ---------------------------------------------------------------------------
 
-def fit_rate(
-    n_values: Sequence[float],
-    values: Sequence[float],
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    mode: str = "strong",
-) -> RateFunction:
+def fit_rate(n_values: Sequence[float], values: Sequence[float]) -> RateFunction:
     """Model selection between power and exponential decay on samples.
 
     Power:       ln v linear in ln n.   Exponential: ln v linear in n.
-    The better RMS residual on the log scale wins.
+    The better RMS residual on the log scale wins; the fitted rate is a
+    strong rate of class (1, 1).
     """
     n_values = np.asarray(n_values, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -455,9 +452,5 @@ def fit_rate(
     fit_exp = line_fit(n_values, logv)
     fit_pow = line_fit(np.log(n_values[pos]), logv[pos])
     if fit_exp.residual <= fit_pow.residual:
-        return RateFunction.exponential(
-            math.exp(fit_exp.intercept), -fit_exp.slope, alpha, beta, mode=mode
-        )
-    return RateFunction.power(
-        math.exp(fit_pow.intercept), -fit_pow.slope, alpha, beta, mode=mode
-    )
+        return RateFunction.exponential(math.exp(fit_exp.intercept), -fit_exp.slope)
+    return RateFunction.power(math.exp(fit_pow.intercept), -fit_pow.slope)

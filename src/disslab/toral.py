@@ -39,8 +39,9 @@ IntPoly = Tuple[int, ...]
 _EIGEN_RESIDUAL_TOL = 1e-10
 
 # ``fields.WORK_LIMIT`` elements (shell adds of 0.5 ns) per norm-form row: a
-# row took 44-72, 94-115 and 191-225 ns in d = 2, 3, 4 (fastest of five scans
-# of 0.8-3.1 million rows, 2-vCPU host), so the limit's 2.5e7 rows take 1-6 s
+# row, one integer pass, took 34-37, 59-67 and 166-167 ns in d = 2, 3, 4
+# (fastest of five scans of 0.8-3.1 million rows, 2-vCPU host), so the
+# limit's 2.5e7 rows take 1-4 s; the weight stays an upper price
 NORM_FORM_ROW_WEIGHT = 400
 
 
@@ -451,16 +452,18 @@ def norm_form(automorphism: ToralAutomorphism, mode):
 def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     """Scan 0 < |k| <= radius for the minimal eigencoordinate product.
 
-    Returns the minimum of prod_i |a_i(k)| under the fixed frame and checks
-    exactly that the norm form N(k) is a nonzero integer at every scanned
-    k, with the least |N(k)|.  Requires C1 and C2.
+    By ``norm_form``, prod_i |a_i(k)| = |N(k)| / c with the frame constant
+    c = |det V det W|, so the scan is one exact integer pass: it keeps
+    min |N(k)|, the first k (in the lexicographic order of the ball) that
+    attains it and the row count, and divides min |N| once by c.  Every
+    such k attains the minimal product, and the nonvanishing of N on the
+    ball is checked exactly.  Requires C1 and C2.
 
     The ball streams through ``fields.ball_batches``: each batch updates
-    running values (the first minimum, min |N(k)| and the row count) and is
-    dropped, so the scan holds one batch and one (d-1)-box, whatever the
-    radius.  Its ``ball_size_bound`` rows, at ``NORM_FORM_ROW_WEIGHT``
-    elements each, are priced against ``fields.WORK_LIMIT`` before any
-    allocation.
+    the running values and is dropped, so the scan holds one batch and one
+    (d-1)-box, whatever the radius.  Its ``ball_size_bound`` rows, at
+    ``NORM_FORM_ROW_WEIGHT`` elements each, are priced against
+    ``fields.WORK_LIMIT`` before any allocation.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -470,16 +473,15 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     rows = ball_size_bound(d, radius)
     require_work(NORM_FORM_ROW_WEIGHT * rows, f"element adds ({rows:.3e} ball rows at {NORM_FORM_ROW_WEIGHT} each)",
                  f"norm-form scan of radius {radius} in d = {d}")
-    vinv = np.linalg.inv(automorphism._eigen()[1])
 
-    best, argmin, scanned, min_abs = math.inf, None, 0, math.inf
+    min_abs, argmin, scanned = math.inf, None, 0
     for batch in ball_batches(d, radius):
-        # a batch of at least two rows keeps the matrix product on one BLAS path
-        products = np.prod(np.abs(vinv @ batch.T.astype(vinv.dtype)), axis=0)
-        i_min = int(np.argmin(products))
-        if products[i_min] < best:  # strict: the first minimum, as one argmin over the ball
-            best, argmin = float(products[i_min]), tuple(int(c) for c in batch[i_min])
-        min_abs = min(min_abs, int(np.min(np.abs(norm_form(automorphism, batch.T)))))
+        values = np.abs(norm_form(automorphism, batch.T))
+        i_min = int(np.argmin(values))
+        if values[i_min] < min_abs:  # strict: the first minimum, as one argmin over the ball
+            min_abs, argmin = int(values[i_min]), tuple(int(c) for c in batch[i_min])
         scanned += batch.shape[0]
-    return {"min_product": best, "argmin": argmin, "integer_form_ok": min_abs > 0,
+    eigenvalues, vecs = automorphism._eigen()
+    frame = abs(np.linalg.det(vecs) * np.linalg.det(np.vander(eigenvalues, d, increasing=True)))
+    return {"min_product": float(min_abs / frame), "argmin": argmin, "integer_form_ok": min_abs > 0,
             "min_abs_norm_form": min_abs, "scanned": scanned}

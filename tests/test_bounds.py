@@ -87,6 +87,13 @@ def test_h2_power_closed_form_vs_bisection():
     assert degenerate
 
 
+@pytest.mark.parametrize("nu", [0.0, -1e-3, math.nan, math.inf])
+def test_eval_H_refuses_a_nonfinite_or_nonpositive_nu(nu):
+    # a NaN or infinite nu once read as the degenerate point (lambda_1, True)
+    with pytest.raises(ValueError, match="nu must be finite and positive"):
+        eval_H(BoundProfile("H1", RateFunction.power(1, 1)), nu)
+
+
 def test_h1_exponential_satisfies_implicit_relation():
     rate = RateFunction.exponential(1.0, 1.0, 1.0, 1.0)
     profile = BoundProfile("H1", rate)

@@ -479,13 +479,14 @@ def test_cts_grid_may_end_at_the_desk_edge(tmp_path, grid):
 
 
 def test_scan_values_pinned(cat):
-    # values captured before the lattice-ball scans were folded into fields.ball_modes
+    # the integer outputs are exact and pinned; min_product = min |N| / |det V det W|
+    # is checked against 1/5 and 1/23, not pinned to bits, which depend on LAPACK's eig
     nf = verify_norm_form(cat, 200)
-    assert (nf["min_product"], nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == (
-        0.19999999999975474, (-89, -55), 1, 125628)
+    assert (nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == ((-144, -89), 1, 125628)
+    assert math.isclose(nf["min_product"], 1 / 5, rel_tol=1e-15)
     nf = verify_norm_form(ToralAutomorphism(((0, 1, 0), (0, 0, 1), (1, 1, 0))), 8)
-    assert (nf["min_product"], nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == (
-        0.0434782608695636, (0, -3, 4), 1, 2108)
+    assert (nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == ((-4, 0, 3), 1, 2108)
+    assert math.isclose(nf["min_product"], 1 / 23, rel_tol=1e-15)
     assert lattice_count(2, 1e4) == 31416
 
 
@@ -740,6 +741,19 @@ def test_weak_bounds_refuse_a_tabulated_rate_below_the_weak_floor(tmp_path, caps
         assert not out.exists()
     assert run_cli(["bounds", "--which", "H1", "--rate", f"file:{path}", "--nu-grid", "1e-4:1e-2:3",
                     "--out", str(tmp_path / "H1.csv")]) == 0
+
+
+@pytest.mark.parametrize("times", [[-2, -1, 3], [0, 1, 3]], ids=["negative", "zero"])
+@pytest.mark.parametrize("which", ["H1", "H2", "H3", "H4"])
+def test_bounds_refuse_tabulated_rate_times_at_or_below_zero(tmp_path, capsys, which, times):
+    # the times were once taken: H1 wrote a CSV and H3 failed with only "math domain error"
+    path, out = tmp_path / "rate.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({"t": times, "h": [1.0, 0.5, 0.25]}))
+    assert run_cli(["bounds", "--which", which, "--rate", f"file:{path}", "--nu-grid", "1e-4:1e-2:3",
+                    "--out", str(out)]) == 2
+    bad = [float(t) for t in times if t <= 0]
+    assert f"tabulated times must be positive, got t = {bad}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("matrix", ["1,1000,0,1", "1,3000000000,0,1", "1,10000000000,0,1"])

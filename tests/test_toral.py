@@ -342,6 +342,20 @@ def test_verify_norm_form_is_batch_size_independent(monkeypatch, automorphism, r
     assert verify_norm_form(automorphism, radius) == default
 
 
+@pytest.mark.parametrize("automorphism, radius", [
+    (ToralAutomorphism(((2, 1), (1, 1))), 200),
+    (ToralAutomorphism(PLASTIC), 8),
+    (ToralAutomorphism(((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3))), 5),
+], ids=["cat", "plastic", "companion-4d"])
+def test_verify_norm_form_argmin_attains_the_minimum(automorphism, radius):
+    # the minimum is read off min |N| and one frame constant; the returned k
+    # must attain min |N|, and its float eigencoordinates the product
+    res = verify_norm_form(automorphism, radius)
+    assert abs(norm_form(automorphism, res["argmin"])) == res["min_abs_norm_form"]
+    coords = eigen_coordinates(automorphism, res["argmin"])
+    assert math.isclose(float(np.prod(np.abs(coords))), res["min_product"], rel_tol=1e-9)
+
+
 def test_verify_norm_form_holds_one_batch(cat):
     # the whole radius-200 ball, its complex coordinates and norm form took 9.6 MB
     tracemalloc.start()
