@@ -98,10 +98,9 @@ def decay_fits(automorphism: ToralAutomorphism, nu: float, n: int) -> Tuple[Deca
     return worst, single
 
 
-def chain_violations(trajs: Iterable[Trajectory], automorphism: ToralAutomorphism, nu: float,
-                     slack: float = 1e-9) -> List[dict]:
+def chain_violations(trajs: Iterable[Trajectory]) -> List[dict]:
     """The failed ``check_lower_bound_chain`` results over ``trajs``."""
-    results = (check_lower_bound_chain(traj, automorphism, nu, slack) for traj in trajs)
+    results = (check_lower_bound_chain(traj) for traj in trajs)
     return [res for res in results if not res["ok"]]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import checks
 from .bounds import BoundProfile, lattice_count, weyl_constant
 from .dissipation import DissipationReport, dissipation_sweep
-from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field
+from .fields import ModeOverflowError, SpectralConvention, SpectralField, random_sparse_field, require_memory
 from .mixing import RateFunction, strong_envelope, weak_series
 from .pulsed import PulsedSystem, evolve, evolve_many
 from .shear import NU_DESK, CtsState, ShearFlow, tau_d_cts, transport_gap_cts
@@ -65,6 +65,8 @@ def _parse_nu_grid(text: str) -> np.ndarray:
         raise ValueError(f"bad nu grid {text!r}: nu ends must be finite and positive, points >= 1")
     if pts == 1:
         return np.array([lo])
+    # the log-spaced points and their exponentials
+    require_memory(16 * pts, f"nu grid of {pts} points")
     return np.exp(np.linspace(math.log(lo), math.log(hi), pts))
 
 
@@ -150,7 +152,7 @@ def _cmd_dissipation_time(args) -> int:
     with open(out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=1, default=float)
     csv_path = out.rsplit(".", 1)[0] + ".csv"
-    rows = [(e["nu"], e["tau_d"], abs(math.log(e["nu"]))) for e in report.entries]
+    rows = ((e["nu"], e["tau_d"], abs(math.log(e["nu"]))) for e in report.entries)
     _write_csv(csv_path, ["nu", "tau_d", "ln_inv_nu"], rows)
     if report.fit:
         print(f"slope vs |ln nu|: {_fmt(report.fit.slope)} (r^2 = {_fmt(report.fit.r_squared)})")
@@ -162,10 +164,10 @@ def _cmd_mixing_rate(args) -> int:
     auto, conv = _matrix_and_convention(args)
     if args.mode == "strong":
         env = strong_envelope(auto, args.alpha, args.beta, args.n_max)
-        rows = [(n, v, 0.0) for n, v in zip(env.n_values, env.values)]
+        rows = ((n, v, 0.0) for n, v in zip(env.n_values, env.values))
     else:
         ns, vals = weak_series(auto, conv, args.alpha, args.beta, args.n_max)
-        rows = [(n, v, 0.0) for n, v in zip(ns, vals)]
+        rows = ((n, v, 0.0) for n, v in zip(ns, vals))
     _write_csv(args.out, ["n", "value", "tail_cert"], rows)
     print(f"wrote {args.out}")
     return 0
@@ -183,7 +185,7 @@ def _cmd_bounds(args) -> int:
     profile = BoundProfile(args.which, rate, **kwargs)
     nus = _parse_nu_grid(args.nu_grid)
     evaluated = profile.evaluate_grid(nus)
-    rows = [(e["nu"], e["H"], e["bound"]) for e in evaluated]
+    rows = ((e["nu"], e["H"], e["bound"]) for e in evaluated)
     _write_csv(args.out, ["nu", "H", "bound"], rows)
     degenerate = [_fmt(e["nu"]) for e in evaluated if e["degenerate"]]
     if degenerate:
@@ -275,7 +277,7 @@ def _verify_decay(rng) -> List[tuple]:
          f"gamma_hat {fit_op.gamma_hat:.4f}"),
         ("single-mode decay gamma = lambda_+^2", abs(fit_single.gamma_hat - lam_plus**2) / lam_plus**2 < 0.05,
          f"gamma_hat {fit_single.gamma_hat:.4f}"),
-        ("double-exponential lower-bound chain", not checks.chain_violations(trajs, cat, 1e-4), ""),
+        ("double-exponential lower-bound chain", not checks.chain_violations(trajs), ""),
     ]
 
 

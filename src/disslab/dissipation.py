@@ -33,8 +33,8 @@ force over the orbits of the induced permutation
 on one certified threshold ball per grid, |k| <= isqrt(floor(1/nu')) + 1 for
 the grid's smallest nu' = nu * scale.  A mode outside it has |k|^2 > 1/nu',
 so an orbit leaving the ball has passed every threshold and is dropped
-exactly.  ``tau_d_operator`` runs the same rule on any truncated Koopman
-operator.
+exactly.  ``tau_d_operator`` runs the same rule on a given truncated Koopman
+operator and refuses a ball too small to certify its answer.
 """
 
 from __future__ import annotations
@@ -409,9 +409,20 @@ def tau_d_operator(koopman: TruncatedKoopman, nu: float, convention: SpectralCon
     """Dissipation time from the truncated operator: first n with min S_n > 1/(nu * scale).
 
     By ``_orbit_minima`` that is the first n with sigma_n < 1/e, decided in
-    exact integers, so ties agree with the exact route.
+    exact integers, so ties agree with the exact route.  The answer is
+    exact only if the ball certifies it: with R = isqrt(max |k|^2) over the
+    ball, a mode outside has |k|^2 >= R^2 + 1, which exceeds T = 1/(nu *
+    scale) exactly when R^2 >= floor(T).  A smaller ball raises ValueError.
     """
-    return _first_passages(_orbit_tests(koopman), _thresholds([nu], convention), 100_000)[0]
+    thresholds = _thresholds([nu], convention)
+    bound = math.floor(thresholds[0])
+    radius = math.isqrt(int(np.max(np.sum(koopman.modes * koopman.modes, axis=1), initial=0)))
+    if radius * radius < bound:
+        need = math.isqrt(bound - 1) + 1
+        raise ValueError(f"a ball of radius {radius} cannot certify tau_d at nu = {nu}: an orbit leaves it "
+                         f"only past |k|^2 = {radius * radius}, not past floor(1/(nu * scale)) = {bound}; "
+                         f"radius {need} can")
+    return _first_passages(_orbit_tests(koopman), thresholds, 100_000)[0]
 
 
 def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,
@@ -480,12 +491,7 @@ def fit_energy_decay(energies_or_traj, window: Tuple[int, int]) -> DecayFit:
     )
 
 
-def check_lower_bound_chain(
-    traj: Trajectory,
-    automorphism: ToralAutomorphism,
-    nu: float,
-    slack: float = 1e-9,
-) -> dict:
+def check_lower_bound_chain(traj: Trajectory) -> dict:
     """Per-step inequalities behind the double-exponential lower bound.
 
     With r_n = ||theta_n||_1^2 / ||theta_n||^2 and Lip the spectral norm of A:
@@ -496,15 +502,18 @@ def check_lower_bound_chain(
             with gamma = Lip^2 and C = 2 gamma / (gamma - 1), the constant
             the geometric sum of (i) and (ii) actually yields.
 
-    The slack is relative: for modes aligned with the expanding direction
-    both (i) and (ii) become asymptotically tight, with margins far below
-    the slack but provably positive.  All quantities come from the
-    trajectory's per-step normalized frame so their relative error is at
-    machine level even when the absolute log scales reach 1e10.
+    A and nu are the trajectory's own.  The slack of 1e-9 is relative:
+    for modes aligned with the expanding direction both (i) and (ii) become
+    asymptotically tight, with margins far below the slack but provably
+    positive.  All quantities come from the trajectory's per-step
+    normalized frame so their relative error is at machine level even when
+    the absolute log scales reach 1e10.
 
     Returns ok flag plus the first violating step, if any.
     """
-    lip_sq = automorphism.lipschitz ** 2
+    slack = 1e-9
+    nu = traj.system.nu
+    lip_sq = traj.system.automorphism.lipschitz ** 2
     log_r = traj.log_r
     n_steps = traj.n_steps
     for n in range(n_steps):

@@ -11,8 +11,8 @@ is ever needed for a field.  ``ball_batches`` is the package's one scan of
 the lattice ball |k| <= R: it streams the ball in lexicographic batches of
 about ``BATCH_ROWS`` rows, so a scan that reduces as it goes holds one batch
 and one (d-1)-box, never the ball; ``ball_modes`` is the concatenation of
-its batches, for the operator route, which needs the whole ball.  Sums over
-the ball that depend on |k| alone need only the shell counts
+its batches, for the operator route, which needs the whole ball.  A sum
+over the ball that depends on |k| alone is one pass over the shell counts
 r_d(s) = #{k : |k|^2 = s}, which ``shell_counts`` returns without building
 a single mode row.  What a scan keeps resident is priced against physical
 memory (``require_memory``) and the elements it visits against
@@ -40,15 +40,14 @@ PRUNE_TOL = 1e-30
 MODE_LIMIT = 2**62
 
 # rows per batch of a streamed ball scan: slabs are concatenated until a
-# batch holds at least this many; also the weights per chunk of a ball sum
+# batch holds at least this many
 BATCH_ROWS = 2**13
 
-# elements a lattice scan may visit: the element adds of ``shell_counts``,
-# the rows of a ``ball_batches`` scan, the weights of a lattice ball sum.
-# Priced in counts, not seconds, so that a refusal is reproducible.  Measured
-# on a 2-vCPU host: 0.50-0.53 ns per shell add (d = 3..5) and 7.5-20 ns per
-# ball-sum weight, so the limit stands for about 5 s and 1-3 min of those
-# scans; the norm-form scan weighs each of its rows at
+# elements a lattice scan may visit: the element adds of ``shell_counts``
+# and the rows of a ``ball_batches`` scan.  Priced in counts, not seconds,
+# so that a refusal is reproducible.  Measured on a 2-vCPU host: 0.50-0.53
+# ns per shell add (d = 3..5), so the limit stands for about 5 s of shell
+# counts; the norm-form scan weighs each of its rows at
 # ``toral.NORM_FORM_ROW_WEIGHT`` element adds
 WORK_LIMIT = 10**10
 

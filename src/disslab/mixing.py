@@ -16,7 +16,7 @@ certified two-term lattice envelope whose n-exponent reproduces the
 alpha = 0 regime table (1/2 above d/2, beta/d below).  Its ball sums
 A(m) = sum_{0<|k|<=m} |k|^{-2 beta} depend on |k| alone, so they run over
 the exact shell counts r_d(s) of ``fields.shell_counts`` and build no mode
-row; ``lattice_ball_sum`` gives why the floats equal a scan of the ball.
+row; ``lattice_ball_sum`` states the error bound of its floats.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import short_vectors
-from .fields import (
-    BATCH_ROWS,
-    SpectralConvention,
-    SpectralField,
-    ball_size_bound,
-    require_memory,
-    require_work,
-    shell_counts,
-)
+from .fields import SpectralConvention, SpectralField, require_memory, shell_counts
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
 
@@ -263,6 +255,7 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
         raise ValueError(f"strong envelopes need finite alpha > 0 and beta > 0, got alpha = {alpha}, beta = {beta}")
     if n_max < 0:
         raise ValueError(f"strong envelopes need n_max >= 0, got n_max = {n_max}")
+    require_memory(16 * (n_max + 1), f"strong envelope of {n_max + 1} values")  # values and n_values
     report = automorphism.conditions()
     if not report.ergodic_irreducible:
         raise ValueError("strong envelope requires conditions C1 and C2")
@@ -316,6 +309,7 @@ def weak_cesaro(
         raise ValueError("f and g need nonempty supports")
     if n < 1:
         raise ValueError(f"weak Cesaro averages need n_max >= 1, got n_max = {n}")
+    require_memory(8 * n, f"weak Cesaro series of {n} values")
     fmodes = list(f.coefficients.items())
     gdict: Dict[Mode, complex] = dict(g.coefficients.items())
     cum = 0.0
@@ -338,47 +332,32 @@ def lattice_ball_sum(d: int, beta: float, m_max: int) -> np.ndarray:
 
     Every mode of the shell |k|^2 = s carries the same weight s^{-beta}, so
     the sum needs only the shell counts r_d(s) of ``fields.shell_counts``:
-    each weight is repeated r_d(s) times in increasing s and one running
-    sum is read at the last mode with s <= m^2.  That is the sequence of
-    additions of a scan of the ball in stable order of |k|, with the same
-    vectorised float s^{-beta} per mode, so the values are bit-identical to
-    summing over the mode rows.  The repeated weights and their running sum
-    are built in chunks of ``BATCH_ROWS`` weights: the sum carried from the
-    chunks before is added into each chunk's first weight, so ``np.cumsum``
-    makes exactly the additions of one running sum over all weights.
+    one running sum of r_d(s) s^{-beta} over the nonempty shells in
+    increasing s, read at the last shell s <= m^2.  Every term is positive
+    and each product r_d(s) s^{-beta} is rounded once, so each A(m) lies
+    within a relative gamma_{n+1} = (n+1) u / (1 - (n+1) u), u = 2^-53, of
+    the exact sum of the float weights s^{-beta}, where n is the number of
+    nonempty shells up to m^2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).
 
-    Resident are the shell counts, the shell, weight and mode end of every
-    nonempty shell (at most 32 bytes per shell, 40 while the ends are
-    summed) and one chunk; priced at 40 bytes per shell and 16 per chunk
-    weight (tracemalloc peaks of 19-34 bytes per shell beyond one chunk in
-    d = 2..4) against physical memory, and the ``ball_size_bound`` weights
-    against ``fields.WORK_LIMIT``, both before the shell counts are built.
+    Resident are the shell counts (8 bytes per shell) and, per nonempty
+    shell, its s, its product and one temporary (24 bytes), with ufunc
+    buffers of at most 64 kB; priced at 40 bytes per shell plus 64 kB
+    (tracemalloc peaks of 20.0-38.7 bytes per shell in d = 2..4 for
+    top >= 10^4, and at most 0.72 of the price below) against physical
+    memory before the counts are built, which price their own memory and
+    work.
     """
-    what = f"lattice ball sum of radius {m_max} in d = {d}"
-    require_work(ball_size_bound(d, m_max), "weights", what)
     top = m_max * m_max
-    require_memory(40 * (top + 1) + 16 * BATCH_ROWS, f"{what} ({top + 1} shells)")
+    require_memory(40 * (top + 1) + 2**16, f"lattice ball sum of radius {m_max} in d = {d} ({top + 1} shells)")
     counts = shell_counts(d, top)
-    shells = np.flatnonzero(counts[1:]) + 1
-    weights = shells.astype(float) ** (-beta)
-    ends = np.cumsum(counts[shells])  # modes up to and including each nonempty shell
-    total = int(ends[-1]) if m_max else 0
-    # index of the last mode with 0 < |k|^2 <= m^2 (shell 1 is never empty)
-    last = ends[np.searchsorted(shells, np.arange(1, m_max + 1) ** 2, side="right") - 1] - 1
-    out = np.empty(m_max)
-    carry = 0.0
-    for start in range(0, total, BATCH_ROWS):
-        stop = min(start + BATCH_ROWS, total)
-        # the shells whose weights overlap start..stop-1, and by how many
-        lo, hi = np.searchsorted(ends, start, side="right"), np.searchsorted(ends, stop) + 1
-        overlap = np.minimum(ends[lo:hi], stop) - np.maximum(ends[lo:hi] - counts[shells[lo:hi]], start)
-        run = np.repeat(weights[lo:hi], overlap)
-        run[0] += carry
-        np.cumsum(run, out=run)
-        carry = run[-1]
-        read = slice(np.searchsorted(last, start), np.searchsorted(last, stop))
-        out[read] = run[last[read] - start]
-    return out
+    shells = np.flatnonzero(counts[1:])
+    shells += 1
+    sums = shells.astype(float)
+    sums **= -beta
+    sums *= counts[shells]
+    np.cumsum(sums, out=sums)
+    return sums[np.searchsorted(shells, np.arange(1, m_max + 1) ** 2, side="right") - 1]
 
 
 def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarray:
@@ -407,7 +386,7 @@ def weak_rate_envelope(d: int, beta: float, n_values: Sequence[int]) -> np.ndarr
 
 def weak_series(
     automorphism: ToralAutomorphism, convention: SpectralConvention, alpha: float, beta: float, n_max: int
-) -> Tuple[List[int], np.ndarray]:
+) -> Tuple[Sequence[int], np.ndarray]:
     """The weak values (n, value) for the class (alpha, beta).
 
     At alpha = 0 the certified ``weak_rate_envelope`` on about 40 log-spaced
@@ -425,7 +404,7 @@ def weak_series(
         if not math.isfinite(value):
             raise ValueError(f"weak Cesaro series need a finite {name}, got {name} = {value}")
     unit = SpectralField(convention, {tuple([1] + [0] * (automorphism.dimension - 1)): 1.0})
-    return list(range(1, n_max + 1)), weak_cesaro(automorphism, unit, unit, n_max)
+    return range(1, n_max + 1), weak_cesaro(automorphism, unit, unit, n_max)
 
 
 # ---------------------------------------------------------------------------

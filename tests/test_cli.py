@@ -494,6 +494,7 @@ def test_mixing_and_simulate_artifacts_pinned(tmp_path):
     # sha256 of the artifacts written before the scans and the pulse were
     # folded into single implementations; the bytes must not change, except
     # that the strong tail_cert column reads 0 since the envelope is exact
+    # and the weak values come from one running sum over the lattice shells
     def sha256(data):
         return hashlib.sha256(data).hexdigest()
 
@@ -513,7 +514,7 @@ def test_mixing_and_simulate_artifacts_pinned(tmp_path):
     assert sha256(n_value_columns(strong)) == "83e09cb5cdf937db5c9381ea2b2cbd7265c98e016153b12e0fe45707a79fac5c"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--alpha", "0", "--beta", "1", "--n-max", "10000",
                     "--mode", "weak", "--out", str(weak)]) == 0
-    assert sha256(weak.read_bytes()) == "48965f25b019d318909615700a74da7b3beef0842401c0cf0e372c5d67f59e89"
+    assert sha256(weak.read_bytes()) == "f9f2d07536989432cb52703a3b9f6b33ca73eb075eacd39dbee6600c65de479f"
     field = random_sparse_field(SpectralConvention(2, "lattice"), np.random.default_rng(7), n_modes=12, kmax=9)
     (tmp_path / "field.json").write_text(field.to_json())
     assert run_cli(["simulate", "--matrix", "2,1,1,1", "--nu", "1e-4", "--steps", "30",
@@ -522,11 +523,13 @@ def test_mixing_and_simulate_artifacts_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("matrix, digest", [
-    ("0,0,1,1,0,0,0,1,1", "e1ef75532ebcd03afdacd22d74902e3ea2b1ff220f8b70a27cc172bb4360285f"),
-    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "3a446c3d80bea8ce9101ed3b6ee70796931a4b3c1810bc0aa8129bbcf7c3799c"),
+    ("0,0,1,1,0,0,0,1,1", "62185bb5194636d4d8f0657e65d461978bf98cd8c45dbd8a940bb52098c9afe8"),
+    ("0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "c94ff59674df8dc867f086ff2d0209098898d027479393d0b6e31829bc51854d"),
 ], ids=["3d", "4d"])
 def test_weak_envelope_artifacts_pinned(tmp_path, matrix, digest):
-    # sha256 of the weak CSVs written when the lattice sums scanned the mode ball
+    # sha256 of the weak CSVs written since the lattice sums are one running
+    # sum over the shells; every value lies within its error bound of the
+    # value from the exact ball sums
     out = tmp_path / "weak.csv"
     assert run_cli(["mixing-rate", "--matrix", matrix, "--alpha", "0", "--beta", "1", "--n-max", "10000",
                     "--mode", "weak", "--out", str(out)]) == 0
@@ -579,8 +582,7 @@ def capped_memory(monkeypatch):
         raise AssertionError("an oversized lattice-ball scan started")
 
     # the ball scan starts with np.meshgrid, the shell counts with np.bincount
-    # and the lattice sums' weights with np.repeat
-    for name in ("meshgrid", "bincount", "repeat"):
+    for name in ("meshgrid", "bincount"):
         monkeypatch.setattr(np, name, no_scan)
 
 
@@ -609,6 +611,24 @@ def test_pulse_walk_past_physical_memory_is_a_validation_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["bounds", "--which", "H1", "--rate", "power:1,1", "--nu-grid", "1e-4:1e-2:100000000000"],
+     "nu grid of 100000000000 points needing 1600.0 GB"),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:100000000000"],
+     "nu grid of 100000000000 points needing 1600.0 GB"),
+    (["cts", "--nu-grid", "1e-4:1e-2:100000000000"], "nu grid of 100000000000 points needing 1600.0 GB"),
+    (["mixing-rate", "--matrix", "2,1,1,1", "--n-max", "100000000000"],
+     "strong envelope of 100000000001 values needing 1600.0 GB"),
+    (["mixing-rate", "--matrix", "2,1,1,1", "--mode", "weak", "--alpha", "1", "--n-max", "100000000000"],
+     "weak Cesaro series of 100000000000 values needing 800.0 GB"),
+], ids=["bounds", "dissipation-time", "cts", "mixing-rate-strong", "mixing-rate-cesaro"])
+def test_series_lengths_are_priced_before_allocation(tmp_path, capsys, capped_memory, args, message):
+    # these used to end in numpy's _ArrayMemoryError traceback (exit 1)
+    assert run_cli([*args, "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("scan, message", [
     (lambda cat: lattice_count(4, 1e10), "GB"),  # radius 100,001: 4.9e20 ball modes
     # the streamed scans hold one batch, so their size is priced as work
@@ -616,7 +636,8 @@ def test_pulse_walk_past_physical_memory_is_a_validation_error(tmp_path, capsys,
     # the rows of the norm-form scan are priced at its own per-row cost, so
     # radius 10^4 (3e8 rows, about 20 s of scan) is refused too
     (lambda cat: verify_norm_form(cat, 10**4), "1.257e+11 element adds (3.142e+08 ball rows at 400 each)"),
-    (lambda cat: lattice_ball_sum(4, 1.0, 1000), "4.955e+12 weights, above the work limit"),  # from 1e6 + 1 shells
+    # the shell counts under it, about 160 MB, cost 2 * 2000 * (4e6 + 1) element adds
+    (lambda cat: lattice_ball_sum(4, 1.0, 2000), "1.600e+10 element adds, above the work limit"),
 ], ids=["lattice_count", "verify_norm_form", "verify_norm_form_by_row_cost", "lattice_ball_sum"])
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -450,11 +450,21 @@ def test_operator_sweep_builds_one_ball_per_grid(cat, monkeypatch):
 
 def test_tau_d_operator_identity_is_heat():
     identity = ToralAutomorphism(((1, 0), (0, 1)))
-    koopman = TruncatedKoopman.from_automorphism(identity, 8)
+    koopman = TruncatedKoopman.from_automorphism(identity, 12)  # 12^2 >= floor(1/0.007) = 142
     conv = SpectralConvention(2, "lattice")
     nu = 0.007
     tau = tau_d_operator(koopman, nu, conv)
     assert tau == math.ceil(1.0 / nu)
+
+
+@pytest.mark.parametrize("radius", [3, 10, 30, 99])
+def test_tau_d_operator_refuses_an_uncertified_ball(cat, lattice2, radius):
+    # radii 3, 10 and 30 used to return 4, 7 and 9: orbits that leave a ball
+    # with radius^2 < floor(1/nu) need not have passed the threshold
+    koopman = TruncatedKoopman.from_automorphism(cat, radius)
+    with pytest.raises(ValueError, match=f"radius {radius} cannot certify .* radius 100 can"):
+        tau_d_operator(koopman, 1e-4, lattice2)
+    assert tau_d_operator(TruncatedKoopman.from_automorphism(cat, 100), 1e-4, lattice2) == tau_d_exact(cat, 1e-4) == 11
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, 5e-324, 0.0, -1.0])
@@ -553,7 +563,7 @@ def test_chain_single_mode_first_step(cat, lattice2):
     assert r[0] == pytest.approx(1.0)
     assert r[1] == pytest.approx(5.0)
     assert r[1] <= cat.lipschitz**2 * r[0]
-    assert check_lower_bound_chain(traj, cat, 1e-3)["ok"]
+    assert check_lower_bound_chain(traj)["ok"]
 
 
 def test_chain_battery(cat, lattice2, rng):
@@ -561,7 +571,7 @@ def test_chain_battery(cat, lattice2, rng):
         for _ in range(10):
             theta = random_sparse_field(lattice2, rng, n_modes=5, kmax=5)
             traj = evolve(theta, PulsedSystem(cat, nu, lattice2), 20)
-            res = check_lower_bound_chain(traj, cat, nu)
+            res = check_lower_bound_chain(traj)
             assert res["ok"], res
 
 
@@ -569,7 +579,7 @@ def test_chain_detects_violation(cat, lattice2):
     theta = SpectralField(lattice2, {(1, 0): 1.0})
     traj = evolve(theta, PulsedSystem(cat, 1e-3, lattice2), 5)
     traj.dln[2] = traj.dln[2] * 4.0  # corrupt one increment
-    res = check_lower_bound_chain(traj, cat, 1e-3)
+    res = check_lower_bound_chain(traj)
     assert not res["ok"] and res["step"] == 2
 
 
