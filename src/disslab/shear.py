@@ -8,18 +8,23 @@ shear advection is diagonal in this representation, so both substeps are
 unconditionally stable and only the splitting commutator contributes error
 (global O(dt^2)).
 
-The x-bands never couple, so the dissipation time uses the exact norm of
-the discretized solution map: the largest norm over the bands of one
-M x M Strang matrix raised to the step count.  The diffusion half-step is
-real (its multiplier is real and even in m) and the phase of band -k1 is
-the conjugate of that of band k1, so the two bands have conjugate
-matrices, equal singular values, and one matrix per |k1| is built.
-Advection is unitary and diffusion contracts band k1 by at most its heat
-factor exp(-nu scale k1^2 t), so a band whose heat factor lies below a
-norm already found cannot set the maximum and is never built
-(``cts_norm``).  The dissipation time asks only whether the norm reaches
-1/e: ``cts_norm_reaches`` stops at the first band that reaches it and
-never builds a band whose heat factor lies below it.  Both walk the bands
+The x-bands never couple, so the dissipation time reads the discretized
+solution map band by band: one M x M Strang matrix per band, raised to the
+step count, built in the y-Fourier basis as D C D (D the diffusion
+half-step diagonal, C the circulant of the advection phase), which is
+unitarily similar to the collocation-basis step and has its singular
+values.  The diffusion half-step is real (its multiplier is real and even
+in m) and the phase of band -k1 is the conjugate of that of band k1, so the
+two bands have conjugate matrices, equal singular values, and one matrix
+per |k1| is built.  Advection is unitary and diffusion contracts band k1 by
+at most its heat factor exp(-nu scale k1^2 t), so a band whose heat factor
+lies below a norm already found cannot set the maximum and is never built
+(``cts_norm``, the exact norm by SVD).  The dissipation time asks only
+whether the norm reaches 1/e: ``cts_norm_reaches`` stops at the first band
+that reaches it, never builds a band whose heat factor lies below it, and
+decides each band it builds by two Cholesky factorisations of shifted
+Gram matrices, certified against the rounding, with the SVD kept for a
+level within a relative 1e-9 of the band's norm.  Both walk the bands
 through one generator, ``_band_walk``.
 
 Each piece of the discretisation has one home: ``_phase`` is the transport
@@ -27,8 +32,9 @@ factor exp(-2 pi i t k1 v(y)) of the Strang step, of pure transport and of
 the correlations; ``CtsState.eigenvalues`` is the band eigenvalue grid
 scale (k1^2 + m^2) of the diffusion step and of the H^1 norm; ``_steps``
 turns a time and a target step into the step count of every integration.
-``cts_step`` is the one-step case of ``evolve_cts``, and the transport gap
-diffuses at the state's own nu.
+``cts_step`` is the one-step case of ``evolve_cts``, ``energy_identity_defects``
+takes the same steps with each FFT shared by a norm and a step, and the
+transport gap diffuses at the state's own nu.
 """
 
 from __future__ import annotations
@@ -210,10 +216,6 @@ class _Stepper:
     def advect(self, data: np.ndarray) -> np.ndarray:
         return data * self.phase
 
-    def strang(self, data: np.ndarray) -> np.ndarray:
-        """One unfused Strang step: half diffusion, advection, half diffusion."""
-        return self.diffuse(self.advect(self.diffuse(data, half=True)), half=True)
-
 
 def cts_step(state: CtsState, flow: ShearFlow, dt: float) -> CtsState:
     """One Strang step: half diffusion, exact advection, half diffusion."""
@@ -253,20 +255,34 @@ def energy_identity_defects(
 ) -> np.ndarray:
     """Per-step defect of d/dt ||theta||^2 + 2 nu ||theta||_1^2 = 0.
 
-    Uses the unfused Strang steps of ``cts_step``, with the factors built
-    once, and a midpoint H^1 value; each state's energy and H^1 norm are
-    computed once and carried into the next step.  The defect per step is
-    O(dt^3) locally, O(dt^2) accumulated, which the self-convergence test
-    verifies by halving dt.
+    Takes the unfused Strang steps of ``cts_step`` (half diffusion,
+    advection, half diffusion), with the factors and the eigenvalue grid
+    built once, and a midpoint H^1 value.  Each state's FFT serves both its
+    H^1 norm (``CtsState.h1_norm_sq``) and the first half-step out of it,
+    so a step costs four FFTs; each state's energy and H^1 norm are computed
+    once and carried into the next step, and the defects are those of a
+    loop over ``cts_step`` bit for bit.  The defect per step is O(dt^3)
+    locally, O(dt^2) accumulated, which the self-convergence test verifies
+    by halving dt.
     """
     steps, dt = _steps(t, dt)
     stepper = _Stepper(flow, state, dt)
-    cur = state
-    energy, h1 = cur.energy(), cur.h1_norm_sq()
+    eigenvalues = state.eigenvalues()
+    m = state.grid_size
+
+    def norms(data: np.ndarray, coeffs: np.ndarray) -> Tuple[float, float]:
+        # the energy and H^1 norm of CtsState, from the state's FFT
+        return float(np.sum(np.abs(data) ** 2) / m), float(np.sum(eigenvalues * np.abs(coeffs / m) ** 2))
+
+    data = state.data
+    coeffs = np.fft.fft(data, axis=-1)
+    energy, h1 = norms(data, coeffs)
     defects = np.empty(steps)
     for s in range(steps):
-        cur = CtsState(state.convention, state.nu, state.k1, stepper.strang(cur.data))
-        next_energy, next_h1 = cur.energy(), cur.h1_norm_sq()
+        advected = stepper.advect(np.fft.ifft(coeffs * stepper.half_damp, axis=-1))
+        data = np.fft.ifft(np.fft.fft(advected, axis=-1) * stepper.half_damp, axis=-1)
+        coeffs = np.fft.fft(data, axis=-1)
+        next_energy, next_h1 = norms(data, coeffs)
         mid_h1 = 0.5 * (h1 + next_h1)
         defects[s] = abs(next_energy - energy + 2.0 * state.nu * dt * mid_h1)
         energy, h1 = next_energy, next_h1
@@ -280,28 +296,34 @@ def energy_identity_defects(
 def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
     """The bands of the time-t map of ``evolve_cts``, by increasing |k1|.
 
-    Yields (padded heat bound, norm) per distinct |k1|, where norm() builds
-    the band and returns its exact 2-norm.  Consumers read the bound first
-    and build only the bands they need; a band map that is not finite
-    raises ``RuntimeError``, so a NaN never reads as a small norm.
+    Yields (padded heat bound, power) per distinct |k1|, where power()
+    builds the band and returns its time-t map X, an M x M matrix whose
+    singular values are those of the band's solution map.  Consumers read
+    the bound first and build only the bands they need; a band map that is
+    not finite raises ``RuntimeError``, so a NaN never reads as a small
+    norm.
 
     The shear u = (v(y), 0) never couples x-bands, so the map is block
-    diagonal: each band's fused Strang step S = H diag(phase) H is an M x M
-    matrix (H the half-step diffusion), built by stepping the unit vectors,
-    and the time-t map is S^steps.
+    diagonal, and each band's time-t map is its fused Strang step raised to
+    the step count.  In collocation values the step is F^-1 D F P F^-1 D F,
+    with F the unnormalised DFT, D = diag(half_damp) the diffusion half-step
+    in the FFT layout and P = diag(phase) the advection.  F / sqrt(M) is
+    unitary, so conjugating by it keeps the singular values, and the step
+    is built in the y-Fourier basis as S = D C D, where C = F P F^-1 is the
+    circulant C[m, m'] = fft(phase)[(m - m') % M] / M, and X = S^steps.
 
-    H is real, since its Fourier multiplier is real and even in m, and the
-    phase of band -k1 is the complex conjugate of the phase of band k1.  So
-    S(-k1) = conj S(k1), S(-k1)^steps = conj(S(k1)^steps), and both have
-    the same singular values: one matrix is built per distinct |k1|, with
-    k1 = +|k1|, and stands for every signed band.
+    D is real, since its multiplier is real and even in m, and the phase of
+    band -k1 is the complex conjugate of the phase of band k1.  So S(-k1)
+    and S(k1) are conjugate up to the reflection m -> -m, a permutation,
+    and their powers have the same singular values: one matrix is built per
+    distinct |k1|, with k1 = +|k1|, and stands for every signed band.
 
-    H is unitarily similar to its damping diagonal, whose largest entry is
-    exp(-nu scale k1^2 dt / 2) at m = 0, and the phase is unitary, so
-    ||S^steps|| <= exp(-nu scale k1^2 t), the band's heat factor.  The
-    factor is padded for rounding by 1e-12 + 4 steps eps relative: the
-    rounded damping is raised to the power 2 steps, and computed band norms
-    exceed the heat factor by up to 1.7 steps eps.  Heat factors fall with
+    C is unitary and the largest entry of D is exp(-nu scale k1^2 dt / 2),
+    at m = 0, so ||S^steps|| <= exp(-nu scale k1^2 t), the band's heat
+    factor.  The factor is padded for rounding by 1e-12 + 4 steps eps
+    relative: the rounded damping is raised to the power 2 steps, and
+    computed band norms exceeded the heat factor by up to 1.1 steps eps
+    over 900 random bands, with and without shear.  Heat factors fall with
     |k1|, so once a bound lies below a threshold every later one does too.
     Bands are built one at a time, which keeps the working set at a few
     M x M matrices.
@@ -309,36 +331,53 @@ def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
     steps, dt = _steps(t, dt_target)
     scale = state.convention.scale_factor
     pad = 1.0 + 1e-12 + 4.0 * steps * sys.float_info.epsilon
-    units = np.eye(state.grid_size)[:, None, :]  # (M, 1, M): one single-band state per unit vector
+    m = state.grid_size
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) % m  # (m - m') % M
 
-    def norm(k1: int) -> float:
+    def power(k1: int) -> np.ndarray:
         band = CtsState(state.convention, state.nu, np.array([k1], dtype=np.int64), state.data[:1])
-        strang = _Stepper(flow, band, dt).strang(units)[:, 0, :].T  # column j is the step applied to e_j
-        power = np.linalg.matrix_power(strang, steps)
+        stepper = _Stepper(flow, band, dt)
+        damp = stepper.half_damp[0]
+        strang = damp[:, None] * (np.fft.fft(stepper.phase[0]) / m)[lag] * damp[None, :]
+        x = np.linalg.matrix_power(strang, steps)
         # a NaN entry would stop the SVD with LinAlgError, a ValueError, and an inf one gives a NaN norm
-        if not np.isfinite(power).all():
+        if not np.isfinite(x).all():
             raise RuntimeError(f"solution map norm at t = {t} is not finite")
-        return float(np.linalg.norm(power, 2))
+        return x
 
     for k1 in sorted(set(np.abs(state.k1).tolist())):  # not np.unique, which imports numpy.ma
-        yield math.exp(-state.nu * scale * k1 * k1 * t) * pad, lambda k1=k1: norm(k1)
+        yield math.exp(-state.nu * scale * k1 * k1 * t) * pad, lambda k1=k1: power(k1)
 
 
 def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> float:
     """Exact 2-norm of the time-t map of ``evolve_cts`` on the state's bands.
 
-    The norm is the largest band norm over all signed k1 of the state (see
-    ``_band_walk``).  The walk stops at the first band whose padded heat
-    factor lies below the largest norm found so far: that band and every
-    later one cannot change the maximum, which is returned bit for bit.
-    ``tau_d_cts`` does not call this; it needs only ``cts_norm_reaches``.
+    The norm is the largest band norm, by SVD, over all signed k1 of the
+    state (see ``_band_walk``).  The walk stops at the first band whose
+    padded heat factor lies below the largest norm found so far: that band
+    and every later one cannot change the maximum, which is returned bit
+    for bit.  ``tau_d_cts`` does not call this; it needs only
+    ``cts_norm_reaches``.
     """
     norms = []
-    for bound, norm in _band_walk(state, flow, t, dt_target):
+    for bound, power in _band_walk(state, flow, t, dt_target):
         if bound < max(norms, default=0.0):
             break
-        norms.append(norm())
+        norms.append(float(np.linalg.norm(power(), 2)))
     return float(np.max(norms))
+
+
+# relative margin of the Cholesky decision; see cts_norm_reaches
+_GRAM_MARGIN = 1e-9
+
+
+def _below(gram: np.ndarray, square: float) -> bool:
+    """Whether square I - gram is positive definite, by whether its Cholesky factorisation succeeds."""
+    try:
+        np.linalg.cholesky(square * np.eye(gram.shape[0]) - gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def cts_norm_reaches(state: CtsState, flow: ShearFlow, t: float, level: float, dt_target: float = 0.02) -> bool:
@@ -348,16 +387,58 @@ def cts_norm_reaches(state: CtsState, flow: ShearFlow, t: float, level: float, d
     False at the first band whose padded heat factor is < level: that
     band's norm and every later one's lie at or below their padded heat
     factors, hence below the level.  Each band it builds is built as
-    ``cts_norm`` builds it and gives the same float, and ``cts_norm`` builds
-    every band this walk builds (none of them has reached the level, so the
-    running maximum stays below it and below their bounds).  So the answer
-    equals the comparison of the maximum with the level, bit for bit, on
-    the same rounding assumption on which ``cts_norm`` skips bands.
+    ``cts_norm`` builds it, and ``cts_norm`` builds every band this walk
+    builds (none of them has reached the level, so the running maximum
+    stays below it and below their bounds).
+
+    A band is decided without its SVD.  With X its map, s = ||X||_2,
+    G = fl(X^H X), delta = ``_GRAM_MARGIN`` = 1e-9 and L = level:
+
+    * if (1 - delta) L^2 I - G has a Cholesky factor, s < L: the band
+      does not reach the level;
+    * if (1 + delta) L^2 I - G has none, s > L: it does;
+    * otherwise ``np.linalg.norm(X, 2) >= L``, the SVD of ``cts_norm``,
+      decides.
+
+    Rounding moves each step by far less than delta, for M <= 128 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 10;
+    gamma_n = n u / (1 - n u), u = 2^-53, gamma_129 < 1.5e-14).  The
+    product: |G - X^H X| <= gamma_M |X|^H |X| entrywise, and
+    || |X| ||_2 <= sqrt(M) s, so ||G - X^H X||_2 <= M gamma_M s^2 < 2e-12 s^2
+    (a few times that for complex arithmetic).  A Cholesky factorisation
+    that succeeds is exact for A + dA with ||dA||_2 <= eta ||A||_2, and one
+    that fails leaves lambda_min(A) <= eta max_i a_ii (Demmel's condition;
+    a nonpositive a_ii is itself an eigenvalue bound), with
+    eta = M gamma_(M+1) / (1 - M gamma_(M+1)) < 2e-12; forming A rounds by
+    u (L^2 + s^2) more.  So success gives s^2 <= (1 - delta + 5e-11) L^2,
+    hence s < (1 - 2e-10) L, and failure gives
+    s^2 >= (1 + delta - 5e-11) L^2, hence s > (1 + 2e-10) L.  The SVD's
+    singular values are exact for X + E with ||E||_2 <= p(M) u s, p(M) a
+    modest multiple of M^2, which moves the computed norm by less than a
+    relative 2e-12.  Both decided cases thus agree with the comparison of
+    the computed SVD norm with the level, and the answer equals that of the
+    maximum of ``cts_norm``, bit for bit, on the rounding assumption on
+    which ``cts_norm`` skips bands.
+
+    These bounds hold while nothing underflows.  Gradual underflow adds at
+    most M^2 2^-1074 < 1e-318 to the entries of G and of the factor, far
+    below delta L^2 while that is a normal float, L >= 4.72e-150; below
+    that the SVD decides every band (at L = 2.5e-182, L^2 and G underflow
+    to 0 and both factorisations fail).
     """
-    for bound, norm in _band_walk(state, flow, t, dt_target):
+    square = level * level
+    certified = _GRAM_MARGIN * square >= sys.float_info.min  # underflow lies far below delta L^2
+    for bound, power in _band_walk(state, flow, t, dt_target):
         if bound < level:
             return False
-        if norm() >= level:
+        x = power()
+        if certified:
+            gram = x.conj().T @ x
+            if _below(gram, (1.0 - _GRAM_MARGIN) * square):
+                continue
+            if not _below(gram, (1.0 + _GRAM_MARGIN) * square):
+                return True
+        if np.linalg.norm(x, 2) >= level:
             return True
     return False
 
@@ -378,14 +459,17 @@ def tau_d_cts(
     definition is vacuous.  The norm sigma(t) is the exact norm of the
     discretized solution map (``cts_norm``), and the search uses it only
     through sigma(t) >= 1/e: each probe is decided by ``cts_norm_reaches``,
-    which stops at the first band that reaches 1/e and never builds a band
-    whose heat bound lies below it.  Each decision equals the comparison of
-    the full maximum with 1/e, so the probes and the result are those of
-    the maximum.  t is located by bracket doubling and bisection to 1%
-    relative.  A start past tau_d is walked down by halving; a walk that
-    reaches t = 1e-6 without a norm >= 1/e raises ``RuntimeError`` instead
-    of bisecting an invalid bracket, and so does a band norm that is not
-    finite.
+    which stops at the first band that reaches 1/e, never builds a band
+    whose heat bound lies below it, and decides each band it builds by a
+    certified Cholesky test on its Gram matrix, with an SVD only for a norm
+    within a relative 1e-9 of 1/e.  Each decision equals the comparison of
+    the full SVD maximum with 1/e, so the probes and the result are those
+    of the maximum.  t is located by bracket doubling and bisection to
+    ``rel_tol`` relative (1% by default; a finite value in [1e-12, 1), so
+    the bisection ends).  A start past tau_d is walked down by halving; a
+    walk that reaches t = 1e-6 without a norm >= 1/e raises
+    ``RuntimeError`` instead of bisecting an invalid bracket, and so does a
+    band map that is not finite.
     """
     if not NU_DESK[0] <= nu <= NU_DESK[1]:
         raise ValueError("nu outside the supported desk range [1e-4, 1e-1]")
@@ -393,6 +477,8 @@ def tau_d_cts(
         raise ValueError("truncation exceeds the supported range (K1 <= 32, M <= 128)")
     if k1_max < 1:
         raise ValueError(f"k1_max must be at least 1, got {k1_max}")
+    if not (math.isfinite(rel_tol) and 1e-12 <= rel_tol < 1.0):
+        raise ValueError(f"rel_tol must be finite and in [1e-12, 1), got {rel_tol}")
     _check_grid_size(grid_size)
     _check_dt(dt_target)
     template = CtsState.from_modes({}, k1_max, grid_size, nu, convention)
@@ -436,11 +522,13 @@ def transport_gap_cts(state: CtsState, flow: ShearFlow, t: float, dt_target: flo
     """
     if t <= 0 or t > 10.0:
         raise ValueError("t must lie in (0, 10]")
+    grad = flow.grad_norm
+    if grad == 0:
+        raise ValueError("the transport gap bound nu / (2 |grad u|) needs a flow with grad_norm > 0, got 0")
     evolved = evolve_cts(state, flow, t, dt_target=dt_target)
     transported = advect_exact(state, flow, t)
     diff = evolved.data - transported.data
     gap_sq = float(np.sum(np.abs(diff) ** 2) / state.grid_size)
-    grad = flow.grad_norm
     bound = state.nu / (2.0 * grad) * math.exp(2.0 * grad * t) * state.h1_norm_sq()
     return {"gap_sq": gap_sq, "bound": bound}
 

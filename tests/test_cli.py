@@ -462,7 +462,7 @@ def test_cts_without_bracket_is_a_numerical_failure(tmp_path, capsys, monkeypatc
 def test_cts_band_map_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     from disslab import shear
 
-    monkeypatch.setattr(shear._Stepper, "strang", lambda self, data: np.full_like(data, np.nan))
+    monkeypatch.setattr(shear, "_phase", lambda k1, v, t: np.full((k1.size, v.size), np.nan, dtype=complex))
     out = tmp_path / "cts.csv"
     assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--out", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err

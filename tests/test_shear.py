@@ -291,7 +291,7 @@ def test_tau_d_cts_walk_down_without_bracket_raises(flow, conv, monkeypatch):
 def test_tau_d_cts_rejects_a_band_map_that_is_not_finite(flow, conv, monkeypatch):
     # the SVD stops on a NaN with LinAlgError, a ValueError: the walk must
     # report a numerical failure, never a norm below 1/e or a bad input
-    monkeypatch.setattr(shear._Stepper, "strang", lambda self, data: np.full_like(data, np.nan))
+    monkeypatch.setattr(shear, "_phase", lambda k1, v, t: np.full((k1.size, v.size), np.nan, dtype=complex))
     with pytest.raises(RuntimeError, match="not finite"):
         tau_d_cts(flow, 1e-2, conv)
 
@@ -343,6 +343,86 @@ def test_readme_cts_grid_builds_60_band_matrices(monkeypatch, tmp_path):
     assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                      "--out", str(tmp_path / "cts.csv")]) == 0
     assert (len(decisions), len(built)) == (41, 60)
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    # every 2-norm of a band map is an SVD through np.linalg.norm
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
+def _single_band(nu, k1, grid, convention="geometric"):
+    return CtsState(SpectralConvention(2, convention), nu, np.array([k1]), np.zeros((1, grid), dtype=complex))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    nu=st.floats(1e-4, 1e-1),
+    t=st.floats(0.05, 20.0),
+    k1=st.integers(1, 32),
+    grid=st.sampled_from([32, 64, 128]),
+    convention=st.sampled_from(["geometric", "lattice"]),
+    shear_spec=st.sampled_from(["sin", "coeffs:0.3,1,0.2,-0.5", "coeffs:-0.7,0.4,0,0.25", "coeffs:0"]),
+)
+# norm 2.5e-182: its square and the Gram matrix underflow to 0
+@example(nu=1e-3, t=10.0, k1=32, grid=128, convention="geometric", shear_spec="sin")
+def test_cholesky_band_decision_matches_the_svd(nu, t, k1, grid, convention, shear_spec):
+    # at relative distances 1e-3 .. 1e-15 from the band's SVD norm, on both
+    # sides, the decision must be that of the SVD norm
+    flow = cli._parse_shear(shear_spec)
+    band = _single_band(nu, k1, grid, convention)
+    sigma = cts_norm(band, flow, t)
+    for k in range(3, 16):
+        for level in (sigma * (1.0 - 10.0**-k), sigma * (1.0 + 10.0**-k)):
+            assert cts_norm_reaches(band, flow, t, level) == (sigma >= level)
+
+
+@pytest.mark.parametrize("nu, t, k1, grid, shear_spec", [
+    (1e-2, 1.08, 1, 64, "sin"),
+    (1e-3, 4.0, 3, 64, "sin"),
+    (3e-4, 20.0, 5, 128, "coeffs:0.3,1,0.2,-0.5"),
+    (1e-2, 30.0, 1, 32, "coeffs:0"),
+])
+def test_only_levels_within_the_margin_reach_the_svd(nu, t, k1, grid, shear_spec, svd_calls):
+    flow = cli._parse_shear(shear_spec)
+    band = _single_band(nu, k1, grid)
+    sigma = cts_norm(band, flow, t)
+    svd_calls.clear()
+    for rel in (-1e-6, 1e-6):
+        assert cts_norm_reaches(band, flow, t, sigma * (1.0 + rel)) == (rel < 0)
+    assert svd_calls == []
+    for rel in (-1e-12, 1e-12):
+        assert cts_norm_reaches(band, flow, t, sigma * (1.0 + rel)) == (rel < 0)
+    assert svd_calls == [(grid, grid)] * 2
+
+
+def test_readme_cts_grid_decides_without_an_svd(tmp_path, svd_calls):
+    # the 41 decisions of test_readme_cts_grid_builds_60_band_matrices, none of them by SVD
+    assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
+                     "--out", str(tmp_path / "cts.csv")]) == 0
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1e-17, 1.0, 2.0, math.nan, math.inf])
+def test_tau_d_cts_refuses_a_tolerance_the_bisection_cannot_meet(flow, conv, rel_tol):
+    # 0, -1 and 1e-17 bisected forever; NaN returned the unbisected midpoint
+    with pytest.raises(ValueError, match="rel_tol must be finite and in"):
+        tau_d_cts(flow, 1e-2, conv, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("still", [ShearFlow(), cli._parse_shear("coeffs:0")])
+def test_transport_gap_refuses_a_flow_without_gradient(conv, still):
+    # the bound divides by |grad u|
+    with pytest.raises(ValueError, match="grad_norm"):
+        transport_gap_cts(make_state(conv, 1e-3), still, 1.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.02, math.inf, math.nan])
