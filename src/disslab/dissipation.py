@@ -16,8 +16,11 @@ ValueError) and hands the reduced basis to the next n.  One exact
 enumerator, ``_enumerate``, runs on the reduced form's integral
 Gram-Schmidt data (Fincke-Pohst with interval ends from ``math.isqrt`` and
 floor division, no floats): the minimum is the least value among the points
-at or below the smallest diagonal entry, and ``short_vectors`` lists every
-point of an integer ellipsoid for the strong mixing envelope.
+at or below the smallest diagonal entry, and ``carried_short_vectors`` lists
+the points of an integer ellipsoid for the strong mixing envelope, one of
+each pair +-x.  The walk and the envelope reduce through one helper,
+``_reduce``: LLL of a form written in a carried basis, returning the new
+basis.
 ``min_energies`` reduces at every n; ``pulse_energy_form`` never does.
 
 tau_d only asks whether min S_n > T = 1/(nu * scale), so a nu grid is served
@@ -135,33 +138,37 @@ def _lll_reduce(gram: Sequence[Sequence[int]]) -> _Reduction:
 
 
 def _enumerate(dm: List[int], lam: List[List[int]], bound: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """Yield (q(x), x) for every nonzero integer x with q(x) <= bound (Fincke-Pohst).
+    """Yield (q(x), x) for one x of each pair +-x of nonzero integer vectors with q(x) <= bound.
 
-    q is the form with integral Gram-Schmidt data ``dm, lam``: with
-    N_i = dm[i+1] x_i + sum_{j>i} lam[j][i] x_j, level i contributes
+    Fincke-Pohst: q is the form with integral Gram-Schmidt data ``dm, lam``;
+    with N_i = dm[i+1] x_i + sum_{j>i} lam[j][i] x_j, level i contributes
     N_i^2 / (dm[i] dm[i+1]).  Levels run from d - 1 down to 0 and x_i
     increases within a level.  The budget left for levels i, ..., 0 is the
     exact fraction num/den, so |N_i| <= isqrt(floor(num dm[i] dm[i+1] / den))
-    and the ends of x_i's interval are integer floor divisions.
+    and the ends of x_i's interval are integer floor divisions.  Since
+    q(-x) = q(x), a level whose higher coordinates are all 0 stops at
+    x_i = 0: the x yielded is the one of its pair whose last nonzero
+    coordinate is negative, which this order meets first.
     """
     d = len(dm) - 1
     x = [0] * d
 
-    def level(i: int, num: int, den: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    def level(i: int, num: int, den: int, lead: bool) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         scale = dm[i] * dm[i + 1]
         reach = math.isqrt(num * scale // den)
         shift = sum(lam[j][i] * x[j] for j in range(i + 1, d))
-        for xi in range(-((reach + shift) // dm[i + 1]), (reach - shift) // dm[i + 1] + 1):
+        top = (reach - shift) // dm[i + 1]
+        for xi in range(-((reach + shift) // dm[i + 1]), (min(top, 0) if lead else top) + 1):
             x[i] = xi
             n_i = dm[i + 1] * xi + shift
             rest, rest_den = num * scale - n_i * n_i * den, den * scale
             if i:
-                yield from level(i - 1, rest, rest_den)
-            elif any(x):
+                yield from level(i - 1, rest, rest_den, lead and not xi)
+            elif xi or not lead:
                 yield bound - rest // rest_den, tuple(x)  # the rest is the integer bound - q(x)
         x[i] = 0
 
-    yield from level(d - 1, bound, 1)
+    yield from level(d - 1, bound, 1, True)
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -208,22 +215,52 @@ def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ..
     return _reduced_minimum(*_lll_reduce(g))
 
 
-def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...]]:
-    """Every nonzero integer x with x^T g x <= bound, g a positive definite integer form.
+def _reduce(basis: List[List[int]], gram: List[List[int]]) -> Tuple[List[List[int]], _Reduction]:
+    """LLL of gram = B F B^T, the form F written in the carried basis B (rows).
 
-    Exact: integral LLL from the unit basis, then the enumeration on the
-    reduced form's integral Gram-Schmidt data, mapped back to original
-    coordinates.  Both x and -x are listed.
+    Returns the transform U of ``_lll_reduce`` and the reduction of F: the
+    reduced basis U B in original coordinates, its Gram matrix U gram U^T
+    and that matrix's integral Gram-Schmidt data.  A basis that is already
+    nearly reduced for F needs few swaps.
     """
-    basis, _, dm, lam = _lll_reduce(g)
-    return [_map_back(x, basis) for _, x in _enumerate(dm, lam, int(bound))]
+    u, reduced, dm, lam = _lll_reduce(gram)
+    return u, (_matmul(u, basis), reduced, dm, lam)
+
+
+def carried_short_vectors(g: Sequence[Sequence[int]], bound: int, basis: Optional[List[List[int]]] = None
+                          ) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
+    """One of each pair +-x of nonzero integer vectors with x^T g x <= bound, and a reduced basis of g.
+
+    g is a positive definite integer form and ``basis`` (rows; the unit
+    basis when None) the basis its LLL starts from: ``_reduce`` takes
+    B g B^T to a reduced basis, ``_enumerate`` lists the ellipsoid's pairs
+    in that basis, and ``_map_back`` returns them in original coordinates.
+    The start basis changes neither the set of pairs nor its count, only
+    the work.
+    """
+    g = [[int(v) for v in row] for row in g]
+    if basis is None:
+        basis, gram = _identity(len(g)), g
+    else:
+        gram = _matmul(_matmul(basis, g), [list(col) for col in zip(*basis)])
+    _, (reduced_basis, _, dm, lam) = _reduce(basis, gram)
+    return [_map_back(x, reduced_basis) for _, x in _enumerate(dm, lam, int(bound))], reduced_basis
+
+
+def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...]]:
+    """One of each pair +-x of nonzero integer vectors with x^T g x <= bound,
+    g a positive definite integer form.
+
+    Exact: ``carried_short_vectors`` from the unit basis.
+    """
+    return carried_short_vectors(g, bound)[0]
 
 
 def _walk(automorphism: ToralAutomorphism) -> Iterator[Tuple[List[List[int]], Callable[[], _Reduction]]]:
     """Yield (gram, reduce) for n = 1, 2, ...: gram = B G_n B^T in the carried basis B.
 
     The rows of B are basis vectors in original coordinates.  ``reduce()``
-    runs ``_lll_reduce`` on gram at most once for this n and returns the
+    runs ``_reduce`` on gram at most once for this n and returns the
     reduced basis in original coordinates, its Gram matrix and integral
     Gram-Schmidt data; the next n then carries that basis and Gram matrix.
     """
@@ -236,8 +273,7 @@ def _walk(automorphism: ToralAutomorphism) -> Iterator[Tuple[List[List[int]], Ca
 
         def reduce(gram=gram, basis=basis, done=done) -> _Reduction:
             if not done:
-                u, reduced, dm, lam = _lll_reduce(gram)
-                done.append((u, (_matmul(u, basis), reduced, dm, lam)))
+                done.append(_reduce(basis, gram))
             return done[0][1]
 
         yield gram, reduce

@@ -7,8 +7,10 @@ e(n) ||f||_alpha ||g||_beta with the lattice envelope
 
 B = (A^T)^{-1}.  The sup is exact: since |B^n k| >= 1 on the punctured
 lattice, every mode that can beat an incumbent lies in one integer
-ellipsoid per dyadic shell of |k|, and ``dissipation.short_vectors``
-enumerates those ellipsoids exactly (Fincke-Pohst on integral LLL data).
+ellipsoid per 4-adic shell 4^j <= |k| < 4^(j+1), and
+``dissipation.carried_short_vectors`` enumerates those ellipsoids exactly
+(Fincke-Pohst on integral LLL data), each shell's LLL starting from the
+basis it reduced to at the previous n.
 
 Weak rate: the Cesaro quantity ((1/n) sum_k |<U^k f, g>|^2)^{1/2} evaluated
 exactly from the mode orbits (big integers, orbits never wrap), plus the
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dissipation import short_vectors
+from .dissipation import carried_short_vectors
 from .fields import SpectralConvention, SpectralField, require_memory, shell_counts
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
@@ -218,11 +220,15 @@ class MixingEnvelope:
 # reach v0 is enumerated
 _LOG2_PAD = 1e-9
 
-# dyadic shells one n of the strong envelope may enumerate.  Shell j costs
-# one LLL and one enumeration on integers of about 2j bits, so an n of S
-# shells costs about S^2: for the cat map (alpha = 1, 2-vCPU host) 1,001
-# shells at n = 1 took 0.55 s and 1,162 at n = 2 took 0.93 s.  The README,
-# verify and demo runs need at most 17 shells per n, the tier-1 tests 41
+# dyadic shells 2^j <= |k| < 2^(j+1) that the ball of one n of the strong
+# envelope may span; it enumerates them in about half as many 4-adic shells.
+# Shell j costs one warm LLL and one enumeration on integers of about 4j
+# bits, so an n of S dyadic shells costs about S^2: for the cat map
+# (alpha = 1, 2-vCPU host) 1,001 at n = 1 (501 4-adic shells, beta = 5e-4)
+# took 0.19-0.20 s and 1,162 at n = 2 (582, beta = 1e-3) took 0.24-0.33 s,
+# against 0.60 and 0.82-0.91 s with one unit-basis LLL per dyadic shell
+# enumerating both points of each pair +-k.  The README,
+# verify and demo runs need at most 17 dyadic shells per n, the tier-1 tests 41
 STRONG_SHELL_LIMIT = 1000
 
 
@@ -239,17 +245,33 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
 
     For each n the incumbent v0 is the best of the unit vectors and the
     previous n's maximiser; set P = 1/v0, padded outward.  On the punctured
-    lattice |B^n k| >= 1, so a mode that beats v0 has |k| <= P^{1/beta}.  In
-    the dyadic shell 2^j <= |k| < 2^{j+1} it also has |B^n k|^2 <= C_j with
-    the integer C_j >= (P 2^{-j beta})^{2/alpha}, hence
+    lattice |B^n k| >= 1, so a mode that beats v0 has |k|^beta < P, that is
+    |k| < 4^(J+1) with J = floor(log2 P / (2 beta)).  In the shell
+    4^j <= |k| < 4^(j+1), j = 0..J, such a mode has
 
-        k^T (4^{j+1} G_n + C_j I) k <= 2 C_j 4^{j+1},   G_n = (B^n)^T B^n,
+        |B^n k|^alpha < P |k|^(-beta) <= P 4^(-j beta),
 
-    an integer ellipsoid that ``dissipation.short_vectors`` enumerates
-    exactly.  Extra candidates cannot change a max, so the candidates are
-    not deduplicated.  B^n and G_n are exact Python integers at every n.
-    An n that needs more than ``STRONG_SHELL_LIMIT`` shells (a small beta)
-    raises ValueError before its first shell.
+    so |B^n k|^2 <= C_j with the integer C_j >= (P 4^(-j beta))^(2/alpha),
+    and |k|^2 < 16^(j+1).  Adding 16^(j+1) times the first to C_j times the
+    second gives
+
+        k^T (16^(j+1) G_n + C_j I) k <= 2 C_j 16^(j+1),   G_n = (B^n)^T B^n,
+
+    an integer ellipsoid that the exact enumerator lists point by point.
+    k and -k have the same term, so one of each pair is listed; extra
+    candidates cannot change a max, so the candidates are not deduplicated
+    across shells.  B^n and G_n are exact Python integers at every n.
+
+    Shell j starts its LLL from the reduced basis it had at the previous n
+    (a shell new at this n from shell j - 1's, the first from the unit
+    basis): G_n grows by a near-constant factor per step, so that basis is
+    nearly reduced and few swaps remain.  The enumeration lists every
+    lattice point of the ellipsoid in whatever basis it runs, so the
+    candidate set, and hence every e(n), does not depend on the carried
+    basis; only the maximiser reported among tied modes may.
+
+    An n whose ball |k| < P^(1/beta) spans more than ``STRONG_SHELL_LIMIT``
+    dyadic shells (a small beta) raises ValueError before its first shell.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError(f"strong envelopes need finite alpha > 0 and beta > 0, got alpha = {alpha}, beta = {beta}")
@@ -264,23 +286,27 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     power = np.array(units, dtype=object)  # B^n
     incumbents = units
+    bases: List[List[List[int]]] = []  # bases[j]: shell j's reduced basis (rows) at the last n it ran
     values = np.empty(n_max + 1)
     for n in range(n_max + 1):
         v0 = float(np.max(_envelope_terms(power, incumbents, alpha, beta)))
         if v0 == 0.0:
             raise OverflowError(f"e({n}) underflows float64; reduce n_max")
         log_p = _LOG2_PAD - math.log2(v0)
-        shells = math.floor(log_p / beta) + 1
-        if shells > STRONG_SHELL_LIMIT:
-            raise ValueError(f"strong envelope at n = {n} needs {shells} dyadic shells, above the limit of "
+        dyadic = math.floor(log_p / beta) + 1
+        if dyadic > STRONG_SHELL_LIMIT:
+            raise ValueError(f"strong envelope at n = {n} needs {dyadic} dyadic shells, above the limit of "
                              f"{STRONG_SHELL_LIMIT}; raise beta = {beta} or lower n_max")
         gram = (power.T @ power).tolist()
         candidates = list(incumbents)
-        for j in range(shells):
-            c_j = math.ceil(2.0 ** ((log_p - j * beta) * 2.0 / alpha))
-            shell = 4 ** (j + 1)
+        for j in range(math.floor(log_p / (2.0 * beta)) + 1):
+            c_j = math.ceil(2.0 ** ((log_p - 2.0 * j * beta) * 2.0 / alpha))
+            shell = 16 ** (j + 1)
             form = [[shell * gram[i][l] + c_j * (i == l) for l in range(d)] for i in range(d)]
-            candidates += short_vectors(form, 2 * c_j * shell)
+            start = bases[j] if j < len(bases) else bases[-1] if bases else None
+            points, basis = carried_short_vectors(form, 2 * c_j * shell, start)
+            candidates += points
+            bases[j:j + 1] = [basis]  # replaces shell j's basis, or appends a new shell's
         terms = _envelope_terms(power, candidates, alpha, beta)
         best = int(np.argmax(terms))
         values[n] = float(terms[best])

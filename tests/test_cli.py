@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disslab import dissipation
+from disslab import cli, dissipation
 from disslab.bounds import BoundProfile, lattice_count, weyl_constant
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
@@ -612,11 +612,12 @@ def test_pulse_walk_past_physical_memory_is_a_validation_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("args, message", [
+    # each nu grid is priced at what its command holds per point
     (["bounds", "--which", "H1", "--rate", "power:1,1", "--nu-grid", "1e-4:1e-2:100000000000"],
-     "nu grid of 100000000000 points needing 1600.0 GB"),
+     "nu grid of 100000000000 points needing 34000.0 GB"),
     (["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:100000000000"],
-     "nu grid of 100000000000 points needing 1600.0 GB"),
-    (["cts", "--nu-grid", "1e-4:1e-2:100000000000"], "nu grid of 100000000000 points needing 1600.0 GB"),
+     "nu grid of 100000000000 points needing 32000.0 GB"),
+    (["cts", "--nu-grid", "1e-4:1e-2:100000000000"], "nu grid of 100000000000 points needing 19000.0 GB"),
     (["mixing-rate", "--matrix", "2,1,1,1", "--n-max", "100000000000"],
      "strong envelope of 100000000001 values needing 1600.0 GB"),
     (["mixing-rate", "--matrix", "2,1,1,1", "--mode", "weak", "--alpha", "1", "--n-max", "100000000000"],
@@ -626,6 +627,22 @@ def test_series_lengths_are_priced_before_allocation(tmp_path, capsys, capped_me
     # these used to end in numpy's _ArrayMemoryError traceback (exit 1)
     assert run_cli([*args, "--out", str(tmp_path / "out.json")]) == 2
     assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, owner, sweep", [
+    (["dissipation-time", "--matrix", "2,1,1,1"], cli, "dissipation_sweep"),
+    (["bounds", "--which", "H1", "--rate", "power:1,1"], BoundProfile, "evaluate_grid"),
+    (["cts"], cli, "tau_d_cts"),
+], ids=["dissipation-time", "bounds", "cts"])
+def test_nu_grids_are_priced_per_point_of_their_command(tmp_path, capsys, capped_memory, monkeypatch,
+                                                        args, owner, sweep):
+    # 2e8 points fit the grid's own 16 B per point (3.2 GB) but not what each
+    # command holds per point (38-68 GB, above the 32 GB the fixture reports)
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("the nu grid was built"))
+    monkeypatch.setattr(owner, sweep, lambda *a, **k: pytest.fail(f"{sweep} started"))
+    assert run_cli([*args, "--nu-grid", "1e-4:1e-2:200000000", "--out", str(tmp_path / "out")]) == 2
+    assert "nu grid of 200000000 points needing" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

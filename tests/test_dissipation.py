@@ -193,10 +193,13 @@ def test_short_vectors_match_box_scan(data, dimension, reduced):
     box = np.stack(np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij"), -1).reshape(-1, dimension)
     values = np.einsum("ki,ij,kj->k", box, np.array(g), box)
     expected = sorted(tuple(int(c) for c in k) for k, v in zip(box, values) if 0 < v <= bound)
-    assert sorted(dissipation.short_vectors(g, bound)) == expected
-    # the enumerator alone, on the form's own (unreduced or reduced) Gram-Schmidt data
+    # one of each pair +-k is listed, and the pairs are every point of the box scan
+    found = dissipation.short_vectors(g, bound)
+    assert sorted(found + [tuple(-c for c in k) for k in found]) == expected
+    # the enumerator alone, on the form's own (unreduced or reduced) Gram-Schmidt data,
+    # lists the k of each pair whose last nonzero coordinate is negative
     found = list(dissipation._enumerate(*dissipation._gram_schmidt(g), bound))
-    assert sorted(k for _, k in found) == expected
+    assert sorted(k for _, k in found) == [k for k in expected if [c for c in k if c][-1] < 0]
     assert all(q == int(np.array(k) @ np.array(g) @ np.array(k)) for q, k in found)
 
 
@@ -306,7 +309,8 @@ def test_tau_d_exact_pinned_at_1e_minus_30(auto, want):
 def test_tau_d_exact_pinned_on_deep_grids(matrix, grid, want):
     # values of the walk that computed min S_n at every n
     auto = cli._parse_matrix(matrix)
-    assert dissipation._tau_d_grid(auto, cli._parse_nu_grid(grid), "exact", None) == want
+    nus = cli._parse_nu_grid(grid, cli.GRID_POINT_BYTES["dissipation-time"])
+    assert dissipation._tau_d_grid(auto, nus, "exact", None) == want
 
 
 def check_exceeds_against_minima(auto, n_max=12):

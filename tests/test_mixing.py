@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from disslab import fields, mixing
+from conftest import ergodic_automorphisms
+from disslab import dissipation, fields, mixing
 from disslab.fields import SpectralField, random_sparse_field, shell_counts, sobolev_norm
 from disslab.fitting import line_fit
 from disslab.mixing import (
@@ -157,6 +158,86 @@ def test_envelope_matches_brute_force(rows, alpha, beta, n_max):
     expected = _reference_envelope(rows, alpha, beta, env.values.tolist())
     # scalar and vectorised powers may differ in the last ulp
     assert env.values.tolist() == pytest.approx(expected, rel=1e-14)
+
+
+def _dyadic_envelope(automorphism, alpha, beta, n_max):
+    """e(0..n_max) by the enumeration ``strong_envelope`` ran before its shells widened.
+
+    One ellipsoid k^T (4^(j+1) G_n + C_j I) k <= 2 C_j 4^(j+1) per dyadic shell
+    2^j <= |k| < 2^(j+1), C_j = ceil((P 2^(-j beta))^(2/alpha)), each reduced
+    by integral LLL from the unit basis and enumerated there (the LLL and the
+    enumerator are checked against box scans in test_dissipation.py).
+    """
+    d = automorphism.dimension
+    b = np.array(automorphism.inverse_transpose, dtype=object)
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    power = np.array(units, dtype=object)
+    incumbents = units
+    values = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        v0 = float(np.max(mixing._envelope_terms(power, incumbents, alpha, beta)))
+        log_p = mixing._LOG2_PAD - math.log2(v0)
+        gram = (power.T @ power).tolist()
+        candidates = list(incumbents)
+        for j in range(math.floor(log_p / beta) + 1):
+            c_j = math.ceil(2.0 ** ((log_p - j * beta) * 2.0 / alpha))
+            shell = 4 ** (j + 1)
+            form = [[shell * gram[i][l] + c_j * (i == l) for l in range(d)] for i in range(d)]
+            basis, _, dm, lam = dissipation._lll_reduce(form)
+            candidates += [dissipation._map_back(x, basis) for _, x in dissipation._enumerate(dm, lam, 2 * c_j * shell)]
+        terms = mixing._envelope_terms(power, candidates, alpha, beta)
+        best = int(np.argmax(terms))
+        values[n] = float(terms[best])
+        incumbents = units + [candidates[best]]
+        power = b @ power
+    return values
+
+
+def _shell_of(form, bound, grams):
+    """(n, j, C) with form = 16^(j+1) G_n + C I and bound = 2 C 16^(j+1), or None."""
+    d = len(form)
+    for n, g in enumerate(grams):
+        for j in range(64):
+            shell = 16 ** (j + 1)
+            c = form[0][0] - shell * g[0][0]
+            if c > 0 and bound == 2 * c * shell and all(
+                    form[i][l] == shell * g[i][l] + c * (i == l) for i in range(d) for l in range(d)):
+                return n, j, c
+    return None
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(automorphism=ergodic_automorphisms(),
+       exponents=st.sampled_from([(1.0, 1.0), (2.0, 1.0), (0.5, 2.0), (1.5, 0.75), (1.0, 0.5)]),
+       n_max=st.integers(1, 8))
+def test_envelope_matches_the_dyadic_unit_basis_enumeration(automorphism, exponents, n_max):
+    alpha, beta = exponents
+    b = np.array(automorphism.inverse_transpose, dtype=object)
+    powers = [np.eye(automorphism.dimension, dtype=int).astype(object)]
+    for _ in range(n_max):
+        powers.append(b @ powers[-1])
+    grams = [(p.T @ p).tolist() for p in powers]
+    shells = []
+    enumerate_ellipsoid = mixing.carried_short_vectors
+
+    def enumerate_shell(form, bound, basis):
+        # each shell is the 4-adic ellipsoid of some n and j, checked before it is enumerated
+        shells.append(_shell_of(form, bound, grams))
+        assert shells[-1] is not None, (form, bound)
+        return enumerate_ellipsoid(form, bound, basis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mixing, "carried_short_vectors", enumerate_shell)
+        env = strong_envelope(automorphism, alpha, beta, n_max)
+    assert env.values.tobytes() == _dyadic_envelope(automorphism, alpha, beta, n_max).tobytes()
+    # shells j = 0..J per n in turn, which together cover every mode that could reach e(n)
+    order = [(n, j) for n, j, _ in shells]
+    last = dict(order)
+    assert order == [(n, j) for n in range(n_max + 1) for j in range(last[n] + 1)]
+    for n, j, c in shells:
+        assert c >= (4.0 ** (-j * beta) / env.values[n]) ** (2.0 / alpha) * (1 - 1e-12)
+    for n, value in enumerate(env.values):
+        assert 4.0 ** (last[n] + 1) > value ** (-1.0 / beta)
 
 
 def test_envelope_dominates_correlations(cat, lattice2, rng):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import ergodic_automorphisms
 from disslab import fields
 from disslab.checks import roots_in_closed_disk
 from disslab.toral import (
@@ -419,26 +420,8 @@ def _norm_form_ratios(automorphism, radius):
     return ratios
 
 
-@st.composite
-def _ergodic_automorphisms(draw):
-    """C1-and-C2 automorphisms in d = 2..4: a companion of det 1 conjugated by I + s E_ij."""
-    d = draw(st.integers(2, 4))
-    coeffs = [(-1) ** (d + 1)] + draw(st.lists(st.integers(-5, 5), min_size=d - 1, max_size=d - 1))
-    companion = np.zeros((d, d), dtype=object)
-    companion[1:, :-1] = np.eye(d - 1, dtype=int)
-    companion[:, -1] = coeffs
-    i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
-    shear = np.eye(d, dtype=int).astype(object)
-    shear[i, j] = draw(st.integers(-2, 2))
-    inverse = np.eye(d, dtype=int).astype(object)
-    inverse[i, j] = -shear[i, j]
-    automorphism = ToralAutomorphism(tuple(map(tuple, (shear @ companion @ inverse).tolist())))
-    assume(automorphism.conditions().ergodic_irreducible)
-    return automorphism
-
-
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(automorphism=_ergodic_automorphisms(),
+@given(automorphism=ergodic_automorphisms(),
        rows=st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4),
        shift=st.integers(40, 61))
 def test_norm_form_is_the_krylov_determinant(automorphism, rows, shift):
