@@ -265,10 +265,10 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     Shell j starts its LLL from the reduced basis it had at the previous n
     (a shell new at this n from shell j - 1's, the first from the unit
     basis): G_n grows by a near-constant factor per step, so that basis is
-    nearly reduced and few swaps remain.  The enumeration lists every
-    lattice point of the ellipsoid in whatever basis it runs, so the
-    candidate set, and hence every e(n), does not depend on the carried
-    basis; only the maximiser reported among tied modes may.
+    nearly reduced and few swaps remain.  The enumeration lists every pair
+    +-k of the ellipsoid in whatever basis it runs, so the candidate terms,
+    and hence every e(n), do not depend on the carried basis; only the
+    maximiser reported among tied modes may.
 
     An n whose ball |k| < P^(1/beta) spans more than ``STRONG_SHELL_LIMIT``
     dyadic shells (a small beta) raises ValueError before its first shell.
