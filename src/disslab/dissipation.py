@@ -344,12 +344,14 @@ def _first_passages(exceeds: Iterator[Callable[[float], bool]], thresholds: Sequ
     S_n grows strictly with n, so thresholds are passed in increasing order
     and each n is asked only about the thresholds not yet passed.
     """
-    pending = sorted(range(len(thresholds)), key=thresholds.__getitem__)
+    order = sorted(range(len(thresholds)), key=thresholds.__getitem__)
     taus = [0] * len(thresholds)
+    passed = 0
     for n, exceeds_n in enumerate(exceeds, start=1):
-        while pending and exceeds_n(thresholds[pending[0]]):
-            taus[pending.pop(0)] = n
-        if not pending:
+        while passed < len(order) and exceeds_n(thresholds[order[passed]]):
+            taus[order[passed]] = n
+            passed += 1
+        if passed == len(order):
             return taus
         if n >= n_max:
             raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")

@@ -6,17 +6,18 @@ Provides the ergodicity / irreducibility condition checks
   C2: the characteristic polynomial of A is irreducible over Q,
 
 the Kronecker dichotomy for monic integer polynomials (a root strictly
-outside the unit disk, or every root a root of unity), eigencoordinates
-a_i(k) with k = sum_i a_i(k) v_i, and the integer norm form
-N(k) = det[k | Ak | ... | A^(d-1) k] in every dimension d = 2, 3, 4, a
-fixed multiple of prod_i a_i(k) whose nonvanishing quantifies how far
+outside the unit disk, or every root a root of unity), the discriminant,
+and the integer norm form N(k) = det[k | Ak | ... | A^(d-1) k] in every
+dimension d = 2, 3, 4, a fixed multiple of the eigencoordinate product
+prod_i a_i(k), k = sum_i a_i(k) v_i, whose nonvanishing quantifies how far
 lattice vectors stay from the expanding / contracting eigendirections.
 
 Integer polynomials are dense coefficient tuples, constant term first,
 as in (1, -3, 1) for 1 - 3x + x^2.  The condition checks, the Kronecker
-dichotomy and the norm form are decided in exact integer arithmetic;
-eigendata is floating point.  One Faddeev-LeVerrier pass gives the
-characteristic polynomial, the determinant and the adjugate (hence the
+dichotomy, the norm form and its frame constant are decided in exact
+integer arithmetic; only ``poly_roots``, the displayed eigenvalues and the
+Lipschitz constant are floating point.  One Faddeev-LeVerrier pass gives
+the characteristic polynomial, the determinant and the adjugate (hence the
 inverse); the cyclotomic polynomial Phi_m is x^m - 1 divided exactly by the
 Phi_d of the proper divisors d of m.
 """
@@ -35,8 +36,6 @@ import numpy as np
 from .fields import ball_batches, ball_size_bound, integer_tuple, require_work
 
 IntPoly = Tuple[int, ...]
-
-_EIGEN_RESIDUAL_TOL = 1e-10
 
 # ``fields.WORK_LIMIT`` elements (shell adds of 0.5 ns) per norm-form row: a
 # row, one integer pass, took 34-37, 59-67 and 166-167 ns in d = 2, 3, 4
@@ -145,6 +144,22 @@ def _int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant, (-1)^d p(0) of the characteristic polynomial p."""
     p = char_poly(matrix)
     return (-1) ** (len(p) - 1) * p[0]
+
+
+def discriminant(p: Sequence[int]) -> int:
+    """Discriminant prod_{i<j} (x_j - x_i)^2 of a monic integer polynomial.
+
+    It is det W^2 = det(W^T W), W_im = x_i^m (m < d): the determinant of the
+    Hankel matrix of the power sums s_m = sum_i x_i^m (tr A^m for p = char(A)),
+    which Newton's identities give in integers from s_0 = d.
+    """
+    p = _poly_trim(p)
+    d = len(p) - 1
+    sums = [d]
+    for m in range(1, 2 * d - 1):
+        s = -sum(p[d - i] * sums[m - i] for i in range(1, min(m - 1, d) + 1))
+        sums.append(s - m * p[d - m] if m <= d else s)
+    return _int_det([[sums[i + j] for j in range(d)] for i in range(d)])
 
 
 def irreducible_over_q(p: IntPoly) -> Tuple[bool, Optional[IntPoly]]:
@@ -297,38 +312,13 @@ def kronecker_classify(p: Sequence[int]) -> KroneckerResult:
 # the automorphism object
 # ---------------------------------------------------------------------------
 
-def _normalize_eigenvectors(vectors: np.ndarray) -> np.ndarray:
-    """Rescale every eigenvector so one common coordinate equals 1.
-
-    The pivot index is the largest coordinate index that is well sized in
-    all eigenvectors simultaneously, so the rule is the same rational rule
-    for every eigenvector and therefore Galois-equivariant: coordinates
-    become rational functions of the eigenvalue, and products over all
-    eigenvectors of integer linear forms in the coordinates are rational.
-    For the cat map this yields the frame v_i = (lambda_i - 1, 1).
-    """
-    d = vectors.shape[0]
-    mags = np.abs(vectors)
-    ok = mags > 1e-8 * np.max(mags, axis=0, keepdims=True)
-    pivot = None
-    for j in range(d - 1, -1, -1):
-        if np.all(ok[j, :]):
-            pivot = j
-            break
-    if pivot is None:
-        raise ValueError("no common well-sized pivot coordinate in the eigenframe")
-    return vectors / vectors[pivot, :][None, :]
-
-
 @dataclass(frozen=True)
 class ToralAutomorphism:
-    """Integer matrix A in SL_d(Z) together with its spectral frame.
+    """Integer matrix A in SL_d(Z).
 
     Exposes the transpose action A_* = A^T on Fourier modes, the inverse
-    transpose B = (A^T)^{-1} (integer, since det A = 1), eigenvalues and
-    normalized eigenvectors, the norm-equivalence constant c_star of the
-    eigencoordinate map, and the Lipschitz constant |A|_2 (the sup norm of
-    the differential of x -> Ax).
+    transpose B = (A^T)^{-1} (integer, since det A = 1), the C1/C2 report,
+    the eigenvalues (floats, for display) and the Lipschitz constant |A|_2.
     """
 
     matrix: Tuple[Tuple[int, ...], ...]
@@ -372,61 +362,29 @@ class ToralAutomorphism:
         at = self.transpose
         return tuple(sum(at[i][j] * int(mode[j]) for j in range(self.dimension)) for i in range(self.dimension))
 
-    # -- spectral frame -------------------------------------------------------
+    # -- conditions and spectrum ---------------------------------------------
 
     def conditions(self) -> ConditionReport:
         return check_conditions(self.matrix)
 
-    def _eigen(self) -> Tuple[np.ndarray, np.ndarray]:
-        values, vectors = np.linalg.eig(np.array(self.matrix, dtype=float))
-        if np.min(np.abs(values[:, None] - values[None, :]) + np.eye(len(values))) < 1e-8:
-            raise ValueError("repeated eigenvalues: matrix is not diagonalizable over C")
-        order = np.argsort(-np.abs(values))
-        values, vectors = values[order], vectors[:, order]
-        vecs = _normalize_eigenvectors(vectors)
-        a = np.array(self.matrix, dtype=float)
-        resid = np.max(np.abs(a @ vecs - vecs * values[None, :]))
-        if resid > _EIGEN_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(a)))):
-            raise ValueError(f"eigen residual too large: {resid}")
-        return values, vecs
-
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigen()[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Columns are the normalized eigenvectors."""
-        return self._eigen()[1]
+        """Floating point eigenvalues by decreasing modulus, for display."""
+        values = np.linalg.eigvals(np.array(self.matrix, dtype=float))
+        return values[np.argsort(-np.abs(values))]
 
     @property
     def lipschitz(self) -> float:
         """Spectral norm of A = sup norm of the gradient of the map."""
         return float(np.linalg.norm(np.array(self.matrix, dtype=float), 2))
 
-    @property
-    def c_star(self) -> float:
-        """Norm equivalence |k|/c_star <= |a(k)| <= c_star |k| for the frame."""
-        _, vecs = self._eigen()
-        vinv = np.linalg.inv(vecs)
-        return float(max(np.linalg.norm(vecs, 2), np.linalg.norm(vinv, 2)))
-
-
-def eigen_coordinates(automorphism: ToralAutomorphism, mode: Sequence[int]) -> np.ndarray:
-    """Coefficients a(k) of k in the normalized eigenbasis, k = sum a_i v_i."""
-    k = np.array([int(c) for c in mode], dtype=float)
-    if not np.any(k):
-        raise ValueError("mode must be nonzero")
-    _, vecs = automorphism._eigen()
-    return np.linalg.solve(vecs, k.astype(complex))
-
 
 def norm_form(automorphism: ToralAutomorphism, mode):
     """Integer norm form N(k) = det[k | Ak | ... | A^(d-1) k], of degree d in k.
 
-    With k = V a(k) in the eigenframe V of ``_eigen``, the Krylov matrix is
-    V diag(a(k)) W with W_im = lambda_i^m, so prod_i a_i(k) = N(k) / (det V det W),
-    and N(k) = 0 at some k != 0 exactly when char(A) is reducible over Q.  For
+    With k = V a(k) in an eigenframe V, the Krylov matrix is V diag(a(k)) W
+    with W_im = lambda_i^m, so prod_i a_i(k) = N(k) / (det V det W), and
+    N(k) = 0 at some k != 0 exactly when char(A) is reducible over Q.  For
     the cat map N(k) = k1^2 - k1 k2 - k2^2.  ``mode`` is one mode or a (d, N)
     integer array of modes (one per column).  The d! Leibniz terms are summed
     in int64 when d! g^(d(d-1)/2) max|k|^d < 2^63, g the largest row sum of
@@ -455,14 +413,19 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
     By ``norm_form``, prod_i |a_i(k)| = |N(k)| / c with the frame constant
     c = |det V det W|, so the scan is one exact integer pass: it keeps
     min |N(k)|, the first k (in the lexicographic order of the ball) that
-    attains it and the row count, and divides min |N| once by c.  Every
-    such k attains the minimal product, and the nonvanishing of N on the
-    ball is checked exactly.  Requires C1 and C2.
+    attains it, and the row count.  Every such k attains the minimal product,
+    and N's nonvanishing on the ball is checked exactly.  Requires C1 and C2.
 
-    The ball streams through ``fields.ball_batches``: each batch updates
-    the running values and is dropped, so the scan holds one batch and one
-    (d-1)-box, whatever the radius.  Its ``ball_size_bound`` rows, at
-    ``NORM_FORM_ROW_WEIGHT`` elements each, are priced against
+    Under C2 no eigenvector has a zero coordinate (the Galois group, transitive
+    on the roots, would carry e_j^T v_i = 0 to every i, putting the eigenbasis
+    in one hyperplane), so the frame is normalised by e_d^T v_i = 1.
+    The Krylov matrix K of e_d (rows e_d^T A^m, m < d) then has K V = W^T, and
+    c = det W^2 / |det K| = |disc char(A)| / |N_(A^T)(e_d)|: the integer pair
+    ``frame_constant``.  min |N| |det K| / |disc| is rounded once.
+
+    The ball streams through ``fields.ball_batches``, one batch and one
+    (d-1)-box held at a time, whatever the radius; its ``ball_size_bound``
+    rows, at ``NORM_FORM_ROW_WEIGHT`` elements each, are priced against
     ``fields.WORK_LIMIT`` before any allocation.
     """
     if radius < 1:
@@ -481,7 +444,7 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
         if values[i_min] < min_abs:  # strict: the first minimum, as one argmin over the ball
             min_abs, argmin = int(values[i_min]), tuple(int(c) for c in batch[i_min])
         scanned += batch.shape[0]
-    eigenvalues, vecs = automorphism._eigen()
-    frame = abs(np.linalg.det(vecs) * np.linalg.det(np.vander(eigenvalues, d, increasing=True)))
-    return {"min_product": float(min_abs / frame), "argmin": argmin, "integer_form_ok": min_abs > 0,
-            "min_abs_norm_form": min_abs, "scanned": scanned}
+    disc = abs(discriminant(char_poly(automorphism.matrix)))
+    krylov = abs(norm_form(ToralAutomorphism(automorphism.transpose), (0,) * (d - 1) + (1,)))
+    return {"min_product": min_abs * krylov / disc, "argmin": argmin, "integer_form_ok": min_abs > 0,
+            "min_abs_norm_form": min_abs, "scanned": scanned, "frame_constant": (disc, krylov)}

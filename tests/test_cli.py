@@ -479,14 +479,14 @@ def test_cts_grid_may_end_at_the_desk_edge(tmp_path, grid):
 
 
 def test_scan_values_pinned(cat):
-    # the integer outputs are exact and pinned; min_product = min |N| / |det V det W|
-    # is checked against 1/5 and 1/23, not pinned to bits, which depend on LAPACK's eig
+    # the integer outputs are exact and pinned; min_product = min |N| |det K| / |disc|
+    # is one integer quotient, so it is the correctly rounded 1/5 and 1/23
     nf = verify_norm_form(cat, 200)
     assert (nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == ((-144, -89), 1, 125628)
-    assert math.isclose(nf["min_product"], 1 / 5, rel_tol=1e-15)
+    assert nf["min_product"] == 1 / 5
     nf = verify_norm_form(ToralAutomorphism(((0, 1, 0), (0, 0, 1), (1, 1, 0))), 8)
     assert (nf["argmin"], nf["min_abs_norm_form"], nf["scanned"]) == ((-4, 0, 3), 1, 2108)
-    assert math.isclose(nf["min_product"], 1 / 23, rel_tol=1e-15)
+    assert nf["min_product"] == 1 / 23
     assert lattice_count(2, 1e4) == 31416
 
 

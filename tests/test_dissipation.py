@@ -2,7 +2,7 @@ import hashlib
 import inspect
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -283,6 +283,23 @@ def test_tau_d_exact_threshold_is_strict(cat):
 def test_tau_d_exact_n_max_raises():
     with pytest.raises(RuntimeError):
         tau_d_exact(A3, 1e-30, n_max=50)
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(steps=st.lists(st.integers(1, 3), min_size=1, max_size=30), data=st.data())
+def test_first_passages_match_brute_force(steps, data):
+    # a strictly increasing min S_n and unsorted thresholds, tied with each
+    # other and with the S_n: tau_d(T) is the first n with S_n > T
+    sums = list(accumulate(steps))
+    thresholds = data.draw(st.lists(st.integers(0, sums[-1] - 1).map(float), max_size=40))
+
+    def stream():
+        return (lambda threshold, s=s: s > threshold for s in sums)
+
+    want = [next(n for n, s in enumerate(sums, start=1) if s > t) for t in thresholds]
+    assert dissipation._first_passages(stream(), thresholds, len(sums)) == want
+    with pytest.raises(RuntimeError, match="exceeds n_max"):
+        dissipation._first_passages(stream(), thresholds + [float(sums[-1])], len(sums))
 
 
 @pytest.mark.parametrize("auto, want", [(A3, [178, 142, 106, 70, 34]), (A4, [83, 66, 50, 33, 17])])

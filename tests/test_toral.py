@@ -20,7 +20,7 @@ from disslab.toral import (
     char_poly,
     check_conditions,
     cyclotomic,
-    eigen_coordinates,
+    discriminant,
     irreducible_over_q,
     kronecker_classify,
     norm_form,
@@ -260,60 +260,6 @@ def test_kronecker_exhaustive_sl3_box():
     assert disagree == []
 
 
-def test_eigen_frame_cat(cat):
-    vecs = cat.eigenvectors
-    # frame is (lambda - 1, 1) per column
-    vals = cat.eigenvalues
-    for i in range(2):
-        assert vecs[0, i] == pytest.approx(vals[i] - 1, rel=1e-12)
-        assert vecs[1, i] == pytest.approx(1.0)
-
-
-def test_eigen_coordinates_cat(cat):
-    a = eigen_coordinates(cat, (1, 0))
-    s5 = math.sqrt(5)
-    assert sorted(np.real(a)) == pytest.approx([-1 / s5, 1 / s5], rel=1e-12)
-    a11 = np.abs(eigen_coordinates(cat, (1, 1)))
-    assert sorted(a11) == pytest.approx([0.2763932, 0.7236068], rel=1e-6)
-    assert np.prod(a11) == pytest.approx(0.2, rel=1e-10)
-
-
-def test_eigen_coordinates_round_trip(cat, rng):
-    vecs = cat.eigenvectors
-    for _ in range(50):
-        k = tuple(int(v) for v in rng.integers(-40, 41, size=2))
-        if k == (0, 0):
-            continue
-        a = eigen_coordinates(cat, k)
-        rec = vecs @ a
-        assert np.max(np.abs(rec - np.array(k))) < 1e-10
-
-
-def test_eigenvector_multiple_gives_single_coordinate():
-    # (1,2,4) direction: use plastic-number matrix and its own eigenvector
-    auto = ToralAutomorphism(PLASTIC)
-    vals, vecs = np.linalg.eig(np.array(PLASTIC, dtype=float))
-    # no integer eigenvector exists here (irrational eigendirections); use the
-    # basis property instead: coordinates of v_i are the unit vectors
-    frame = auto.eigenvectors
-    a = np.linalg.solve(frame, frame[:, 0])
-    assert np.sum(np.abs(a) > 1e-8) == 1
-
-
-def test_norm_equivalence_constant(cat, rng):
-    c = cat.c_star
-    assert c >= 1
-    for _ in range(500):
-        k = rng.integers(-50, 51, size=2)
-        if not np.any(k):
-            continue
-        a = eigen_coordinates(cat, tuple(int(v) for v in k))
-        norm_a = float(np.linalg.norm(a))
-        norm_k = float(np.linalg.norm(k))
-        assert norm_k / c <= norm_a * (1 + 1e-12)
-        assert norm_a <= c * norm_k * (1 + 1e-12)
-
-
 def test_norm_form_values(cat):
     assert norm_form(cat, (2, 3)) == -11
     assert norm_form(cat, (1, -2)) == -1
@@ -353,8 +299,26 @@ def test_verify_norm_form_argmin_attains_the_minimum(automorphism, radius):
     # must attain min |N|, and its float eigencoordinates the product
     res = verify_norm_form(automorphism, radius)
     assert abs(norm_form(automorphism, res["argmin"])) == res["min_abs_norm_form"]
-    coords = eigen_coordinates(automorphism, res["argmin"])
+    coords = np.linalg.solve(_float_frame(automorphism)[1], np.array(res["argmin"], dtype=complex))
     assert math.isclose(float(np.prod(np.abs(coords))), res["min_product"], rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("automorphism", [
+    ToralAutomorphism(((2, 1), (1, 1))),
+    ToralAutomorphism(PLASTIC),
+    ToralAutomorphism(((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3))),
+], ids=["cat", "plastic", "companion-4d"])
+def test_verify_norm_form_is_float_free(monkeypatch, automorphism):
+    # the frame constant is an integer pair: no eigensolver, determinant or solve
+    expected = verify_norm_form(automorphism, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_norm_form called a floating point np.linalg routine")
+
+    for name in ("eig", "eigvals", "det", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert verify_norm_form(automorphism, 3) == expected
+    assert set(expected) == {"min_product", "argmin", "integer_form_ok", "min_abs_norm_form", "scanned", "frame_constant"}
 
 
 def test_verify_norm_form_holds_one_batch(cat):
@@ -384,35 +348,46 @@ def test_norm_form_d3_near_integer():
     assert res["integer_form_ok"]
 
 
-@pytest.mark.parametrize("matrix", [
-    ((0, 0, 1), (1, 0, -7), (0, 1, -7)),
-    ((0, 0, 1), (1, 0, -5), (0, 1, 11)),
-    ((0, 0, 0, -1), (1, 0, 0, -8), (0, 1, 0, 8), (0, 0, 1, 5)),
-    ((0, 0, 0, -1), (1, 0, 0, 11), (0, 1, 0, 8), (0, 0, 1, -3)),
+@pytest.mark.parametrize("matrix, constant", [
+    (((0, 0, 1), (1, 0, -7), (0, 1, -7)), 1492),
+    (((0, 0, 1), (1, 0, -5), (0, 1, 11)), 1836),
+    (((0, 0, 0, -1), (1, 0, 0, -8), (0, 1, 0, 8), (0, 0, 1, 5)), 1083797),
+    (((0, 0, 0, -1), (1, 0, 0, 11), (0, 1, 0, 8), (0, 0, 1, -3)), 776552),
 ], ids=["3d-1492", "3d-1836", "4d-1083797", "4d-776552"])
-def test_norm_form_exact_in_higher_dimensions(matrix):
+def test_norm_form_exact_in_higher_dimensions(matrix, constant):
     # a denominator guessed from the float product at the first ball row
     # (373 for the first, whose true constant is 1492) once made these
     # C1-and-C2 companions fail the nonvanishing check
     res = verify_norm_form(ToralAutomorphism(matrix), 4)
     assert res["integer_form_ok"] and res["min_abs_norm_form"] == 1
+    assert res["frame_constant"] == (constant, 1)
 
 
-@pytest.mark.parametrize("matrix, radius, constant", [
-    (((2, 1), (1, 1)), 40, 5),
-    (PLASTIC, 8, 23),
-    (((0, 0, 1), (1, 0, 0), (0, 1, 1)), 8, 31),
-    (((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)), 5, 2696),
-], ids=["cat", "plastic", "A3", "A4"])
-def test_norm_form_over_eigencoordinate_product(matrix, radius, constant):
-    ratios = _norm_form_ratios(ToralAutomorphism(matrix), radius)
-    assert np.allclose(ratios, constant, rtol=1e-9, atol=0)
+@pytest.mark.parametrize("matrix, radius, frame_constant", [
+    (((2, 1), (1, 1)), 40, (5, 1)),
+    (PLASTIC, 8, (23, 1)),
+    (((0, 0, 1), (1, 0, 0), (0, 1, 1)), 8, (31, 1)),
+    (((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 3)), 5, (2696, 1)),
+    (((2, 3), (1, 2)), 40, (12, 1)),  # K of e_1 has det 3: the pivot is the last coordinate
+    (((2, 1), (3, 2)), 40, (12, 3)),
+], ids=["cat", "plastic", "A3", "A4", "trace-4", "trace-4-transpose"])
+def test_norm_form_over_eigencoordinate_product(matrix, radius, frame_constant):
+    automorphism = ToralAutomorphism(matrix)
+    ratios = _norm_form_ratios(automorphism, radius)
+    assert verify_norm_form(automorphism, 1)["frame_constant"] == frame_constant
+    assert np.allclose(ratios, frame_constant[0] / frame_constant[1], rtol=1e-9, atol=0)
+
+
+def _float_frame(automorphism):
+    """Test-local float eigenframe: LAPACK eig, each eigenvector scaled so its last coordinate is 1."""
+    values, vecs = np.linalg.eig(np.array(automorphism.matrix, dtype=float))
+    return values, vecs / vecs[-1, :]
 
 
 def _norm_form_ratios(automorphism, radius):
     """|N(k)| / prod_i |a_i(k)| over the ball, and its closed form |det V det W|."""
     modes = fields.ball_modes(automorphism.dimension, radius)
-    values, vecs = automorphism._eigen()
+    values, vecs = _float_frame(automorphism)
     products = np.prod(np.abs(np.linalg.solve(vecs, modes.T.astype(complex))), axis=0)
     ratios = np.abs(norm_form(automorphism, modes.T)) / products
     vandermonde = values[:, None] ** np.arange(automorphism.dimension)[None, :]
@@ -439,6 +414,34 @@ def test_norm_form_is_the_krylov_determinant(automorphism, rows, shift):
         assert norm_form(automorphism, modes.T).tolist() == [norm_form(automorphism, tuple(k)) for k in modes.tolist()]
     ratios = _norm_form_ratios(automorphism, {2: 12, 3: 4, 4: 2}[d])
     assert np.allclose(ratios, ratios[0], rtol=1e-9, atol=0)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(automorphism=ergodic_automorphisms())
+def test_frame_constant_is_the_float_frame_determinant(automorphism):
+    # |disc| / |N_(A^T)(e_d)| against |det V det W| of the float frame
+    values, vecs = _float_frame(automorphism)
+    disc, krylov = verify_norm_form(automorphism, 1)["frame_constant"]
+    assert disc == abs(discriminant(char_poly(automorphism.matrix))) and krylov > 0
+    assert math.isclose(disc / krylov, abs(np.linalg.det(vecs) * np.linalg.det(np.vander(values, increasing=True))),
+                        rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("p, disc", [
+    ((1, -3, 1), 5),
+    ((-1, -1, 0, 1), -23),
+    ((-1, 0, -1, 1), -31),
+    ((1, -1, 0, -3, 1), -2696),
+    ((1, 0, 1), -4),
+    ((1, -2, 1), 0),
+    ((-6, 11, -6, 1), 4),
+    ((24, -50, 35, -10, 1), 144),
+], ids=["cat", "plastic", "A3", "A4", "x2+1", "(x-1)^2", "roots-1-2-3", "roots-1-2-3-4"])
+def test_discriminant_is_the_product_of_squared_root_differences(p, disc):
+    assert discriminant(p) == disc
+    roots = poly_roots(p)
+    product = np.prod([(x - y) ** 2 for x, y in itertools.combinations(roots, 2)])
+    assert abs(product - disc) <= 1e-9 * max(abs(disc), 1)
 
 
 @pytest.mark.parametrize("build", [ToralAutomorphism, check_conditions], ids=["automorphism", "conditions"])
