@@ -5,6 +5,7 @@ Each returns the measured quantity; callers keep their own inputs and thresholds
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import Iterable, List, Sequence, Tuple
@@ -59,16 +60,18 @@ def kronecker_box_scan(box: int) -> Tuple[int, int]:
 
     A violation is a characteristic polynomial that ``kronecker_classify``
     calls all roots of unity exactly when Graeffe root squaring
-    (``roots_in_closed_disk``) finds a root outside the closed unit disk."""
-    checked = violations = 0
-    for a, b, c, d in itertools.product(range(-box, box + 1), repeat=4):
-        if a * d - b * c != 1:
-            continue
-        checked += 1
-        p = (1, -(a + d), 1)
+    (``roots_in_closed_disk``) finds a root outside the closed unit disk.
+    The polynomial x^2 - (a + d) x + 1 depends on the trace alone, so each
+    trace is classified once and counted for every matrix that has it
+    (116 matrices but 9 traces at box 3)."""
+    traces = collections.Counter(
+        a + d for a, b, c, d in itertools.product(range(-box, box + 1), repeat=4) if a * d - b * c == 1)
+    violations = 0
+    for trace, count in traces.items():
+        p = (1, -trace, 1)
         unity = kronecker_classify(p).kind == "all_roots_of_unity"
-        violations += unity != roots_in_closed_disk(p)
-    return checked, violations
+        violations += count * (unity != roots_in_closed_disk(p))
+    return sum(traces.values()), violations
 
 
 def h1_bisection_error(nus: Sequence[float]) -> float:

@@ -18,6 +18,12 @@ series are stored as exact-log increments.  Differencing two large
 accumulated logs would otherwise wipe out the inequality margins that the
 energy identities are tested against.
 
+A run stores scalar series only, 8 floats per field and step.  The walk
+holds per-mode state (orbit rows, log-weights, accumulated damping,
+|k|^2) for one block of steps, so its memory does not grow with the step
+count; ``Trajectory.state`` and ``Trajectory.field`` replay the orbit and
+the damping of any step with the walk's own arithmetic.
+
 ``TruncatedKoopman`` restricts the Koopman action of an automorphism to a
 finite mode ball as the induced partial permutation; the ball goes through
 the pulses' one certified push, and each |A^T m|^2 is exact.  The operator
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +55,10 @@ from .toral import ToralAutomorphism
 # peak bytes per ball mode of the operator route after the ball scan: building
 # the permutation, then the orbit walk (59-80 measured in d = 2..4)
 _ROUTE_BYTES_PER_MODE = 100
+
+# mode-steps of per-mode state one block of the pulse walk holds: a group of
+# (fields x modes) rows advances max(1, BLOCK_MODE_STEPS // rows) steps per block
+BLOCK_MODE_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,28 +93,44 @@ def step(theta: SpectralField, system: PulsedSystem) -> SpectralField:
 
 def _log(values: np.ndarray) -> np.ndarray:
     """``math.log`` of each entry, which NumPy's vectorized log need not match bit for bit."""
-    return np.array([math.log(v) for v in values.tolist()])
+    return np.array([math.log(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def _logsumexp(terms: np.ndarray) -> float:
-    finite = terms[np.isfinite(terms)]
-    if finite.size == 0:
-        return -math.inf
-    m = float(np.max(finite))
-    return m + math.log(float(np.sum(np.exp(finite - m))))
+def _exp(values: np.ndarray) -> np.ndarray:
+    """``np.exp`` of each entry, bit for bit.
+
+    An entry at or below -746 has exp exactly 0.0 and is left at 0.0
+    uncomputed: NumPy's underflow path takes 4-14 ns per entry, and about
+    100 ns where the result is subnormal, against about 1 ns for a normal
+    one, and the weights of modes damped out of a run take it at every step.
+    """
+    dead = values <= -746.0
+    if not dead.any():
+        return np.exp(values)
+    out = np.zeros(values.shape)
+    live = ~dead
+    out[live] = np.exp(values[live])
+    return out
 
 
 def _logsumexp_rows(terms: np.ndarray) -> np.ndarray:
-    """``_logsumexp`` of each row of a 2-D array.
+    """ln sum exp of the finite terms of each row of a 2-D array (-inf for a row with none).
 
-    A row sum of a C-contiguous array has the bits of ``np.sum`` on that row,
-    so all-finite rows go in one reduction; a row with a non-finite term,
-    which ``_logsumexp`` drops, changing the summation order, goes alone."""
-    top = np.max(terms, axis=1)
-    with np.errstate(invalid="ignore"):
-        out = top + _log(np.sum(np.exp(terms - top[:, None]), axis=1))
-    for row in np.flatnonzero(~np.all(np.isfinite(terms), axis=1)):
-        out[row] = _logsumexp(terms[row])
+    Each row has the bits of the one-row computation on its finite terms
+    alone: their max m, then m + ln sum exp(t - m), with ``np.sum`` over
+    the row.  A row sum of a C-contiguous array has the bits of ``np.sum``
+    on that row, so rows with the same number of finite terms are
+    compacted into one array, in row order, and reduced together."""
+    finite = np.isfinite(terms)
+    counts = np.count_nonzero(finite, axis=1)
+    out = np.full(terms.shape[0], -math.inf)
+    for count in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == count)
+        kept = terms[rows]
+        if count < terms.shape[1]:
+            kept = kept[finite[rows]].reshape(rows.size, count)
+        top = np.max(kept, axis=1)
+        out[rows] = top + _log(np.sum(_exp(kept - top[:, None]), axis=1))
     return out
 
 
@@ -121,27 +147,29 @@ class Trajectory:
       enu_rel[n]        E_nu theta_n / ||theta_n||^2
       uh1_rel[n]        ||U theta_n||_1^2 / ||theta_n||^2
       h1next_rel[n]     ||theta_{n+1}||_1^2 / ||theta_n||^2
+      gap_sq[n]         ||theta_n - U^n theta_0||^2 (see ``inviscid_gap``)
 
-    Fields are reconstructed on demand from the exact mode orbits and the
-    accumulated per-mode damping: relabeling keeps phases fixed, only
-    positive damping factors accumulate.
+    Only these series are stored, about 8 floats per step, whatever the
+    mode count.  ``state(n)`` replays the exact mode orbit and the
+    accumulated per-mode damping of step n; ``field(n)`` rebuilds theta_n
+    from them: relabeling keeps phases fixed, only positive damping factors
+    accumulate.
     """
 
     system: PulsedSystem
     modes0: List[Mode]
     amps0: np.ndarray
-    mode_orbits: List[np.ndarray]  # per step, (n_modes, d) int64, every |coordinate| < MODE_LIMIT
-    log_damp: np.ndarray  # (n_steps+1, n_modes): -2 nu S_n(mode_j)
     log_energies: np.ndarray
     dln: np.ndarray
     log_r: np.ndarray
     enu_rel: np.ndarray
     uh1_rel: np.ndarray
     h1next_rel: np.ndarray
+    gap_sq: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return self.log_damp.shape[0] - 1
+        return self.dln.shape[0]
 
     @property
     def energies(self) -> np.ndarray:
@@ -163,11 +191,32 @@ class Trajectory:
     def enu_values(self) -> np.ndarray:
         return np.exp(self.log_enu)
 
+    def state(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(mode rows, -2 nu S_n per mode) at step 0 <= n <= n_steps.
+
+        The rows are the (n_modes, d) int64 orbit of ``modes0`` after n
+        pulses and -2 nu S_n(m) is the accumulated log-damping of each
+        mode's squared magnitude.  Both are replayed from step 0 through the
+        walk's own blocks (``_orbit_blocks``) and repeated subtraction, so
+        they are bit-identical to the walk's; replay costs n pulses of one
+        field and holds one block.
+        """
+        if not 0 <= n <= self.n_steps:
+            raise ValueError(f"step {n} is outside 0..{self.n_steps}")
+        modes = np.array(self.modes0, dtype=np.int64)
+        cum = np.zeros(len(self.modes0))
+        scale = self.system.convention.scale_factor
+        for orbit, lam in _orbit_blocks(self.system.automorphism.matrix, modes, n, scale):
+            for x in (2.0 * self.system.nu) * lam:
+                cum = cum - x
+            modes = orbit[-1]
+        return modes, cum
+
     def field(self, n: int) -> SpectralField:
+        modes, cum = self.state(n)
         coeffs = {}
-        for j, mode in enumerate(self.mode_orbits[n].tolist()):
-            damp = math.exp(0.5 * self.log_damp[n, j])
-            coeffs[tuple(mode)] = complex(self.amps0[j]) * damp
+        for j, mode in enumerate(modes.tolist()):
+            coeffs[tuple(mode)] = complex(self.amps0[j]) * math.exp(0.5 * cum[j])
         return SpectralField(self.system.convention, coeffs)
 
     def energy_identity_residuals(self) -> np.ndarray:
@@ -195,10 +244,8 @@ class Trajectory:
         Step n of a longer run is bit-identical to the last step of an
         n-step run, so one trajectory serves every n up to its length.
         """
-        half = 0.5 * self.log_damp[n, :]  # = -nu S_n per mode
-        gap_sq = float(np.sum(np.abs(self.amps0) ** 2 * np.expm1(half) ** 2))
         bound = float(np.sum(np.sqrt(self.system.nu * self.enu_values[:n])))
-        return math.sqrt(gap_sq), bound
+        return math.sqrt(float(self.gap_sq[n])), bound
 
 
 def exact_norm_sq(k: np.ndarray) -> np.ndarray:
@@ -257,7 +304,7 @@ def _pusher(matrix) -> Callable[[np.ndarray], np.ndarray]:
     a = np.array(matrix, dtype=np.int64) if gain < MODE_LIMIT else None
 
     def push(modes: np.ndarray) -> np.ndarray:
-        if int(np.max(np.abs(modes))) * gain < MODE_LIMIT:
+        if int(np.abs(modes).max()) * gain < MODE_LIMIT:
             return modes @ a
         return _exact_pulse(modes, matrix)
 
@@ -288,24 +335,32 @@ def evolve_many(fields: Sequence[SpectralField], systems: Sequence[PulsedSystem]
     float (``exact_norm_sq``), and each trajectory is bit-identical to its
     field's run alone.
 
-    Every field is checked before the first pulse: an empty field raises
-    ValueError and an initial mode at or past ``MODE_LIMIT`` raises
-    ModeOverflowError.  The stored series, (n + 1) (8 + 8 d) bytes per
-    mode, are priced before anything is allocated: a run that needs more
-    than physical memory raises ValueError.
+    Every field is checked before the first pulse: an empty field or one
+    whose dimension differs from its system's raises ValueError and an
+    initial mode at or past ``MODE_LIMIT`` raises ModeOverflowError.  A run
+    keeps its scalar series, 8 (n + 1) floats per field, and the per-mode
+    state of one block of one group (``_block_words``); neither grows with
+    the mode count times n.  That price is checked before anything is
+    allocated, and a run that needs more than physical memory raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("need at least one step")
     if len(fields) != len(systems):
         raise ValueError(f"{len(fields)} fields but {len(systems)} systems")
+    for theta0, system in zip(fields, systems):
+        if theta0.convention.dimension != system.convention.dimension:
+            raise ValueError(f"a {theta0.convention.dimension}-D field cannot run under a "
+                             f"{system.convention.dimension}-D system")
     starts = [_start(theta0) for theta0 in fields]
-    # each of the n + 1 steps keeps, per mode, one float of log_damp and d int64 orbit coordinates
-    modes = sum(len(rows) for _, _, rows in starts)
-    words = sum(rows.size for _, _, rows in starts) + modes
-    require_memory(8 * (n + 1) * words, f"{n} pulses of {modes} modes")
     groups: Dict[tuple, List[int]] = {}
     for i, (system, (_, _, rows)) in enumerate(zip(systems, starts)):
         groups.setdefault((system.automorphism.matrix, system.convention, rows.shape), []).append(i)
+    block = max((_block_words(len(group) * n_modes, d, n) for (_, _, (n_modes, d)), group in groups.items()),
+                default=0)
+    modes = sum(len(rows) for _, _, rows in starts)
+    # the seven scalar series, priced at 8 floats per field-step, and one block
+    require_memory(8 * (8 * len(fields) * (n + 1) + block), f"{n} pulses of {modes} modes")
     trajs: List[Trajectory] = [None] * len(fields)
     for rows in groups.values():
         walked = _walk([systems[i] for i in rows], [starts[i] for i in rows], n)
@@ -331,76 +386,127 @@ def _start(theta0: SpectralField) -> Tuple[List[Mode], np.ndarray, np.ndarray]:
     return modes0, amps0, current
 
 
+def _block_steps(rows: int) -> int:
+    """Steps per block of a walk over ``rows`` (fields x modes) rows."""
+    return max(1, BLOCK_MODE_STEPS // rows)
+
+
+def _block_words(rows: int, d: int, n: int) -> int:
+    """Words that one block of an n-step walk over ``rows`` rows of d coordinates holds at its peak.
+
+    Priced at 20 + 5 d words per mode-step, counting the block's start as
+    one more step.  tracemalloc peaks of whole walks, less their series,
+    were 29.7, 34.7 and 39.7 words per mode-step in d = 2, 3 and 4 over
+    40-step blocks, and 43, 51 and 59 words per row over one-step blocks
+    (coordinates past 2^30, where ``exact_norm_sq`` takes its 128-bit path).
+    """
+    return (min(n, _block_steps(rows)) + 1) * rows * (20 + 5 * d)
+
+
+def _orbit_blocks(matrix, current: np.ndarray, n: int, scale: float) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (orbit rows, scale |k|^2) of steps 1..n of the rows ``current``, a block of steps at a time.
+
+    Each block is a (b, rows, d) int64 array pushed one step at a time by
+    the certified push, with b = ``_block_steps(rows)`` (fewer in the last
+    block), and its (b, rows) eigenvalues, each |k|^2 exact before its one
+    rounding (``exact_norm_sq``), from one call per block.
+    """
+    push = _pusher(matrix)
+    rows, d = current.shape
+    block = _block_steps(rows)
+    for start in range(0, n, block):
+        orbit = np.empty((min(block, n - start), rows, d), dtype=np.int64)
+        for j in range(orbit.shape[0]):
+            orbit[j] = current = push(current)
+        yield orbit, scale * exact_norm_sq(orbit.reshape(-1, d)).reshape(orbit.shape[:2])
+
+
 def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]:
     """n pulses of fields that share an automorphism, a convention and a mode count.
 
-    Row f of every (fields x modes) array is field f; each per-trajectory
-    series is a reduction along axis 1."""
+    Row f of every (fields x modes) array is field f.  The walk advances a
+    block of b = ``_block_steps`` steps at a time (``_orbit_blocks``) and
+    holds per-mode state for that block alone: each per-step series is a
+    reduction over the last axis of (b, fields, modes) arrays.  Log-weights
+    and damping carry from step to step by one subtraction per step, and
+    log-energies by ``np.add.accumulate`` along the step axis, which adds in
+    step order, so every value is bit-identical to a one-step walk's."""
     nu = np.array([system.nu for system in systems])
     scale = systems[0].convention.scale_factor
-    push = _pusher(systems[0].automorphism.matrix)
     n_fields, n_modes = len(starts), len(starts[0][0])
     amps0 = np.array([amps for _, amps, _ in starts])
+    weight = np.abs(amps0) ** 2
     current = np.concatenate([rows for _, _, rows in starts])  # field-major (fields * modes, d)
 
-    orbits: List[np.ndarray] = [current]
-    log_damp = np.zeros((n_fields, n + 1, n_modes))
     log_energies = np.empty((n_fields, n + 1))
     dln = np.empty((n_fields, n))
     log_r = np.empty((n_fields, n + 1))
     enu_rel = np.empty((n_fields, n))
     uh1_rel = np.empty((n_fields, n))
     h1next_rel = np.empty((n_fields, n))
+    gap_sq = np.zeros((n_fields, n + 1))  # no damping at step 0: expm1(0) = 0 for every mode
+
+    def frame(logw: np.ndarray, lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The normalized weights w of ``logw``, their sums and ln(||theta||_1^2 / ||theta||^2) per row."""
+        w = _exp(logw - np.max(logw, axis=-1, keepdims=True))
+        total = np.sum(w, axis=-1)
+        return w, total, _log(np.sum(w * lam, axis=-1) / total)
 
     logw = 2.0 * np.log(np.abs(amps0))  # unnormalized log weights, step 0
     # bit-identical to SpectralConvention.eigenvalue: exact integer |k|^2, then scale
     lam = scale * exact_norm_sq(current).reshape(n_fields, n_modes)
+    cum = np.zeros((n_fields, n_modes))  # -2 nu S_n per mode
     log_energies[:, 0] = _logsumexp_rows(logw)
 
-    cum = np.zeros((n_fields, n_modes))
-    for it in range(n):
-        # normalized frame of step `it`
-        w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
-        total = np.sum(w, axis=1)
-        log_r[:, it] = _log(np.sum(w * lam, axis=1) / total)
-
-        nxt = push(current)
-        lam_next = scale * exact_norm_sq(nxt).reshape(n_fields, n_modes)
+    start = 0
+    for orbit, lam_next in _orbit_blocks(systems[0].automorphism.matrix, current, n, scale):
+        b = orbit.shape[0]
+        steps = slice(start, start + b)
+        lam_next = lam_next.reshape(b, n_fields, n_modes)
         x = (2.0 * nu)[:, None] * lam_next
-        decay = np.exp(-x)
-        enu_rel[:, it] = np.sum(w * (-np.expm1(-x)), axis=1) / total / nu
-        uh1_rel[:, it] = np.sum(w * lam_next, axis=1) / total
-        h1next_rel[:, it] = np.sum(w * decay * lam_next, axis=1) / total
+        # log-weights and damping of steps start .. start + b, each step one
+        # subtraction as in a one-step walk (NumPy's accumulate would give the
+        # same bits but costs 3-14 ns per element)
+        carry = np.empty((b + 1, 2, n_fields, n_modes))
+        carry[0, 0], carry[0, 1] = logw, cum
+        for j in range(b):
+            np.subtract(carry[j], x[j], out=carry[j + 1])
+        logws, cums = carry[:, 0], carry[1:, 1]
+        lams = np.concatenate([lam[None], lam_next[:-1]])
+        logw, cum, lam = logws[-1], cums[-1], lam_next[-1]
+
+        w, total, log_r_block = frame(logws[:-1], lams)
+        log_r[:, steps] = log_r_block.T
+        decay = _exp(-x)
+        enu_rel[:, steps] = (np.sum(w * (-np.expm1(-x)), axis=-1) / total / nu).T
+        uh1_rel[:, steps] = (np.sum(w * lam_next, axis=-1) / total).T
+        h1next_rel[:, steps] = (np.sum(w * decay * lam_next, axis=-1) / total).T
         # the energy ratio can land deep in the denormal range, where direct
-        # summation loses mantissa bits; stay in log space unconditionally
-        with np.errstate(divide="ignore"):
-            dln[:, it] = _logsumexp_rows(np.log(w) - x) - _log(total)
-        log_energies[:, it + 1] = log_energies[:, it] + dln[:, it]
+        # summation loses mantissa bits; stay in log space unconditionally.
+        # A zero weight gives the term ln 0 - x = -inf, set without NumPy's
+        # slow log of 0 (4-5 ns per entry against 1)
+        live = w > 0.0
+        terms = np.full(w.shape, -math.inf)
+        terms[live] = np.log(w[live]) - x[live]
+        dln[:, steps] = (_logsumexp_rows(terms.reshape(-1, n_modes)).reshape(b, n_fields) - _log(total)).T
+        log_energies[:, start:start + b + 1] = np.add.accumulate(
+            np.concatenate([log_energies[:, start, None], dln[:, steps]], axis=1), axis=1)
+        gap_sq[:, start + 1:start + b + 1] = np.sum(weight * np.expm1(0.5 * cums) ** 2, axis=-1).T
+        start += b
 
-        cum = cum - x
-        log_damp[:, it + 1, :] = cum
-        logw = logw - x
-        lam = lam_next
-        orbits.append(nxt)
-        current = nxt
-
-    w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
-    log_r[:, n] = _log(np.sum(w * lam, axis=1) / np.sum(w, axis=1))
-
-    orbits = [orbit.reshape(n_fields, n_modes, -1) for orbit in orbits]
+    log_r[:, n] = frame(logw, lam)[2]
     return [
         Trajectory(
             system=system,
             modes0=modes0,
             amps0=amps,
-            mode_orbits=[orbit[f] for orbit in orbits],
-            log_damp=log_damp[f],
             log_energies=log_energies[f],
             dln=dln[f],
             log_r=log_r[f],
             enu_rel=enu_rel[f],
             uh1_rel=uh1_rel[f],
             h1next_rel=h1next_rel[f],
+            gap_sq=gap_sq[f],
         )
         for f, (system, (modes0, amps, _)) in enumerate(zip(systems, starts))
     ]

@@ -357,6 +357,28 @@ def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minim
     check_exceeds_against_minima(auto, n)
 
 
+@pytest.mark.parametrize("rows, n, minimum", [
+    (((0, 0, 0, -1), (1, 0, 0, -3), (0, 1, 0, -3), (0, 0, 1, 0)), 5, 23),
+    (((0, 0, 1), (1, 0, -2), (0, 1, 3)), 14, 4104),
+])
+def test_exceeds_answers_later_thresholds_from_one_minimum(monkeypatch, rows, n, minimum):
+    # asked at min S_n at every n, the walk's carried and reduced bases both
+    # miss the minimum at this n: the first threshold enumerates, and the
+    # others compare with min S_n, which one more enumeration computes
+    auto = ToralAutomorphism(rows)
+    enumerations = []
+    enumerate_ = dissipation._enumerate
+    monkeypatch.setattr(dissipation, "_enumerate", lambda *a: enumerations.append(1) or enumerate_(*a))
+    for k, (exceeds, (m, _)) in enumerate(islice(zip(dissipation._exceeds_tests(auto), min_energies(auto)), n), 1):
+        before = len(enumerations)
+        assert not exceeds(m)
+        if k == n:
+            assert (m, len(enumerations) - before) == (minimum, 1)
+            for t in (m - 1, m, m - 0.5, m + 0.5, m + 1, m):
+                assert exceeds(t) == (m > t)
+            assert len(enumerations) - before == 2
+
+
 @pytest.mark.parametrize("auto, digest", [
     (CAT, "bd1144c0460777e31c7ab4b436d93da502da4c0e175d9dc9e7f343bc6e8b34ab"),
     (A3, "f2d90dd46371aa179a90edfa56701e5563ed900c18572282c734465f1ae17af6"),
@@ -410,6 +432,21 @@ def test_exact_4d_grid_reduces_21_forms_and_enumerates_5(monkeypatch, tmp_path):
     assert cli.main(["dissipation-time", "--matrix", "0,0,0,-1,1,0,0,1,0,1,0,0,0,0,1,3", "--nu-grid",
                      "1e-20:1e-4:5", "--out", str(tmp_path / "exact-4d.json")]) == 0
     assert (len(reductions), len(enumerations)) == (21, 5)
+
+
+def test_thresholds_passed_at_one_n_share_one_minimum(cat, monkeypatch):
+    # the 20,000 points of 1e-4:1e-2 pass at 6 distinct n; each n enumerates
+    # for its first step-3 test and once for its exact minimum (it made one
+    # enumeration per threshold, 20,000 in all)
+    nus = cli._parse_nu_grid("1e-4:1e-2:20000", cli.GRID_POINT_BYTES["dissipation-time"])
+    want = [tau_d_exact(cat, nu) for nu in nus[::997]]
+    enumerations = []
+    enumerate_ = dissipation._enumerate
+    monkeypatch.setattr(dissipation, "_enumerate", lambda *a: enumerations.append(1) or enumerate_(*a))
+    taus = dissipation._tau_d_grid(cat, nus, "exact", None)
+    assert taus[::997] == want
+    assert len(set(taus)) == 6
+    assert len(enumerations) <= 2 * max(taus)
 
 
 def test_tau_d_exact_requires_c1():

@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,7 +82,7 @@ def test_evolve_orbits_match_push_mode(matrix, rng):
     traj = evolve(theta, PulsedSystem(auto, 1e-6, conv), 12)
     orbit = sorted(theta.modes())
     for n in range(traj.n_steps + 1):
-        assert [tuple(m) for m in traj.mode_orbits[n]] == orbit
+        assert [tuple(m) for m in traj.state(n)[0].tolist()] == orbit
         orbit = [auto.push_mode(m) for m in orbit]
 
 
@@ -158,9 +161,19 @@ def test_inviscid_gap_reads_from_a_longer_run(cat, lattice2, rng):
 # machine-integer pulses against the Python-int reference
 # ---------------------------------------------------------------------------
 
+def _logsumexp(terms):
+    """ln sum exp of the finite terms of a 1-D array, -inf if there are none."""
+    finite = terms[np.isfinite(terms)]
+    if finite.size == 0:
+        return -math.inf
+    m = float(np.max(finite))
+    return m + math.log(float(np.sum(np.exp(finite - m))))
+
+
 def _reference_evolve(theta0, system, n):
     """The object-dtype pulse loop that ``evolve`` replaced: every product,
-    range check and square sum on Python ints."""
+    range check and square sum on Python ints, every orbit and damping row
+    kept, one step at a time."""
     nu, scale = system.nu, system.convention.scale_factor
     modes0 = sorted(theta0.coefficients.keys())
     amps0 = np.array([theta0.coefficients[m] for m in modes0], dtype=complex)
@@ -172,7 +185,7 @@ def _reference_evolve(theta0, system, n):
     dln, enu_rel, uh1_rel, h1next_rel = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     logw = 2.0 * np.log(np.abs(amps0))
     lam = scale * np.sum(current * current, axis=1).astype(float)
-    log_energies[0] = pulsed._logsumexp(logw)
+    log_energies[0] = _logsumexp(logw)
     cum = np.zeros(len(modes0))
     for it in range(n):
         w = np.exp(logw - float(np.max(logw)))
@@ -189,7 +202,7 @@ def _reference_evolve(theta0, system, n):
         uh1_rel[it] = float(np.sum(w * lam_next)) / total
         h1next_rel[it] = float(np.sum(w * decay * lam_next)) / total
         with np.errstate(divide="ignore"):
-            dln[it] = pulsed._logsumexp(np.log(w) - x) - math.log(total)
+            dln[it] = _logsumexp(np.log(w) - x) - math.log(total)
         log_energies[it + 1] = log_energies[it] + dln[it]
         cum = cum - x
         log_damp[it + 1, :] = cum
@@ -199,8 +212,19 @@ def _reference_evolve(theta0, system, n):
         current = nxt
     w = np.exp(logw - float(np.max(logw)))
     log_r[n] = math.log(float(np.sum(w * lam)) / float(np.sum(w)))
+    # the inviscid gap of each step, as the trajectory computed it from its stored damping rows
+    gap_sq = np.array([float(np.sum(np.abs(amps0) ** 2 * np.expm1(0.5 * row) ** 2)) for row in log_damp])
     return {"mode_orbits": [o.tolist() for o in orbits], "log_damp": log_damp, "log_energies": log_energies,
-            "dln": dln, "log_r": log_r, "enu_rel": enu_rel, "uh1_rel": uh1_rel, "h1next_rel": h1next_rel}
+            "dln": dln, "log_r": log_r, "enu_rel": enu_rel, "uh1_rel": uh1_rel, "h1next_rel": h1next_rel,
+            "gap_sq": gap_sq}
+
+
+def _assert_states(traj, orbits, log_damp):
+    """``traj.state(n)`` replays the int64 orbit rows and the damping row of every step n."""
+    for n in range(traj.n_steps + 1):
+        modes, cum = traj.state(n)
+        assert modes.dtype == np.int64 and modes.tolist() == orbits[n], n
+        assert cum.tobytes() == log_damp[n].tobytes(), n
 
 
 def _assert_matches_reference(theta, system, n):
@@ -212,8 +236,7 @@ def _assert_matches_reference(theta, system, n):
         assert str(caught.value) == str(exc)
         return None
     traj = evolve(theta, system, n)
-    assert all(orbit.dtype == np.int64 for orbit in traj.mode_orbits)
-    assert [orbit.tolist() for orbit in traj.mode_orbits] == expected.pop("mode_orbits")
+    _assert_states(traj, expected.pop("mode_orbits"), expected.pop("log_damp"))
     for name, value in expected.items():
         assert getattr(traj, name).tobytes() == value.tobytes(), name
     return traj
@@ -258,6 +281,13 @@ def _crossing_runs(draw):
 @example((SpectralField(SpectralConvention(2, "lattice"), {
     (-6, 2): 1.0, (-5, -2): 1j, (-3, -4): 1j, (-3, 0): 2.0, (-3, 5): 0.5, (-1, -1): 3.0, (-1, 1): 3.0,
     (2, -4): 0.5, (4, 6): 1j}), PulsedSystem(ToralAutomorphism(_GROWING[2]), 1e-3, SpectralConvention(2, "lattice")), 8))
+# a weight subnormal in its step's frame whose mode, damped far less than the
+# leading one, leads the energy ratio's terms
+@example((SpectralField(SpectralConvention(2, "lattice"), {(8, -6): 0.02, (-12, -3): 600.0, (-5, -3): 0.001}),
+          PulsedSystem(ToralAutomorphism(((1, 1), (0, 1))), 30.0, SpectralConvention(2, "lattice")), 7))
+# damping so strong that exp(-x) is subnormal (e^-720 at the first pulse) or exactly zero
+@example((SpectralField(SpectralConvention(2, "lattice"), {(1, 0): 1.0}),
+          PulsedSystem(ToralAutomorphism(_GROWING[2]), 72.0, SpectralConvention(2, "lattice")), 3))
 def test_evolve_matches_python_int_reference(run):
     _assert_matches_reference(*run)
 
@@ -267,6 +297,7 @@ def test_evolve_matches_python_int_reference(run):
 # ---------------------------------------------------------------------------
 
 _SHEAR2 = ((1, 0), (5, 1))
+_SERIES = ("amps0", "log_energies", "dln", "log_r", "enu_rel", "uh1_rel", "h1next_rel", "gap_sq")
 
 
 @st.composite
@@ -275,8 +306,8 @@ def _batches(draw):
     count), so that groups of several rows form next to groups of one; nu
     differs per row.  Coordinates reach 2^22..2^29 and pulses
     run long enough that orbits cross 2^30 and 2^32, take the Python-int path
-    or overflow; nu = 1e-3 underflows weights, whose rows go through
-    ``_logsumexp`` alone."""
+    or overflow; nu = 1e-3 underflows weights, whose rows drop their
+    non-finite terms in ``_logsumexp_rows``."""
     kind = st.sampled_from([2, 3, 4]).flatmap(lambda d: st.tuples(
         st.just(d),
         st.sampled_from([_GROWING[2], _SHEAR2] if d == 2 else [_GROWING[d]]),
@@ -328,11 +359,84 @@ def test_evolve_many_matches_one_field_at_a_time(batch):
             return
     for traj, single in zip(evolve_many(*zip(*runs), n), singles):
         assert traj.system is single.system and traj.modes0 == single.modes0
-        assert all(orbit.dtype == np.int64 for orbit in traj.mode_orbits)
-        assert [orbit.tolist() for orbit in traj.mode_orbits] == [orbit.tolist() for orbit in single.mode_orbits]
-        for name in ("amps0", "log_damp", "log_energies", "dln", "log_r", "enu_rel", "uh1_rel", "h1next_rel"):
+        for name in _SERIES:
             assert getattr(traj, name).tobytes() == getattr(single, name).tobytes(), name
+        states = [single.state(k) for k in range(n + 1)]
+        _assert_states(traj, [modes.tolist() for modes, _ in states], [cum for _, cum in states])
         assert traj.field(n).coefficients == single.field(n).coefficients
+
+
+def _walk_or_error(runs, n):
+    """Every series of a batch and the states replayed at steps 0, n // 2 and n, or its ModeOverflowError message."""
+    try:
+        trajs = evolve_many(*zip(*runs), n)
+    except ModeOverflowError as exc:
+        return str(exc)
+    return [([getattr(traj, name).tobytes() for name in _SERIES],
+             [(modes.tolist(), cum.tobytes()) for modes, cum in map(traj.state, (0, n // 2, n))]) for traj in trajs]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_batches())
+def test_series_and_states_do_not_depend_on_the_block_size(batch):
+    # one step per block, blocks of a few steps cut across fields, and the
+    # whole run in one block all give the default walk's bytes
+    runs, n = batch
+    expected = _walk_or_error(runs, n)
+    for mode_steps in (1, 7, sys.maxsize):
+        with mock.patch.object(pulsed, "BLOCK_MODE_STEPS", mode_steps):
+            assert _walk_or_error(runs, n) == expected, mode_steps
+
+
+@pytest.mark.parametrize("matrix, modes, short", [
+    (((1, 1), (0, 1)), [(1, k) for k in range(400)], 50),  # ten-step blocks, int64 square sums
+    (((1, 1, 0), (0, 1, 1), (0, 0, 1)), [(2**40 + k, -k, 3) for k in range(100)], 50),  # 40-step blocks, 128-bit sums
+    (((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)), [(2**40, k, -(2**41), k) for k in range(4100)], 10),
+], ids=["d2", "d3", "d4-one-step-blocks"])
+def test_walk_memory_is_priced_and_does_not_grow_with_the_step_count(monkeypatch, matrix, modes, short):
+    # the per-mode state of one block, not of every step: a run 20 times
+    # longer peaks within 2x, and no peak exceeds the price checked before it
+    conv = SpectralConvention(len(matrix), "lattice")
+    theta = SpectralField(conv, {mode: 1.0 + 0.5j for mode in modes})
+    system = PulsedSystem(ToralAutomorphism(matrix), 1e-12, conv)
+    prices, peaks = [], []
+    monkeypatch.setattr(pulsed, "require_memory", lambda need, what: prices.append(need))
+    for n in (short, 20 * short):
+        tracemalloc.start()
+        evolve(theta, system, n)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+    assert all(peak <= price for peak, price in zip(peaks, prices)), (peaks, prices)
+
+
+def test_logsumexp_rows_matches_each_row_alone(rng):
+    # rows with 0, some and all terms finite, including terms whose exp underflows
+    terms = rng.normal(0.0, 400.0, size=(40, 17))
+    terms[rng.random(terms.shape) < 0.4] = -math.inf
+    terms[3] = -math.inf
+    terms[5, :3] = [math.inf, math.nan, -math.inf]
+    terms[7] = rng.normal(0.0, 1.0, size=17)
+    got = pulsed._logsumexp_rows(terms)
+    assert got.tobytes() == np.array([_logsumexp(row) for row in terms]).tobytes()
+
+
+def test_exp_skips_only_exact_zeros():
+    # every entry, around the underflow edge (-745.13...) and the subnormal
+    # range included, has the bits of np.exp
+    edge = np.array([-746.0, np.nextafter(-746.0, 0.0), -745.2, -745.1, -744.0, -708.4, -700.0, -1.0, 0.0])
+    values = np.concatenate([edge, np.linspace(-800.0, 0.0, 4001), [-np.inf, np.nan]])
+    assert pulsed._exp(values).tobytes() == np.exp(values).tobytes()
+    live = np.linspace(-745.0, 0.0, 1000)
+    assert pulsed._exp(live).tobytes() == np.exp(live).tobytes()
+
+
+def test_state_of_a_step_outside_the_run_raises(cat, lattice2):
+    traj = evolve(SpectralField(lattice2, {(1, 0): 1.0}), PulsedSystem(cat, 1e-3, lattice2), 3)
+    assert traj.state(3)[0].tolist() == [[13, 8]]
+    for n in (-1, 4):
+        with pytest.raises(ValueError, match=f"step {n} is outside 0..3"):
+            traj.state(n)
 
 
 @pytest.mark.parametrize("bad, kind", [
@@ -362,6 +466,8 @@ def test_evolve_many_checks_its_arguments(cat, lattice2):
         evolve_many([theta, SpectralField(lattice2, {})], [system] * 2, 3)
     with pytest.raises(ValueError, match="2 fields but 1 systems"):
         evolve_many([theta, theta], [system], 3)
+    with pytest.raises(ValueError, match="a 3-D field cannot run under a 2-D system"):
+        evolve_many([theta, SpectralField(SpectralConvention(3, "lattice"), {(1, 0, 0): 1.0})], [system] * 2, 3)
     assert evolve_many([], [], 3) == []
 
 
@@ -374,12 +480,14 @@ def test_overflow_matches_python_int_reference(lattice2, monkeypatch, matrix, mo
     # Python ints; pulse last + 1 raises the same error as the reference
     theta = SpectralField(lattice2, modes)
     system = PulsedSystem(ToralAutomorphism(matrix), 1e-30, lattice2)
+    assert _assert_matches_reference(theta, system, last) is not None
+    assert _assert_matches_reference(theta, system, last + 1) is None
+    # the pulses of the walk itself, not those that ``state`` replays
     calls = []
     exact_pulse = pulsed._exact_pulse
     monkeypatch.setattr(pulsed, "_exact_pulse", lambda *args: calls.append(1) or exact_pulse(*args))
-    assert _assert_matches_reference(theta, system, last) is not None
+    evolve(theta, system, last)
     assert len(calls) == uncertified
-    assert _assert_matches_reference(theta, system, last + 1) is None
 
 
 def test_certified_pulses_build_no_python_ints(cat, lattice2, rng, monkeypatch):

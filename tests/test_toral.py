@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ergodic_automorphisms
-from disslab import fields
+from disslab import checks, fields
 from disslab.checks import roots_in_closed_disk
 from disslab.toral import (
     ToralAutomorphism,
@@ -181,6 +181,21 @@ def test_kronecker_roots_of_unity():
     assert kronecker_classify((1, 0, 1)).kind == "all_roots_of_unity"
     # 1 + x + x^3 + x^4 + x^5 has two roots of modulus 1.261
     assert kronecker_classify((1, 1, 0, 1, 1, 1)).kind == "root_outside_disk"
+
+
+def test_kronecker_box_scan_classifies_each_trace_once(monkeypatch):
+    # the 116 SL2 matrices of the box [-3, 3] have 9 traces; a violation still
+    # counts once per matrix: flipping the Graeffe verdict at trace 2 (the
+    # parabolic matrices) gives as many violations as there are of them
+    box = range(-3, 4)
+    sl2 = [(a, d) for a, b, c, d in itertools.product(box, repeat=4) if a * d - b * c == 1]
+    classified = []
+    classify = checks.kronecker_classify
+    monkeypatch.setattr(checks, "kronecker_classify", lambda p: classified.append(p) or classify(p))
+    assert checks.kronecker_box_scan(3) == (len(sl2), 0) == (116, 0)
+    assert sorted(classified) == sorted({(1, -(a + d), 1) for a, d in sl2}) and len(classified) == 9
+    monkeypatch.setattr(checks, "roots_in_closed_disk", lambda p: (p[1] == -2) != roots_in_closed_disk(p))
+    assert checks.kronecker_box_scan(3) == (116, sum(a + d == 2 for a, d in sl2))
 
 
 @pytest.mark.parametrize("p", [
