@@ -95,17 +95,11 @@ def _json_file(path: str):
 
 
 def _parse_initial(text: str, convention: SpectralConvention) -> SpectralField:
-    """The ``--initial`` field; a field file must hold a field of ``convention``."""
     if text.startswith("mode:"):
         mode = tuple(int(v) for v in text[len("mode:") :].split(","))
         return SpectralField(convention, {mode: 1.0 + 0j})
     with _json_file(text) as fh:
-        field = SpectralField.from_json(fh.read())
-    own = field.convention
-    if own != convention:
-        raise ValueError(f"{text} holds a {own.dimension}-D {own.scaling} field, but --matrix and --convention "
-                         f"ask for a {convention.dimension}-D {convention.scaling} one")
-    return field
+        return SpectralField.from_json(fh.read())
 
 
 def _parse_rate(text: str, alpha: float, beta: float, mode: str) -> RateFunction:

@@ -27,8 +27,7 @@ tau_d only asks whether min S_n > T = 1/(nu * scale), so a nu grid is served
 by one walk of yes/no tests, ``_exceeds_tests``, each nu taking its first n
 past its T.  In integers with bound = floor(T), a test answers False from a
 carried Gram diagonal entry <= bound, else from the warm LLL reduction of
-G_n (a diagonal entry <= bound), else from the enumeration at the bound,
-or, for a second threshold at the same n, from min S_n computed once;
+G_n (a diagonal entry <= bound), else from min S_n, enumerated once per n;
 most n never reach LLL and few reach the enumeration.
 
 Operator route (toral automorphisms): the same first-passage rule on an
@@ -320,30 +319,26 @@ def _exceeds_tests(automorphism: ToralAutomorphism) -> Iterator[Callable[[float]
        this n;
     2. otherwise the walk's warm ``reduce()`` runs once for this n, and a
        diagonal entry of the reduced Gram matrix <= bound answers False;
-    3. otherwise the first test at this n to get here runs ``_enumerate``
-       at the bound: False at its first point, True if there is none.  LLL's
-       shortest diagonal entry is not always the minimum, so this step
-       cannot be skipped.  A second test at the same n computes min S_n
-       once (``_reduced_minimum`` on the same reduction), and it and every
-       later test at this n answer by one comparison, so thresholds passed
-       together pay at most two enumerations, not one each.
+    3. otherwise the first test at this n to get here computes min S_n
+       (``_reduced_minimum`` on the same reduction), and it and every later
+       test at this n answer by one comparison.  LLL's shortest diagonal
+       entry is not always the minimum, so this step cannot be skipped,
+       and thresholds passed together at one n pay one enumeration, not
+       one each.
     """
     for gram, reduce in _walk(automorphism):
-        known: dict = {}  # step 3 at this n: "enumerated" once it ran, then "minimum"
+        minimum: list = []  # [min S_n] once step 3 has run at this n
 
-        def exceeds(t: float, gram=gram, reduce=reduce, known=known) -> bool:
+        def exceeds(t: float, gram=gram, reduce=reduce, minimum=minimum) -> bool:
             bound = math.floor(t)
             if min(gram[i][i] for i in range(len(gram))) <= bound:
                 return False
             basis, reduced, dm, lam = reduce()
             if min(reduced[i][i] for i in range(len(reduced))) <= bound:
                 return False
-            if "enumerated" not in known:
-                known["enumerated"] = True
-                return next(_enumerate(dm, lam, bound), None) is None
-            if "minimum" not in known:
-                known["minimum"] = _reduced_minimum(basis, reduced, dm, lam)[0]
-            return known["minimum"] > bound
+            if not minimum:
+                minimum.append(_reduced_minimum(basis, reduced, dm, lam)[0])
+            return minimum[0] > bound
 
         yield exceeds
 

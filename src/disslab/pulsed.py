@@ -18,7 +18,7 @@ series are stored as exact-log increments.  Differencing two large
 accumulated logs would otherwise wipe out the inequality margins that the
 energy identities are tested against.
 
-A run stores scalar series only, 8 floats per field and step.  The walk
+A run stores scalar series only, 6 floats per field and step.  The walk
 holds per-mode state (orbit rows, log-weights, accumulated damping,
 |k|^2) for one block of steps, so its memory does not grow with the step
 count; ``Trajectory.state`` and ``Trajectory.field`` replay the orbit and
@@ -147,9 +147,8 @@ class Trajectory:
       enu_rel[n]        E_nu theta_n / ||theta_n||^2
       uh1_rel[n]        ||U theta_n||_1^2 / ||theta_n||^2
       h1next_rel[n]     ||theta_{n+1}||_1^2 / ||theta_n||^2
-      gap_sq[n]         ||theta_n - U^n theta_0||^2 (see ``inviscid_gap``)
 
-    Only these series are stored, about 8 floats per step, whatever the
+    Only these series are stored, about 6 floats per step, whatever the
     mode count.  ``state(n)`` replays the exact mode orbit and the
     accumulated per-mode damping of step n; ``field(n)`` rebuilds theta_n
     from them: relabeling keeps phases fixed, only positive damping factors
@@ -165,7 +164,6 @@ class Trajectory:
     enu_rel: np.ndarray
     uh1_rel: np.ndarray
     h1next_rel: np.ndarray
-    gap_sq: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -242,10 +240,13 @@ class Trajectory:
         """(gap, bound) of ``inviscid_gap`` at step n <= n_steps.
 
         Step n of a longer run is bit-identical to the last step of an
-        n-step run, so one trajectory serves every n up to its length.
+        n-step run, so one trajectory serves every n up to its length.  The
+        gap replays the damping of step n (``state``).
         """
+        half = 0.5 * self.state(n)[1]  # = -nu S_n per mode
+        gap_sq = float(np.sum(np.abs(self.amps0) ** 2 * np.expm1(half) ** 2))
         bound = float(np.sum(np.sqrt(self.system.nu * self.enu_values[:n])))
-        return math.sqrt(float(self.gap_sq[n])), bound
+        return math.sqrt(gap_sq), bound
 
 
 def exact_norm_sq(k: np.ndarray) -> np.ndarray:
@@ -336,9 +337,9 @@ def evolve_many(fields: Sequence[SpectralField], systems: Sequence[PulsedSystem]
     field's run alone.
 
     Every field is checked before the first pulse: an empty field or one
-    whose dimension differs from its system's raises ValueError and an
+    whose convention differs from its system's raises ValueError and an
     initial mode at or past ``MODE_LIMIT`` raises ModeOverflowError.  A run
-    keeps its scalar series, 8 (n + 1) floats per field, and the per-mode
+    keeps its scalar series, 6 (n + 1) floats per field, and the per-mode
     state of one block of one group (``_block_words``); neither grows with
     the mode count times n.  That price is checked before anything is
     allocated, and a run that needs more than physical memory raises
@@ -349,9 +350,10 @@ def evolve_many(fields: Sequence[SpectralField], systems: Sequence[PulsedSystem]
     if len(fields) != len(systems):
         raise ValueError(f"{len(fields)} fields but {len(systems)} systems")
     for theta0, system in zip(fields, systems):
-        if theta0.convention.dimension != system.convention.dimension:
-            raise ValueError(f"a {theta0.convention.dimension}-D field cannot run under a "
-                             f"{system.convention.dimension}-D system")
+        own, run = theta0.convention, system.convention
+        if own != run:
+            raise ValueError(f"a {own.dimension}-D {own.scaling} field cannot run under a "
+                             f"{run.dimension}-D {run.scaling} system")
     starts = [_start(theta0) for theta0 in fields]
     groups: Dict[tuple, List[int]] = {}
     for i, (system, (_, _, rows)) in enumerate(zip(systems, starts)):
@@ -359,8 +361,8 @@ def evolve_many(fields: Sequence[SpectralField], systems: Sequence[PulsedSystem]
     block = max((_block_words(len(group) * n_modes, d, n) for (_, _, (n_modes, d)), group in groups.items()),
                 default=0)
     modes = sum(len(rows) for _, _, rows in starts)
-    # the seven scalar series, priced at 8 floats per field-step, and one block
-    require_memory(8 * (8 * len(fields) * (n + 1) + block), f"{n} pulses of {modes} modes")
+    # the six scalar series, 6 floats per field-step, and one block
+    require_memory(8 * (6 * len(fields) * (n + 1) + block), f"{n} pulses of {modes} modes")
     trajs: List[Trajectory] = [None] * len(fields)
     for rows in groups.values():
         walked = _walk([systems[i] for i in rows], [starts[i] for i in rows], n)
@@ -435,7 +437,6 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
     scale = systems[0].convention.scale_factor
     n_fields, n_modes = len(starts), len(starts[0][0])
     amps0 = np.array([amps for _, amps, _ in starts])
-    weight = np.abs(amps0) ** 2
     current = np.concatenate([rows for _, _, rows in starts])  # field-major (fields * modes, d)
 
     log_energies = np.empty((n_fields, n + 1))
@@ -444,7 +445,6 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
     enu_rel = np.empty((n_fields, n))
     uh1_rel = np.empty((n_fields, n))
     h1next_rel = np.empty((n_fields, n))
-    gap_sq = np.zeros((n_fields, n + 1))  # no damping at step 0: expm1(0) = 0 for every mode
 
     def frame(logw: np.ndarray, lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The normalized weights w of ``logw``, their sums and ln(||theta||_1^2 / ||theta||^2) per row."""
@@ -471,9 +471,9 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
         carry[0, 0], carry[0, 1] = logw, cum
         for j in range(b):
             np.subtract(carry[j], x[j], out=carry[j + 1])
-        logws, cums = carry[:, 0], carry[1:, 1]
+        logws = carry[:, 0]
         lams = np.concatenate([lam[None], lam_next[:-1]])
-        logw, cum, lam = logws[-1], cums[-1], lam_next[-1]
+        logw, cum, lam = logws[-1], carry[-1, 1], lam_next[-1]
 
         w, total, log_r_block = frame(logws[:-1], lams)
         log_r[:, steps] = log_r_block.T
@@ -491,7 +491,6 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
         dln[:, steps] = (_logsumexp_rows(terms.reshape(-1, n_modes)).reshape(b, n_fields) - _log(total)).T
         log_energies[:, start:start + b + 1] = np.add.accumulate(
             np.concatenate([log_energies[:, start, None], dln[:, steps]], axis=1), axis=1)
-        gap_sq[:, start + 1:start + b + 1] = np.sum(weight * np.expm1(0.5 * cums) ** 2, axis=-1).T
         start += b
 
     log_r[:, n] = frame(logw, lam)[2]
@@ -506,7 +505,6 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
             enu_rel=enu_rel[f],
             uh1_rel=uh1_rel[f],
             h1next_rel=h1next_rel[f],
-            gap_sq=gap_sq[f],
         )
         for f, (system, (modes0, amps, _)) in enumerate(zip(systems, starts))
     ]

@@ -599,26 +599,25 @@ def test_oversized_mode_ball_is_a_validation_error(tmp_path, capped_memory, caps
 
 def test_pulse_walk_past_physical_memory_is_a_validation_error(tmp_path, capsys, capped_memory, monkeypatch):
     # the orbits of this shear grow linearly and never reach MODE_LIMIT; the
-    # walk keeps 8 floats per step whatever the mode count, so 600,000,000
-    # pulses of 4,000 modes would store 8 * 8 * 600,000,001 B, about 38 GB
+    # walk keeps 6 floats per step whatever the mode count, so 800,000,000
+    # pulses of 4,000 modes would store 6 * 8 * 800,000,001 B, about 38 GB
     field = random_sparse_field(SpectralConvention(2, "lattice"), np.random.default_rng(0), n_modes=4000, kmax=60)
     path, out = tmp_path / "field.json", tmp_path / "trajectory.csv"
     path.write_text(field.to_json())
     monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("the pulse walk allocated its series"))
-    code = run_cli(["simulate", "--matrix", "1,1,0,1", "--nu", "1e-6", "--steps", "600000000",
+    code = run_cli(["simulate", "--matrix", "1,1,0,1", "--nu", "1e-6", "--steps", "800000000",
                     "--initial", str(path), "--out", str(out)])
     assert code == 2
-    assert "600000000 pulses of 4000 modes needing 38.4 GB" in capsys.readouterr().err
+    assert "800000000 pulses of 4000 modes needing 38.4 GB" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("dimension, scaling, flags, message", [
     # used to end in NumPy's "matmul: Input operand 1 has a mismatch in its core dimension 0"
-    (3, "lattice", [], "holds a 3-D lattice field, but --matrix and --convention ask for a 2-D lattice one"),
+    (3, "lattice", [], "a 3-D lattice field cannot run under a 2-D lattice system"),
     # used to run silently with the lattice eigenvalues
-    (2, "geometric", [], "holds a 2-D geometric field, but --matrix and --convention ask for a 2-D lattice one"),
-    (2, "lattice", ["--convention", "geometric"],
-     "holds a 2-D lattice field, but --matrix and --convention ask for a 2-D geometric one"),
+    (2, "geometric", [], "a 2-D geometric field cannot run under a 2-D lattice system"),
+    (2, "lattice", ["--convention", "geometric"], "a 2-D lattice field cannot run under a 2-D geometric system"),
 ], ids=["dimension", "scaling", "scaling-flag"])
 def test_field_file_must_match_the_run_convention(tmp_path, capsys, dimension, scaling, flags, message):
     mode = [1] + [0] * (dimension - 1)
@@ -628,7 +627,7 @@ def test_field_file_must_match_the_run_convention(tmp_path, capsys, dimension, s
     path.write_text(json.dumps(payload))
     assert run_cli(["simulate", "--matrix", "2,1,1,1", *flags, "--nu", "0.1", "--steps", "2",
                     "--initial", str(path), "--out", str(out)]) == 2
-    assert f"{path} {message}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

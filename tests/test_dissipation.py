@@ -363,8 +363,8 @@ def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minim
 ])
 def test_exceeds_answers_later_thresholds_from_one_minimum(monkeypatch, rows, n, minimum):
     # asked at min S_n at every n, the walk's carried and reduced bases both
-    # miss the minimum at this n: the first threshold enumerates, and the
-    # others compare with min S_n, which one more enumeration computes
+    # miss the minimum at this n: the first threshold computes min S_n in one
+    # enumeration, and the others compare with it
     auto = ToralAutomorphism(rows)
     enumerations = []
     enumerate_ = dissipation._enumerate
@@ -376,7 +376,7 @@ def test_exceeds_answers_later_thresholds_from_one_minimum(monkeypatch, rows, n,
             assert (m, len(enumerations) - before) == (minimum, 1)
             for t in (m - 1, m, m - 0.5, m + 0.5, m + 1, m):
                 assert exceeds(t) == (m > t)
-            assert len(enumerations) - before == 2
+            assert len(enumerations) - before == 1
 
 
 @pytest.mark.parametrize("auto, digest", [
@@ -435,8 +435,8 @@ def test_exact_4d_grid_reduces_21_forms_and_enumerates_5(monkeypatch, tmp_path):
 
 
 def test_thresholds_passed_at_one_n_share_one_minimum(cat, monkeypatch):
-    # the 20,000 points of 1e-4:1e-2 pass at 6 distinct n; each n enumerates
-    # for its first step-3 test and once for its exact minimum (it made one
+    # the 20,000 points of 1e-4:1e-2 pass at 6 distinct n; each n that
+    # reaches step 3 enumerates once, for its exact minimum (it made one
     # enumeration per threshold, 20,000 in all)
     nus = cli._parse_nu_grid("1e-4:1e-2:20000", cli.GRID_POINT_BYTES["dissipation-time"])
     want = [tau_d_exact(cat, nu) for nu in nus[::997]]
@@ -446,7 +446,7 @@ def test_thresholds_passed_at_one_n_share_one_minimum(cat, monkeypatch):
     taus = dissipation._tau_d_grid(cat, nus, "exact", None)
     assert taus[::997] == want
     assert len(set(taus)) == 6
-    assert len(enumerations) <= 2 * max(taus)
+    assert len(enumerations) <= max(taus)
 
 
 def test_tau_d_exact_requires_c1():

@@ -212,19 +212,20 @@ def _reference_evolve(theta0, system, n):
         current = nxt
     w = np.exp(logw - float(np.max(logw)))
     log_r[n] = math.log(float(np.sum(w * lam)) / float(np.sum(w)))
-    # the inviscid gap of each step, as the trajectory computed it from its stored damping rows
-    gap_sq = np.array([float(np.sum(np.abs(amps0) ** 2 * np.expm1(0.5 * row) ** 2)) for row in log_damp])
     return {"mode_orbits": [o.tolist() for o in orbits], "log_damp": log_damp, "log_energies": log_energies,
-            "dln": dln, "log_r": log_r, "enu_rel": enu_rel, "uh1_rel": uh1_rel, "h1next_rel": h1next_rel,
-            "gap_sq": gap_sq}
+            "dln": dln, "log_r": log_r, "enu_rel": enu_rel, "uh1_rel": uh1_rel, "h1next_rel": h1next_rel}
 
 
 def _assert_states(traj, orbits, log_damp):
-    """``traj.state(n)`` replays the int64 orbit rows and the damping row of every step n."""
+    """``traj.state(n)`` replays the int64 orbit rows and the damping row of
+    every step n, and ``inviscid_gap`` at the last step is
+    sqrt(sum |theta0^(k)|^2 expm1(-nu S_n(k))^2) on that damping."""
     for n in range(traj.n_steps + 1):
         modes, cum = traj.state(n)
         assert modes.dtype == np.int64 and modes.tolist() == orbits[n], n
         assert cum.tobytes() == log_damp[n].tobytes(), n
+    gap_sq = float(np.sum(np.abs(traj.amps0) ** 2 * np.expm1(0.5 * log_damp[-1]) ** 2))
+    assert traj.inviscid_gap(traj.n_steps)[0] == math.sqrt(gap_sq)
 
 
 def _assert_matches_reference(theta, system, n):
@@ -297,7 +298,7 @@ def test_evolve_matches_python_int_reference(run):
 # ---------------------------------------------------------------------------
 
 _SHEAR2 = ((1, 0), (5, 1))
-_SERIES = ("amps0", "log_energies", "dln", "log_r", "enu_rel", "uh1_rel", "h1next_rel", "gap_sq")
+_SERIES = ("amps0", "log_energies", "dln", "log_r", "enu_rel", "uh1_rel", "h1next_rel")
 
 
 @st.composite
@@ -357,23 +358,28 @@ def test_evolve_many_matches_one_field_at_a_time(batch):
         singles = [single for single in singles if not isinstance(single, str)]
         if not runs:
             return
-    for traj, single in zip(evolve_many(*zip(*runs), n), singles):
+    for traj, single, run in zip(evolve_many(*zip(*runs), n), singles, runs):
         assert traj.system is single.system and traj.modes0 == single.modes0
         for name in _SERIES:
             assert getattr(traj, name).tobytes() == getattr(single, name).tobytes(), name
-        states = [single.state(k) for k in range(n + 1)]
-        _assert_states(traj, [modes.tolist() for modes, _ in states], [cum for _, cum in states])
+        # the single run's states, replayed once by the reference loop (which
+        # the single run matches in test_evolve_matches_python_int_reference)
+        expected = _reference_evolve(*run, n)
+        _assert_states(traj, expected["mode_orbits"], expected["log_damp"])
+        assert traj.inviscid_gap(n) == single.inviscid_gap(n)
         assert traj.field(n).coefficients == single.field(n).coefficients
 
 
 def _walk_or_error(runs, n):
-    """Every series of a batch and the states replayed at steps 0, n // 2 and n, or its ModeOverflowError message."""
+    """Every series of a batch, the states replayed at steps 0, n // 2 and n
+    and the inviscid gap at n, or its ModeOverflowError message."""
     try:
         trajs = evolve_many(*zip(*runs), n)
     except ModeOverflowError as exc:
         return str(exc)
     return [([getattr(traj, name).tobytes() for name in _SERIES],
-             [(modes.tolist(), cum.tobytes()) for modes, cum in map(traj.state, (0, n // 2, n))]) for traj in trajs]
+             [(modes.tolist(), cum.tobytes()) for modes, cum in map(traj.state, (0, n // 2, n))],
+             traj.inviscid_gap(n)) for traj in trajs]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -466,8 +472,10 @@ def test_evolve_many_checks_its_arguments(cat, lattice2):
         evolve_many([theta, SpectralField(lattice2, {})], [system] * 2, 3)
     with pytest.raises(ValueError, match="2 fields but 1 systems"):
         evolve_many([theta, theta], [system], 3)
-    with pytest.raises(ValueError, match="a 3-D field cannot run under a 2-D system"):
+    with pytest.raises(ValueError, match="a 3-D lattice field cannot run under a 2-D lattice system"):
         evolve_many([theta, SpectralField(SpectralConvention(3, "lattice"), {(1, 0, 0): 1.0})], [system] * 2, 3)
+    with pytest.raises(ValueError, match="a 2-D geometric field cannot run under a 2-D lattice system"):
+        evolve_many([theta, SpectralField(SpectralConvention(2, "geometric"), {(1, 0): 1.0})], [system] * 2, 3)
     assert evolve_many([], [], 3) == []
 
 
