@@ -19,6 +19,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -157,13 +158,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dissipation_time(args) -> int:
+    out = args.out
+    csv_path = os.path.splitext(out)[0] + ".csv"  # the stem of the file name, never of a directory
+    if csv_path == out:
+        raise ValueError(f"--out {out} is where the CSV goes; give the JSON report another extension")
     auto, conv = _matrix_and_convention(args)
     report = dissipation_sweep(auto, _parse_nu_grid(args.nu_grid, GRID_POINT_BYTES["dissipation-time"]),
                                args.method, conv)
-    out = args.out
     with open(out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=1, default=float)
-    csv_path = out.rsplit(".", 1)[0] + ".csv"
     rows = ((e["nu"], e["tau_d"], abs(math.log(e["nu"]))) for e in report.entries)
     _write_csv(csv_path, ["nu", "tau_d", "ln_inv_nu"], rows)
     if report.fit:

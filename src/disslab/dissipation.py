@@ -7,13 +7,13 @@ so its norm is exp(-nu * min_k S_n(k)) and
     tau_d = min { n : min_{k != 0} S_n(k) > 1/nu }.
 
 S_n is an exact integer quadratic form G_n = sum_j (A_*^j)^T A_*^j.  One
-walk, ``_walk``, carries G_n in a basis B (the unit basis at first) as
-gram = B G_n B^T, grown by (B P^T)(B P^T)^T with P = A_*^n; its lazy
-``reduce()`` runs integral LLL on gram (Cohen, Alg. 2.6.7: integer
-Gram-Schmidt data, exact divisions, no round cap; each swap shrinks an
-integer potential by a factor below 3/4, and a nonpositive minor raises
-ValueError) and hands the reduced basis to the next n.  One exact
-enumerator, ``_enumerate``, runs on the reduced form's integral
+walk, ``_walk``, yields one ``_Form`` per n: G_n in a carried basis B (the
+unit basis at first) as gram = B G_n B^T, grown by (B P^T)(B P^T)^T with
+P = A_*^n.  A form's warm reduction runs integral LLL on gram (Cohen, Alg.
+2.6.7: integer Gram-Schmidt data, exact divisions, no round cap; each swap
+shrinks an integer potential by a factor below 3/4, and a nonpositive minor
+raises ValueError), and the walk hands the reduced basis to the next n.
+One exact enumerator, ``_enumerate``, runs on the reduced form's integral
 Gram-Schmidt data (Fincke-Pohst with interval ends from ``math.isqrt`` and
 floor division, no floats): the minimum is the least value among the points
 at or below the smallest diagonal entry, and ``carried_short_vectors`` lists
@@ -23,16 +23,17 @@ each pair +-x.  The walk and the envelope reduce through one helper,
 basis.
 ``min_energies`` reduces at every n; ``pulse_energy_form`` never does.
 
-tau_d only asks whether min S_n > T = 1/(nu * scale), so a nu grid is served
-by one walk of yes/no tests, ``_exceeds_tests``, each nu taking its first n
-past its T.  In integers with bound = floor(T), a test answers False from a
-carried Gram diagonal entry <= bound, else from the warm LLL reduction of
-G_n (a diagonal entry <= bound), else from min S_n, enumerated once per n;
-most n never reach LLL and few reach the enumeration.
+tau_d only asks whether min S_n > T = 1/(nu * scale).  min S_n is an
+integer, so that holds exactly when min S_n > floor(T), and ``_bounds``
+takes floor(T) once per nu.  A nu grid is served by one walk: each nu takes
+the first n whose form ``exceeds`` its integer bound.  A form answers False
+from a carried Gram diagonal entry <= bound, else from its warm LLL
+reduction (a diagonal entry <= bound), else from min S_n, enumerated once
+per n; most n never reach LLL and few reach the enumeration.
 
 Operator route (toral automorphisms): the same first-passage rule on an
-independent stream of tests, exact orbit minima compared with T, brute
-force over the orbits of the induced permutation
+independent stream of tests, exact orbit minima compared with the integer
+bounds, brute force over the orbits of the induced permutation
 on one certified threshold ball per grid, |k| <= isqrt(floor(1/nu')) + 1 for
 the grid's smallest nu' = nu * scale.  A mode outside it has |k|^2 > 1/nu',
 so an orbit leaving the ball has passed every threshold and is dropped
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -247,53 +249,74 @@ def carried_short_vectors(g: Sequence[Sequence[int]], bound: int, basis: Optiona
     return [_map_back(x, reduced_basis) for _, x in _enumerate(dm, lam, int(bound))], reduced_basis
 
 
-def short_vectors(g: Sequence[Sequence[int]], bound: int) -> List[Tuple[int, ...]]:
-    """One of each pair +-x of nonzero integer vectors with x^T g x <= bound,
-    g a positive definite integer form.
+class _Form:
+    """G_n in the walk's carried basis B, with what the exact tests need, each computed once, on first use.
 
-    Exact: ``carried_short_vectors`` from the unit basis.
+    ``gram`` = B G_n B^T for the rows of ``basis`` (original coordinates)
+    and ``least`` its smallest diagonal entry.  ``reduction`` is ``_reduce``
+    of gram, the warm LLL from B (U and the reduced basis, Gram matrix and
+    Gram-Schmidt data), ``reduced_least`` the reduced Gram matrix's smallest
+    diagonal entry and ``minimum`` (min S_n, a minimiser) from it.
     """
-    return carried_short_vectors(g, bound)[0]
+
+    def __init__(self, basis: List[List[int]], gram: List[List[int]]):
+        self.basis, self.gram = basis, gram
+        self.least = min(gram[i][i] for i in range(len(gram)))
+
+    @cached_property
+    def reduction(self) -> Tuple[List[List[int]], _Reduction]:
+        return _reduce(self.basis, self.gram)
+
+    @cached_property
+    def reduced_least(self) -> int:
+        reduced = self.reduction[1][1]
+        return min(reduced[i][i] for i in range(len(reduced)))
+
+    @cached_property
+    def minimum(self) -> Tuple[int, Tuple[int, ...]]:
+        return _reduced_minimum(*self.reduction[1])
+
+    def exceeds(self, bound: int) -> bool:
+        """True exactly when min S_n > bound, an integer; cheapest step first.
+
+        Each of ``least``, ``reduced_least`` and min S_n is a value of the
+        form, so one at or below bound answers False:
+
+        1. a carried diagonal entry answers without any LLL at this n;
+        2. otherwise the warm reduction runs, once for this n;
+        3. otherwise min S_n is enumerated, once for this n, and every later
+           bound at this n compares with it.  LLL's shortest diagonal entry
+           is not always the minimum, so this step cannot be skipped.
+        """
+        return bound < self.least and bound < self.reduced_least and bound < self.minimum[0]
 
 
-def _walk(automorphism: ToralAutomorphism) -> Iterator[Tuple[List[List[int]], Callable[[], _Reduction]]]:
-    """Yield (gram, reduce) for n = 1, 2, ...: gram = B G_n B^T in the carried basis B.
+def _walk(automorphism: ToralAutomorphism) -> Iterator[_Form]:
+    """Yield the ``_Form`` of G_n for n = 1, 2, ...
 
-    The rows of B are basis vectors in original coordinates.  ``reduce()``
-    runs ``_reduce`` on gram at most once for this n and returns the
-    reduced basis in original coordinates, its Gram matrix and integral
-    Gram-Schmidt data; the next n then carries that basis and Gram matrix.
+    Each form is G_n in the basis of the last form reduced before the walk
+    moved on (the unit basis until one is), so a walk that never reduces
+    yields G_n itself.
     """
     step = [list(row) for row in automorphism.matrix]
     basis, image = _identity(len(step)), step  # image = B P^T, P = A_*^n and P^T = A^n
     gram = [[0] * len(step) for _ in step]
     while True:
         gram = [[gij + _dot(u, v) for gij, v in zip(row, image)] for row, u in zip(gram, image)]
-        done = []  # (U, this n's reduction) once reduce() has run
-
-        def reduce(gram=gram, basis=basis, done=done) -> _Reduction:
-            if not done:
-                done.append(_reduce(basis, gram))
-            return done[0][1]
-
-        yield gram, reduce
-        if done:
-            u, (basis, gram, _, _) = done[0]
+        form = _Form(basis, gram)
+        yield form
+        if "reduction" in vars(form):  # reduced at this n: carry its basis and Gram matrix
+            u, (basis, gram, _, _) = form.reduction
             image = _matmul(u, image)
         image = _matmul(image, step)
-
-
-def _energy_forms(automorphism: ToralAutomorphism) -> Iterator[List[List[int]]]:
-    """Yield G_1, G_2, ...: the walk read without reductions, in the unit basis."""
-    return (gram for gram, _ in _walk(automorphism))
 
 
 def pulse_energy_form(automorphism: ToralAutomorphism, n: int) -> List[List[int]]:
     """Integer Gram matrix G_n with k^T G_n k = sum_{j=1..n} |A_*^j k|^2."""
     d = automorphism.dimension
     g = [[0] * d for _ in range(d)]
-    for g in islice(_energy_forms(automorphism), n):
-        pass
+    for form in islice(_walk(automorphism), n):
+        g = form.gram
     return g
 
 
@@ -304,58 +327,21 @@ def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[i
     of G_{n-1}: the forms differ by one positive term, so the old basis is
     nearly reduced and few swaps remain.
     """
-    for _, reduce in _walk(automorphism):
-        yield _reduced_minimum(*reduce())
+    return (form.minimum for form in _walk(automorphism))
 
 
-def _exceeds_tests(automorphism: ToralAutomorphism) -> Iterator[Callable[[float], bool]]:
-    """Yield exceeds_n for n = 1, 2, ...: exceeds_n(T) is True exactly when min S_n > T.
+def _first_passages(exceeds: Iterator[Callable[[int], bool]], bounds: Sequence[int], n_max: int) -> List[int]:
+    """tau_d for each integer bound floor(1/(nu * scale)) from one stream of tests, n = 1, 2, ...
 
-    With bound = floor(T), min S_n > T exactly when no nonzero k has
-    S_n(k) <= bound, so each test decides in integers, cheapest step first:
-
-    1. a diagonal entry <= bound of the walk's Gram matrix, G_n in the basis
-       carried from the last reduction, answers False, and no LLL runs for
-       this n;
-    2. otherwise the walk's warm ``reduce()`` runs once for this n, and a
-       diagonal entry of the reduced Gram matrix <= bound answers False;
-    3. otherwise the first test at this n to get here computes min S_n
-       (``_reduced_minimum`` on the same reduction), and it and every later
-       test at this n answer by one comparison.  LLL's shortest diagonal
-       entry is not always the minimum, so this step cannot be skipped,
-       and thresholds passed together at one n pay one enumeration, not
-       one each.
+    The n-th item of ``exceeds`` answers, exactly, whether min S_n > bound.
+    min S_n grows strictly with n, so bounds are passed in increasing order
+    and each n is asked only about the bounds not yet passed.
     """
-    for gram, reduce in _walk(automorphism):
-        minimum: list = []  # [min S_n] once step 3 has run at this n
-
-        def exceeds(t: float, gram=gram, reduce=reduce, minimum=minimum) -> bool:
-            bound = math.floor(t)
-            if min(gram[i][i] for i in range(len(gram))) <= bound:
-                return False
-            basis, reduced, dm, lam = reduce()
-            if min(reduced[i][i] for i in range(len(reduced))) <= bound:
-                return False
-            if not minimum:
-                minimum.append(_reduced_minimum(basis, reduced, dm, lam)[0])
-            return minimum[0] > bound
-
-        yield exceeds
-
-
-def _first_passages(exceeds: Iterator[Callable[[float], bool]], thresholds: Sequence[float],
-                    n_max: int) -> List[int]:
-    """tau_d for each threshold 1/(nu * scale) from one stream of tests, n = 1, 2, ...
-
-    The n-th item of ``exceeds`` answers, exactly, whether min S_n > T.  min
-    S_n grows strictly with n, so thresholds are passed in increasing order
-    and each n is asked only about the thresholds not yet passed.
-    """
-    order = sorted(range(len(thresholds)), key=thresholds.__getitem__)
-    taus = [0] * len(thresholds)
+    order = sorted(range(len(bounds)), key=bounds.__getitem__)
+    taus = [0] * len(bounds)
     passed = 0
     for n, exceeds_n in enumerate(exceeds, start=1):
-        while passed < len(order) and exceeds_n(thresholds[order[passed]]):
+        while passed < len(order) and exceeds_n(bounds[order[passed]]):
             taus[order[passed]] = n
             passed += 1
         if passed == len(order):
@@ -364,33 +350,37 @@ def _first_passages(exceeds: Iterator[Callable[[float], bool]], thresholds: Sequ
             raise RuntimeError(f"tau_d exceeds n_max = {n_max}; nu too small for this horizon")
 
 
-def _thresholds(nus: Sequence[float], convention: SpectralConvention) -> List[float]:
-    """1/(nu * scale) per nu; a nu that is not finite and positive, or whose threshold overflows, is refused."""
+def _bounds(nus: Sequence[float], convention: SpectralConvention) -> List[int]:
+    """floor(1/(nu * scale)) per nu, an exact int: min S_n > 1/(nu * scale) exactly when min S_n exceeds it.
+
+    A nu that is not finite and positive, or whose 1/(nu * scale) overflows
+    float64, is refused.
+    """
     bad = [nu for nu in nus if not 0 < nu < math.inf]
     if bad:
         raise ValueError(f"nu must be finite and positive, got nu = {bad[0]}")
     thresholds = [1.0 / (float(nu) * convention.scale_factor) for nu in nus]
     if math.inf in thresholds:  # never passed: the walk would run to n_max
         raise ValueError(f"nu = {nus[thresholds.index(math.inf)]} is too small: 1/(nu * scale) overflows float64")
-    return thresholds
+    return [math.floor(t) for t in thresholds]
 
 
 def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
                 convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
-    """tau_d over a nu grid from one walk of the route's stream of min S_n > T tests."""
+    """tau_d over a nu grid from one walk of the route's stream of min S_n > bound tests."""
     if convention is None:
         convention = SpectralConvention(automorphism.dimension, "lattice")
-    thresholds = _thresholds(nus, convention)
+    bounds = _bounds(nus, convention)
     if method == "exact":
         if not automorphism.conditions().c1_no_root_of_unity:
             raise ValueError("tau_d_exact requires condition C1 (no root-of-unity eigenvalue)")
-        exceeds = _exceeds_tests(automorphism)
+        exceeds = (form.exceeds for form in _walk(automorphism))
     elif method == "operator":
-        radius = math.isqrt(math.floor(max(thresholds, default=0.0))) + 1
+        radius = math.isqrt(max(bounds, default=0)) + 1
         exceeds = _orbit_tests(TruncatedKoopman.from_automorphism(automorphism, radius))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _first_passages(exceeds, thresholds, n_max)
+    return _first_passages(exceeds, bounds, n_max)
 
 
 def tau_d_exact(
@@ -445,9 +435,9 @@ def _orbit_minima(koopman: TruncatedKoopman) -> Iterator[float]:
         yield math.inf
 
 
-def _orbit_tests(koopman: TruncatedKoopman) -> Iterator[Callable[[float], bool]]:
-    """``_orbit_minima`` as first-passage tests; an int compared with a float is exact."""
-    return (lambda t, m=m: m > t for m in _orbit_minima(koopman))
+def _orbit_tests(koopman: TruncatedKoopman) -> Iterator[Callable[[int], bool]]:
+    """``_orbit_minima`` as first-passage tests of integer bounds (inf, once no orbit is left, exceeds them all)."""
+    return (lambda bound, m=m: m > bound for m in _orbit_minima(koopman))
 
 
 def tau_d_operator(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> int:
@@ -459,15 +449,14 @@ def tau_d_operator(koopman: TruncatedKoopman, nu: float, convention: SpectralCon
     ball, a mode outside has |k|^2 >= R^2 + 1, which exceeds T = 1/(nu *
     scale) exactly when R^2 >= floor(T).  A smaller ball raises ValueError.
     """
-    thresholds = _thresholds([nu], convention)
-    bound = math.floor(thresholds[0])
+    bound = _bounds([nu], convention)[0]
     radius = math.isqrt(int(np.max(np.sum(koopman.modes * koopman.modes, axis=1), initial=0)))
     if radius * radius < bound:
         need = math.isqrt(bound - 1) + 1
         raise ValueError(f"a ball of radius {radius} cannot certify tau_d at nu = {nu}: an orbit leaves it "
                          f"only past |k|^2 = {radius * radius}, not past floor(1/(nu * scale)) = {bound}; "
                          f"radius {need} can")
-    return _first_passages(_orbit_tests(koopman), thresholds, 100_000)[0]
+    return _first_passages(_orbit_tests(koopman), [bound], 100_000)[0]
 
 
 def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,

@@ -19,10 +19,10 @@ accumulated logs would otherwise wipe out the inequality margins that the
 energy identities are tested against.
 
 A run stores scalar series only, 6 floats per field and step.  The walk
-holds per-mode state (orbit rows, log-weights, accumulated damping,
-|k|^2) for one block of steps, so its memory does not grow with the step
-count; ``Trajectory.state`` and ``Trajectory.field`` replay the orbit and
-the damping of any step with the walk's own arithmetic.
+holds per-mode state (orbit rows, log-weights, |k|^2) for one block of
+steps, so its memory does not grow with the step count;
+``Trajectory.state`` and ``Trajectory.field`` replay the orbit and the
+damping of any step with the walk's own arithmetic.
 
 ``TruncatedKoopman`` restricts the Koopman action of an automorphism to a
 finite mode ball as the induced partial permutation; the ball goes through
@@ -398,8 +398,8 @@ def _block_words(rows: int, d: int, n: int) -> int:
 
     Priced at 20 + 5 d words per mode-step, counting the block's start as
     one more step.  tracemalloc peaks of whole walks, less their series,
-    were 29.7, 34.7 and 39.7 words per mode-step in d = 2, 3 and 4 over
-    40-step blocks, and 43, 51 and 59 words per row over one-step blocks
+    were 28.7, 33.7 and 38.7 words per mode-step in d = 2, 3 and 4 over
+    40-step blocks, and 41, 49 and 57 words per row over one-step blocks
     (coordinates past 2^30, where ``exact_norm_sq`` takes its 128-bit path).
     """
     return (min(n, _block_steps(rows)) + 1) * rows * (20 + 5 * d)
@@ -430,9 +430,9 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
     block of b = ``_block_steps`` steps at a time (``_orbit_blocks``) and
     holds per-mode state for that block alone: each per-step series is a
     reduction over the last axis of (b, fields, modes) arrays.  Log-weights
-    and damping carry from step to step by one subtraction per step, and
-    log-energies by ``np.add.accumulate`` along the step axis, which adds in
-    step order, so every value is bit-identical to a one-step walk's."""
+    carry from step to step by one subtraction per step, and log-energies
+    by ``np.add.accumulate`` along the step axis, which adds in step order,
+    so every value is bit-identical to a one-step walk's."""
     nu = np.array([system.nu for system in systems])
     scale = systems[0].convention.scale_factor
     n_fields, n_modes = len(starts), len(starts[0][0])
@@ -455,7 +455,6 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
     logw = 2.0 * np.log(np.abs(amps0))  # unnormalized log weights, step 0
     # bit-identical to SpectralConvention.eigenvalue: exact integer |k|^2, then scale
     lam = scale * exact_norm_sq(current).reshape(n_fields, n_modes)
-    cum = np.zeros((n_fields, n_modes))  # -2 nu S_n per mode
     log_energies[:, 0] = _logsumexp_rows(logw)
 
     start = 0
@@ -464,16 +463,15 @@ def _walk(systems: List[PulsedSystem], starts: list, n: int) -> List[Trajectory]
         steps = slice(start, start + b)
         lam_next = lam_next.reshape(b, n_fields, n_modes)
         x = (2.0 * nu)[:, None] * lam_next
-        # log-weights and damping of steps start .. start + b, each step one
-        # subtraction as in a one-step walk (NumPy's accumulate would give the
-        # same bits but costs 3-14 ns per element)
-        carry = np.empty((b + 1, 2, n_fields, n_modes))
-        carry[0, 0], carry[0, 1] = logw, cum
+        # log-weights of steps start .. start + b, each step one subtraction
+        # as in a one-step walk (NumPy's accumulate would give the same bits
+        # but costs 3-14 ns per element)
+        logws = np.empty((b + 1, n_fields, n_modes))
+        logws[0] = logw
         for j in range(b):
-            np.subtract(carry[j], x[j], out=carry[j + 1])
-        logws = carry[:, 0]
+            np.subtract(logws[j], x[j], out=logws[j + 1])
         lams = np.concatenate([lam[None], lam_next[:-1]])
-        logw, cum, lam = logws[-1], carry[-1, 1], lam_next[-1]
+        logw, lam = logws[-1], lam_next[-1]
 
         w, total, log_r_block = frame(logws[:-1], lams)
         log_r[:, steps] = log_r_block.T

@@ -83,6 +83,27 @@ def test_dissipation_time_report(tmp_path):
     assert len(csv_lines) == 7
 
 
+@pytest.mark.parametrize("command", ["dissipation-time", "sweep"])
+def test_dissipation_time_csv_takes_the_stem_of_the_file_name(tmp_path, monkeypatch, capsys, command):
+    # the CSV path used to be cut at the last dot anywhere: dir.v2/report wrote dir.csv outside dir.v2
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("dir.v2")
+    assert run_cli([command, "--matrix", "2,1,1,1", "--nu-grid", "1e-3:1e-2:2", "--out", "dir.v2/report"]) == 0
+    assert sorted(os.listdir()) == ["dir.v2"]
+    assert sorted(os.listdir("dir.v2")) == ["report", "report.csv"]
+    assert json.loads(Path("dir.v2/report").read_text())["entries"]
+    assert capsys.readouterr().out.endswith("wrote dir.v2/report and dir.v2/report.csv\n")
+
+
+@pytest.mark.parametrize("command", ["dissipation-time", "sweep"])
+def test_dissipation_time_refuses_an_out_that_is_its_csv(tmp_path, capsys, command):
+    # --out r.csv used to write the JSON report and then overwrite it with the CSV, exit 0
+    out = tmp_path / "r.csv"
+    assert run_cli([command, "--matrix", "2,1,1,1", "--nu-grid", "1e-3:1e-2:2", "--out", str(out)]) == 2
+    assert "is where the CSV goes" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_dissipation_time_on_a_wide_4d_companion(tmp_path):
     # the companion of x^4 - 1000 x^3 + 1: the C1/C2 checks must not scan
     # every constant term up to the square of a root bound

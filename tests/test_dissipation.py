@@ -194,7 +194,7 @@ def test_short_vectors_match_box_scan(data, dimension, reduced):
     values = np.einsum("ki,ij,kj->k", box, np.array(g), box)
     expected = sorted(tuple(int(c) for c in k) for k, v in zip(box, values) if 0 < v <= bound)
     # one of each pair +-k is listed, and the pairs are every point of the box scan
-    found = dissipation.short_vectors(g, bound)
+    found = dissipation.carried_short_vectors(g, bound)[0]
     assert sorted(found + [tuple(-c for c in k) for k in found]) == expected
     # the enumerator alone, on the form's own (unreduced or reduced) Gram-Schmidt data,
     # lists the k of each pair whose last nonzero coordinate is negative
@@ -288,18 +288,41 @@ def test_tau_d_exact_n_max_raises():
 @settings(max_examples=200, **PROPERTY_SETTINGS)
 @given(steps=st.lists(st.integers(1, 3), min_size=1, max_size=30), data=st.data())
 def test_first_passages_match_brute_force(steps, data):
-    # a strictly increasing min S_n and unsorted thresholds, tied with each
-    # other and with the S_n: tau_d(T) is the first n with S_n > T
+    # a strictly increasing min S_n and unsorted integer bounds, tied with
+    # each other and with the S_n: tau_d is the first n with S_n > bound
     sums = list(accumulate(steps))
-    thresholds = data.draw(st.lists(st.integers(0, sums[-1] - 1).map(float), max_size=40))
+    bounds = data.draw(st.lists(st.integers(0, sums[-1] - 1), max_size=40))
 
     def stream():
-        return (lambda threshold, s=s: s > threshold for s in sums)
+        return (lambda bound, s=s: s > bound for s in sums)
 
-    want = [next(n for n, s in enumerate(sums, start=1) if s > t) for t in thresholds]
-    assert dissipation._first_passages(stream(), thresholds, len(sums)) == want
+    want = [next(n for n, s in enumerate(sums, start=1) if s > b) for b in bounds]
+    assert dissipation._first_passages(stream(), bounds, len(sums)) == want
     with pytest.raises(RuntimeError, match="exceeds n_max"):
-        dissipation._first_passages(stream(), thresholds + [float(sums[-1])], len(sums))
+        dissipation._first_passages(stream(), bounds + [sums[-1]], len(sums))
+
+
+def test_bounds_are_exact_integer_floors(lattice2):
+    # 1/nu = 8 exactly, and its neighbours: the nu above puts 1/nu just below 8
+    eighth = 0.125
+    assert dissipation._bounds([eighth, math.nextafter(eighth, 1.0), math.nextafter(eighth, 0.0)], lattice2) == [8, 7, 8]
+    # the float 1/1e-300 floored to an exact 300-digit int, no rounding on the way
+    (bound,) = dissipation._bounds([1e-300], lattice2)
+    assert type(bound) is int and len(str(bound)) == 300
+    assert bound == math.floor(Fraction(1.0 / 1e-300))
+
+
+@pytest.mark.parametrize("nu, message", [
+    (math.nan, "nu must be finite and positive, got nu = nan"),
+    (math.inf, "nu must be finite and positive, got nu = inf"),
+    (0.0, "nu must be finite and positive, got nu = 0.0"),
+    (-1.0, "nu must be finite and positive, got nu = -1.0"),
+    (5e-324, "nu = 5e-324 is too small: 1/(nu * scale) overflows float64"),
+])
+def test_bounds_refuse_bad_nu(lattice2, nu, message):
+    with pytest.raises(ValueError) as refused:
+        dissipation._bounds([1e-2, nu], lattice2)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("auto, want", [(A3, [178, 142, 106, 70, 34]), (A4, [83, 66, 50, 33, 17])])
@@ -331,9 +354,9 @@ def test_tau_d_exact_pinned_on_deep_grids(matrix, grid, want):
 
 
 def check_exceeds_against_minima(auto, n_max=12):
-    for exceeds, (m, _) in islice(zip(dissipation._exceeds_tests(auto), min_energies(auto)), n_max):
-        for t in (m - 1, m, m + 1, math.nextafter(m, math.inf), math.nextafter(m, -math.inf)):
-            assert exceeds(t) == (m > t)
+    for form, (m, _) in islice(zip(dissipation._walk(auto), min_energies(auto)), n_max):
+        for bound in (m - 1, m, m + 1):
+            assert form.exceeds(bound) == (m > bound)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4])
@@ -350,10 +373,16 @@ def test_exceeds_decides_min_energy_above_threshold(data, dimension):
 def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minimum):
     # the warm LLL basis of G_n has no vector at min S_n: only the enumeration sees it
     auto = ToralAutomorphism(rows)
-    for _, reduce in islice(dissipation._walk(auto), n):
-        _, gram, _, _ = reduce()
-    assert min(gram[i][i] for i in range(len(rows))) == diagonal
+    for form in islice(dissipation._walk(auto), n):
+        form.reduction
+    assert form.reduced_least == diagonal
     assert next(islice(min_energies(auto), n - 1, None))[0] == minimum
+    # G_n written in that LLL basis: steps 1 and 2 pass every bound up to diagonal - 1
+    _, (basis, gram, _, _) = form.reduction
+    in_lll_basis = dissipation._Form(basis, gram)
+    assert in_lll_basis.least == in_lll_basis.reduced_least == diagonal
+    for bound in (minimum - 1, minimum, minimum + 1):
+        assert in_lll_basis.exceeds(bound) == (minimum > bound)
     check_exceeds_against_minima(auto, n)
 
 
@@ -363,20 +392,22 @@ def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minim
 ])
 def test_exceeds_answers_later_thresholds_from_one_minimum(monkeypatch, rows, n, minimum):
     # asked at min S_n at every n, the walk's carried and reduced bases both
-    # miss the minimum at this n: the first threshold computes min S_n in one
-    # enumeration, and the others compare with it
+    # miss the minimum at this n: the first bound computes min S_n in one
+    # LLL and one enumeration, and the others compare with it
     auto = ToralAutomorphism(rows)
-    enumerations = []
-    enumerate_ = dissipation._enumerate
+    minima = [m for m, _ in islice(min_energies(auto), n)]
+    reductions, enumerations = [], []
+    lll, enumerate_ = dissipation._lll_reduce, dissipation._enumerate
+    monkeypatch.setattr(dissipation, "_lll_reduce", lambda *a: reductions.append(1) or lll(*a))
     monkeypatch.setattr(dissipation, "_enumerate", lambda *a: enumerations.append(1) or enumerate_(*a))
-    for k, (exceeds, (m, _)) in enumerate(islice(zip(dissipation._exceeds_tests(auto), min_energies(auto)), n), 1):
-        before = len(enumerations)
-        assert not exceeds(m)
+    for k, (form, m) in enumerate(zip(dissipation._walk(auto), minima), 1):
+        before = len(reductions), len(enumerations)
+        assert not form.exceeds(m)
         if k == n:
-            assert (m, len(enumerations) - before) == (minimum, 1)
-            for t in (m - 1, m, m - 0.5, m + 0.5, m + 1, m):
-                assert exceeds(t) == (m > t)
-            assert len(enumerations) - before == 1
+            assert (m, len(enumerations) - before[1]) == (minimum, 1)
+            for bound in (m - 1, m, m + 1, m):
+                assert form.exceeds(bound) == (m > bound)
+            assert (len(reductions) - before[0], len(enumerations) - before[1]) == (1, 1)
 
 
 @pytest.mark.parametrize("auto, digest", [
@@ -399,12 +430,13 @@ def test_walk_carries_g_n_in_its_basis(data, dimension):
     auto = data.draw(c1_companions(dimension))
     reduce_at = data.draw(st.lists(st.booleans(), min_size=12, max_size=12))
     basis = np.eye(dimension, dtype=object)
-    for n, ((gram, reduce), reduces) in enumerate(zip(dissipation._walk(auto), reduce_at), start=1):
+    for n, (form, reduces) in enumerate(zip(dissipation._walk(auto), reduce_at), start=1):
         g = np.array(pulse_energy_form(auto, n), dtype=object)
-        assert gram == (basis @ g @ basis.T).tolist()
+        assert form.basis == basis.tolist()
+        assert form.gram == (basis @ g @ basis.T).tolist()
         if reduces:
-            reduced_basis, reduced, dm, lam = reduce()
-            assert reduce()[0] is reduced_basis  # at most one LLL per n
+            _, (reduced_basis, reduced, dm, lam) = form.reduction
+            assert form.reduction[1][0] is reduced_basis  # at most one LLL per n
             basis = np.array(reduced_basis, dtype=object)
             assert reduced == (basis @ g @ basis.T).tolist()
             assert (dm, lam) == dissipation._gram_schmidt(reduced)
@@ -417,9 +449,9 @@ def test_exceeds_answers_from_the_carried_basis_without_lll(cat, monkeypatch):
     lll = dissipation._lll_reduce
     monkeypatch.setattr(dissipation, "_lll_reduce", lambda *a: reductions.append(1) or lll(*a))
     g = pulse_energy_form(cat, 1)
-    exceeds = next(dissipation._exceeds_tests(cat))
-    assert not exceeds(min(g[0][0], g[1][1]) + 0.5)
-    assert not exceeds(min(g[0][0], g[1][1]))
+    form = next(dissipation._walk(cat))
+    assert not form.exceeds(min(g[0][0], g[1][1]) + 1)
+    assert not form.exceeds(min(g[0][0], g[1][1]))
     assert reductions == []
 
 
