@@ -23,7 +23,7 @@ from disslab import (
     fit_energy_decay,
     tau_d_exact,
 )
-from disslab.dissipation import min_energies, operator_norm_energies, tau_d_operator_catmap
+from disslab.dissipation import min_energies, operator_norm_energies, tau_d_operator
 
 cat = ToralAutomorphism(((2, 1), (1, 1)))
 lam_plus = (3 + math.sqrt(5)) / 2
@@ -36,7 +36,7 @@ print("\ntau_d at nu = 0.1:", tau_d_exact(cat, 0.1), "(min S_3 = 8 <= 10 < 21 = 
 
 print("\nexact vs truncated-operator oracle:")
 for nu in (1e-2, 1e-3):
-    print(f"  nu = {nu:.0e}: exact {tau_d_exact(cat, nu)}, operator {tau_d_operator_catmap(cat, nu)}")
+    print(f"  nu = {nu:.0e}: exact {tau_d_exact(cat, nu)}, operator {tau_d_operator(cat, nu)}")
 
 nus = np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 13))
 report = dissipation_sweep(cat, nus, "exact")

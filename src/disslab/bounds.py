@@ -105,16 +105,14 @@ class BoundProfile:
 def _feasible(profile: BoundProfile, nu: float, lam: float) -> bool:
     h = profile.rate
     a, b, d = h.alpha, h.beta, profile.dimension
-    if profile.which == "H1":
-        return h(1.0 / (2.0 * math.sqrt(lam * nu))) <= 0.5 * lam ** (-(a + b) / 2.0)
-    if profile.which == "H2":
-        rhs = lam ** (-(2 * a + 2 * b + d) / 4.0) / (2.0 * math.sqrt(profile.weyl_c))
-        return h(1.0 / (2.0 * math.sqrt(lam * nu))) <= rhs
+    if profile.which in ("H1", "H3"):  # strong rates
+        level = 0.5 * lam ** (-(a + b) / 2.0)
+    else:  # weak rates, through the Weyl constant
+        level = lam ** (-(2 * a + 2 * b + d) / 4.0) / (2.0 * math.sqrt(profile.weyl_c))
+    if profile.which in ("H1", "H2"):  # discrete time
+        return h(1.0 / (2.0 * math.sqrt(lam * nu))) <= level
     grad = profile.grad_u_norm
-    if profile.which == "H3":
-        t = h.inverse(0.5 * lam ** (-(a + b) / 2.0))
-    else:
-        t = h.inverse(lam ** (-(2 * a + 2 * b + d) / 4.0) / (2.0 * math.sqrt(profile.weyl_c)))
+    t = h.inverse(level)
     if t <= 0:
         return False  # rate already below threshold at time 0: no mixing window
     exponent = 4.0 * grad * t

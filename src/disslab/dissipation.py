@@ -37,8 +37,7 @@ bounds, brute force over the orbits of the induced permutation
 on one certified threshold ball per grid, |k| <= isqrt(floor(1/nu')) + 1 for
 the grid's smallest nu' = nu * scale.  A mode outside it has |k|^2 > 1/nu',
 so an orbit leaving the ball has passed every threshold and is dropped
-exactly.  ``tau_d_operator`` runs the same rule on a given truncated Koopman
-operator and refuses a ball too small to certify its answer.
+exactly.
 """
 
 from __future__ import annotations
@@ -330,6 +329,10 @@ def min_energies(automorphism: ToralAutomorphism) -> Iterator[Tuple[int, Tuple[i
     return (form.minimum for form in _walk(automorphism))
 
 
+# the step horizon of both routes: a tau_d past it raises RuntimeError
+N_MAX = 10_000
+
+
 def _first_passages(exceeds: Iterator[Callable[[int], bool]], bounds: Sequence[int], n_max: int) -> List[int]:
     """tau_d for each integer bound floor(1/(nu * scale)) from one stream of tests, n = 1, 2, ...
 
@@ -360,13 +363,13 @@ def _bounds(nus: Sequence[float], convention: SpectralConvention) -> List[int]:
     if bad:
         raise ValueError(f"nu must be finite and positive, got nu = {bad[0]}")
     thresholds = [1.0 / (float(nu) * convention.scale_factor) for nu in nus]
-    if math.inf in thresholds:  # never passed: the walk would run to n_max
+    if math.inf in thresholds:  # never passed: the walk would run to N_MAX
         raise ValueError(f"nu = {nus[thresholds.index(math.inf)]} is too small: 1/(nu * scale) overflows float64")
     return [math.floor(t) for t in thresholds]
 
 
 def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: str,
-                convention: Optional[SpectralConvention], n_max: int = 10_000) -> List[int]:
+                convention: Optional[SpectralConvention]) -> List[int]:
     """tau_d over a nu grid from one walk of the route's stream of min S_n > bound tests."""
     if convention is None:
         convention = SpectralConvention(automorphism.dimension, "lattice")
@@ -380,14 +383,13 @@ def _tau_d_grid(automorphism: ToralAutomorphism, nus: Sequence[float], method: s
         exceeds = _orbit_tests(TruncatedKoopman.from_automorphism(automorphism, radius))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _first_passages(exceeds, bounds, n_max)
+    return _first_passages(exceeds, bounds, N_MAX)
 
 
 def tau_d_exact(
     automorphism: ToralAutomorphism,
     nu: float,
     convention: Optional[SpectralConvention] = None,
-    n_max: int = 10_000,
 ) -> int:
     """Dissipation time of the pulsed toral system, exact lattice route.
 
@@ -395,7 +397,7 @@ def tau_d_exact(
     n-step norm never drops below the trivial heat bound horizon).  The
     threshold is strict: min S_n exactly equal to 1/nu does not qualify.
     """
-    return _tau_d_grid(automorphism, [nu], "exact", convention, n_max)[0]
+    return _tau_d_grid(automorphism, [nu], "exact", convention)[0]
 
 
 def operator_norm_energies(automorphism: ToralAutomorphism, nu: float, n_max: int) -> np.ndarray:
@@ -440,29 +442,18 @@ def _orbit_tests(koopman: TruncatedKoopman) -> Iterator[Callable[[int], bool]]:
     return (lambda bound, m=m: m > bound for m in _orbit_minima(koopman))
 
 
-def tau_d_operator(koopman: TruncatedKoopman, nu: float, convention: SpectralConvention) -> int:
-    """Dissipation time from the truncated operator: first n with min S_n > 1/(nu * scale).
+def tau_d_operator(automorphism: ToralAutomorphism, nu: float,
+                   convention: Optional[SpectralConvention] = None) -> int:
+    """Operator-route dissipation time: first n with min S_n > 1/(nu * scale).
 
-    By ``_orbit_minima`` that is the first n with sigma_n < 1/e, decided in
-    exact integers, so ties agree with the exact route.  The answer is
-    exact only if the ball certifies it: with R = isqrt(max |k|^2) over the
-    ball, a mode outside has |k|^2 >= R^2 + 1, which exceeds T = 1/(nu *
-    scale) exactly when R^2 >= floor(T).  A smaller ball raises ValueError.
+    The orbit walk over the certified threshold ball; by ``_orbit_minima``
+    that is the first n with sigma_n < 1/e, decided in exact integers, so
+    ties agree with the exact route.
     """
-    bound = _bounds([nu], convention)[0]
-    radius = math.isqrt(int(np.max(np.sum(koopman.modes * koopman.modes, axis=1), initial=0)))
-    if radius * radius < bound:
-        need = math.isqrt(bound - 1) + 1
-        raise ValueError(f"a ball of radius {radius} cannot certify tau_d at nu = {nu}: an orbit leaves it "
-                         f"only past |k|^2 = {radius * radius}, not past floor(1/(nu * scale)) = {bound}; "
-                         f"radius {need} can")
-    return _first_passages(_orbit_tests(koopman), [bound], 100_000)[0]
-
-
-def tau_d_operator_catmap(automorphism: ToralAutomorphism, nu: float,
-                          convention: Optional[SpectralConvention] = None) -> int:
-    """Operator-route dissipation time: the orbit walk over the certified threshold ball."""
     return _tau_d_grid(automorphism, [nu], "operator", convention)[0]
+
+
+tau_d_operator_catmap = tau_d_operator  # the old name, while perfbench/tracer.py wraps it
 
 
 # ---------------------------------------------------------------------------

@@ -220,16 +220,15 @@ class MixingEnvelope:
 # reach v0 is enumerated
 _LOG2_PAD = 1e-9
 
-# dyadic shells 2^j <= |k| < 2^(j+1) that the ball of one n of the strong
-# envelope may span; it enumerates them in about half as many 4-adic shells.
-# Shell j costs one warm LLL and one enumeration on integers of about 4j
-# bits, so an n of S dyadic shells costs about S^2: for the cat map
-# (alpha = 1, 2-vCPU host) 1,001 at n = 1 (501 4-adic shells, beta = 5e-4)
-# took 0.19-0.20 s and 1,162 at n = 2 (582, beta = 1e-3) took 0.24-0.33 s,
-# against 0.60 and 0.82-0.91 s with one unit-basis LLL per dyadic shell
-# enumerating both points of each pair +-k.  The README,
-# verify and demo runs need at most 17 dyadic shells per n, the tier-1 tests 41
-STRONG_SHELL_LIMIT = 1000
+# 4-adic shells 4^j <= |k| < 4^(j+1) that one n of the strong envelope may
+# enumerate.  Shell j costs one warm LLL and one enumeration on integers of
+# about 4j bits, so an n of S shells costs about S^2: for the cat map
+# (alpha = 1, 2-vCPU host) 501 at n = 1 (beta = 5e-4) took 0.19-0.20 s and
+# 582 at n = 2 (beta = 1e-3) took 0.24-0.33 s, against 0.60 and 0.82-0.91 s
+# with one unit-basis LLL per dyadic shell 2^j <= |k| < 2^(j+1) enumerating
+# both points of each pair +-k.  The README, verify and demo runs need at
+# most 9 shells per n, the tier-1 tests 21
+STRONG_SHELL_LIMIT = 500
 
 
 def _envelope_terms(power: np.ndarray, modes: List[Mode], alpha: float, beta: float) -> np.ndarray:
@@ -270,8 +269,8 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     and hence every e(n), do not depend on the carried basis; only the
     maximiser reported among tied modes may.
 
-    An n whose ball |k| < P^(1/beta) spans more than ``STRONG_SHELL_LIMIT``
-    dyadic shells (a small beta) raises ValueError before its first shell.
+    An n that needs more than ``STRONG_SHELL_LIMIT`` shells (a small beta)
+    raises ValueError before its first shell.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError(f"strong envelopes need finite alpha > 0 and beta > 0, got alpha = {alpha}, beta = {beta}")
@@ -293,13 +292,13 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
         if v0 == 0.0:
             raise OverflowError(f"e({n}) underflows float64; reduce n_max")
         log_p = _LOG2_PAD - math.log2(v0)
-        dyadic = math.floor(log_p / beta) + 1
-        if dyadic > STRONG_SHELL_LIMIT:
-            raise ValueError(f"strong envelope at n = {n} needs {dyadic} dyadic shells, above the limit of "
+        shells = math.floor(log_p / (2.0 * beta)) + 1
+        if shells > STRONG_SHELL_LIMIT:
+            raise ValueError(f"strong envelope at n = {n} needs {shells} shells, above the limit of "
                              f"{STRONG_SHELL_LIMIT}; raise beta = {beta} or lower n_max")
         gram = (power.T @ power).tolist()
         candidates = list(incumbents)
-        for j in range(math.floor(log_p / (2.0 * beta)) + 1):
+        for j in range(shells):
             c_j = math.ceil(2.0 ** ((log_p - 2.0 * j * beta) * 2.0 / alpha))
             shell = 16 ** (j + 1)
             form = [[shell * gram[i][l] + c_j * (i == l) for l in range(d)] for i in range(d)]

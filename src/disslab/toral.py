@@ -15,8 +15,8 @@ lattice vectors stay from the expanding / contracting eigendirections.
 Integer polynomials are dense coefficient tuples, constant term first,
 as in (1, -3, 1) for 1 - 3x + x^2.  The condition checks, the Kronecker
 dichotomy, the norm form and its frame constant are decided in exact
-integer arithmetic; only ``poly_roots``, the displayed eigenvalues and the
-Lipschitz constant are floating point.  One Faddeev-LeVerrier pass gives
+integer arithmetic; only the displayed eigenvalues and the Lipschitz
+constant are floating point.  One Faddeev-LeVerrier pass gives
 the characteristic polynomial, the determinant and the adjugate (hence the
 inverse); the cyclotomic polynomial Phi_m is x^m - 1 divided exactly by the
 Phi_d of the proper divisors d of m.
@@ -210,11 +210,6 @@ def _divisors(n: int) -> List[int]:
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
-def poly_roots(p: IntPoly) -> np.ndarray:
-    """Floating point roots of an integer polynomial (numpy companion solve)."""
-    return np.roots(list(reversed(p)))
-
-
 # ---------------------------------------------------------------------------
 # condition reports and the Kronecker dichotomy
 # ---------------------------------------------------------------------------
@@ -268,14 +263,6 @@ def check_conditions(matrix: Sequence[Sequence[int]]) -> ConditionReport:
 class KroneckerResult:
     kind: str  # "root_outside_disk" | "all_roots_of_unity"
     cofactor: IntPoly = (1,)  # p with every cyclotomic factor divided out
-
-    @property
-    def root(self) -> Optional[complex]:
-        """A largest root of the cofactor, in floating point; for display only."""
-        if len(self.cofactor) == 1:
-            return None
-        roots = poly_roots(self.cofactor)
-        return complex(roots[int(np.argmax(np.abs(roots)))])
 
 
 def kronecker_classify(p: Sequence[int]) -> KroneckerResult:

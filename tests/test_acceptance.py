@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from disslab import checks
-from disslab.dissipation import dissipation_sweep, tau_d_exact, tau_d_operator_catmap
+from disslab.dissipation import dissipation_sweep, tau_d_exact, tau_d_operator
 from disslab.fields import SpectralConvention, SpectralField, random_sparse_field
 from disslab.fitting import line_fit
 from disslab.mixing import (
@@ -100,7 +100,7 @@ def test_criterion_03_inviscid_gap(identity_margins):
 def test_criterion_04_oracle_equivalence(cat):
     pairs = {}
     for nu in (1e-2, 1e-3, 1e-4):
-        pairs[nu] = (tau_d_exact(cat, nu), tau_d_operator_catmap(cat, nu))
+        pairs[nu] = (tau_d_exact(cat, nu), tau_d_operator(cat, nu))
     agree = all(a == b for a, b in pairs.values())
 
     # exhaustive lattice check of tau_d(0.1) = 4: the incumbent 21 certifies
@@ -192,7 +192,7 @@ def test_criterion_11_trivial_bound(cat, exact_sweep, cts_results):
     lam1_lattice = 1.0
     all_taus = [(e["nu"], e["tau_d"], lam1_lattice) for e in exact_sweep.entries]
     for nu in (1e-2, 1e-3):
-        all_taus.append((nu, tau_d_operator_catmap(cat, nu), lam1_lattice))
+        all_taus.append((nu, tau_d_operator(cat, nu), lam1_lattice))
     flow, geo, nus_cts, taus_cts = cts_results
     lam1_geo = geo.eigenvalue((1, 0))
     all_taus.extend((float(nu), float(tau), lam1_geo) for nu, tau in zip(nus_cts, taus_cts))

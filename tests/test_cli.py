@@ -453,6 +453,29 @@ def test_readme_cts_artifact_pinned(tmp_path):
         "baef1a6e39431d464c1072f7ecfe80a10a22654198111d89353c8e42b740ad08")
 
 
+_README_REPORT = {"report.json": "d94b7e4c8a162890f45f3db014ac5babaffb7cf831f27d63ee0d876e4dd65c3c",
+                  "report.csv": "13ea541e28578c6609fa52cc196a4a0c100543489398e6f9780b9817e6de9fa0"}
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["simulate", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "mode:1,0",
+      "--out", "trajectory.csv"],
+     {"trajectory.csv": "9fad0d9afb0ba19a3d69dd22ef0ebaf05291f26c020d915aa730664667210f02"}),
+    (["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-6:1e-2:9", "--method", "exact",
+      "--out", "report.json"], _README_REPORT),
+    (["bounds", "--which", "H1", "--rate", "power:1,1", "--alpha", "1", "--beta", "1", "--nu-grid", "1e-6:1e-2:9",
+      "--out", "bounds.csv"],
+     {"bounds.csv": "7c4471d4fdaecf803e68f960501e04d50887e718824e793cfa5fbbce2c8b3930"}),
+    (["sweep", "--matrix", "2,1,1,1", "--nu-grid", "1e-6:1e-2:9", "--out", "report.json"], _README_REPORT),
+], ids=["simulate", "dissipation-time", "bounds", "sweep"])
+def test_readme_artifacts_pinned(tmp_path, monkeypatch, argv, digests):
+    # sha256 of the artifacts the README commands write (the cts and
+    # mixing-rate ones are pinned above); the bytes must not change
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--dt", "0", "dt must be finite and positive"),
     ("--dt", "-0.02", "dt must be finite and positive"),
@@ -567,8 +590,8 @@ def test_weak_envelope_artifacts_pinned(tmp_path, matrix, digest):
     (["--mode", "strong", "--n-max", "-1"], "n_max"),
     (["--mode", "strong", "--alpha", "nan"], "alpha"),
     (["--mode", "strong", "--beta", "inf"], "beta"),
-    # n = 1 would walk 5,001 dyadic shells of integers up to 10^4 bits
-    (["--mode", "strong", "--beta", "1e-4", "--n-max", "12"], "at n = 1 needs 5001 dyadic shells"),
+    # n = 1 would walk 2,501 shells of integers up to 10^4 bits
+    (["--mode", "strong", "--beta", "1e-4", "--n-max", "12"], "at n = 1 needs 2501 shells"),
 ], ids=["weak-beta-nan", "weak-n-max-0", "weak-n-max-negative", "cesaro-n-max-0", "cesaro-alpha-nan",
         "cesaro-beta-inf", "strong-n-max-negative", "strong-alpha-nan", "strong-beta-inf", "strong-beta-tiny"])
 def test_mixing_rate_inputs_are_validation_errors(tmp_path, capsys, flags, name):

@@ -280,9 +280,10 @@ def test_tau_d_exact_threshold_is_strict(cat):
     assert tau_d_exact(cat, 1.0 / 8.0 + 1e-9) == 3
 
 
-def test_tau_d_exact_n_max_raises():
-    with pytest.raises(RuntimeError):
-        tau_d_exact(A3, 1e-30, n_max=50)
+def test_tau_d_exact_n_max_raises(monkeypatch):
+    monkeypatch.setattr(dissipation, "N_MAX", 50)
+    with pytest.raises(RuntimeError, match="exceeds n_max = 50"):
+        tau_d_exact(A3, 1e-30)
 
 
 @settings(max_examples=200, **PROPERTY_SETTINGS)
@@ -499,7 +500,7 @@ def test_oracle_equivalence(cat):
     # routes must decide alike (the old float operator rule returned 3 and 5)
     ties = (math.nextafter(1 / 3, math.inf), 1 / 3, math.nextafter(1 / 21, math.inf), 1 / 21)
     for nu in (1e-2, 1e-3, *ties):
-        assert tau_d_exact(cat, nu) == tau_d_operator_catmap(cat, nu)
+        assert tau_d_exact(cat, nu) == tau_d_operator(cat, nu)
 
 
 # largest tie energy per dimension: keeps the threshold ball below about 10^6 modes
@@ -517,11 +518,7 @@ def test_operator_route_matches_exact_at_ties(data, dimension):
     assume(energy <= TIE_ENERGY_CAP[dimension])
     tie = 1.0 / (energy * conv.scale_factor)
     nu = data.draw(st.sampled_from((tie, math.nextafter(tie, math.inf), math.nextafter(tie, 0.0))))
-    exact = tau_d_exact(auto, nu, conv)
-    assert tau_d_operator_catmap(auto, nu, conv) == exact
-    # the same walk on the threshold ball, through the public operator entry point
-    radius = math.isqrt(math.floor(1.0 / (nu * conv.scale_factor))) + 1
-    assert tau_d_operator(TruncatedKoopman.from_automorphism(auto, radius), nu, conv) == exact
+    assert tau_d_operator(auto, nu, conv) == tau_d_exact(auto, nu, conv)
 
 
 def test_operator_sweep_builds_one_ball_per_grid(cat, monkeypatch):
@@ -540,30 +537,33 @@ def test_operator_sweep_builds_one_ball_per_grid(cat, monkeypatch):
 
 def test_tau_d_operator_identity_is_heat():
     identity = ToralAutomorphism(((1, 0), (0, 1)))
-    koopman = TruncatedKoopman.from_automorphism(identity, 12)  # 12^2 >= floor(1/0.007) = 142
     conv = SpectralConvention(2, "lattice")
     nu = 0.007
-    tau = tau_d_operator(koopman, nu, conv)
+    tau = tau_d_operator(identity, nu, conv)
     assert tau == math.ceil(1.0 / nu)
 
 
-@pytest.mark.parametrize("radius", [3, 10, 30, 99])
-def test_tau_d_operator_refuses_an_uncertified_ball(cat, lattice2, radius):
-    # radii 3, 10 and 30 used to return 4, 7 and 9: orbits that leave a ball
-    # with radius^2 < floor(1/nu) need not have passed the threshold
-    koopman = TruncatedKoopman.from_automorphism(cat, radius)
-    with pytest.raises(ValueError, match=f"radius {radius} cannot certify .* radius 100 can"):
-        tau_d_operator(koopman, 1e-4, lattice2)
-    assert tau_d_operator(TruncatedKoopman.from_automorphism(cat, 100), 1e-4, lattice2) == tau_d_exact(cat, 1e-4) == 11
+def test_tau_d_operator_is_the_one_operator_entry_point():
+    assert tau_d_operator_catmap is tau_d_operator
+
+
+def test_operator_entry_points_share_one_horizon():
+    # the parabolic shear keeps (0, 1) fixed, so min S_n = n and tau_d =
+    # floor(1/nu) + 1; a ball-taking tau_d_operator with its own horizon
+    # used to return 10,051 at nu = 1/10,050, where the sweep raised
+    shear = ToralAutomorphism(((1, 1), (0, 1)))
+    assert tau_d_operator(shear, 1 / 9950) == dissipation_sweep(shear, [1 / 9950], "operator").entries[0]["tau_d"] == 9951
+    for route in (lambda: tau_d_operator(shear, 1 / 10050), lambda: dissipation_sweep(shear, [1 / 10050], "operator")):
+        with pytest.raises(RuntimeError, match="exceeds n_max = 10000"):
+            route()
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, 5e-324, 0.0, -1.0])
 def test_tau_d_operator_rejects_bad_nu(cat, lattice2, nu):
     # the grid routes' checks: nan used to walk the whole horizon, inf to
     # return 1, and 5e-324 (threshold 1/nu overflows) to fail numerically
-    koopman = TruncatedKoopman.from_automorphism(cat, 10)
     with pytest.raises(ValueError, match="nu"):
-        tau_d_operator(koopman, nu, lattice2)
+        tau_d_operator(cat, nu, lattice2)
 
 
 @st.composite

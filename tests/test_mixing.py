@@ -94,6 +94,18 @@ def test_envelope_needs_no_orbit_step_past_n_max(cat):
     assert env15.values[:15].tobytes() == env14.values.tobytes()
 
 
+@pytest.mark.parametrize("beta", [math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0)])
+def test_strong_shell_limit_matches_the_dyadic_count(cat, beta):
+    # at n = 0, v0 = 1 and log2 P = 1e-9: the 4-adic count floor(1e-9 / (2 beta)) + 1
+    # passes 500 exactly when the dyadic count floor(1e-9 / beta) + 1 passes 1000
+    assert mixing.STRONG_SHELL_LIMIT == 500 and mixing._LOG2_PAD == 1e-9
+    if math.floor(1e-9 / beta) + 1 > 1000:
+        with pytest.raises(ValueError, match="at n = 0 needs 501 shells"):
+            strong_envelope(cat, 1.0, beta, 0)
+    else:
+        assert strong_envelope(cat, 1.0, beta, 0).values[0] == 1.0
+
+
 @pytest.mark.parametrize("alpha, beta, digest", [
     (1.0, 1.0, "2dfbba43157b1bdcf7e8398aaf892b39922d1bc33378cdd60d6514f654eafa42"),
     (2.0, 1.0, "f7b9221f92349931d302dae79f4a2ef2169575e04320bdd9fc058d31d6bb7ac4"),
