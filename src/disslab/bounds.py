@@ -277,7 +277,6 @@ def check_bound(report: DissipationReport, profile: BoundProfile) -> List[dict]:
                 "theorem": "discrete strong bound C=34" if profile.which == "H1" else profile.which,
             }
         )
-    report.bound_checks = verdicts
     return verdicts
 
 

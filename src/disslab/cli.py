@@ -261,15 +261,33 @@ def _verify_lemmas() -> List[tuple]:
     ]
 
 
+def _is_number(value) -> bool:
+    """Is ``value`` a JSON number (a bool is JSON true/false, not a number)?"""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _report_entries(path: str) -> List[dict]:
+    """The (nu, tau_d) entries of a dissipation report file: at least one,
+    each nu a finite positive number and each tau_d an integer >= 1."""
+    with _json_file(path) as fh:
+        entries = [{"nu": e["nu"], "tau_d": e["tau_d"]} for e in json.load(fh)["entries"]]
+        if not entries:
+            raise ValueError(f"{path} has no entries")
+        for i, e in enumerate(entries):
+            if not (_is_number(e["nu"]) and 0 < e["nu"] < math.inf):
+                raise ValueError(f"{path} entry {i} has nu = {json.dumps(e['nu'])}, not a finite positive number")
+            if not (type(e["tau_d"]) is int and e["tau_d"] >= 1):  # JSON true/false load as bool
+                raise ValueError(f"{path} entry {i} has tau_d = {json.dumps(e['tau_d'])}, not an integer >= 1")
+    return entries
+
+
 def _verify_bounds(report_path: Optional[str] = None) -> List[tuple]:
     worst = checks.h1_bisection_error(np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 20)))
     count = lattice_count(2, 1e4)
     weyl = weyl_constant(2, scaling="lattice") * 1e4
     cat = ToralAutomorphism(((2, 1), (1, 1)))
     if report_path:
-        with _json_file(report_path) as fh:
-            entries = [{"nu": e["nu"], "tau_d": e["tau_d"]} for e in json.load(fh)["entries"]]
-        report = DissipationReport(entries=entries)
+        report = DissipationReport(entries=_report_entries(report_path))
     else:
         report = dissipation_sweep(cat, np.exp(np.linspace(math.log(1e-4), math.log(1e-2), 5)), "exact")
     _, verdicts = checks.strong_bound_verdicts(report, cat, 10)
@@ -422,7 +440,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
 
     Each entry the subcommand has becomes a ``--key=value`` token, so argparse
     converts and checks it like a flag and keeps the last value: explicit
-    flags win.  Other keys are ignored.
+    flags win.  Its value must be a JSON string or number.  Other keys are
+    ignored.
     """
     if not args.config:
         return args
@@ -431,6 +450,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
         for key, value in json.load(fh).items():
             attr = key.replace("-", "_")
             if hasattr(args, attr) and attr not in _POSITIONALS:
+                if not (_is_number(value) or isinstance(value, str)):
+                    raise ValueError(f"{args.config} key {key!r} holds {json.dumps(value)}, not a string or number")
                 tokens.append(f"--{attr.replace('_', '-')}={value}")
     at = argv.index(args.command) + 1
     return parser.parse_args([*argv[:at], *tokens, *argv[at:]])

@@ -18,9 +18,9 @@ Gram-Schmidt data (Fincke-Pohst with interval ends from ``math.isqrt`` and
 floor division, no floats): the minimum is the least value among the points
 at or below the smallest diagonal entry, and ``carried_short_vectors`` lists
 the points of an integer ellipsoid for the strong mixing envelope, one of
-each pair +-x.  The walk and the envelope reduce through one helper,
-``_reduce``: LLL of a form written in a carried basis, returning the new
-basis.
+each pair +-x.  A form and its reduction are one record, ``_Form``: its
+cached ``reduced`` is the same form in the LLL basis, carrying U and the
+Gram-Schmidt data that the enumerator reads.
 ``min_energies`` reduces at every n; ``pulse_energy_form`` never does.
 
 tau_d only asks whether min S_n > T = 1/(nu * scale).  min S_n is an
@@ -60,10 +60,6 @@ from .toral import ToralAutomorphism
 # exact integer quadratic-form minimisation
 # ---------------------------------------------------------------------------
 
-# a basis (rows), its Gram matrix and that matrix's integral Gram-Schmidt data
-_Reduction = Tuple[List[List[int]], List[List[int]], List[int], List[List[int]]]
-
-
 def _gram_schmidt(gram: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     """Integral Gram-Schmidt data (Cohen, Alg. 2.6.7) of an integer Gram matrix.
 
@@ -89,7 +85,8 @@ def _gram_schmidt(gram: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     return dm, lam
 
 
-def _lll_reduce(gram: Sequence[Sequence[int]]) -> _Reduction:
+def _lll_reduce(gram: Sequence[Sequence[int]]
+                ) -> Tuple[List[List[int]], List[List[int]], List[int], List[List[int]]]:
     """Integral LLL (Cohen, Alg. 2.6.7) of an integer Gram matrix, from its own basis.
 
     Returns the transform rows U (the reduced basis in the coordinates of
@@ -190,21 +187,50 @@ def _map_back(x: Sequence[int], basis: List[List[int]]) -> Tuple[int, ...]:
     return tuple(_dot(x, column) for column in zip(*basis))
 
 
-def _reduced_minimum(basis: List[List[int]], gram: List[List[int]], dm: List[int],
-                     lam: List[List[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """Exact minimum of the form over nonzero vectors, from a reduced basis and its data.
+class _Form:
+    """A form F in a basis B (rows, original coordinates), with what the exact tests need, each computed once.
 
-    The minimum is at most min_i gram_ii (a unit vector), so it is the least
-    value among the points the enumeration finds at that bound; the first
-    point attaining it is mapped back to original coordinates through
-    ``basis``.
+    ``gram`` = B F B^T and ``least`` its smallest diagonal entry.
+    ``reduced``, on first use, is F in the LLL basis U B of gram, itself a
+    ``_Form`` that also carries ``transform`` = U and the integral
+    Gram-Schmidt data ``dm, lam`` of its Gram matrix U gram U^T; ``minimum``
+    (min F, a minimiser) is enumerated from it.
     """
-    d = len(gram)
-    best_val, best_vec = min((gram[i][i], tuple(int(i == j) for j in range(d))) for i in range(d))
-    for val, vec in _enumerate(dm, lam, best_val):
-        if val < best_val:
-            best_val, best_vec = val, vec
-    return best_val, _map_back(best_vec, basis)
+
+    def __init__(self, basis: List[List[int]], gram: List[List[int]], transform: Optional[List[List[int]]] = None,
+                 dm: Optional[List[int]] = None, lam: Optional[List[List[int]]] = None):
+        self.basis, self.gram = basis, gram
+        self.transform, self.dm, self.lam = transform, dm, lam
+        self.least = min(gram[i][i] for i in range(len(gram)))
+
+    @cached_property
+    def reduced(self) -> _Form:
+        transform, gram, dm, lam = _lll_reduce(self.gram)
+        return _Form(_matmul(transform, self.basis), gram, transform, dm, lam)
+
+    @cached_property
+    def minimum(self) -> Tuple[int, Tuple[int, ...]]:
+        """The least value among the reduced form's points at or below ``reduced.least`` (a unit vector)."""
+        reduced, d = self.reduced, len(self.gram)
+        best_val, best_vec = min((reduced.gram[i][i], tuple(int(i == j) for j in range(d))) for i in range(d))
+        for val, vec in _enumerate(reduced.dm, reduced.lam, best_val):
+            if val < best_val:
+                best_val, best_vec = val, vec
+        return best_val, _map_back(best_vec, reduced.basis)
+
+    def exceeds(self, bound: int) -> bool:
+        """True exactly when min F > bound, an integer; cheapest step first.
+
+        Each of ``least``, ``reduced.least`` and min F is a value of the
+        form, so one at or below bound answers False:
+
+        1. a carried diagonal entry answers without any LLL at this n;
+        2. otherwise the warm reduction runs, once for this n;
+        3. otherwise min F is enumerated, once for this n, and every later
+           bound at this n compares with it.  LLL's shortest diagonal entry
+           is not always the minimum, so this step cannot be skipped.
+        """
+        return bound < self.least and bound < self.reduced.least and bound < self.minimum[0]
 
 
 def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
@@ -213,19 +239,7 @@ def integer_form_minimum(g: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ..
     Integral LLL from the unit basis, then the exact enumeration on the
     reduced form; a form that is not positive definite raises ValueError.
     """
-    return _reduced_minimum(*_lll_reduce(g))
-
-
-def _reduce(basis: List[List[int]], gram: List[List[int]]) -> Tuple[List[List[int]], _Reduction]:
-    """LLL of gram = B F B^T, the form F written in the carried basis B (rows).
-
-    Returns the transform U of ``_lll_reduce`` and the reduction of F: the
-    reduced basis U B in original coordinates, its Gram matrix U gram U^T
-    and that matrix's integral Gram-Schmidt data.  A basis that is already
-    nearly reduced for F needs few swaps.
-    """
-    u, reduced, dm, lam = _lll_reduce(gram)
-    return u, (_matmul(u, basis), reduced, dm, lam)
+    return _Form(_identity(len(g)), g).minimum
 
 
 def carried_short_vectors(g: Sequence[Sequence[int]], bound: int, basis: Optional[List[List[int]]] = None
@@ -233,61 +247,17 @@ def carried_short_vectors(g: Sequence[Sequence[int]], bound: int, basis: Optiona
     """One of each pair +-x of nonzero integer vectors with x^T g x <= bound, and a reduced basis of g.
 
     g is a positive definite integer form and ``basis`` (rows; the unit
-    basis when None) the basis its LLL starts from: ``_reduce`` takes
-    B g B^T to a reduced basis, ``_enumerate`` lists the ellipsoid's pairs
-    in that basis, and ``_map_back`` returns them in original coordinates.
+    basis when None) the basis its LLL starts from: the ``_Form`` of
+    B g B^T is reduced, ``_enumerate`` lists the ellipsoid's pairs in the
+    reduced basis, and ``_map_back`` returns them in original coordinates.
     The start basis changes neither the set of pairs nor its count, only
     the work.
     """
     g = [[int(v) for v in row] for row in g]
     if basis is None:
-        basis, gram = _identity(len(g)), g
-    else:
-        gram = _matmul(_matmul(basis, g), [list(col) for col in zip(*basis)])
-    _, (reduced_basis, _, dm, lam) = _reduce(basis, gram)
-    return [_map_back(x, reduced_basis) for _, x in _enumerate(dm, lam, int(bound))], reduced_basis
-
-
-class _Form:
-    """G_n in the walk's carried basis B, with what the exact tests need, each computed once, on first use.
-
-    ``gram`` = B G_n B^T for the rows of ``basis`` (original coordinates)
-    and ``least`` its smallest diagonal entry.  ``reduction`` is ``_reduce``
-    of gram, the warm LLL from B (U and the reduced basis, Gram matrix and
-    Gram-Schmidt data), ``reduced_least`` the reduced Gram matrix's smallest
-    diagonal entry and ``minimum`` (min S_n, a minimiser) from it.
-    """
-
-    def __init__(self, basis: List[List[int]], gram: List[List[int]]):
-        self.basis, self.gram = basis, gram
-        self.least = min(gram[i][i] for i in range(len(gram)))
-
-    @cached_property
-    def reduction(self) -> Tuple[List[List[int]], _Reduction]:
-        return _reduce(self.basis, self.gram)
-
-    @cached_property
-    def reduced_least(self) -> int:
-        reduced = self.reduction[1][1]
-        return min(reduced[i][i] for i in range(len(reduced)))
-
-    @cached_property
-    def minimum(self) -> Tuple[int, Tuple[int, ...]]:
-        return _reduced_minimum(*self.reduction[1])
-
-    def exceeds(self, bound: int) -> bool:
-        """True exactly when min S_n > bound, an integer; cheapest step first.
-
-        Each of ``least``, ``reduced_least`` and min S_n is a value of the
-        form, so one at or below bound answers False:
-
-        1. a carried diagonal entry answers without any LLL at this n;
-        2. otherwise the warm reduction runs, once for this n;
-        3. otherwise min S_n is enumerated, once for this n, and every later
-           bound at this n compares with it.  LLL's shortest diagonal entry
-           is not always the minimum, so this step cannot be skipped.
-        """
-        return bound < self.least and bound < self.reduced_least and bound < self.minimum[0]
+        basis = _identity(len(g))
+    reduced = _Form(basis, _matmul(_matmul(basis, g), [list(col) for col in zip(*basis)])).reduced
+    return [_map_back(x, reduced.basis) for _, x in _enumerate(reduced.dm, reduced.lam, int(bound))], reduced.basis
 
 
 def _walk(automorphism: ToralAutomorphism) -> Iterator[_Form]:
@@ -304,9 +274,9 @@ def _walk(automorphism: ToralAutomorphism) -> Iterator[_Form]:
         gram = [[gij + _dot(u, v) for gij, v in zip(row, image)] for row, u in zip(gram, image)]
         form = _Form(basis, gram)
         yield form
-        if "reduction" in vars(form):  # reduced at this n: carry its basis and Gram matrix
-            u, (basis, gram, _, _) = form.reduction
-            image = _matmul(u, image)
+        if "reduced" in vars(form):  # reduced at this n: carry its basis and Gram matrix
+            reduced = form.reduced
+            basis, gram, image = reduced.basis, reduced.gram, _matmul(reduced.transform, image)
         image = _matmul(image, step)
 
 
@@ -570,7 +540,6 @@ class DissipationReport:
 
     entries: List[dict] = field(default_factory=list)  # {nu, tau_d, method}
     fit: Optional[LineFit] = None
-    bound_checks: List[dict] = field(default_factory=list)
 
     @property
     def nus(self) -> np.ndarray:
@@ -585,7 +554,7 @@ class DissipationReport:
         return bool(np.all(self.taus <= 1.0 / (self.nus * lambda_1) + 1.0))
 
     def to_json_dict(self) -> dict:
-        out = {"entries": self.entries, "bound_checks": self.bound_checks}
+        out = {"entries": self.entries, "bound_checks": []}  # the key stays so report bytes do not change
         if self.fit is not None:
             out["fit"] = {
                 "model": "tau_d ~ slope*|ln nu| + intercept",

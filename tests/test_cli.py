@@ -798,11 +798,25 @@ def test_perfbench_tracer_installs_and_uninstalls():
     ("report.json", {"entries": [1, 2]}, ["verify", "bounds", "--report", "{file}"],
      "holds a value of the wrong type: 'int' object is not subscriptable"),
     ("report.json", {"entries": [{"nu": 0.01}]}, ["verify", "bounds", "--report", "{file}"], "has no key 'tau_d'"),
+    ("report.json", {"entries": []}, ["verify", "bounds", "--report", "{file}"], "has no entries"),
+    *[("report.json", {"entries": [{"nu": 0.01, "tau_d": 4}, {"nu": 0.001, "tau_d": tau}]},
+       ["verify", "bounds", "--report", "{file}"], f"entry 1 has tau_d = {json.dumps(tau)}, not an integer >= 1")
+      for tau in ("5", None, 2.5, -3, 0, True)],
+    *[("report.json", {"entries": [{"nu": nu, "tau_d": 4}]},
+       ["verify", "bounds", "--report", "{file}"], f"entry 0 has nu = {json.dumps(nu)}, not a finite positive number")
+      for nu in ("0.01", None, 0, -0.01, math.inf, math.nan, False)],
     ("run.json", [1, 2],
      ["simulate", "--config", "{file}", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "mode:1,0"],
      "holds a value of the wrong type: 'list'"),
+    *[("run.json", {key: value},
+       ["simulate", "--config", "{file}", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial",
+        "mode:1,0"], f"key {key!r} holds {json.dumps(value)}, not a string or number")
+      for key, value in (("out", None), ("steps", True), ("nu", [0.01]), ("initial", {"mode": "1,0"}))],
 ], ids=["field-without-modes", "rate-without-h", "report-without-entries", "report-entries-not-objects",
-      "report-entry-without-tau_d", "config-list"])
+      "report-entry-without-tau_d", "report-no-entries", "report-tau_d-string", "report-tau_d-null",
+      "report-tau_d-fraction", "report-tau_d-negative", "report-tau_d-zero", "report-tau_d-true",
+      "report-nu-string", "report-nu-null", "report-nu-zero", "report-nu-negative", "report-nu-inf", "report-nu-nan",
+      "report-nu-false", "config-list", "config-out-null", "config-bool", "config-list-value", "config-object"])
 def test_outside_json_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, name, content, argv, message):
     path, out = tmp_path / name, tmp_path / "out.csv"
     path.write_text(json.dumps(content))

@@ -137,9 +137,9 @@ def check_form_minimum_against_scan(data, dimension):
     scan = int(np.min(np.einsum("ki,ij,kj->k", box, g, box)))
     # LLL bases of forms this small nearly always hold a shortest vector, so
     # the enumeration is also run alone on the unreduced form
-    unit = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
     gram = g.tolist()
-    alone = dissipation._reduced_minimum(unit, gram, *dissipation._gram_schmidt(gram))
+    least = min(gram[i][i] for i in range(dimension))
+    alone = min(dissipation._enumerate(*dissipation._gram_schmidt(gram), least))
     for val, vec in (integer_form_minimum(gram), alone):
         assert val == scan
         k = np.array(vec, dtype=np.int64)
@@ -201,6 +201,26 @@ def test_short_vectors_match_box_scan(data, dimension, reduced):
     found = list(dissipation._enumerate(*dissipation._gram_schmidt(g), bound))
     assert sorted(k for _, k in found) == [k for k in expected if [c for c in k if c][-1] < 0]
     assert all(q == int(np.array(k) @ np.array(g) @ np.array(k)) for q, k in found)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data(), dimension=st.integers(2, 4))
+def test_carried_short_vectors_do_not_depend_on_the_start_basis(data, dimension):
+    # from any unimodular start basis B the pairs are those of the unit
+    # basis, each listed once, up to the sign that picks one of the pair
+    m, _ = data.draw(unimodular_pairs(dimension))
+    w = np.array(data.draw(st.lists(st.integers(1, 9), min_size=dimension, max_size=dimension)))
+    g = (m.T @ (w[:, None] * m)).tolist()
+    bound = data.draw(st.integers(int(min(w)), 40))  # min g <= min(w), at k = M^-1 e_i: never an empty ellipsoid
+    start, _ = data.draw(unimodular_pairs(dimension))
+
+    def pairs(points):
+        canonical = [max(k, tuple(-c for c in k)) for k in points]
+        assert len(set(canonical)) == len(canonical)
+        return sorted(canonical)
+
+    unit = dissipation.carried_short_vectors(g, bound)[0]
+    assert pairs(dissipation.carried_short_vectors(g, bound, start.tolist())[0]) == pairs(unit)
 
 
 @st.composite
@@ -375,13 +395,12 @@ def test_exceeds_enumerates_when_lll_misses_the_minimum(rows, n, diagonal, minim
     # the warm LLL basis of G_n has no vector at min S_n: only the enumeration sees it
     auto = ToralAutomorphism(rows)
     for form in islice(dissipation._walk(auto), n):
-        form.reduction
-    assert form.reduced_least == diagonal
+        form.reduced
+    assert form.reduced.least == diagonal
     assert next(islice(min_energies(auto), n - 1, None))[0] == minimum
     # G_n written in that LLL basis: steps 1 and 2 pass every bound up to diagonal - 1
-    _, (basis, gram, _, _) = form.reduction
-    in_lll_basis = dissipation._Form(basis, gram)
-    assert in_lll_basis.least == in_lll_basis.reduced_least == diagonal
+    in_lll_basis = dissipation._Form(form.reduced.basis, form.reduced.gram)
+    assert in_lll_basis.least == in_lll_basis.reduced.least == diagonal
     for bound in (minimum - 1, minimum, minimum + 1):
         assert in_lll_basis.exceeds(bound) == (minimum > bound)
     check_exceeds_against_minima(auto, n)
@@ -436,11 +455,11 @@ def test_walk_carries_g_n_in_its_basis(data, dimension):
         assert form.basis == basis.tolist()
         assert form.gram == (basis @ g @ basis.T).tolist()
         if reduces:
-            _, (reduced_basis, reduced, dm, lam) = form.reduction
-            assert form.reduction[1][0] is reduced_basis  # at most one LLL per n
-            basis = np.array(reduced_basis, dtype=object)
-            assert reduced == (basis @ g @ basis.T).tolist()
-            assert (dm, lam) == dissipation._gram_schmidt(reduced)
+            reduced = form.reduced
+            assert form.reduced is reduced  # at most one LLL per n
+            basis = np.array(reduced.basis, dtype=object)
+            assert reduced.gram == (basis @ g @ basis.T).tolist()
+            assert (reduced.dm, reduced.lam) == dissipation._gram_schmidt(reduced.gram)
     check_exceeds_against_minima(auto)
 
 
