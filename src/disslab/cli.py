@@ -179,11 +179,10 @@ def _cmd_mixing_rate(args) -> int:
     auto, conv = _matrix_and_convention(args)
     if args.mode == "strong":
         env = strong_envelope(auto, args.alpha, args.beta, args.n_max)
-        rows = ((n, v, 0.0) for n, v in zip(env.n_values, env.values))
+        ns, vals = env.n_values, env.values
     else:
         ns, vals = weak_series(auto, conv, args.alpha, args.beta, args.n_max)
-        rows = ((n, v, 0.0) for n, v in zip(ns, vals))
-    _write_csv(args.out, ["n", "value", "tail_cert"], rows)
+    _write_csv(args.out, ["n", "value", "tail_cert"], ((n, v, 0.0) for n, v in zip(ns, vals)))
     print(f"wrote {args.out}")
     return 0
 
@@ -336,8 +335,6 @@ def _cmd_verify(args) -> int:
         "decay": lambda: _verify_decay(np.random.default_rng(args.seed)),
         "cts": _verify_cts,
     }
-    if args.suite not in suites:
-        raise ValueError(f"unknown suite {args.suite!r} (choose from {sorted(suites)})")
     rows = suites[args.suite]()
     width = max(len(r[0]) for r in rows) + 2
     for name, ok, detail in rows:
@@ -366,6 +363,10 @@ def _add_tau_grid(sub):
 
 # parsed names that are not long options, so a config file cannot set them
 _POSITIONALS = ("command", "suite")
+
+# argparse refuses an unknown command or verify suite (exit 2) before dispatch
+_COMMANDS = {"simulate": _cmd_simulate, "dissipation-time": _cmd_dissipation_time, "sweep": _cmd_dissipation_time,
+             "mixing-rate": _cmd_mixing_rate, "bounds": _cmd_bounds, "cts": _cmd_cts, "verify": _cmd_verify}
 
 
 @functools.cache
@@ -440,8 +441,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
 
     Each entry the subcommand has becomes a ``--key=value`` token, so argparse
     converts and checks it like a flag and keeps the last value: explicit
-    flags win.  Its value must be a JSON string or number.  Other keys are
-    ignored.
+    flags win.  Its value must be a JSON string or number.  A ``config`` key
+    (a config file names no other) is refused; other keys are ignored.
     """
     if not args.config:
         return args
@@ -449,6 +450,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
     with _json_file(args.config) as fh:
         for key, value in json.load(fh).items():
             attr = key.replace("-", "_")
+            if attr == "config":
+                raise ValueError(f"{args.config} key {key!r} cannot name another config file")
             if hasattr(args, attr) and attr not in _POSITIONALS:
                 if not (_is_number(value) or isinstance(value, str)):
                     raise ValueError(f"{args.config} key {key!r} holds {json.dumps(value)}, not a string or number")
@@ -463,19 +466,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, parser, argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command in ("dissipation-time", "sweep"):
-            return _cmd_dissipation_time(args)
-        if args.command == "mixing-rate":
-            return _cmd_mixing_rate(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "cts":
-            return _cmd_cts(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

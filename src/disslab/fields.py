@@ -15,8 +15,9 @@ its batches, for the operator route, which needs the whole ball.  A sum
 over the ball that depends on |k| alone is one pass over the shell counts
 r_d(s) = #{k : |k|^2 = s}, which ``shell_counts`` returns without building
 a single mode row.  What a scan keeps resident is priced against physical
-memory (``require_memory``) and the elements it visits against
-``WORK_LIMIT`` (``require_work``), both before any allocation.
+memory (``require_memory``) and its time, each unit at its measured cost,
+against the one work limit ``WORK_SECONDS`` (``require_work``), both before
+any allocation.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ MODE_LIMIT = 2**62
 # batch holds at least this many
 BATCH_ROWS = 2**13
 
-# elements a lattice scan may visit: the element adds of ``shell_counts``
-# and the rows of a ``ball_batches`` scan.  Priced in counts, not seconds,
-# so that a refusal is reproducible.  Measured on a 2-vCPU host: 0.50-0.53
-# ns per shell add (d = 3..5), so the limit stands for about 5 s of shell
-# counts; the norm-form scan weighs each of its rows at
-# ``toral.NORM_FORM_ROW_WEIGHT`` element adds
-WORK_LIMIT = 10**10
+# seconds a scan may be priced at (about 7 10^9 shell adds).  Units are
+# priced above the cost measured on a 2-vCPU host (Python 3.11, numpy 2.4),
+# fastest of three scans: a shell add of ``shell_counts`` took 0.44-0.54 ns
+# (d = 3..5, top 10^4 to 4 10^6), a ``ball_batches`` row 20-38 ns (d = 2..4,
+# about 1.4e7 rows)
+WORK_SECONDS = 5.0
+_SHELL_ADD_SECONDS = 0.7e-9
+_BALL_ROW_SECONDS = 50e-9
 
 
 class ModeOverflowError(OverflowError):
@@ -254,10 +256,10 @@ def require_memory(need: float, what: str) -> None:
         raise ValueError(f"{what} needing {need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory")
 
 
-def require_work(count: float, unit: str, what: str) -> None:
-    """Raise ValueError when a scan would visit more than ``WORK_LIMIT`` elements."""
-    if count > WORK_LIMIT:
-        raise ValueError(f"{what} needs {count:.3e} {unit}, above the work limit of {WORK_LIMIT:.0e}")
+def require_work(seconds: float, what: str) -> None:
+    """Raise ValueError when a scan, ``what`` with its unit count, is priced above ``WORK_SECONDS``."""
+    if seconds > WORK_SECONDS:
+        raise ValueError(f"{what} priced at {seconds:.3g} s, above the work limit of {WORK_SECONDS:g} s")
 
 
 def ball_size_bound(dimension: int, radius: int) -> float:
@@ -280,10 +282,11 @@ def ball_batches(dimension: int, radius: int) -> Iterator[np.ndarray]:
     slabs of the next batch, their concatenation and the batch a consumer
     still holds, 24d bytes per row.  Both are priced against physical
     memory (tracemalloc peaks of 0.7-1.0 of the price for d = 2..4 when the
-    batches are dropped), and the ``ball_size_bound`` rows against
-    ``WORK_LIMIT``, before any allocation.
+    batches are dropped), and the ``ball_size_bound`` rows against the work
+    limit, before any allocation.
     """
-    require_work(ball_size_bound(dimension, radius), "ball rows", f"mode ball scan of radius {radius} in d = {dimension}")
+    rows = ball_size_bound(dimension, radius)
+    require_work(rows * _BALL_ROW_SECONDS, f"mode ball scan of radius {radius} in d = {dimension} ({rows:.3e} rows)")
     box = (2 * radius + 1) ** (dimension - 1)
     require_memory(
         box * (8 * dimension + 9) + 24 * dimension * (BATCH_ROWS + box),
@@ -350,16 +353,15 @@ def shell_counts(dimension: int, top: int) -> np.ndarray:
     would not fit in physical memory raises ValueError before any
     allocation.
 
-    The further coordinates cost at most (d - 2) R (top + 1) element adds;
-    past ``WORK_LIMIT`` adds (0.50-0.53 ns each) the request also raises
-    ValueError before any allocation.
+    The further coordinates cost at most (d - 2) R (top + 1) element adds,
+    priced against the work limit before any allocation.
     """
     if dimension < 2 or top < 0:
         raise ValueError(f"shell counts need dimension >= 2 and top >= 0, got {dimension} and {top}")
     require_memory(28 * (top + 1), f"lattice shell counts up to |k|^2 = {top} ({top + 1} shells)")
     root = math.isqrt(top)
-    require_work((dimension - 2) * root * (top + 1), "element adds",
-                 f"lattice shell counts up to |k|^2 = {top} in d = {dimension}")
+    adds = (dimension - 2) * root * (top + 1)
+    require_work(adds * _SHELL_ADD_SECONDS, f"shell counts up to |k|^2 = {top} in d = {dimension} ({adds:.3e} adds)")
     squares = np.arange(root + 1, dtype=np.int64) ** 2
     counts = np.zeros(top + 2, dtype=np.int64)  # bin top + 1 gathers every sum past top
     for rows in np.array_split(squares[1:], SHELL_BLOCKS):

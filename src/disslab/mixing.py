@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dissipation import carried_short_vectors
-from .fields import SpectralConvention, SpectralField, require_memory, shell_counts
+from .fields import SpectralConvention, SpectralField, require_memory, require_work, shell_counts
 from .fitting import LineFit, line_fit
 from .toral import ToralAutomorphism
 
@@ -220,15 +220,14 @@ class MixingEnvelope:
 # reach v0 is enumerated
 _LOG2_PAD = 1e-9
 
-# 4-adic shells 4^j <= |k| < 4^(j+1) that one n of the strong envelope may
-# enumerate.  Shell j costs one warm LLL and one enumeration on integers of
-# about 4j bits, so an n of S shells costs about S^2: for the cat map
-# (alpha = 1, 2-vCPU host) 501 at n = 1 (beta = 5e-4) took 0.19-0.20 s and
-# 582 at n = 2 (beta = 1e-3) took 0.24-0.33 s, against 0.60 and 0.82-0.91 s
-# with one unit-basis LLL per dyadic shell 2^j <= |k| < 2^(j+1) enumerating
-# both points of each pair +-k.  The README, verify and demo runs need at
-# most 9 shells per n, the tier-1 tests 21
-STRONG_SHELL_LIMIT = 500
+# seconds per 4-adic shell 4^j <= |k| < 4^(j+1) of the strong envelope, by
+# dimension, times (1 + w / _SHELL_BITS)^2 for a shell on integers of w bits,
+# w = 4(j + 1) + bits(G_n): an n of S shells is priced at S of its widest.
+# Measured per shell (alpha = 1): cat map 0.09-0.71 ms at n = 1 (S = 51 to
+# 1,001), 3.7 ms at n = 2 (S = 2,323), 0.26-0.41 ms at n = 10..40 (S = 421 to
+# 442); 3-D companion 0.27-0.41 ms (S = 126); 4-D companion 3.8 ms (S = 167)
+_SHELL_SECONDS = {2: 0.2e-3, 3: 0.3e-3, 4: 2.5e-3}
+_SHELL_BITS = 2000
 
 
 def _envelope_terms(power: np.ndarray, modes: List[Mode], alpha: float, beta: float) -> np.ndarray:
@@ -269,8 +268,9 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     and hence every e(n), do not depend on the carried basis; only the
     maximiser reported among tied modes may.
 
-    An n that needs more than ``STRONG_SHELL_LIMIT`` shells (a small beta)
-    raises ValueError before its first shell.
+    Before each n's first shell, the run's running price (``_SHELL_SECONDS``)
+    is checked against the work limit: a small beta or a long run raises
+    ValueError before the shell that would pass it.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError(f"strong envelopes need finite alpha > 0 and beta > 0, got alpha = {alpha}, beta = {beta}")
@@ -287,16 +287,18 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
     incumbents = units
     bases: List[List[List[int]]] = []  # bases[j]: shell j's reduced basis (rows) at the last n it ran
     values = np.empty(n_max + 1)
+    priced, priced_shells = 0.0, 0
     for n in range(n_max + 1):
         v0 = float(np.max(_envelope_terms(power, incumbents, alpha, beta)))
         if v0 == 0.0:
             raise OverflowError(f"e({n}) underflows float64; reduce n_max")
         log_p = _LOG2_PAD - math.log2(v0)
         shells = math.floor(log_p / (2.0 * beta)) + 1
-        if shells > STRONG_SHELL_LIMIT:
-            raise ValueError(f"strong envelope at n = {n} needs {shells} shells, above the limit of "
-                             f"{STRONG_SHELL_LIMIT}; raise beta = {beta} or lower n_max")
         gram = (power.T @ power).tolist()
+        width = 4 * shells + max(abs(v) for row in gram for v in row).bit_length()
+        priced += shells * _SHELL_SECONDS[d] * (1.0 + width / _SHELL_BITS) ** 2
+        priced_shells += shells
+        require_work(priced, f"strong envelope through n = {n} ({priced_shells} shells, {shells} of them at n = {n})")
         candidates = list(incumbents)
         for j in range(shells):
             c_j = math.ceil(2.0 ** ((log_p - 2.0 * j * beta) * 2.0 / alpha))
@@ -318,33 +320,39 @@ def strong_envelope(automorphism: ToralAutomorphism, alpha: float, beta: float, 
 # weak rates
 # ---------------------------------------------------------------------------
 
-def weak_cesaro(
-    automorphism: ToralAutomorphism,
-    f: SpectralField,
-    g: SpectralField,
-    n: int,
-) -> np.ndarray:
+# seconds per coordinate of a mode push at step k: _PUSH_SECONDS plus
+# _PUSH_BIT_SECONDS per bit, the orbit gaining log2 of the spectral radius
+# per step.  Measured for one unit mode at n = 10^5: cat map 3.8-5.4 s, 3-D
+# companion 2.7-3.7 s, shear 1,1,0,1 0.49-0.88 s (4-D companion at 5 10^4: 2.9-3.4 s)
+_PUSH_SECONDS = 6e-6
+_PUSH_BIT_SECONDS = 4.5e-10
+
+
+def weak_cesaro(automorphism: ToralAutomorphism, f: SpectralField, g: SpectralField, n: int) -> np.ndarray:
     """((1/n) sum_{k<n} |<U^k f, g>|^2)^{1/2} for all n' = 1..n, exactly.
 
     Correlations are evaluated as sum_m f^(m) conj(g^(A_*^k m)): the f
     support is pushed forward exactly (arbitrary-precision integers, the
-    orbit of a mode never revisits the lattice ball once it leaves).
+    orbit of a mode never revisits the lattice ball once it leaves), at a
+    price checked against the work limit before the first push.
     """
     if not f.coefficients or not g.coefficients:
         raise ValueError("f and g need nonempty supports")
     if n < 1:
         raise ValueError(f"weak Cesaro averages need n_max >= 1, got n_max = {n}")
     require_memory(8 * n, f"weak Cesaro series of {n} values")
-    fmodes = list(f.coefficients.items())
-    gdict: Dict[Mode, complex] = dict(g.coefficients.items())
+    d, pushes = automorphism.dimension, n * len(f.coefficients)
+    growth = math.log2(abs(automorphism.eigenvalues[0]))  # bits an orbit gains per step
+    require_work(pushes * d * (_PUSH_SECONDS + _PUSH_BIT_SECONDS * growth * n / 2),
+                 f"weak Cesaro series of {n} values ({pushes} mode pushes in d = {d})")
+    gdict = g.coefficients
     cum = 0.0
     out = np.empty(n)
-    current: List[Tuple[Mode, complex]] = [(m, a) for m, a in fmodes]
+    current = list(f.coefficients.items())
     for k in range(n):
         corr = 0j
         for m, a in current:
-            gm = gdict.get(m)
-            if gm is not None:
+            if (gm := gdict.get(m)) is not None:
                 corr += a * gm.conjugate()
         cum += abs(corr) ** 2
         out[k] = math.sqrt(cum / (k + 1))

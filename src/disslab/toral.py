@@ -37,11 +37,10 @@ from .fields import ball_batches, ball_size_bound, integer_tuple, require_work
 
 IntPoly = Tuple[int, ...]
 
-# ``fields.WORK_LIMIT`` elements (shell adds of 0.5 ns) per norm-form row: a
-# row, one integer pass, took 34-37, 59-67 and 166-167 ns in d = 2, 3, 4
-# (fastest of five scans of 0.8-3.1 million rows, 2-vCPU host), so the
-# limit's 2.5e7 rows take 1-4 s; the weight stays an upper price
-NORM_FORM_ROW_WEIGHT = 400
+# seconds per norm-form row, one integer pass, by dimension: a row took 28-48,
+# 42-62 and 128-149 ns in d = 2, 3, 4 (fastest of three scans of 1.5-3.1
+# million rows)
+_NORM_FORM_ROW_SECONDS = {2: 60e-9, 3: 100e-9, 4: 250e-9}
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +411,8 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
 
     The ball streams through ``fields.ball_batches``, one batch and one
     (d-1)-box held at a time, whatever the radius; its ``ball_size_bound``
-    rows, at ``NORM_FORM_ROW_WEIGHT`` elements each, are priced against
-    ``fields.WORK_LIMIT`` before any allocation.
+    rows are priced at their measured cost against the work limit before
+    any allocation.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -421,8 +420,7 @@ def verify_norm_form(automorphism: ToralAutomorphism, radius: int) -> dict:
         raise ValueError("norm-form verification requires conditions C1 and C2")
     d = automorphism.dimension
     rows = ball_size_bound(d, radius)
-    require_work(NORM_FORM_ROW_WEIGHT * rows, f"element adds ({rows:.3e} ball rows at {NORM_FORM_ROW_WEIGHT} each)",
-                 f"norm-form scan of radius {radius} in d = {d}")
+    require_work(rows * _NORM_FORM_ROW_SECONDS[d], f"norm-form scan of radius {radius} in d = {d} ({rows:.3e} rows)")
 
     min_abs, argmin, scanned = math.inf, None, 0
     for batch in ball_batches(d, radius):

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disslab import cli, dissipation
+from disslab import cli, dissipation, fields, mixing, toral
 from disslab.bounds import BoundProfile, lattice_count, weyl_constant
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
@@ -204,6 +206,15 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, entry, option):
     assert done.value.code == 2
     assert f"argument {option}" in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["verify", "nope"]], ids=["command", "verify-suite"])
+def test_unknown_commands_and_suites_are_usage_errors(capsys, argv):
+    # argparse's required subcommand and its suite choices refuse both before dispatch
+    with pytest.raises(SystemExit) as done:
+        run_cli(argv)
+    assert done.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_config_keys_the_subcommand_lacks_are_ignored(tmp_path):
@@ -590,14 +601,40 @@ def test_weak_envelope_artifacts_pinned(tmp_path, matrix, digest):
     (["--mode", "strong", "--n-max", "-1"], "n_max"),
     (["--mode", "strong", "--alpha", "nan"], "alpha"),
     (["--mode", "strong", "--beta", "inf"], "beta"),
-    # n = 1 would walk 2,501 shells of integers up to 10^4 bits
-    (["--mode", "strong", "--beta", "1e-4", "--n-max", "12"], "at n = 1 needs 2501 shells"),
+    # n = 1 would walk 2,501 shells of integers up to 10^4 bits, priced at 18 s
+    (["--mode", "strong", "--beta", "1e-4", "--n-max", "12"],
+     "strong envelope through n = 1 (2502 shells, 2501 of them at n = 1) priced at 18 s, above the work limit of 5 s"),
 ], ids=["weak-beta-nan", "weak-n-max-0", "weak-n-max-negative", "cesaro-n-max-0", "cesaro-alpha-nan",
         "cesaro-beta-inf", "strong-n-max-negative", "strong-alpha-nan", "strong-beta-inf", "strong-beta-tiny"])
 def test_mixing_rate_inputs_are_validation_errors(tmp_path, capsys, flags, name):
     out = tmp_path / "envelope.csv"
     assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", *flags, "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weak_cesaro_series_past_the_work_limit_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    # 10^8 values fit in 0.8 GB, but their pushes, on orbits that gain 1.39
+    # bits per step, are priced at about 6e6 s; none of them may start
+    monkeypatch.setattr(ToralAutomorphism, "push_mode", lambda self, mode: pytest.fail("a mode was pushed"))
+    out = tmp_path / "weak.csv"
+    assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--mode", "weak", "--alpha", "1", "--n-max", "100000000",
+                    "--out", str(out)]) == 2
+    assert ("weak Cesaro series of 100000000 values (100000000 mode pushes in d = 2) priced at 6.25e+06 s, "
+            "above the work limit of 5 s") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_strong_envelope_prices_the_whole_run(tmp_path, capsys, monkeypatch):
+    # at --beta 0.0014 every n from 2 on walks about 420 shells; the 13 values
+    # of --n-max 12 are priced at about 3.2 s, under the limit, so a limit of
+    # 1 s refuses the run at the n whose shells pass it, before any artifact
+    monkeypatch.setattr(fields, "WORK_SECONDS", 1.0)
+    out = tmp_path / "envelope.csv"
+    assert run_cli(["mixing-rate", "--matrix", "2,1,1,1", "--beta", "0.0014", "--n-max", "12",
+                    "--out", str(out)]) == 2
+    assert ("strong envelope through n = 5 (1845 shells, 417 of them at n = 5) priced at 1.19 s, "
+            "above the work limit of 1 s") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -712,13 +749,13 @@ def test_nu_grids_are_priced_per_point_of_their_command(tmp_path, capsys, capped
 
 @pytest.mark.parametrize("scan, message", [
     (lambda cat: lattice_count(4, 1e10), "GB"),  # radius 100,001: 4.9e20 ball modes
-    # the streamed scans hold one batch, so their size is priced as work
-    (lambda cat: verify_norm_form(cat, 10**6), "1.257e+15 element adds (3.142e+12 ball rows at 400 each)"),
+    # the streamed scans hold one batch, so their size is priced as time
+    (lambda cat: verify_norm_form(cat, 10**6), "(3.142e+12 rows) priced at 1.88e+05 s, above the work limit of 5 s"),
     # the rows of the norm-form scan are priced at its own per-row cost, so
-    # radius 10^4 (3e8 rows, about 20 s of scan) is refused too
-    (lambda cat: verify_norm_form(cat, 10**4), "1.257e+11 element adds (3.142e+08 ball rows at 400 each)"),
+    # radius 10^4 (3e8 rows, about 10 s of scan) is refused too
+    (lambda cat: verify_norm_form(cat, 10**4), "(3.142e+08 rows) priced at 18.9 s, above the work limit of 5 s"),
     # the shell counts under it, about 160 MB, cost 2 * 2000 * (4e6 + 1) element adds
-    (lambda cat: lattice_ball_sum(4, 1.0, 2000), "1.600e+10 element adds, above the work limit"),
+    (lambda cat: lattice_ball_sum(4, 1.0, 2000), "(1.600e+10 adds) priced at 11.2 s, above the work limit of 5 s"),
 ], ids=["lattice_count", "verify_norm_form", "verify_norm_form_by_row_cost", "lattice_ball_sum"])
 def test_oversized_scans_are_validation_errors(capped_memory, cat, scan, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -757,7 +794,8 @@ def test_commands_never_import(tmp_path, commands, forbidden):
 
 def test_shell_counts_past_the_work_limit_are_validation_errors(monkeypatch):
     # lattice_count(4, 1e8) needs 5.6 GB, which a reported 64 GB host holds,
-    # and 2e12 element adds, which the work price refuses before np.bincount
+    # and 2e12 element adds (about 1,000 s), which the work price refuses
+    # before np.bincount
     sysconf = os.sysconf
     monkeypatch.setattr(os, "sysconf", lambda name: 64 * 10**9 // sysconf("SC_PAGE_SIZE")
                         if name == "SC_PHYS_PAGES" else sysconf(name))
@@ -766,7 +804,7 @@ def test_shell_counts_past_the_work_limit_are_validation_errors(monkeypatch):
         raise AssertionError("an oversized shell count started")
 
     monkeypatch.setattr(np, "bincount", no_count)
-    with pytest.raises(ValueError, match="element adds"):
+    with pytest.raises(ValueError, match=re.escape("(2.000e+12 adds) priced at 1.4e+03 s, above the work limit")):
         lattice_count(4, 1e8)
 
 
@@ -787,6 +825,45 @@ def test_perfbench_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert all(dissipation.__dict__[name] is fn for name, fn in originals.items())
     assert tracer.metrics()["dissipation.tau_d_exact.calls"] == 1
+
+
+def test_documented_runs_are_priced_at_most_a_tenth_of_the_work_limit(tmp_path, monkeypatch, capsys):
+    # every README command (each verify suite), demo and perfbench workload
+    # command, run in-process, with each work price recorded on its way to the check
+    root = Path(__file__).resolve().parents[1]
+    prices, check = [], fields.require_work
+
+    def record(seconds, what):
+        prices.append((seconds, what))
+        check(seconds, what)
+
+    for module in (fields, toral, mixing):
+        monkeypatch.setattr(module, "require_work", record)
+    monkeypatch.chdir(tmp_path)
+    block = (root / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    argvs = []
+    for line in block.splitlines():
+        argv = shlex.split(line)[1:]
+        if argv[:1] == ["verify"]:
+            argvs += [["verify", suite] for suite in argv[1].split("|")]
+        elif argv:
+            argvs.append(argv)
+    assert len(argvs) == 11
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        run_dir = tmp_path / workload.name
+        run_dir.mkdir()
+        argvs += [argv for _, argv in workload.commands(11, workload.make_inputs(11, run_dir), run_dir)]
+    for argv in argvs:
+        assert run_cli(argv) == 0, argv
+    for demo in sorted((root / "demos").glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+    capsys.readouterr()
+    kinds = ("strong envelope", "weak Cesaro series", "norm-form scan", "shell counts", "mode ball scan")
+    assert all(any(what.startswith(kind) for _, what in prices) for kind in kinds)
+    assert max(prices)[0] <= fields.WORK_SECONDS / 10, max(prices)
 
 
 @pytest.mark.parametrize("name, content, argv, message", [
@@ -812,11 +889,14 @@ def test_perfbench_tracer_installs_and_uninstalls():
        ["simulate", "--config", "{file}", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial",
         "mode:1,0"], f"key {key!r} holds {json.dumps(value)}, not a string or number")
       for key, value in (("out", None), ("steps", True), ("nu", [0.01]), ("initial", {"mode": "1,0"}))],
+    ("run.json", {"config": "inner.json", "n-max": 3}, ["mixing-rate", "--matrix", "2,1,1,1", "--config", "{file}"],
+     "key 'config' cannot name another config file"),
 ], ids=["field-without-modes", "rate-without-h", "report-without-entries", "report-entries-not-objects",
       "report-entry-without-tau_d", "report-no-entries", "report-tau_d-string", "report-tau_d-null",
       "report-tau_d-fraction", "report-tau_d-negative", "report-tau_d-zero", "report-tau_d-true",
       "report-nu-string", "report-nu-null", "report-nu-zero", "report-nu-negative", "report-nu-inf", "report-nu-nan",
-      "report-nu-false", "config-list", "config-out-null", "config-bool", "config-list-value", "config-object"])
+      "report-nu-false", "config-list", "config-out-null", "config-bool", "config-list-value", "config-object",
+      "config-nested"])
 def test_outside_json_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, name, content, argv, message):
     path, out = tmp_path / name, tmp_path / "out.csv"
     path.write_text(json.dumps(content))

@@ -1,3 +1,4 @@
+import ast
 import collections
 import itertools
 import math
@@ -238,6 +239,23 @@ def test_one_module_scans_the_lattice_ball():
     assert scanners == ["fields.py"]
     for name in ("mixing.py", "bounds.py"):
         assert "ball_modes" not in (src / name).read_text()
+
+
+def test_one_module_holds_the_work_limit():
+    # the scans price their own units in seconds; the one limit and its check
+    # live in fields, and no module keeps a limit of its own
+    src = Path(disslab.__file__).parent
+    holders = {}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = [t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)]
+        names += [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        limits = sorted(n for n in names if "LIMIT" in n or "WORK" in n or n == "require_work")
+        if limits:
+            holders[path.name] = limits
+    assert holders == {"fields.py": ["MODE_LIMIT", "WORK_SECONDS", "require_work"]}
+    assert sorted(p.name for p in src.glob("*.py") if "WORK_SECONDS" in p.read_text()) == ["fields.py"]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)

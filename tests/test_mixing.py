@@ -94,16 +94,25 @@ def test_envelope_needs_no_orbit_step_past_n_max(cat):
     assert env15.values[:15].tobytes() == env14.values.tobytes()
 
 
-@pytest.mark.parametrize("beta", [math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0)])
-def test_strong_shell_limit_matches_the_dyadic_count(cat, beta):
-    # at n = 0, v0 = 1 and log2 P = 1e-9: the 4-adic count floor(1e-9 / (2 beta)) + 1
-    # passes 500 exactly when the dyadic count floor(1e-9 / beta) + 1 passes 1000
-    assert mixing.STRONG_SHELL_LIMIT == 500 and mixing._LOG2_PAD == 1e-9
-    if math.floor(1e-9 / beta) + 1 > 1000:
-        with pytest.raises(ValueError, match="at n = 0 needs 501 shells"):
-            strong_envelope(cat, 1.0, beta, 0)
-    else:
-        assert strong_envelope(cat, 1.0, beta, 0).values[0] == 1.0
+def test_strong_envelope_refuses_the_first_n_past_the_work_limit(cat, monkeypatch):
+    # the running price is checked before each n's first shell: under a limit
+    # between the totals through n = 4 and n = 5, n_max = 4 runs and n_max = 8
+    # stops at n = 5 before enumerating any of its shells
+    totals = []
+    monkeypatch.setattr(mixing, "require_work", lambda seconds, what: totals.append(seconds))
+    strong_envelope(cat, 1.0, 0.01, 8)
+    assert len(totals) == 9 and all(b > a > 0 for a, b in zip(totals, totals[1:]))
+    monkeypatch.setattr(mixing, "require_work", fields.require_work)
+    monkeypatch.setattr(fields, "WORK_SECONDS", (totals[4] + totals[5]) / 2)
+    shells = []
+    monkeypatch.setattr(mixing, "carried_short_vectors",
+                        lambda *args: shells.append(1) or dissipation.carried_short_vectors(*args))
+    strong_envelope(cat, 1.0, 0.01, 4)
+    walked = len(shells)
+    with pytest.raises(ValueError, match=r"strong envelope through n = 5 \(\d+ shells, \d+ of them at n = 5\) "
+                                         r"priced at [0-9.e+-]+ s, above the work limit"):
+        strong_envelope(cat, 1.0, 0.01, 8)
+    assert len(shells) == 2 * walked  # n = 0..4 twice, nothing of n = 5
 
 
 @pytest.mark.parametrize("alpha, beta, digest", [
