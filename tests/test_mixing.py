@@ -115,6 +115,42 @@ def test_strong_envelope_refuses_the_first_n_past_the_work_limit(cat, monkeypatc
     assert len(shells) == 2 * walked  # n = 0..4 twice, nothing of n = 5
 
 
+@pytest.mark.parametrize("beta", [math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0)])
+def test_strong_shell_limit_matches_the_dyadic_count(cat, beta, monkeypatch):
+    # at n = 0, v0 = 1 and log2 P = 1e-9: the 4-adic count floor(1e-9 / (2 beta)) + 1
+    # passes 500 exactly when the dyadic count floor(1e-9 / beta) + 1 passes 1000;
+    # under a work limit between the prices of 500 and 501 shells at n = 0, the
+    # 501-shell inputs are refused before their first shell and the others run
+    assert mixing._LOG2_PAD == 1e-9
+
+    class Priced(Exception):
+        pass
+
+    def price(seconds, what):
+        raise Priced(seconds, what)
+
+    monkeypatch.setattr(mixing, "require_work", price)
+    prices = {}
+    for shells in (500, 501):
+        with pytest.raises(Priced) as caught:
+            strong_envelope(cat, 1.0, 1e-9 / (2 * shells - 1), 0)
+        assert caught.value.args[1] == f"strong envelope through n = 0 ({shells} shells, {shells} of them at n = 0)"
+        prices[shells] = caught.value.args[0]
+    assert 0 < prices[500] < prices[501]
+    monkeypatch.setattr(mixing, "require_work", fields.require_work)
+    monkeypatch.setattr(fields, "WORK_SECONDS", (prices[500] + prices[501]) / 2)
+    walked = []
+    monkeypatch.setattr(mixing, "carried_short_vectors",
+                        lambda *args: walked.append(1) or dissipation.carried_short_vectors(*args))
+    if math.floor(1e-9 / beta) + 1 > 1000:
+        with pytest.raises(ValueError, match=r"through n = 0 \(501 shells, 501 of them at n = 0\) priced at "):
+            strong_envelope(cat, 1.0, beta, 0)
+        assert walked == []
+    else:
+        assert strong_envelope(cat, 1.0, beta, 0).values[0] == 1.0
+        assert len(walked) == 500
+
+
 @pytest.mark.parametrize("alpha, beta, digest", [
     (1.0, 1.0, "2dfbba43157b1bdcf7e8398aaf892b39922d1bc33378cdd60d6514f654eafa42"),
     (2.0, 1.0, "f7b9221f92349931d302dae79f4a2ef2169575e04320bdd9fc058d31d6bb7ac4"),
