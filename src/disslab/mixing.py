@@ -124,12 +124,15 @@ class RateFunction:
         return math.exp((1 - w) * math.log(hs[i]) + w * math.log(hs[i + 1]))
 
     def inverse(self, y: float) -> float:
-        """h^{-1}(y): the time at which the rate has dropped to y (0 if y >= h(0+))."""
+        """h^{-1}(y): the time at which the rate has dropped to y (0 if y >= h(0+), inf past every float)."""
         if y <= 0:
             raise ValueError("inverse needs y > 0")
         if self.kind == "power":
             c, p = self.params
-            return (c / y) ** (1.0 / p)
+            try:
+                return (c / y) ** (1.0 / p)
+            except OverflowError:  # the time lies past every float: the rate never drops to y
+                return math.inf
         if self.kind == "exponential":
             c1, c2 = self.params
             return max(0.0, math.log(c1 / y) / c2)

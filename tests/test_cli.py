@@ -241,6 +241,18 @@ def test_bounds_names_its_degenerate_points(tmp_path, capsys):
     assert [nu for nu, h, _ in rows if h == 1.0] == named
 
 
+@pytest.mark.parametrize("which", ["H3", "H4"])
+def test_bounds_whose_rate_inverse_overflows_fall_back(tmp_path, capsys, which):
+    # the lambda scan asks power:2,0.25 for h^-1 = (c / y)^4 past the largest
+    # float; that time is infeasible, so every nu falls back to lambda_1
+    out = tmp_path / "h.csv"
+    assert run_cli(["bounds", "--which", which, "--rate", "power:2,0.25", "--grad-u", "1",
+                    "--nu-grid", "1e-4:1e-2:3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("H fell back to lambda_1 (the trivial heat bound) at nu = ")
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert rows.shape == (3, 3) and rows[:, 1].tolist() == [1.0] * 3
+
+
 def test_bounds_dim_zero_is_a_validation_error(tmp_path, capsys):
     # --dim 0 used to fall back to d = 2 and exit 0
     out = tmp_path / "bounds.csv"
@@ -503,6 +515,14 @@ def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
     out = tmp_path / "cts.csv"
     assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", option, value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cts_refuses_a_shear_whose_gradient_bound_overflows(tmp_path, capsys):
+    # each coefficient is finite, but grad_norm = 2 pi hypot(1e308, 1e308) is inf
+    out = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--shear", "coeffs:1e308,1e308", "--out", str(out)]) == 2
+    assert "grad_norm must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

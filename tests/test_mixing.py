@@ -44,6 +44,13 @@ def test_rate_function_kinds():
     assert t.inverse(0.25) == pytest.approx(4.0)
 
 
+def test_power_rate_inverse_past_every_float_is_inf():
+    # (c / y)^(1/p) = (2e100)^4 overflows: the rate never drops to y within a float
+    h = RateFunction.power(2.0, 0.25)
+    assert h.inverse(1e-100) == math.inf
+    assert h.inverse(2e-10) == (2.0 / 2e-10) ** 4.0  # a finite inverse keeps its bits
+
+
 def test_rate_function_validation():
     with pytest.raises(ValueError):
         RateFunction.power(1.0, 1.0, alpha=0.0, beta=1.0)  # strong needs alpha > 0

@@ -59,6 +59,18 @@ def test_grad_norm_bounds_the_sampled_gradient(shear_spec):
     assert flow.grad_norm >= np.max(np.abs(dv))
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({"sin_coeffs": (math.nan,)}, "shear coefficients must be finite"),
+    ({"cos_coeffs": (0.3, -math.inf)}, "shear coefficients must be finite"),
+    ({"cos_coeffs": (1e308,), "sin_coeffs": (1e308,)}, "grad_norm must be finite"),
+])
+def test_shear_flow_refuses_a_profile_that_is_not_finite(coeffs, message):
+    # a NaN profile gave a NaN transport gap, bound and correlation, and an
+    # infinite grad_norm a meaningless tau_d, all without an error
+    with pytest.raises(ValueError, match=message):
+        ShearFlow(**coeffs)
+
+
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -1e-3])
 def test_cts_state_refuses_a_nu_that_is_not_finite_and_nonnegative(conv, nu):
     with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
@@ -409,6 +421,87 @@ def test_readme_cts_grid_decides_without_an_svd(tmp_path, svd_calls):
     assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                      "--out", str(tmp_path / "cts.csv")]) == 0
     assert svd_calls == []
+
+
+@pytest.fixture()
+def band_map_dtypes(monkeypatch):
+    # every band map is a matrix power of its Strang step
+    dtypes = []
+    power = np.linalg.matrix_power
+
+    def recording(a, n):
+        dtypes.append(a.dtype)
+        return power(a, n)
+
+    monkeypatch.setattr(shear.np.linalg, "matrix_power", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("shear_spec, dtype", [
+    ("sin", np.float64),
+    ("coeffs:0,1,0,-0.5", np.float64),
+    ("still", np.float64),
+    ("coeffs:0.3,1", np.complex128),
+])
+def test_band_maps_are_real_exactly_for_sine_series_shears(conv, band_map_dtypes, shear_spec, dtype):
+    # an odd profile has a real band symbol; a cosine term keeps it complex
+    flow = ShearFlow() if shear_spec == "still" else cli._parse_shear(shear_spec)
+    cts_norm(CtsState.from_modes({}, 4, 32, 1e-3, conv), flow, 2.0)
+    assert band_map_dtypes and set(band_map_dtypes) == {np.dtype(dtype)}
+
+
+def test_readme_cts_grid_builds_only_real_band_maps(tmp_path, band_map_dtypes):
+    # the 60 bands of test_readme_cts_grid_builds_60_band_matrices, all in float64
+    assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
+                     "--out", str(tmp_path / "cts.csv")]) == 0
+    assert band_map_dtypes == [np.dtype(np.float64)] * 60
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    nu=st.floats(1e-4, 1e-1),
+    t=st.floats(0.05, 20.0),
+    k1=st.integers(-16, 16).filter(bool),
+    grid=st.sampled_from([32, 64]),
+    convention=st.sampled_from(["geometric", "lattice"]),
+    sin_coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+)
+def test_real_band_norm_of_a_sine_series_matches_the_fft_built_band(nu, t, k1, grid, convention, sin_coeffs):
+    # the float64 band of an odd profile against the complex band built by
+    # FFT Strang steps on the unit vectors, for the signed k1 as it stands
+    flow = ShearFlow(sin_coeffs=tuple(sin_coeffs))
+    band = _single_band(nu, k1, grid, convention)
+    assert cts_norm(band, flow, t) == pytest.approx(_signed_band_norm(band, flow, t, 0), rel=1e-12)
+
+
+@pytest.mark.parametrize("shear_spec, nu, t, k1, grid", [
+    ("coeffs:0.3,1", 1e-3, 2.0, 1, 64),
+    ("coeffs:1", 1e-2, 1.0, 2, 32),
+    ("coeffs:-0.7,0.4,0,0.25", 3e-4, 5.0, 3, 64),
+])
+def test_cosine_profile_band_decides_as_the_fft_built_band(shear_spec, nu, t, k1, grid):
+    # a cosine term makes the band symbol complex: its real part alone is
+    # another band, whose norm this decision must not follow
+    flow = cli._parse_shear(shear_spec)
+    band = _single_band(nu, k1, grid)
+    sigma = _signed_band_norm(band, flow, t, 0)
+    for rel in (-1e-6, 1e-6):
+        assert cts_norm_reaches(band, flow, t, sigma * (1.0 + rel)) == (rel < 0)
+
+
+# tau_d of the complex band maps; the float64 maps of odd profiles give them bit for bit
+@pytest.mark.parametrize("shear_spec, nu, convention, k1_max, grid, dt, rel_tol, hint, tau", [
+    ("sin", 1e-2, "geometric", 8, 32, 0.02, 1e-3, None, 1.08056640625),
+    ("sin", 1e-4, "geometric", 16, 64, 0.02, 1e-2, None, 14.3125),
+    ("sin", 3e-3, "lattice", 4, 32, 0.05, 1e-3, None, 16.4921875),
+    ("coeffs:0,1,0,-0.5", 1e-3, "geometric", 8, 64, 0.01, 1e-3, None, 4.912109375),
+    ("coeffs:0,0.5,0,0,0,0.25", 3e-2, "lattice", 16, 128, 0.02, 1e-2, 2.0, 4.421875),
+    ("still", 1e-2, "geometric", 2, 32, 0.02, 1e-3, None, 2.5322265625),
+])
+def test_tau_d_cts_of_sine_series_shears_is_pinned(shear_spec, nu, convention, k1_max, grid, dt, rel_tol, hint, tau):
+    flow = ShearFlow() if shear_spec == "still" else cli._parse_shear(shear_spec)
+    assert tau_d_cts(flow, nu, SpectralConvention(2, convention), k1_max=k1_max, grid_size=grid,
+                     rel_tol=rel_tol, dt_target=dt, t_hint=hint) == tau
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1e-17, 1.0, 2.0, math.nan, math.inf])
