@@ -27,10 +27,9 @@ print(f"transport gap at t = 2, nu = 1e-3: {gap['gap_sq']:.3e} <= bound {gap['bo
 
 print("\ndissipation times (exact band norms + bisection):")
 nus = np.logspace(-2, -4, 5)
-taus, hint = [], None
+taus = []
 for nu in nus:
-    tau = tau_d_cts(flow, float(nu), conv, k1_max=16, grid_size=64, t_hint=hint)
-    hint = 2.5 * tau
+    tau = tau_d_cts(flow, float(nu), conv, k1_max=16, grid_size=64)
     taus.append(tau)
     heat_only = 1.0 / (nu * conv.eigenvalue((1, 0)))
     print(f"  nu = {nu:.2e}: tau_d = {tau:7.3f}   (heat alone would need {heat_only:8.1f})")

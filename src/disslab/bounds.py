@@ -102,22 +102,25 @@ class BoundProfile:
         return evaluated
 
 
-def _feasible(profile: BoundProfile, nu: float, lam: float) -> bool:
+def _feasible(profile: BoundProfile, nu: float, lam: float) -> Optional[bool]:
+    """Is lambda feasible?  None where neither lambda nor any larger one is."""
     h = profile.rate
     a, b, d = h.alpha, h.beta, profile.dimension
     if profile.which in ("H1", "H3"):  # strong rates
         level = 0.5 * lam ** (-(a + b) / 2.0)
     else:  # weak rates, through the Weyl constant
         level = lam ** (-(2 * a + 2 * b + d) / 4.0) / (2.0 * math.sqrt(profile.weyl_c))
-    if profile.which in ("H1", "H2"):  # discrete time
-        return h(1.0 / (2.0 * math.sqrt(lam * nu))) <= level
+    if level == 0:
+        return None  # underflowed to 0, where h^-1 is undefined, and so does every larger lambda's level
+    if profile.which in ("H1", "H2"):  # discrete time: the left side grows with lambda, the level falls
+        return h(1.0 / (2.0 * math.sqrt(lam * nu))) <= level or None
     grad = profile.grad_u_norm
     t = h.inverse(level)
     if t <= 0:
         return False  # rate already below threshold at time 0: no mixing window
     exponent = 4.0 * grad * t
-    if exponent > 700.0:  # certainly beyond the right-hand side
-        return False
+    if exponent > 700.0:  # certainly beyond the right-hand side, and t grows with lambda
+        return None
     return lam * math.exp(exponent) / t <= grad * grad / (2.0 * nu)
 
 
@@ -136,21 +139,18 @@ def eval_H(profile: BoundProfile, nu: float) -> Tuple[float, bool]:
     # infeasible point beyond it
     lam = lam1
     last_feasible = None
-    first_infeasible = None
-    for _ in range(400):
-        if _feasible(profile, nu, lam):
+    while lam <= 1e300:
+        feasible = _feasible(profile, nu, lam)
+        if feasible:
             last_feasible = lam
-        elif last_feasible is not None:
-            first_infeasible = lam
+        elif feasible is None or last_feasible is not None:
             break
         lam *= 1.6
-        if lam > 1e300:
-            break
     if last_feasible is None:
         return lam1, True
-    if first_infeasible is None:
+    if lam > 1e300:
         raise RuntimeError("feasible set appears unbounded; rate function is not decreasing")
-    lo, hi = last_feasible, first_infeasible
+    lo, hi = last_feasible, lam
     while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if _feasible(profile, nu, mid):

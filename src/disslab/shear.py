@@ -487,7 +487,6 @@ def tau_d_cts(
     grid_size: int = 64,
     rel_tol: float = 0.01,
     dt_target: float = 0.02,
-    t_hint: Optional[float] = None,
 ) -> float:
     """Continuous dissipation time: smallest t with operator norm < 1/e.
 
@@ -505,7 +504,11 @@ def tau_d_cts(
     the bisection ends).  A start past tau_d is walked down by halving; a
     walk that reaches t = 1e-6 without a norm >= 1/e raises
     ``RuntimeError`` instead of bisecting an invalid bracket, and so does a
-    band map that is not finite.
+    band map that is not finite.  The search starts at the power of two
+    nearest sqrt(t_cap), t_cap = 1.2 / (nu lambda_1) + 1, a start set by the
+    arguments alone; where sigma(t) >= 1/e at exactly the probes below tau_d
+    (as the bisection assumes), every power-of-two start ends in the one
+    bracket (2^j, 2^(j+1)] holding tau_d, so no start can move tau_d.
     """
     if not NU_DESK[0] <= nu <= NU_DESK[1]:
         raise ValueError("nu outside the supported desk range [1e-4, 1e-1]")
@@ -525,16 +528,13 @@ def tau_d_cts(
 
     lam1 = template.convention.lambda_1
     t_cap = 1.2 / (nu * lam1) + 1.0  # trivial heat bound, padded
-    hi = min(t_hint or 1.0, t_cap)
-    doubled = False
+    hi = start = 2.0 ** round(math.log2(t_cap) / 2.0)
     while reaches(hi):
         hi *= 2.0
-        doubled = True
         if hi > 4.0 * t_cap:
             raise RuntimeError("no norm drop below 1/e within the trivial bound horizon")
     lo = hi / 2.0  # after doubling, the previous hi: its norm is already >= 1/e
-    if not doubled:
-        # the start may overshoot: walk the bracket down
+    if hi == start:  # the start may overshoot: walk the bracket down
         while not reaches(lo):
             if lo <= 1e-6:
                 raise RuntimeError(f"norm below 1/e already at t = {lo:.3g}: no valid bracket")

@@ -74,11 +74,7 @@ def cts_results():
     flow = ShearFlow.sinusoidal()
     geo = SpectralConvention(2, "geometric")
     nus = np.logspace(-2, -4, 5)
-    taus, hint = [], None
-    for nu in nus:
-        tau = tau_d_cts(flow, float(nu), geo, k1_max=16, grid_size=64, t_hint=hint)
-        hint = 2.5 * tau
-        taus.append(tau)
+    taus = [tau_d_cts(flow, float(nu), geo, k1_max=16, grid_size=64) for nu in nus]
     return flow, geo, nus, np.array(taus)
 
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from disslab import bounds
 from disslab.bounds import (
     BoundProfile,
+    _feasible,
     check_bound,
     corollary_exponents,
     eigenvalue_floor,
@@ -92,6 +94,37 @@ def test_eval_H_refuses_a_nonfinite_or_nonpositive_nu(nu):
     # a NaN or infinite nu once read as the degenerate point (lambda_1, True)
     with pytest.raises(ValueError, match="nu must be finite and positive"):
         eval_H(BoundProfile("H1", RateFunction.power(1, 1)), nu)
+
+
+def test_a_level_that_underflows_rules_out_every_larger_lambda():
+    # H4's level lambda^(-3/2) / (2 sqrt(ct)) is 0 at lambda = 1e300, and
+    # h^-1(0) refused it ("inverse needs y > 0")
+    rate = RateFunction.power(2.0, 0.25, mode="weak")
+    profile = BoundProfile("H4", rate, grad_u_norm=1.0, weyl_c=weyl_constant(2))
+    with pytest.raises(ValueError, match="inverse needs y > 0"):
+        rate.inverse(1e300 ** -1.5)
+    assert _feasible(profile, 1e-2, 1e300) is None
+
+
+@pytest.mark.parametrize("which, rate", [
+    ("H2", RateFunction.power(1.0, 0.5, mode="weak")),
+    ("H3", RateFunction.exponential(1.0, 0.5)),
+    ("H4", RateFunction.exponential(1.0, 0.5, mode="weak")),
+])
+def test_degenerate_scan_stops_where_no_larger_lambda_is_feasible(monkeypatch, which, rate):
+    # the scan runs to 1e300, ~1,470 steps of 1.6; a degenerate H ends at the
+    # first lambda that rules out every larger one
+    profile = BoundProfile(which, rate, grad_u_norm=50.0, weyl_c=weyl_constant(2, scaling="lattice"))
+    results = []
+    feasible = bounds._feasible
+
+    def recording(*args):
+        results.append(feasible(*args))
+        return results[-1]
+
+    monkeypatch.setattr(bounds, "_feasible", recording)
+    assert eval_H(profile, 1e-2) == (1.0, True)
+    assert results[-1] is None and results[:-1] == [False] * (len(results) - 1)
 
 
 def test_h1_exponential_satisfies_implicit_relation():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from disslab import cli, dissipation, fields, mixing, toral
-from disslab.bounds import BoundProfile, lattice_count, weyl_constant
+from disslab.bounds import BoundProfile, h1_power_closed_form, lattice_count, weyl_constant
 from disslab.cli import main
 from disslab.fields import SpectralConvention, random_sparse_field
 from disslab.mixing import RateFunction, lattice_ball_sum
@@ -253,6 +253,16 @@ def test_bounds_whose_rate_inverse_overflows_fall_back(tmp_path, capsys, which):
     assert rows.shape == (3, 3) and rows[:, 1].tolist() == [1.0] * 3
 
 
+def test_bounds_h1_past_the_old_scan_end_matches_the_closed_form(tmp_path):
+    # H1 = 4e87 lies past 1.6^400 ~ 4.4e81, where the lambda scan once
+    # stopped and called the feasible set unbounded (exit 3)
+    out = tmp_path / "h1.csv"
+    assert run_cli(["bounds", "--which", "H1", "--rate", "power:1e-130,1", "--nu-grid", "1e-4:1e-2:2",
+                    "--out", str(out)]) == 0
+    for nu, h, _ in np.loadtxt(out, delimiter=",", skiprows=2):
+        assert h == pytest.approx(h1_power_closed_form(1e-130, 1.0, 1.0, 1.0, nu), rel=1e-6)
+
+
 def test_bounds_dim_zero_is_a_validation_error(tmp_path, capsys):
     # --dim 0 used to fall back to d = 2 and exit 0
     out = tmp_path / "bounds.csv"
@@ -452,7 +462,8 @@ def test_verify_bounds_rejects_corrupted_report(tmp_path):
 
 def test_operator_and_cts_artifacts_pinned(tmp_path):
     # values of the seed-0 artifacts written before the exact norms replaced
-    # power iteration; both routes must reproduce them bit for bit
+    # power iteration (the cts nu = 1e-3 value since each nu is decided from
+    # nu alone); both routes must reproduce them bit for bit
     report = tmp_path / "operator.json"
     assert run_cli(["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-3:1e-2:3",
                     "--method", "operator", "--out", str(report)]) == 0
@@ -463,17 +474,28 @@ def test_operator_and_cts_artifacts_pinned(tmp_path):
     assert run_cli(["cts", "--nu-grid", "1e-3:1e-2:2", "--k1max", "16", "--ygrid", "64",
                     "--out", str(cts)]) == 0
     rows = [tuple(float(v) for v in line.split(",")) for line in cts.read_text().splitlines()[2:]]
-    assert rows == [(0.0010000000000000002, 4.14215087890625), (0.010000000000000004, 1.08203125)]
+    assert rows == [(0.0010000000000000002, 4.140625), (0.010000000000000004, 1.08203125)]
+
+
+@pytest.mark.parametrize("grid", ["1e-3:1e-3:1", "1e-4:1e-2:3", "1e-4:1e-2:5"])
+def test_cts_decides_each_nu_from_nu_alone(tmp_path, grid):
+    # nu = 1e-3 in three grids: the written tau_d must not depend on its neighbours
+    out = tmp_path / "cts.csv"
+    assert run_cli(["cts", "--nu-grid", grid, "--k1max", "16", "--ygrid", "64", "--out", str(out)]) == 0
+    taus = {round(float(nu), 12): float(tau) for nu, tau in
+            (line.split(",") for line in out.read_text().splitlines()[2:])}
+    assert taus[1e-3] == 4.140625
 
 
 def test_readme_cts_artifact_pinned(tmp_path):
-    # sha256 of the README cts artifact written before bands were skipped by
-    # their heat bound; the bytes must not change
+    # sha256 of the README cts artifact written once each nu was decided from
+    # nu alone, by the walk that skips bands below their heat bound; the bytes
+    # must not change
     out = tmp_path / "cts.csv"
     assert run_cli(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                     "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "baef1a6e39431d464c1072f7ecfe80a10a22654198111d89353c8e42b740ad08")
+        "ed19603c81b56f019eb03df25aab02ca542e91d28bc547716262179f564c8b6c")
 
 
 _README_REPORT = {"report.json": "d94b7e4c8a162890f45f3db014ac5babaffb7cf831f27d63ee0d876e4dd65c3c",

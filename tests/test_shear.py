@@ -287,10 +287,10 @@ def test_tau_d_cts_evaluates_each_time_once(flow, conv, monkeypatch):
         return reaches(state, flow, t, level, dt_target)
 
     monkeypatch.setattr(shear, "cts_norm_reaches", recording)
-    for hint in (None, 0.3, 9.0):  # doubling from 1, doubling from a short hint, walking down
+    for nu, first in ((1e-3, [4.0, 8.0]), (1e-1, [1.0, 0.5, 0.25, 0.125])):  # doubling, walking down
         times.clear()
-        tau_d_cts(flow, 1e-2, conv, k1_max=4, grid_size=32, t_hint=hint)
-        assert times
+        tau_d_cts(flow, nu, conv, k1_max=4, grid_size=32)
+        assert times[:len(first)] == first
         assert len(times) == len(set(times))
 
 
@@ -336,8 +336,8 @@ def test_cts_norm_reaches_decides_as_the_maximum(nu, t, k1_max, grid, convention
     assert cts_norm_reaches(template, flow, t, level) == (sigma >= level)
 
 
-def test_readme_cts_grid_builds_60_band_matrices(monkeypatch, tmp_path):
-    # 41 decisions on the README grid; the full maximum built 87 band matrices
+def test_readme_cts_grid_builds_66_band_matrices(monkeypatch, tmp_path):
+    # 43 decisions on the README grid; the full maximum built 87 band matrices
     built, decisions = [], []
     reaches = shear.cts_norm_reaches
 
@@ -354,7 +354,7 @@ def test_readme_cts_grid_builds_60_band_matrices(monkeypatch, tmp_path):
     monkeypatch.setattr(shear, "cts_norm_reaches", recording)
     assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                      "--out", str(tmp_path / "cts.csv")]) == 0
-    assert (len(decisions), len(built)) == (41, 60)
+    assert (len(decisions), len(built)) == (43, 66)
 
 
 @pytest.fixture()
@@ -417,7 +417,7 @@ def test_only_levels_within_the_margin_reach_the_svd(nu, t, k1, grid, shear_spec
 
 
 def test_readme_cts_grid_decides_without_an_svd(tmp_path, svd_calls):
-    # the 41 decisions of test_readme_cts_grid_builds_60_band_matrices, none of them by SVD
+    # the 43 decisions of test_readme_cts_grid_builds_66_band_matrices, none of them by SVD
     assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                      "--out", str(tmp_path / "cts.csv")]) == 0
     assert svd_calls == []
@@ -451,10 +451,10 @@ def test_band_maps_are_real_exactly_for_sine_series_shears(conv, band_map_dtypes
 
 
 def test_readme_cts_grid_builds_only_real_band_maps(tmp_path, band_map_dtypes):
-    # the 60 bands of test_readme_cts_grid_builds_60_band_matrices, all in float64
+    # the 66 bands of test_readme_cts_grid_builds_66_band_matrices, all in float64
     assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                      "--out", str(tmp_path / "cts.csv")]) == 0
-    assert band_map_dtypes == [np.dtype(np.float64)] * 60
+    assert band_map_dtypes == [np.dtype(np.float64)] * 66
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -490,18 +490,55 @@ def test_cosine_profile_band_decides_as_the_fft_built_band(shear_spec, nu, t, k1
 
 
 # tau_d of the complex band maps; the float64 maps of odd profiles give them bit for bit
-@pytest.mark.parametrize("shear_spec, nu, convention, k1_max, grid, dt, rel_tol, hint, tau", [
-    ("sin", 1e-2, "geometric", 8, 32, 0.02, 1e-3, None, 1.08056640625),
-    ("sin", 1e-4, "geometric", 16, 64, 0.02, 1e-2, None, 14.3125),
-    ("sin", 3e-3, "lattice", 4, 32, 0.05, 1e-3, None, 16.4921875),
-    ("coeffs:0,1,0,-0.5", 1e-3, "geometric", 8, 64, 0.01, 1e-3, None, 4.912109375),
-    ("coeffs:0,0.5,0,0,0,0.25", 3e-2, "lattice", 16, 128, 0.02, 1e-2, 2.0, 4.421875),
-    ("still", 1e-2, "geometric", 2, 32, 0.02, 1e-3, None, 2.5322265625),
+@pytest.mark.parametrize("shear_spec, nu, convention, k1_max, grid, dt, rel_tol, tau", [
+    ("sin", 1e-2, "geometric", 8, 32, 0.02, 1e-3, 1.08056640625),
+    ("sin", 1e-4, "geometric", 16, 64, 0.02, 1e-2, 14.3125),
+    ("sin", 3e-3, "lattice", 4, 32, 0.05, 1e-3, 16.4921875),
+    ("coeffs:0,1,0,-0.5", 1e-3, "geometric", 8, 64, 0.01, 1e-3, 4.912109375),
+    ("coeffs:0,0.5,0,0,0,0.25", 3e-2, "lattice", 16, 128, 0.02, 1e-2, 4.421875),
+    ("still", 1e-2, "geometric", 2, 32, 0.02, 1e-3, 2.5322265625),
 ])
-def test_tau_d_cts_of_sine_series_shears_is_pinned(shear_spec, nu, convention, k1_max, grid, dt, rel_tol, hint, tau):
+def test_tau_d_cts_of_sine_series_shears_is_pinned(shear_spec, nu, convention, k1_max, grid, dt, rel_tol, tau):
     flow = ShearFlow() if shear_spec == "still" else cli._parse_shear(shear_spec)
     assert tau_d_cts(flow, nu, SpectralConvention(2, convention), k1_max=k1_max, grid_size=grid,
-                     rel_tol=rel_tol, dt_target=dt, t_hint=hint) == tau
+                     rel_tol=rel_tol, dt_target=dt) == tau
+
+
+def _search_from_one(flow, nu, conv, k1_max, grid, rel_tol, dt):
+    # the bracket doubling or walking down from t = 1, then the bisection
+    template = CtsState.from_modes({}, k1_max, grid, nu, conv)
+
+    def reaches(t):
+        return cts_norm_reaches(template, flow, t, 1.0 / math.e, dt_target=dt)
+
+    hi = 1.0
+    while reaches(hi):
+        hi *= 2.0
+    lo = hi / 2.0
+    while not reaches(lo):
+        hi, lo = lo, lo / 2.0
+    while (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if reaches(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    log_nu=st.floats(math.log(1e-4), math.log(1e-1)),
+    shear_spec=st.sampled_from(["sin", "coeffs:0,1,0,-0.5", "coeffs:0,0.5,0,0,0,0.25", "coeffs:0.3,1", "still"]),
+    convention=st.sampled_from(["geometric", "lattice"]),
+    k1_max=st.sampled_from([2, 4, 8]),
+    grid=st.sampled_from([32, 64]),
+    dt=st.sampled_from([0.01, 0.02, 0.05]),
+    rel_tol=st.sampled_from([1e-2, 1e-3]),
+)
+def test_tau_d_cts_start_does_not_move_the_result(log_nu, shear_spec, convention, k1_max, grid, dt, rel_tol):
+    # tau_d_cts starts near sqrt(t_cap); a search from t = 1 must end at the same bits
+    flow = ShearFlow() if shear_spec == "still" else cli._parse_shear(shear_spec)
+    nu, conv = math.exp(log_nu), SpectralConvention(2, convention)
+    assert tau_d_cts(flow, nu, conv, k1_max=k1_max, grid_size=grid, rel_tol=rel_tol, dt_target=dt) == (
+        _search_from_one(flow, nu, conv, k1_max, grid, rel_tol, dt))
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1e-17, 1.0, 2.0, math.nan, math.inf])
