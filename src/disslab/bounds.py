@@ -12,8 +12,10 @@ lambda coupling the mixing rate h to the diffusivity:
 with G = |grad u|_inf and ct the Weyl constant (checked against the exact
 lattice count, a sum of shell counts r_d(s)).  The discrete bound is
 tau_d <= 34 / (mu H1or2(mu)); the continuous bound is 18 / (mu H3or4(mu)).
-Feasibility is monotone towards small lambda in the asymptotic regime, so
-the sup is located by a geometric bracket plus bisection.
+Above lambda_1 each feasible set is one interval, and ``eval_H`` starts
+where its condition is least (lambda_1 for H1/H2; a closed form on each
+piece of the rate for H3/H4), so one geometric bracket and one bisection
+find the sup and no step can skip the set.
 """
 
 from __future__ import annotations
@@ -102,55 +104,87 @@ class BoundProfile:
         return evaluated
 
 
-def _feasible(profile: BoundProfile, nu: float, lam: float) -> Optional[bool]:
-    """Is lambda feasible?  None where neither lambda nor any larger one is."""
-    h = profile.rate
-    a, b, d = h.alpha, h.beta, profile.dimension
+def _level(profile: BoundProfile) -> Tuple[float, float]:
+    """(k, c) with the rate threshold level(lambda) = lambda^-k / c."""
+    a, b = profile.rate.alpha, profile.rate.beta
     if profile.which in ("H1", "H3"):  # strong rates
-        level = 0.5 * lam ** (-(a + b) / 2.0)
-    else:  # weak rates, through the Weyl constant
-        level = lam ** (-(2 * a + 2 * b + d) / 4.0) / (2.0 * math.sqrt(profile.weyl_c))
+        return (a + b) / 2.0, 2.0
+    return (2 * a + 2 * b + profile.dimension) / 4.0, 2.0 * math.sqrt(profile.weyl_c)  # through the Weyl constant
+
+
+def _feasible(profile: BoundProfile, nu: float, lam: float) -> bool:
+    """Does lambda meet its bound's condition (H3/H4 compared in logs, so nothing overflows)?"""
+    k, c = _level(profile)
+    level = lam ** -k / c
     if level == 0:
-        return None  # underflowed to 0, where h^-1 is undefined, and so does every larger lambda's level
-    if profile.which in ("H1", "H2"):  # discrete time: the left side grows with lambda, the level falls
-        return h(1.0 / (2.0 * math.sqrt(lam * nu))) <= level or None
-    grad = profile.grad_u_norm
-    t = h.inverse(level)
-    if t <= 0:
-        return False  # rate already below threshold at time 0: no mixing window
-    exponent = 4.0 * grad * t
-    if exponent > 700.0:  # certainly beyond the right-hand side, and t grows with lambda
-        return None
-    return lam * math.exp(exponent) / t <= grad * grad / (2.0 * nu)
+        return False  # underflowed to 0, where h^-1 is undefined: counted infeasible, as is every larger lambda
+    if profile.which in ("H1", "H2"):
+        return profile.rate(1.0 / (2.0 * math.sqrt(lam * nu))) <= level
+    # t is 0 where the rate starts below the level (no mixing window), inf past every float
+    grad, t = profile.grad_u_norm, profile.rate.inverse(level)
+    return 0 < t < math.inf and (
+        math.log(lam) + 4.0 * grad * t - math.log(t) <= 2.0 * math.log(grad) - math.log(2.0 * nu))
+
+
+def _starts(profile: BoundProfile) -> List[float]:
+    """The lambdas in [lambda_1, 1e300) where the bound's condition is least, largest first.
+
+    lambda_1 for H1/H2; for H3/H4 also the least point on each piece of the
+    rate, computed in logs so that nothing overflows (derived in ``eval_H``).
+    """
+    lam1 = profile.lambda_1
+    if profile.which in ("H1", "H2"):
+        return [lam1]
+    k, c = _level(profile)
+    starts = {lam1}
+    for lo, hi, a, p, q in profile.rate.log_pieces():
+        t = min(max((k - p) / (q + 4.0 * profile.grad_u_norm * k), lo), hi)
+        if t > 0:
+            u = -(math.log(c) + a - p * math.log(t) - q * t) / k  # level(lambda) = h(t)
+            if math.log(lam1) < u < math.log(1e300):
+                starts.add(math.exp(u))
+    return sorted(starts, reverse=True)
 
 
 def eval_H(profile: BoundProfile, nu: float) -> Tuple[float, bool]:
-    """Sup of the feasible eigenvalue set, by bracket expansion + bisection to relative width 1e-9.
+    """Sup of the feasible eigenvalue set: one monotone search from the largest feasible start.
 
-    Feasibility holds on an interval of lambda and fails beyond it (the
-    left side grows with lambda, the right side shrinks).  Returns
-    (lambda_1, True) when no feasible lambda >= lambda_1 exists, i.e. the
-    bound degenerates to the trivial heat bound.
+    Every lambda where the bound's condition is least is known before the
+    search (``_starts``):
+
+    * H1/H2: h(1/(2 sqrt(lambda nu))) grows with lambda and the level
+      falls, so the set is {lambda <= H}, and lambda_1 is the one start.
+    * H3/H4: with u = ln lambda, level(lambda) = lambda^-k / c and
+      t = h^-1(level), the condition reads
+      g(u) = u + 4 G t - ln t - ln(G^2 / (2 nu)) <= 0.  On a piece of the
+      rate where ln h(t) = A - p ln t - q t, level = h(t) gives
+      u = (p ln t + q t - A - ln c) / k, which grows with t, and
+      dg/dt = ((p - k)/t + q + 4 G k) / k.
+      For k > p this changes sign once, from - to +, so g is least at
+      t* = (k - p) / (q + 4 G k), clipped to the piece; for k <= p it is
+      least at the piece's left end.  Before the first and past the last
+      tabulated sample t is constant and g grows with u.  Each least
+      point's u = -(ln c + ln h(t*)) / k above ln lambda_1 is a start,
+      and so is lambda_1.
+
+    A piece whose least point is infeasible holds no feasible lambda, and
+    on the other pieces {g <= 0} is an interval around the least point.
+    So the set above the largest feasible start runs from it up to H: a
+    1.6x bracket from there meets no gap, and bisection to relative width
+    1e-9 finds H.  Returns (lambda_1, True) when no start is feasible, i.e.
+    no lambda >= lambda_1 is (up to float evaluation at the starts), and
+    the bound degenerates to the trivial heat bound.
     """
     if not 0 < nu < math.inf:
         raise ValueError(f"nu must be finite and positive, got {nu}")
-    lam1 = profile.lambda_1
-    # geometric scan upward to find some feasible point and the first
-    # infeasible point beyond it
-    lam = lam1
-    last_feasible = None
-    while lam <= 1e300:
-        feasible = _feasible(profile, nu, lam)
-        if feasible:
-            last_feasible = lam
-        elif feasible is None or last_feasible is not None:
-            break
-        lam *= 1.6
-    if last_feasible is None:
-        return lam1, True
-    if lam > 1e300:
+    lo = next((lam for lam in _starts(profile) if _feasible(profile, nu, lam)), None)
+    if lo is None:
+        return profile.lambda_1, True
+    hi = lo * 1.6
+    while hi <= 1e300 and _feasible(profile, nu, hi):
+        lo, hi = hi, hi * 1.6
+    if hi > 1e300:
         raise RuntimeError("feasible set appears unbounded; rate function is not decreasing")
-    lo, hi = last_feasible, lam
     while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if _feasible(profile, nu, mid):

@@ -459,7 +459,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(args, parser, argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError, FileNotFoundError an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ModeOverflowError, OverflowError, RuntimeError) as exc:

@@ -148,6 +148,27 @@ class RateFunction:
         w = (math.log(hs[i]) - math.log(y)) / (math.log(hs[i]) - math.log(hs[i + 1]))
         return math.exp((1 - w) * math.log(ts[i]) + w * math.log(ts[i + 1]))
 
+    def log_pieces(self) -> List[Tuple[float, float, float, float, float]]:
+        """Pieces (lo, hi, A, p, q) with ln h(t) = A - p ln t - q t for lo <= t <= hi.
+
+        A power law is one piece with q = 0, an exponential one with p = 0;
+        each sample interval of a tabulated rate is a power law with its
+        local exponent p_i = ln(h_i / h_i+1) / ln(t_i+1 / t_i).  The flat
+        ends before the first and past the last sample are not pieces.
+        """
+        if self.kind == "power":
+            c, p = self.params
+            return [(0.0, math.inf, math.log(c), p, 0.0)]
+        if self.kind == "exponential":
+            c1, c2 = self.params
+            return [(0.0, math.inf, math.log(c1), 0.0, c2)]
+        ts, hs = self.samples
+        pieces = []
+        for t0, t1, h0, h1 in zip(ts, ts[1:], hs, hs[1:]):
+            p = (math.log(h0) - math.log(h1)) / (math.log(t1) - math.log(t0))
+            pieces.append((t0, t1, math.log(h0) + p * math.log(t0), p, 0.0))
+        return pieces
+
 
 def transfer_rate(
     h: RateFunction, alpha_new: float, beta_new: float, lambda_1: float

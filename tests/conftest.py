@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from disslab.fields import SpectralConvention
 from disslab.toral import ToralAutomorphism
+
+# every property test runs derandomized, without a deadline or an example
+# database; a test sets only its own max_examples and health-check suppressions
+settings.register_profile("disslab", deadline=None, database=None, derandomize=True)
+settings.load_profile("disslab")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disslab import bounds
 from disslab.bounds import (
@@ -20,6 +22,7 @@ from disslab.bounds import (
     weyl_constant,
 )
 from disslab.dissipation import DissipationReport, dissipation_sweep
+from disslab.fields import SpectralConvention
 from disslab.mixing import RateFunction, fit_rate, strong_envelope
 
 
@@ -103,28 +106,91 @@ def test_a_level_that_underflows_rules_out_every_larger_lambda():
     profile = BoundProfile("H4", rate, grad_u_norm=1.0, weyl_c=weyl_constant(2))
     with pytest.raises(ValueError, match="inverse needs y > 0"):
         rate.inverse(1e300 ** -1.5)
-    assert _feasible(profile, 1e-2, 1e300) is None
+    assert _feasible(profile, 1e-2, 1e300) is False
 
 
 @pytest.mark.parametrize("which, rate", [
     ("H2", RateFunction.power(1.0, 0.5, mode="weak")),
     ("H3", RateFunction.exponential(1.0, 0.5)),
     ("H4", RateFunction.exponential(1.0, 0.5, mode="weak")),
+    ("H3", RateFunction.tabulated((1.0, 2.0, 4.0, 8.0), (1.0, 0.6, 0.35, 0.2))),
 ])
-def test_degenerate_scan_stops_where_no_larger_lambda_is_feasible(monkeypatch, which, rate):
-    # the scan runs to 1e300, ~1,470 steps of 1.6; a degenerate H ends at the
-    # first lambda that rules out every larger one
+def test_a_degenerate_H_costs_one_feasible_call_per_start(monkeypatch, which, rate):
+    # "degenerate" is decided at the starts alone: each is asked once and
+    # answers False, and no lambda past them is scanned (the tabulated rate
+    # has starts above lambda_1 = 1)
     profile = BoundProfile(which, rate, grad_u_norm=50.0, weyl_c=weyl_constant(2, scaling="lattice"))
-    results = []
+    calls = []
     feasible = bounds._feasible
 
-    def recording(*args):
-        results.append(feasible(*args))
-        return results[-1]
+    def recording(profile, nu, lam):
+        calls.append((lam, feasible(profile, nu, lam)))
+        return calls[-1][1]
 
     monkeypatch.setattr(bounds, "_feasible", recording)
     assert eval_H(profile, 1e-2) == (1.0, True)
-    assert results[-1] is None and results[:-1] == [False] * (len(results) - 1)
+    assert calls == [(lam, False) for lam in bounds._starts(profile)]
+
+
+# lambda over [1, 1e14] in steps of 0.8%, scaled by lambda_1
+LAMBDA_GRID = np.exp(np.linspace(0.0, math.log(1e14), 4001)).tolist()
+
+
+@st.composite
+def rates(draw):
+    """(kind, params, alpha, beta): a power law, an exponential or 2-6 log-linear samples.
+
+    Samples start at t >= 1 with h >= 1 and local exponents <= 1/2 (3 for a
+    strong rate), so they keep above the weak floor 1/sqrt(t) in either mode.
+    """
+    kind = draw(st.sampled_from(["power", "exponential", "tabulated"]))
+    alpha, beta = draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0))
+    if kind != "tabulated":
+        return kind, (draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 5.0))), alpha, beta
+    n = draw(st.integers(2, 6))
+    ts = np.cumsum(draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))) + 1.0
+    exponents = draw(st.lists(st.floats(0.05, draw(st.sampled_from([0.5, 3.0]))), min_size=n - 1, max_size=n - 1))
+    hs = [draw(st.floats(1.0, 3.0))]
+    for t0, t1, p in zip(ts, ts[1:], exponents):
+        hs.append(hs[-1] * (t1 / t0) ** -p)
+    return kind, (tuple(ts.tolist()), tuple(hs)), alpha, beta
+
+
+def _missed_by_the_scan(c1, c2, grad, nu):
+    # feasible sets just above lambda_1 and narrower than one 1.6x step: a
+    # scan from lambda_1 in such steps meets no feasible point and calls H degenerate
+    return example("H3", "lattice", ("exponential", (c1, c2), 1.0, 1.0), grad, nu)
+
+
+@_missed_by_the_scan(0.5, 2.0, 2 * math.pi, 1e-2)
+@_missed_by_the_scan(0.5, 2.0, 2 * math.pi, 1e-1)
+@_missed_by_the_scan(0.5, 2.0, 50.0, 1e-8)
+@_missed_by_the_scan(0.5, 2.0, 50.0, 1e-4)
+@_missed_by_the_scan(0.5, 2.0, 50.0, 1e-2)
+@_missed_by_the_scan(0.5, 2.0, 50.0, 1e-1)
+@_missed_by_the_scan(0.3, 5.0, 2 * math.pi, 1e-1)
+@_missed_by_the_scan(0.3, 5.0, 50.0, 1e-4)
+@_missed_by_the_scan(0.3, 5.0, 50.0, 1e-2)
+@_missed_by_the_scan(0.3, 5.0, 50.0, 1e-1)
+@settings(max_examples=100)
+@given(st.sampled_from(["H1", "H2", "H3", "H4"]), st.sampled_from(["lattice", "geometric"]), rates(),
+       st.floats(0.1, 50.0), st.floats(-8.0, -1.0).map(lambda e: 10.0**e))
+def test_H_is_the_sup_of_its_feasible_set_on_a_fine_grid(which, scaling, rate, grad, nu):
+    kind, params, alpha, beta = rate
+    mode = "weak" if which in ("H2", "H4") else "strong"
+    if kind == "tabulated":
+        h = RateFunction.tabulated(*params, alpha, beta, mode)
+    else:
+        h = RateFunction(kind, params, alpha=alpha, beta=beta, mode=mode)
+    lam1 = SpectralConvention(2, scaling).lambda_1
+    profile = BoundProfile(which, h, grad_u_norm=grad, weyl_c=weyl_constant(2, scaling=scaling), lambda_1=lam1)
+    H, degenerate = eval_H(profile, nu)
+    feasible = [lam1 * lam for lam in LAMBDA_GRID if _feasible(profile, nu, lam1 * lam)]
+    if degenerate:
+        assert H == lam1 and not feasible
+    else:
+        assert _feasible(profile, nu, H)
+        assert all(lam <= H * (1 + 1e-6) for lam in feasible)
 
 
 def test_h1_exponential_satisfies_implicit_relation():

@@ -263,6 +263,32 @@ def test_bounds_h1_past_the_old_scan_end_matches_the_closed_form(tmp_path):
         assert h == pytest.approx(h1_power_closed_form(1e-130, 1.0, 1.0, 1.0, nu), rel=1e-6)
 
 
+def test_bounds_find_a_feasible_set_narrower_than_one_scan_step(tmp_path, capsys):
+    # lambda in [1.0016, 1.5666] is feasible at nu = 1e-2: a scan from
+    # lambda_1 = 1 in steps of 1.6 stepped over it and fell back to H = 1
+    out = tmp_path / "h3.csv"
+    assert run_cli(["bounds", "--which", "H3", "--rate", "exp:0.5,2", "--grad-u", "6.283185307179586",
+                    "--nu-grid", "1e-2:1e-1:2", "--out", str(out)]) == 0
+    assert "fell back" not in capsys.readouterr().out
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert rows[:, 0] == pytest.approx([1e-2, 1e-1], rel=1e-12)
+    assert rows[:, 1] == pytest.approx([1.5671035313816852, 1.2588871855025063], rel=1e-8)
+
+
+@pytest.mark.parametrize("grad", ["1e300", "1e150", "1e-150", "1e-300"])
+def test_bounds_at_extreme_gradients_fall_back_without_overflow(tmp_path, capsys, grad):
+    # 4 G t and ln(G^2 / (2 nu)) lie far past or below every float here; no
+    # lambda is feasible, and each grid falls back to lambda_1 = 1
+    for which in ("H3", "H4"):
+        for rate in ("exp:1,0.5", "power:2,0.25", "power:1,1"):
+            out = tmp_path / f"{which}-{rate}.csv"
+            assert run_cli(["bounds", "--which", which, "--rate", rate, "--grad-u", grad,
+                            "--nu-grid", "1e-8:1e-1:7", "--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith("H fell back to lambda_1 (the trivial heat bound) at nu = ")
+            rows = np.loadtxt(out, delimiter=",", skiprows=2)
+            assert rows[:, 1].tolist() == [1.0] * 7
+
+
 def test_bounds_dim_zero_is_a_validation_error(tmp_path, capsys):
     # --dim 0 used to fall back to d = 2 and exit 0
     out = tmp_path / "bounds.csv"
@@ -948,6 +974,45 @@ def test_outside_json_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys,
     assert code == 2
     assert f"error: {path} {message}" in printed.err
     assert "Traceback" not in printed.err and not printed.out
+    assert not out.exists()
+
+
+WRITING_COMMANDS = {
+    "simulate": ["simulate", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "mode:1,0"],
+    "dissipation-time": ["dissipation-time", "--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:3"],
+    "sweep": ["sweep", "--matrix", "2,1,1,1", "--nu-grid", "1e-4:1e-2:3"],
+    "mixing-rate": ["mixing-rate", "--matrix", "2,1,1,1", "--n-max", "3"],
+    "bounds": ["bounds", "--which", "H1", "--rate", "power:1,1", "--nu-grid", "1e-4:1e-2:3"],
+    "cts": ["cts", "--nu-grid", "1e-2:1e-2:1", "--k1max", "2", "--ygrid", "32"],
+}
+
+
+def _assert_os_validation_error(code, printed, reason):
+    assert code == 2
+    assert printed.err.startswith("error: [Errno") and reason in printed.err
+    assert "Traceback" not in printed.err
+
+
+@pytest.mark.parametrize("where, reason", [("directory", "Is a directory"), ("under-a-file", "Not a directory")])
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_an_out_path_that_cannot_be_written_is_a_validation_error(tmp_path, capsys, command, where, reason):
+    # an IsADirectoryError or NotADirectoryError once left main as a traceback and exit 1
+    (tmp_path / "file").write_text("")
+    out = tmp_path if where == "directory" else tmp_path / "file" / "out.json"
+    _assert_os_validation_error(run_cli([*WRITING_COMMANDS[command], "--out", str(out)]), capsys.readouterr(), reason)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "{dir}"],
+    ["simulate", "--config", "{dir}", "--matrix", "2,1,1,1", "--nu", "0.01", "--steps", "4", "--initial", "mode:1,0"],
+    ["verify", "bounds", "--report", "{dir}"],
+    ["bounds", "--which", "H1", "--rate", "file:{dir}", "--nu-grid", "1e-4:1e-2:3"],
+], ids=["initial", "config", "report", "rate-file"])
+def test_an_input_path_that_is_a_directory_is_a_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code = run_cli(argv if argv[0] == "verify" else [*argv, "--out", str(out)])
+    _assert_os_validation_error(code, capsys.readouterr(), "Is a directory")
     assert not out.exists()
 
 

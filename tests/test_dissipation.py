@@ -28,8 +28,7 @@ from disslab.pulsed import PulsedSystem, TruncatedKoopman, evolve
 from disslab.toral import ToralAutomorphism
 
 LAM_PLUS = (3 + math.sqrt(5)) / 2
-PROPERTY_SETTINGS = dict(deadline=None, database=None, derandomize=True,
-                         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+PROPERTY_SETTINGS = dict(suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def test_nu_conversion():
 # the lattice-ball scan
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.integers(2, 4), st.integers(0, 6))
 def test_ball_modes_match_product_scan(dimension, radius):
     # lexicographic order, as itertools.product yields the box
@@ -258,7 +258,7 @@ def test_one_module_holds_the_work_limit():
     assert sorted(p.name for p in src.glob("*.py") if "WORK_SECONDS" in p.read_text()) == ["fields.py"]
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(2, 4), st.integers(0, 15))
 def test_shell_counts_match_ball_norms(dimension, radius):
     norms = np.sum(ball_modes(dimension, radius) ** 2, axis=1)

@@ -212,8 +212,7 @@ hyperbolic_sl2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-
 ).filter(lambda rows: abs(rows[0][0] + rows[1][1]) > 2)
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
 @given(hyperbolic_sl2, st.floats(0.1, 3.0), st.floats(1.0, 3.0), st.integers(1, 4))
 def test_envelope_matches_brute_force(rows, alpha, beta, n_max):
     env = strong_envelope(ToralAutomorphism(rows), alpha, beta, n_max)
@@ -270,7 +269,7 @@ def _shell_of(form, bound, grams):
     return None
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=100)
 @given(automorphism=ergodic_automorphisms(),
        exponents=st.sampled_from([(1.0, 1.0), (2.0, 1.0), (0.5, 2.0), (1.5, 0.75), (1.0, 0.5)]),
        n_max=st.integers(1, 8))
@@ -352,7 +351,7 @@ def test_cesaro_nonincreasing_and_floored(cat, lattice2, rng):
 
 # m <= 20 in 4-D keeps the exact sums quick; (4, 40) is the 4-D weak CLI
 # artifact's radius and (3, 87) the 3-D one's
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, 40 if d < 4 else 20))),
        st.floats(0.1, 3.0))
 @example((2, 40), 1.0)

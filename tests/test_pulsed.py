@@ -266,7 +266,7 @@ def _crossing_runs(draw):
     return SpectralField(conv, dict(zip(modes, amps))), PulsedSystem(ToralAutomorphism(_GROWING[d]), nu, conv), steps
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(_crossing_runs())
 @example((SpectralField(SpectralConvention(2, "lattice"), {(2**27, -5): 1.0, (1, 0): 0.5j}),
           PulsedSystem(ToralAutomorphism(_GROWING[2]), 1e-20, SpectralConvention(2, "lattice")), 12))
@@ -342,7 +342,7 @@ def _single_runs(runs, n):
     return out
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(_batches())
 def test_evolve_many_matches_one_field_at_a_time(batch):
     runs, n = batch
@@ -382,7 +382,7 @@ def _walk_or_error(runs, n):
              traj.inviscid_gap(n)) for traj in trajs]
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(_batches())
 def test_series_and_states_do_not_depend_on_the_block_size(batch):
     # one step per block, blocks of a few steps cut across fields, and the
@@ -525,7 +525,7 @@ _POWERS = [[2**p + delta, sign * (2**q + delta), 0, 0] for p in range(29, 62) fo
            for delta in (-1, 0, 1) for sign in (1, -1)]
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.integers(2, 4).flatmap(lambda d: st.lists(
     st.lists(st.integers(-(2**62) + 1, 2**62 - 1), min_size=d, max_size=d), min_size=1, max_size=30)))
 def test_exact_norm_sq_matches_python_int_rounding(rows):

@@ -168,7 +168,7 @@ def test_transport_gap_short_time(flow, conv):
     assert r1["bound"] > 1e-5
 
 
-@settings(max_examples=4, deadline=None, database=None, derandomize=True)
+@settings(max_examples=4)
 @given(t=st.floats(0.05, 2.0), nu=st.floats(1e-4, 1e-1))
 def test_cts_norm_matches_evolved_unit_vectors(flow, conv, t, nu):
     template = CtsState.from_modes({}, k1_max=2, grid_size=32, nu=nu, convention=conv)
@@ -182,7 +182,7 @@ def test_cts_norm_matches_evolved_unit_vectors(flow, conv, t, nu):
     assert cts_norm(template, flow, t) == pytest.approx(dense, rel=1e-10)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     nu=st.floats(1e-4, 1e-1),
     t=st.floats(0.05, 20.0),
@@ -232,7 +232,7 @@ def _signed_band_norm(state, flow, t, i, dt_target=0.02):
     return np.linalg.norm(np.linalg.matrix_power(columns[:, 0, :].T, steps), 2)
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(
     nu=st.floats(1e-4, 1e-1),
     t=st.floats(0.05, 20.0),
@@ -308,7 +308,7 @@ def test_tau_d_cts_rejects_a_band_map_that_is_not_finite(flow, conv, monkeypatch
         tau_d_cts(flow, 1e-2, conv)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     nu=st.floats(1e-4, 1e-1),
     t=st.floats(0.05, 20.0),
@@ -375,7 +375,7 @@ def _single_band(nu, k1, grid, convention="geometric"):
     return CtsState(SpectralConvention(2, convention), nu, np.array([k1]), np.zeros((1, grid), dtype=complex))
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     nu=st.floats(1e-4, 1e-1),
     t=st.floats(0.05, 20.0),
@@ -457,7 +457,7 @@ def test_readme_cts_grid_builds_only_real_band_maps(tmp_path, band_map_dtypes):
     assert band_map_dtypes == [np.dtype(np.float64)] * 66
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     nu=st.floats(1e-4, 1e-1),
     t=st.floats(0.05, 20.0),
@@ -523,7 +523,7 @@ def _search_from_one(flow, nu, conv, k1_max, grid, rel_tol, dt):
     return 0.5 * (lo + hi)
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(
     log_nu=st.floats(math.log(1e-4), math.log(1e-1)),
     shear_spec=st.sampled_from(["sin", "coeffs:0,1,0,-0.5", "coeffs:0,0.5,0,0,0,0.25", "coeffs:0.3,1", "still"]),

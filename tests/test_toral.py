@@ -101,7 +101,7 @@ def test_conditions_decide_wide_companions_quickly(p, irreducible):
         assert len(factor) == 3 and poly_divides(factor, p)
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(q=st.tuples(st.integers(-30, 30), st.integers(-60, 60)),
        r=st.tuples(st.integers(-30, 30), st.integers(-60, 60)))
 def test_products_of_quadratics_are_reducible_with_a_dividing_witness(q, r):
@@ -130,7 +130,7 @@ def brute_force_factor(p):
     return None
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(p=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)))
 def test_quartic_factor_search_matches_brute_force(p):
     p = p + (1,)
@@ -138,7 +138,7 @@ def test_quartic_factor_search_matches_brute_force(p):
     assert irreducible_over_q(p) == (factor is None, factor)
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(q=st.tuples(st.integers(-4, 4), st.integers(-6, 6)), r=st.tuples(st.integers(-4, 4), st.integers(-6, 6)))
 def test_quartic_products_match_brute_force(q, r):
     p = poly_mul(q + (1,), r + (1,))
@@ -235,7 +235,7 @@ def _cyclotomics_times_factors(draw):
     return p
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(st.composite(_cyclotomics_times_factors)())
 def test_kronecker_matches_graeffe_root_squaring(p):
     res = kronecker_classify(p)
@@ -419,7 +419,7 @@ def _norm_form_ratios(automorphism, radius):
     return ratios
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(automorphism=ergodic_automorphisms(),
        rows=st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4),
        shift=st.integers(40, 61))
@@ -440,7 +440,7 @@ def test_norm_form_is_the_krylov_determinant(automorphism, rows, shift):
     assert np.allclose(ratios, ratios[0], rtol=1e-9, atol=0)
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=100)
 @given(automorphism=ergodic_automorphisms())
 def test_frame_constant_is_the_float_frame_determinant(automorphism):
     # |disc| / |N_(A^T)(e_d)| against |det V det W| of the float frame
@@ -537,7 +537,7 @@ square_matrices = st.integers(2, 4).flatmap(
     lambda d: st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d))
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(square_matrices)
 def test_leverrier_matches_laplace_and_minors(a):
     d = len(a)
@@ -570,7 +570,7 @@ def _elementary_product(d, ops):
     return a
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(unimodular)
 def test_inverse_is_the_minors_adjugate(a):
     auto = ToralAutomorphism(a)
@@ -591,7 +591,7 @@ def test_cyclotomic_table_pinned():
     assert hashlib.sha256(repr(_cyclotomic_table(8)).encode()).hexdigest() == digest
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(st.integers(-6, 6), max_size=9), st.lists(st.integers(-6, 6), max_size=5), st.booleans())
 def test_poly_divmod_is_division_with_remainder(p, q, monic):
     if monic:
