@@ -33,10 +33,15 @@ Each piece of the discretisation has one home: ``_phase`` is the transport
 factor exp(-2 pi i t k1 v(y)) of the Strang step, of pure transport and of
 the correlations; ``CtsState.eigenvalues`` is the band eigenvalue grid
 scale (k1^2 + m^2) of the diffusion step and of the H^1 norm; ``_steps``
-turns a time and a target step into the step count of every integration.
-``cts_step`` is the one-step case of ``evolve_cts``, ``energy_identity_defects``
-takes the same steps with each FFT shared by a norm and a step, and the
-transport gap diffuses at the state's own nu.
+turns a time and a target step into the step count of every integration;
+``_Strang`` builds the y-Fourier Strang matrices D C D of a state's bands.
+Those matrices are the one operator that the dissipation time decides and
+that the checks read: ``_band_walk`` raises them to the step count,
+``energy_identity_defects`` steps the Fourier coefficients by one product
+with them per step, and ``transport_gap_cts`` applies their power, at the
+state's own nu.  ``evolve_cts`` (``cts_step`` is its one-step case) is the
+FFT collocation solver of the same Strang step, kept as the independent
+oracle the tests compare these matrices with.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SpectralConvention
+from .fields import SpectralConvention, require_memory
 
 _E_INV = 1.0 / math.e
 NU_DESK = (1e-4, 1e-1)  # the nu range tau_d_cts supports
@@ -108,7 +113,8 @@ class ShearFlow:
 class CtsState:
     """theta_hat_{k1}(y_j) on nonzero x-wavenumbers and y collocation points.
 
-    ``data`` has shape (n_bands, M) (collocation values per band).  The
+    ``data`` has shape (n_bands, M) (collocation values per band), one row
+    per entry of ``k1``; any other shape is refused.  The
     state lives in the zero-horizontal-average subspace: there is no k1 = 0
     band, so every Laplacian eigenvalue of the state is positive.
     """
@@ -121,6 +127,8 @@ class CtsState:
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        if self.data.ndim != 2 or np.shape(self.k1) != self.data.shape[:1]:
+            raise ValueError(f"data must hold one row per k1, got shapes {np.shape(self.k1)} and {self.data.shape}")
         _check_grid_size(self.data.shape[-1])
         if self.convention.dimension != 2:
             raise ValueError("shear solver lives on T^2")
@@ -229,6 +237,42 @@ class _Stepper:
         return data * self.phase
 
 
+class _Strang:
+    """The y-Fourier Strang steps of a state's signed bands, for one step dt.
+
+    A call returns S = D C D for the bands ``rows`` (every band by default),
+    stacked (bands, M, M): D the diffusion half-step diagonal
+    exp(-nu lambda dt / 2) on the band's eigenvalue row and C the circulant
+    C[m, m'] = fft(phase)[(m - m') % M] / M of the advection phase, so that
+    S maps the band's coefficients ``CtsState.spectral`` one Strang step on
+    (``_band_walk`` derives it).  For a sine-series shear C is real and its
+    real part is kept.  The profile v(y), the lag index (m - m') % M and the
+    eigenvalue rows are built once per instance.
+
+    Before anything M x M is allocated, 32 (n + 1) M^2 bytes are priced
+    for n bands: building S holds at most about two stacks of n complex
+    M x M matrices at once, and the lag index is one M x M array
+    (tracemalloc peaks of the build and of both checks were 1.1 and 2.1
+    times 16 n M^2 bytes for real and complex S, n = 4..16, M = 64..512).
+    ``_band_walk`` prices every band it may build and builds one at a time.
+    """
+
+    def __init__(self, flow: ShearFlow, state: CtsState, dt: float):
+        _check_grid(flow, state)
+        m = state.grid_size
+        self.real = not any(flow.cos_coeffs)  # v(-y) = -v(y)
+        require_memory(32 * (state.k1.size + 1) * m * m, f"Strang matrices of {state.k1.size} bands at M = {m}")
+        self.k1, self.nu, self.dt, self.eigenvalues = state.k1, state.nu, dt, state.eigenvalues()
+        self.v = _profile(flow, m)
+        self.lag = np.subtract.outer(np.arange(m), np.arange(m)) & (m - 1)  # (m - m') % M, M a power of two
+
+    def __call__(self, rows: slice = slice(None)) -> np.ndarray:
+        damp = np.exp(-self.nu * self.eigenvalues[rows] * self.dt / 2.0)
+        symbol = np.fft.fft(_phase(self.k1[rows], self.v, self.dt), axis=-1) / self.v.size
+        symbol = symbol.real if self.real else symbol  # real in exact arithmetic: the imaginary parts are rounding
+        return damp[:, :, None] * np.take(symbol, self.lag, axis=-1) * damp[:, None, :]
+
+
 def cts_step(state: CtsState, flow: ShearFlow, dt: float) -> CtsState:
     """One Strang step: half diffusion, exact advection, half diffusion."""
     _check_dt(dt)  # before evolve_cts, which would read a bad dt as a bad time
@@ -262,43 +306,47 @@ def advect_exact(state: CtsState, flow: ShearFlow, t: float) -> CtsState:
     return CtsState(state.convention, state.nu, state.k1, state.data * phase)
 
 
-def energy_identity_defects(
-    state: CtsState, flow: ShearFlow, t: float, dt: float
-) -> np.ndarray:
+def _spectral_steps(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
+    """The state's Fourier coefficients at 0, dt, ..., t, stepped by the Strang matrices of ``_Strang``.
+
+    Takes the steps of ``evolve_cts`` (``_steps``), each one batched product
+    c <- S c with the matrices S that ``tau_d_cts`` decides, built once.  The
+    coefficients are those of ``CtsState.spectral``.  For a real S (every
+    sine-series shear) c is carried as a real (bands, M, 2) array of its real
+    and imaginary parts, so nothing is promoted to complex; otherwise as a
+    complex (bands, M, 1) array.  ``c.view(complex)[..., 0]`` is the complex
+    (bands, M) array either way.  One product per step keeps the working set
+    at S and two coefficient arrays, where a matrix power would hold several
+    stacks of M x M matrices.
+    """
+    steps, dt = _steps(t, dt_target)
+    strang = _Strang(flow, state, dt)()
+    c = state.spectral()
+    c = np.stack([c.real, c.imag], axis=-1) if np.isrealobj(strang) else c[..., None]
+    yield c
+    for _ in range(steps):
+        c = strang @ c
+        yield c
+
+
+def energy_identity_defects(state: CtsState, flow: ShearFlow, t: float, dt: float) -> np.ndarray:
     """Per-step defect of d/dt ||theta||^2 + 2 nu ||theta||_1^2 = 0.
 
-    Takes the unfused Strang steps of ``cts_step`` (half diffusion,
-    advection, half diffusion), with the factors and the eigenvalue grid
-    built once, and a midpoint H^1 value.  Each state's FFT serves both its
-    H^1 norm (``CtsState.h1_norm_sq``) and the first half-step out of it,
-    so a step costs four FFTs; each state's energy and H^1 norm are computed
-    once and carried into the next step, and the defects are those of a
-    loop over ``cts_step`` bit for bit.  The defect per step is O(dt^3)
+    Reads the operator that ``tau_d_cts`` decides: the coefficients of
+    ``_spectral_steps``, stepped by the y-Fourier Strang matrices of
+    ``_Strang``, the unfused Strang step of ``cts_step``.  Each state's
+    energy and H^1 norm are read from its coefficients by Parseval, and each
+    step takes the midpoint H^1 value.  The defects agree with a loop over
+    ``cts_step`` to within rounding (at most 4 eps E_0 per step on the cases
+    the tests check), not bit for bit.  The defect per step is O(dt^3)
     locally, O(dt^2) accumulated, which the self-convergence test verifies
     by halving dt.
     """
-    steps, dt = _steps(t, dt)
-    stepper = _Stepper(flow, state, dt)
-    eigenvalues = state.eigenvalues()
-    m = state.grid_size
-
-    def norms(data: np.ndarray, coeffs: np.ndarray) -> Tuple[float, float]:
-        # the energy and H^1 norm of CtsState, from the state's FFT
-        return float(np.sum(np.abs(data) ** 2) / m), float(np.sum(eigenvalues * np.abs(coeffs / m) ** 2))
-
-    data = state.data
-    coeffs = np.fft.fft(data, axis=-1)
-    energy, h1 = norms(data, coeffs)
-    defects = np.empty(steps)
-    for s in range(steps):
-        advected = stepper.advect(np.fft.ifft(coeffs * stepper.half_damp, axis=-1))
-        data = np.fft.ifft(np.fft.fft(advected, axis=-1) * stepper.half_damp, axis=-1)
-        coeffs = np.fft.fft(data, axis=-1)
-        next_energy, next_h1 = norms(data, coeffs)
-        mid_h1 = 0.5 * (h1 + next_h1)
-        defects[s] = abs(next_energy - energy + 2.0 * state.nu * dt * mid_h1)
-        energy, h1 = next_energy, next_h1
-    return defects
+    _, step = _steps(t, dt)
+    eigenvalues = state.eigenvalues()[..., None]
+    weights = (np.abs(c) ** 2 for c in _spectral_steps(state, flow, t, dt))
+    energy, h1 = np.array([(np.sum(w), np.sum(eigenvalues * w)) for w in weights]).T  # per state
+    return np.abs(np.diff(energy) + 2.0 * state.nu * step * (0.5 * (h1[:-1] + h1[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +369,10 @@ def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
     with F the unnormalised DFT, D = diag(half_damp) the diffusion half-step
     in the FFT layout and P = diag(phase) the advection.  F / sqrt(M) is
     unitary, so conjugating by it keeps the singular values, and the step
-    is built in the y-Fourier basis as S = D C D, where C = F P F^-1 is the
-    circulant C[m, m'] = fft(phase)[(m - m') % M] / M, and X = S^steps.
+    is built in the y-Fourier basis as S = D C D (``_Strang``), where
+    C = F P F^-1 is the circulant C[m, m'] = fft(phase)[(m - m') % M] / M,
+    and X = S^steps.  The profile, the lag index and the eigenvalue rows
+    are built once per walk, and each band's S when it is built.
 
     D is real, since its multiplier is real and even in m, and the phase of
     band -k1 is the complex conjugate of the phase of band k1.  So S(-k1)
@@ -361,26 +411,18 @@ def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
     steps, dt = _steps(t, dt_target)
     scale = state.convention.scale_factor
     pad = 1.0 + 1e-12 + 4.0 * steps * sys.float_info.epsilon
-    m = state.grid_size
-    lag = np.subtract.outer(np.arange(m), np.arange(m)) % m  # (m - m') % M
-    odd = not any(flow.cos_coeffs)  # v(-y) = -v(y)
+    k1s = np.array(sorted(set(np.abs(state.k1).tolist())), dtype=np.int64)  # not np.unique, which imports numpy.ma
+    strang = _Strang(flow, CtsState(state.convention, state.nu, k1s, np.zeros((k1s.size, state.grid_size))), dt)
 
-    def power(k1: int) -> np.ndarray:
-        band = CtsState(state.convention, state.nu, np.array([k1], dtype=np.int64), state.data[:1])
-        stepper = _Stepper(flow, band, dt)
-        damp = stepper.half_damp[0]
-        symbol = np.fft.fft(stepper.phase[0]) / m
-        if odd:
-            symbol = symbol.real  # real in exact arithmetic: the imaginary parts are rounding
-        strang = damp[:, None] * symbol[lag] * damp[None, :]
-        x = np.linalg.matrix_power(strang, steps)
+    def power(i: int) -> np.ndarray:
+        x = np.linalg.matrix_power(strang(slice(i, i + 1))[0], steps)
         # a NaN entry would stop the SVD with LinAlgError, a ValueError, and an inf one gives a NaN norm
         if not np.isfinite(x).all():
             raise RuntimeError(f"solution map norm at t = {t} is not finite")
         return x
 
-    for k1 in sorted(set(np.abs(state.k1).tolist())):  # not np.unique, which imports numpy.ma
-        yield math.exp(-state.nu * scale * k1 * k1 * t) * pad, lambda k1=k1: power(k1)
+    for i, k1 in enumerate(k1s.tolist()):
+        yield math.exp(-state.nu * scale * k1 * k1 * t) * pad, lambda i=i: power(i)
 
 
 def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> float:
@@ -407,8 +449,10 @@ _GRAM_MARGIN = 1e-9
 
 def _below(gram: np.ndarray, square: float) -> bool:
     """Whether square I - gram is positive definite, by whether its Cholesky factorisation succeeds."""
+    shifted = -gram
+    shifted.reshape(-1)[:: gram.shape[0] + 1] += square  # the diagonal, square - g_ii
     try:
-        np.linalg.cholesky(square * np.eye(gram.shape[0]) - gram)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -519,9 +563,8 @@ def tau_d_cts(
     if not (math.isfinite(rel_tol) and 1e-12 <= rel_tol < 1.0):
         raise ValueError(f"rel_tol must be finite and in [1e-12, 1), got {rel_tol}")
     _check_grid_size(grid_size)
-    _check_dt(dt_target)
+    # the first probe's walk checks dt and the grid's resolution of the shear before it builds a band
     template = CtsState.from_modes({}, k1_max, grid_size, nu, convention)
-    _check_grid(flow, template)
 
     def reaches(t: float) -> bool:  # sigma(t) >= 1/e
         return cts_norm_reaches(template, flow, t, _E_INV, dt_target=dt_target)
@@ -542,10 +585,7 @@ def tau_d_cts(
             lo /= 2.0
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if not reaches(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (mid, hi) if reaches(mid) else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -555,15 +595,22 @@ def transport_gap_cts(state: CtsState, flow: ShearFlow, t: float, dt_target: flo
     gap^2 = ||theta(t) - phi(t)||^2  with theta evolved at the state's nu
     and phi the exact nu = 0 shear flow;
     bound = (nu / (2 |grad u|)) exp(2 |grad u| t) ||theta_0||_1^2.
+
+    theta(t) is read from the operator that ``tau_d_cts`` decides: the
+    last coefficients of ``_spectral_steps``, stepped by the y-Fourier
+    Strang matrices of ``_Strang`` over the steps of ``evolve_cts``, then
+    one inverse FFT.  It equals ``evolve_cts``'s endpoint to within
+    rounding.
     """
     if t <= 0 or t > 10.0:
         raise ValueError("t must lie in (0, 10]")
     grad = flow.grad_norm
     if grad == 0:
         raise ValueError("the transport gap bound nu / (2 |grad u|) needs a flow with grad_norm > 0, got 0")
-    evolved = evolve_cts(state, flow, t, dt_target=dt_target)
-    transported = advect_exact(state, flow, t)
-    diff = evolved.data - transported.data
+    for c in _spectral_steps(state, flow, t, dt_target):
+        pass  # to the coefficients at time t
+    evolved = np.fft.ifft(c.view(complex)[..., 0], axis=-1) * state.grid_size
+    diff = evolved - advect_exact(state, flow, t).data
     gap_sq = float(np.sum(np.abs(diff) ** 2) / state.grid_size)
     bound = state.nu / (2.0 * grad) * math.exp(2.0 * grad * t) * state.h1_norm_sq()
     return {"gap_sq": gap_sq, "bound": bound}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, settings
@@ -25,6 +27,16 @@ def lattice2():
 @pytest.fixture(scope="session")
 def geometric2():
     return SpectralConvention(2, "geometric")
+
+
+@pytest.fixture()
+def physical_memory_32gb(monkeypatch):
+    # report at most 32 GB of physical memory, so that no host starts an
+    # allocation a price test expects to be refused
+    sysconf = os.sysconf
+    cap_pages = 32 * 10**9 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: min(sysconf(name), cap_pages)
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
 
 
 @pytest.fixture()

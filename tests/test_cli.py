@@ -243,8 +243,10 @@ def test_bounds_names_its_degenerate_points(tmp_path, capsys):
 
 @pytest.mark.parametrize("which", ["H3", "H4"])
 def test_bounds_whose_rate_inverse_overflows_fall_back(tmp_path, capsys, which):
-    # the lambda scan asks power:2,0.25 for h^-1 = (c / y)^4 past the largest
-    # float; that time is infeasible, so every nu falls back to lambda_1
+    # the H search decides every nu of this grid at lambda_1 alone, which is
+    # infeasible, so each falls back to lambda_1; it never asks
+    # RateFunction.inverse for a time past the largest float, the branch
+    # that test_mixing.py::test_power_rate_inverse_past_every_float_is_inf covers
     out = tmp_path / "h.csv"
     assert run_cli(["bounds", "--which", which, "--rate", "power:2,0.25", "--grad-u", "1",
                     "--nu-grid", "1e-4:1e-2:3", "--out", str(out)]) == 0
@@ -719,14 +721,9 @@ def test_strong_envelope_runs_past_the_int64_range(tmp_path):
 
 
 @pytest.fixture()
-def capped_memory(monkeypatch):
-    # report at most 32 GB of physical memory, so that no host allocates an
+def capped_memory(monkeypatch, physical_memory_32gb):
+    # at most 32 GB of physical memory, so that no host allocates an
     # oversized ball, and fail loudly if a scan starts anyway
-    sysconf = os.sysconf
-    cap_pages = 32 * 10**9 // sysconf("SC_PAGE_SIZE")
-    monkeypatch.setattr(os, "sysconf", lambda name: min(sysconf(name), cap_pages)
-                        if name == "SC_PHYS_PAGES" else sysconf(name))
-
     def no_scan(*args, **kwargs):
         raise AssertionError("an oversized lattice-ball scan started")
 

@@ -80,6 +80,35 @@ def test_cts_state_refuses_a_nu_that_is_not_finite_and_nonnegative(conv, nu):
         CtsState(conv, nu, state.k1, state.data)
 
 
+def test_cts_state_refuses_data_that_is_not_one_row_per_k1(conv):
+    # a one-entry k1 broadcast over all six rows: h1_norm_sq read 59.2
+    # instead of 138.2 and the transport gap 0.922 instead of 0.988
+    state = CtsState.from_modes({(1, 0): 1.0, (3, 1): 0.5}, 3, 64, 1e-2, conv)
+    for k1, data in ((np.array([1]), state.data), (state.k1, state.data[:2]), (state.k1[:1], state.data[0])):
+        with pytest.raises(ValueError, match="one row per k1"):
+            CtsState(conv, 1e-2, k1, data)
+
+
+@pytest.fixture()
+def capped_memory(monkeypatch, physical_memory_32gb):
+    # at most 32 GB of physical memory, and fail loudly if the Strang
+    # matrices start to be built anyway
+    monkeypatch.setattr(shear, "_profile", lambda *args: pytest.fail("Strang matrices built past their price"))
+
+
+@pytest.mark.parametrize("shear_spec", ["sin", "coeffs:0.3,1"])
+def test_strang_matrices_past_physical_memory_are_a_validation_error(conv, capped_memory, shear_spec):
+    # 2 bands at M = 2^16: 2^33 matrix entries, about 68 GB in float64, and
+    # the build's second stack and a lag index, priced as 412 GB
+    flow = cli._parse_shear(shear_spec)
+    state = CtsState.from_modes({(1, 0): 1.0}, 1, 2**16, 1e-3, conv)
+    message = "Strang matrices of 2 bands at M = 65536 needing 412.3 GB"
+    with pytest.raises(ValueError, match=message):
+        energy_identity_defects(state, flow, 1.0, 0.02)
+    with pytest.raises(ValueError, match=message):
+        transport_gap_cts(state, flow, 1.0)
+
+
 def test_grid_guard(conv):
     wide = ShearFlow(sin_coeffs=tuple([0.0] * 15 + [1.0]))
     state = CtsState.from_modes({(1, 0): 1.0}, 4, 64, 1e-2, conv)
@@ -207,19 +236,25 @@ def test_cts_norm_pruning_matches_every_band(nu, t, k1_max, grid, convention, sh
     assert cts_norm(template, flow, t) == brute
 
 
-def test_cts_norm_builds_only_the_bands_the_heat_bound_admits(flow, conv, monkeypatch):
+@pytest.fixture()
+def built_bands(monkeypatch):
+    # the k1 of every band whose Strang matrix is built
     built = []
 
-    class Counting(shear._Stepper):
-        def __init__(self, flow, state, dt):
-            built.extend(state.k1.tolist())
-            super().__init__(flow, state, dt)
+    class Counting(shear._Strang):
+        def __call__(self, rows=slice(None)):
+            built.append(self.k1[rows].tolist())
+            return super().__call__(rows)
 
-    monkeypatch.setattr(shear, "_Stepper", Counting)
+    monkeypatch.setattr(shear, "_Strang", Counting)
+    return built
+
+
+def test_cts_norm_builds_only_the_bands_the_heat_bound_admits(flow, conv, built_bands):
     template = CtsState.from_modes({}, 16, 64, 1e-2, conv)
     # at t = 1.08 the |k1| = 1 norm is about 1/e; |k1| = 2 is heat-bounded by 0.18
     assert cts_norm(template, flow, 1.08) > 0.36
-    assert sorted(built) == [1]
+    assert built_bands == [[1]]
 
 
 def _signed_band_norm(state, flow, t, i, dt_target=0.02):
@@ -252,12 +287,16 @@ def test_cts_norm_over_one_band_per_abs_k1_matches_every_signed_band(
     assert cts_norm(template, flow, t) == pytest.approx(brute, rel=1e-12)
 
 
-@pytest.mark.parametrize("convention, shear_spec, dt", [
-    ("geometric", "sin", 0.02),
-    ("geometric", "sin", 0.3),
-    ("lattice", "coeffs:0.3,1,0.2,-0.5", 0.01),
-])
-def test_energy_identity_defects_match_the_cts_step_loop(convention, shear_spec, dt):
+@pytest.mark.parametrize("convention, shear_spec, dt, modes", [
+    ("geometric", "sin", 0.02, None),
+    ("geometric", "sin", 0.3, None),
+    ("lattice", "coeffs:0.3,1,0.2,-0.5", 0.01, None),
+    # both signed bands of |k1| = 1 and 2 under a cosine shear: the complex Strang matrices
+    ("geometric", "coeffs:0.3,1", 0.02, {(1, 0): 1.0, (-1, 1): 0.5j, (2, -1): 0.3, (-2, 3): -0.4}),
+], ids=["geometric-sin-0.02", "geometric-sin-0.3", "lattice-coeffs:0.3,1,0.2,-0.5-0.01",
+        "geometric-coeffs:0.3,1-0.02-both-signs"])
+def test_energy_identity_defects_match_the_cts_step_loop(convention, shear_spec, dt, modes):
+    # the matrix steps and the FFT steps agree to rounding, per step
     def reference(state, flow, t, dt):
         steps = max(1, math.ceil(t / dt))
         dt = t / steps
@@ -270,12 +309,23 @@ def test_energy_identity_defects_match_the_cts_step_loop(convention, shear_spec,
             cur = nxt
         return defects
 
-    modes = {(1, 0): 1.0, (2, 1): 0.5, (-3, 2): 0.2j}
+    modes = modes or {(1, 0): 1.0, (2, 1): 0.5, (-3, 2): 0.2j}
     state = CtsState.from_modes(modes, 8, 64, 1e-2, SpectralConvention(2, convention))
     flow = cli._parse_shear(shear_spec)
     got = energy_identity_defects(state, flow, 1.0, dt)
     want = reference(state, flow, 1.0, dt)
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * state.energy()
+
+
+@pytest.mark.parametrize("shear_spec", ["sin", "coeffs:0,1,0,-0.5,0,0.25", "coeffs:0.3,1,0.2,-0.5"])
+def test_transport_gap_matches_the_evolved_gap(conv, shear_spec):
+    # the coefficients stepped by the Strang matrices against the FFT solution of evolve_cts
+    flow = cli._parse_shear(shear_spec)
+    state = CtsState.from_modes({(1, 0): 1.0, (-1, 2): 0.5j, (2, 1): 0.3, (-3, -1): 0.2}, 3, 64, 1e-3, conv)
+    diff = evolve_cts(state, flow, 2.0).data - advect_exact(state, flow, 2.0).data
+    want = float(np.sum(np.abs(diff) ** 2) / state.grid_size)
+    assert transport_gap_cts(state, flow, 2.0)["gap_sq"] == pytest.approx(want, rel=1e-12)
 
 
 def test_tau_d_cts_evaluates_each_time_once(flow, conv, monkeypatch):
@@ -336,25 +386,20 @@ def test_cts_norm_reaches_decides_as_the_maximum(nu, t, k1_max, grid, convention
     assert cts_norm_reaches(template, flow, t, level) == (sigma >= level)
 
 
-def test_readme_cts_grid_builds_66_band_matrices(monkeypatch, tmp_path):
+def test_readme_cts_grid_builds_66_band_matrices(monkeypatch, tmp_path, built_bands):
     # 43 decisions on the README grid; the full maximum built 87 band matrices
-    built, decisions = [], []
+    decisions = []
     reaches = shear.cts_norm_reaches
-
-    class Counting(shear._Stepper):
-        def __init__(self, flow, state, dt):
-            built.append(state.k1.tolist())
-            super().__init__(flow, state, dt)
 
     def recording(*args, **kwargs):
         decisions.append(args[2])
         return reaches(*args, **kwargs)
 
-    monkeypatch.setattr(shear, "_Stepper", Counting)
     monkeypatch.setattr(shear, "cts_norm_reaches", recording)
     assert cli.main(["cts", "--shear", "sin", "--nu-grid", "1e-4:1e-2:5", "--k1max", "16", "--ygrid", "64",
                      "--out", str(tmp_path / "cts.csv")]) == 0
-    assert (len(decisions), len(built)) == (43, 66)
+    assert (len(decisions), len(built_bands)) == (43, 66)
+    assert all(len(band) == 1 for band in built_bands)
 
 
 @pytest.fixture()
