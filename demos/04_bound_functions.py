@@ -17,7 +17,7 @@ from disslab.mixing import RateFunction, fit_rate, strong_envelope
 
 print("Weyl eigenvalue-count prefactors (N(lambda) ~ ct lambda^{d/2}):")
 for d in (2, 3, 4):
-    print(f"  d = {d}: geometric {weyl_constant(d):.6f}, bare lattice {weyl_constant(d, scaling='lattice'):.6f}")
+    print(f"  d = {d}: geometric {weyl_constant(d, scaling='geometric'):.6f}, bare lattice {weyl_constant(d, scaling='lattice'):.6f}")
 count = lattice_count(2, 1e4)
 print(f"  direct count of |k|^2 <= 1e4 on Z^2: {count} vs pi * 1e4 = {math.pi * 1e4:.0f}")
 

@@ -1,7 +1,11 @@
 """Enhanced dissipation by the shear flow u = (sin(2 pi y), 0) on T^2.
 
-Fourier in x, collocation in y, Strang splitting with both substeps exact.
-On the zero-horizontal-average subspace the dissipation time scales like
+Fourier in x and in y: each x-band evolves by the exact exponential
+exp(t L) of its y-Fourier generator, diffusion plus the circulant of the
+profile, computed on a binary ladder of squared rungs with no time step.
+The energy check integrates d/dt ||theta||^2 = -2 nu ||grad theta||^2 by
+the trapezoid rule along exp(h L) steps (second order in h, hence the
+ratio near 4 at h = 0.02 vs 0.01).  On the zero-horizontal-average subspace the dissipation time scales like
 nu^{-1/2} up to logarithms, far below the heat-only 1/(nu lambda_1), and
 the inviscid transport correlation decays like t^{-1/2} (stationary phase
 at the nondegenerate critical points of the profile).

@@ -38,8 +38,12 @@ CONTINUOUS_CONSTANT = 18.0
 # Weyl eigenvalue-counting constant
 # ---------------------------------------------------------------------------
 
-def weyl_constant(d: int, vol: float = 1.0, eps: float = 0.0, scaling: str = "geometric") -> float:
+def weyl_constant(d: int, vol: float = 1.0, eps: float = 0.0, *, scaling: str) -> float:
     """Prefactor ct in the eigenvalue count N(lambda) ~ ct * lambda^{d/2}.
+
+    ``scaling`` is required: it must match the convention of the lambda_1
+    that the constant is used with (``BoundProfile.lambda_1`` is the
+    lattice value 1 unless given), so no default can mix the two.
 
     geometric: ct = (1+eps) vol / ((4 pi)^{d/2} Gamma(d/2 + 1)); with the
     bare-lattice eigenvalues |k|^2 the count of modes is the ball volume,

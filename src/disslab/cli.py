@@ -193,7 +193,7 @@ def _cmd_bounds(args) -> int:
     conv = SpectralConvention(2 if args.dim is None else args.dim, args.convention)
     kwargs = dict(dimension=conv.dimension, lambda_1=conv.lambda_1)
     if args.which in ("H2", "H4"):
-        kwargs["weyl_c"] = weyl_constant(conv.dimension, args.vol, args.eps, conv.scaling)
+        kwargs["weyl_c"] = weyl_constant(conv.dimension, args.vol, args.eps, scaling=conv.scaling)
     if args.which in ("H3", "H4"):
         kwargs["grad_u_norm"] = args.grad_u
     profile = BoundProfile(args.which, rate, **kwargs)
@@ -217,7 +217,7 @@ def _cmd_cts(args) -> int:
     nus = _parse_nu_grid(args.nu_grid, GRID_POINT_BYTES["cts"])
     if not all(lo <= float(end) <= hi for end in args.nu_grid.split(":")[:2]):
         raise ValueError(f"nu outside the supported desk range [1e-4, 1e-1]: {args.nu_grid!r}")
-    rows = [(nu, tau_d_cts(flow, nu, conv, k1_max=args.k1max, grid_size=args.ygrid, dt_target=args.dt))
+    rows = [(nu, tau_d_cts(flow, nu, conv, k1_max=args.k1max, grid_size=args.ygrid))
             for nu in map(float, sorted(np.clip(nus, lo, hi)))]
     _write_csv(args.out, ["nu", "tau_d"], rows)
     print(f"wrote {args.out}")
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-grid", required=True)
     p.add_argument("--k1max", type=int, default=16)
     p.add_argument("--ygrid", type=int, default=64)
-    p.add_argument("--dt", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="cts.csv")
 

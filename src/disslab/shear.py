@@ -1,51 +1,44 @@
 """Advection-diffusion by shear flows u = (v(y), 0) on T^2.
 
 Spectral in x (nonzero integer wavenumbers |k1| <= K1, the zero-horizontal-
-average subspace), collocation in y (M points, M a power of two).  Strang
-splitting alternates an exact diffusion half-step in the y-spectral basis
-with an exact advection step, the pointwise phase exp(-2 pi i k1 v(y) dt):
-shear advection is diagonal in this representation, so both substeps are
-unconditionally stable and only the splitting commutator contributes error
-(global O(dt^2)).
-
-The x-bands never couple, so the dissipation time reads the discretized
-solution map band by band: one M x M Strang matrix per band, raised to the
-step count, built in the y-Fourier basis as D C D (D the diffusion
-half-step diagonal, C the circulant of the advection phase), which is
-unitarily similar to the collocation-basis step and has its singular
-values.  The diffusion half-step is real (its multiplier is real and even
-in m) and the phase of band -k1 is the conjugate of that of band k1, so the
-two bands have conjugate matrices, equal singular values, and one matrix
-per |k1| is built; for a sine-series shear (an odd profile) every band
-matrix is real and is built and decided in float64.  Advection is unitary
-and diffusion contracts band k1 by at most its heat factor
-exp(-nu scale k1^2 t), so a band whose heat factor lies below a norm
-already found cannot set the maximum and is never built (``cts_norm``, the
-exact norm by SVD).  The dissipation time asks only
-whether the norm reaches 1/e: ``cts_norm_reaches`` stops at the first band
-that reaches it, never builds a band whose heat factor lies below it, and
-decides each band it builds by two Cholesky factorisations of shifted
-Gram matrices, certified against the rounding, with the SVD kept for a
-level within a relative 1e-9 of the band's norm.  Both walk the bands
-through one generator, ``_band_walk``.
+average subspace) and in y (M Fourier modes, M a power of two, with the
+profile sampled at M collocation points).  The x-bands never couple, so the
+semi-discrete flow is block diagonal: band k1 evolves its y-Fourier
+coefficients by exp(t L), with the generator
+L = -nu scale diag(k1^2 + m^2) - 2 pi i k1 C_v and C_v the circulant of the
+profile's Fourier coefficients (``_Ladder``).  There is no time step on the
+dissipation time's path, hence no splitting error.  The transport part of L
+is skew-Hermitian, so the band contracts by at most its heat factor
+exp(-nu scale k1^2 t); bands k1 and -k1 have conjugate maps with equal
+singular values, so one map per |k1| is built, and for a sine-series shear
+(an odd profile) every generator is real and is exponentiated and decided
+in float64.  A band whose heat factor lies below a norm already found
+cannot set the maximum and is never built (``cts_norm``, the exact norm by
+SVD).  The dissipation time asks only whether the norm reaches 1/e:
+``cts_norm_reaches`` stops at the first band that reaches it, never builds
+a band whose heat factor lies below it, and decides each band it builds by
+two Cholesky factorisations of shifted Gram matrices, certified against the
+rounding, with the SVD kept for a level within a relative 1e-9 of the
+band's norm.  Both walk the bands through one generator, ``_band_walk``.
 
 Each piece of the discretisation has one home: ``_phase`` is the transport
-factor exp(-2 pi i t k1 v(y)) of the Strang step, of pure transport and of
-the correlations; ``CtsState.eigenvalues`` is the band eigenvalue grid
-scale (k1^2 + m^2) of the diffusion step and of the H^1 norm; ``_steps``
-turns a time and a target step into the step count of every integration;
-``_Strang`` builds the y-Fourier Strang matrices D C D of a state's bands.
-Those matrices are the one operator that the dissipation time decides and
-that the checks read: ``_band_walk`` raises them to the step count,
-``energy_identity_defects`` steps the Fourier coefficients by one product
-with them per step, and ``transport_gap_cts`` applies their power, at the
-state's own nu.  ``evolve_cts`` (``cts_step`` is its one-step case) is the
-FFT collocation solver of the same Strang step, kept as the independent
-oracle the tests compare these matrices with.
+factor exp(-2 pi i t k1 v(y)) of the FFT Strang step, of pure transport and
+of the correlations; ``CtsState.eigenvalues`` is the band eigenvalue grid
+scale (k1^2 + m^2) of the diffusion and of the H^1 norm; ``_Ladder`` builds
+each band's generator and computes its map exp(t L) at any time t, the
+product of rungs exp(2^e L) over t's binary digits and one Taylor kernel
+(``_taylor``) on the rest.  That map is the one operator that the
+dissipation time decides and that the checks read: ``_band_walk`` yields
+it per |k1|, ``energy_identity_defects`` steps the Fourier coefficients by
+exp(h L) and ``transport_gap_cts`` applies exp(t L), at the state's own nu.
+``evolve_cts`` (``cts_step`` is its one-step case) is the FFT collocation
+solver of the Strang splitting of the same semi-discrete flow, kept as the
+independent oracle whose dt -> 0 limit the tests compare these maps with.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -187,16 +180,15 @@ def _check_grid_size(m: int):
         raise ValueError(f"M must be a power of two, at least 2, got {m}")
 
 
-def _check_dt(dt: float):
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+def _check_positive(value: float, name: str):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _steps(t: float, dt_target: float) -> Tuple[int, float]:
-    """The Strang step count for time t at step dt_target, and the step t / steps."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    _check_dt(dt_target)
+    """The step count for time t at step dt_target, and the step t / steps."""
+    _check_positive(t, "t")
+    _check_positive(dt_target, "dt")
     steps = max(1, math.ceil(t / dt_target))
     return steps, t / steps
 
@@ -237,45 +229,9 @@ class _Stepper:
         return data * self.phase
 
 
-class _Strang:
-    """The y-Fourier Strang steps of a state's signed bands, for one step dt.
-
-    A call returns S = D C D for the bands ``rows`` (every band by default),
-    stacked (bands, M, M): D the diffusion half-step diagonal
-    exp(-nu lambda dt / 2) on the band's eigenvalue row and C the circulant
-    C[m, m'] = fft(phase)[(m - m') % M] / M of the advection phase, so that
-    S maps the band's coefficients ``CtsState.spectral`` one Strang step on
-    (``_band_walk`` derives it).  For a sine-series shear C is real and its
-    real part is kept.  The profile v(y), the lag index (m - m') % M and the
-    eigenvalue rows are built once per instance.
-
-    Before anything M x M is allocated, 32 (n + 1) M^2 bytes are priced
-    for n bands: building S holds at most about two stacks of n complex
-    M x M matrices at once, and the lag index is one M x M array
-    (tracemalloc peaks of the build and of both checks were 1.1 and 2.1
-    times 16 n M^2 bytes for real and complex S, n = 4..16, M = 64..512).
-    ``_band_walk`` prices every band it may build and builds one at a time.
-    """
-
-    def __init__(self, flow: ShearFlow, state: CtsState, dt: float):
-        _check_grid(flow, state)
-        m = state.grid_size
-        self.real = not any(flow.cos_coeffs)  # v(-y) = -v(y)
-        require_memory(32 * (state.k1.size + 1) * m * m, f"Strang matrices of {state.k1.size} bands at M = {m}")
-        self.k1, self.nu, self.dt, self.eigenvalues = state.k1, state.nu, dt, state.eigenvalues()
-        self.v = _profile(flow, m)
-        self.lag = np.subtract.outer(np.arange(m), np.arange(m)) & (m - 1)  # (m - m') % M, M a power of two
-
-    def __call__(self, rows: slice = slice(None)) -> np.ndarray:
-        damp = np.exp(-self.nu * self.eigenvalues[rows] * self.dt / 2.0)
-        symbol = np.fft.fft(_phase(self.k1[rows], self.v, self.dt), axis=-1) / self.v.size
-        symbol = symbol.real if self.real else symbol  # real in exact arithmetic: the imaginary parts are rounding
-        return damp[:, :, None] * np.take(symbol, self.lag, axis=-1) * damp[:, None, :]
-
-
 def cts_step(state: CtsState, flow: ShearFlow, dt: float) -> CtsState:
     """One Strang step: half diffusion, exact advection, half diffusion."""
-    _check_dt(dt)  # before evolve_cts, which would read a bad dt as a bad time
+    _check_positive(dt, "dt")  # before evolve_cts, which would read a bad dt as a bad time
     return evolve_cts(state, flow, dt, dt_target=dt)  # dt / dt is exactly 1: one step of length dt
 
 
@@ -285,11 +241,14 @@ def evolve_cts(
     t: float,
     dt_target: float = 0.02,
 ) -> CtsState:
-    """Advance the state by time t with merged Strang substeps.
+    """Advance the state by time t with merged Strang substeps (the FFT collocation oracle).
 
     Consecutive diffusion half-steps are fused into full steps, halving
     the FFT count; the endpoint state is the exact Strang composition.  One
-    step is the unfused Strang step of ``cts_step``.
+    step is the unfused Strang step of ``cts_step``.  The splitting is
+    second order, so the endpoint tends to exp(t L) applied band by band
+    (``_Ladder``) as dt -> 0; nothing on the dissipation time's path calls
+    this solver.
     """
     steps, dt = _steps(t, dt_target)
     stepper = _Stepper(flow, state, dt)
@@ -306,127 +265,206 @@ def advect_exact(state: CtsState, flow: ShearFlow, t: float) -> CtsState:
     return CtsState(state.convention, state.nu, state.k1, state.data * phase)
 
 
-def _spectral_steps(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
-    """The state's Fourier coefficients at 0, dt, ..., t, stepped by the Strang matrices of ``_Strang``.
+# _BLOCKS[j, i] = 1 / (4 j + i)!, the coefficient of a^i in the Taylor block B_j of exp(a)
+_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
 
-    Takes the steps of ``evolve_cts`` (``_steps``), each one batched product
-    c <- S c with the matrices S that ``tau_d_cts`` decides, built once.  The
-    coefficients are those of ``CtsState.spectral``.  For a real S (every
-    sine-series shear) c is carried as a real (bands, M, 2) array of its real
-    and imaginary parts, so nothing is promoted to complex; otherwise as a
-    complex (bands, M, 1) array.  ``c.view(complex)[..., 0]`` is the complex
-    (bands, M) array either way.  One product per step keeps the working set
-    at S and two coefficient arrays, where a matrix power would hold several
-    stacks of M x M matrices.
+
+def _taylor(a: np.ndarray) -> np.ndarray:
+    """exp(a) for ||a||_1 <= 1/2, by its degree-16 Taylor polynomial: six products and no solve.
+
+    Paterson-Stockmeyer: with a^2, a^3 and a^4 (three products) the
+    polynomial is B_0 + a^4 (B_1 + a^4 (B_2 + a^4 (B_3 + a^4 / 16!))), where
+    each block B_j = sum_(i < 4) a^i / (4 j + i)! is a sum of scaled powers
+    (all four formed by one contraction) and the nesting takes three
+    products more.  The terms left out sum to at most
+    sum_(k >= 17) 2^-k / k! < 2.2e-20 in the 1-norm, far below the rounding
+    of the products.
     """
-    steps, dt = _steps(t, dt_target)
-    strang = _Strang(flow, state, dt)()
+    a2 = a @ a
+    blocks = np.tensordot(_BLOCKS, np.stack([np.eye(a.shape[0]), a, a2, a2 @ a]), axes=1)
+    a4 = a2 @ a2
+    p = a4 / math.factorial(16) + blocks[3]
+    for block in blocks[2::-1]:
+        p = p @ a4 + block
+    return p
+
+
+class _Ladder:
+    """exp(t L) of each band of a state, from the rungs exp(2^e L) of a binary ladder.
+
+    Band k1 of the semi-discrete flow moves its y-Fourier coefficients
+    (those of ``CtsState.spectral``) by dc/dt = L c, with
+    L = -nu scale diag(k1^2 + m^2) - 2 pi i k1 C_v: diffusion is diagonal
+    in m, and transport multiplies theta_k1(y) by -2 pi i k1 v(y), which on
+    the M collocation points is the circulant C_v[m, m'] = v_hat((m - m') % M),
+    v_hat = fft(v(y_j)) / M.  These are the generators of the two substeps
+    of ``evolve_cts`` (its advection F diag(phase) F^-1, F the DFT from
+    values to coefficients, is exp(-2 pi i k1 dt C_v)), so exp(t L) is
+    that solver's dt -> 0 limit.  v
+    is real, and v_hat is replaced by its exactly Hermitian part
+    (v_hat + conj(v_hat(-l))) / 2, which makes -2 pi i k1 C_v exactly
+    skew-Hermitian: ||exp(t L)||_2 <= exp(-nu scale k1^2 t), the band's
+    heat factor, by the logarithmic norm of the diffusion part.  When every
+    cosine coefficient vanishes v is odd, v_hat is imaginary and
+    -2 pi i k1 C_v is real; its computed imaginary parts are rounding, and
+    the band is built and exponentiated in float64.  A profile with a cosine
+    term keeps the complex generator.
+
+    The map at time t: b is the largest integer with 2^b N < 1/2 for the
+    bound N = nu scale (k1^2 + M^2 / 4) + 2 pi |k1| sum (|a_m| + |b_m|) >=
+    ||L||_1, read from the arguments before anything is built.  t splits
+    exactly (2^b is a power of two) into q 2^b + r, q an integer and
+    0 <= r < 2^b.  The map is the product, largest first, of the rungs
+    exp(2^(b + j) L) over the set bits j of q, times ``_taylor``(r L) when
+    r > 0; rung 0 is ``_taylor``(2^b L) and rung j + 1 the square of rung
+    j.  The rungs depend on the band alone, so a given (band, t) always
+    gives the same bits, whatever was computed before.  Each band keeps its
+    generator and the rungs built so far, and nothing else: a bisection
+    probe lo + 2^(j - i) of ``tau_d_cts`` then costs a few products.  A map
+    that is not finite raises ``RuntimeError``, so a NaN never reads as a
+    small norm.
+
+    Before anything M x M is allocated, 16 (R + 3 n + 8) M^2 bytes are
+    priced for n bands, R the rungs their maps may hold up to ``t_max``:
+    each band holds its generator and its rungs, the checks hold every
+    band's map twice (listed, then stacked), and the kernel, the products
+    and the Gram matrix of a decision hold fewer than eight M x M arrays
+    more, lag index included.  Traced peaks were 0.08-0.23 of the price for
+    the searches and single norms and 0.45-0.97 for the checks and for
+    every rung of every band built at ``t_max`` (K1 = 4..16, M = 32..128,
+    real and complex generators).
+    """
+
+    def __init__(self, flow: ShearFlow, state: CtsState, t_max: float):
+        _check_grid(flow, state)
+        m, n = state.grid_size, state.k1.size
+        self.state, self.real = state, not any(flow.cos_coeffs)  # v(-y) = -v(y)
+        spread = 2.0 * math.pi * sum(map(abs, (*flow.cos_coeffs, *flow.sin_coeffs)))
+        bounds = state.nu * state.convention.scale_factor * (state.k1.astype(float) ** 2 + (m // 2) ** 2)
+        self.base = [-math.frexp(bound + abs(k1) * spread)[1] - 1 for k1, bound in zip(state.k1.tolist(), bounds)]
+        rungs = sum(int(t_max // 2.0**b).bit_length() for b in self.base)
+        require_memory(16 * (rungs + 3 * n + 8) * m * m, f"band exponentials of {n} bands at M = {m}")
+        v_hat = np.fft.fft(_profile(flow, m)) / m
+        v_hat = 0.5 * (v_hat + np.conj(v_hat[-np.arange(m)]))  # v_hat(-l) = conj(v_hat(l)) exactly
+        self.circulant = np.take(v_hat, np.subtract.outer(np.arange(m), np.arange(m)) & (m - 1))  # (m - m') % M
+        self.decay = -state.nu * state.eigenvalues()
+        self.generators, self.rungs = [None] * n, [[] for _ in range(n)]
+
+    def split(self, i: int, t: float) -> Tuple[float, int, float]:
+        """(2^b, q, r) with t = q 2^b + r, 0 <= r < 2^b, for band i; exact, since 2^b is a power of two."""
+        unit = math.ldexp(1.0, self.base[i])
+        q, rest = divmod(t, unit)
+        return unit, int(q), rest
+
+    def __call__(self, i: int, t: float) -> np.ndarray:
+        unit, q, rest = self.split(i, t)
+        if self.generators[i] is None:
+            gen = -2j * math.pi * float(self.state.k1[i]) * self.circulant
+            gen = gen.real.copy() if self.real else gen  # real in exact arithmetic: the imaginary parts are rounding
+            gen.reshape(-1)[:: gen.shape[0] + 1] += self.decay[i]
+            self.generators[i] = gen
+        rungs = self.rungs[i]
+        while len(rungs) < q.bit_length():
+            rungs.append(rungs[-1] @ rungs[-1] if rungs else _taylor(unit * self.generators[i]))
+        factors = [rungs[j] for j in reversed(range(q.bit_length())) if q >> j & 1]
+        if rest:
+            factors.append(_taylor(rest * self.generators[i]))
+        x = functools.reduce(np.matmul, factors)
+        # a NaN entry would stop the SVD with LinAlgError, a ValueError, and an inf one gives a NaN norm
+        if not np.isfinite(x).all():
+            raise RuntimeError(f"solution map norm at t = {t} is not finite")
+        return x
+
+
+def _fourier_path(state: CtsState, flow: ShearFlow, h: float, steps: int):
+    """The state's Fourier coefficients at 0, h, ..., steps h, stepped by exp(h L) on each signed band.
+
+    The coefficients are those of ``CtsState.spectral``.  For a real map
+    (every sine-series shear) c is carried as a real (bands, M, 2) array of
+    its real and imaginary parts, so nothing is promoted to complex;
+    otherwise as a complex (bands, M, 1) array.  ``c.view(complex)[..., 0]``
+    is the complex (bands, M) array either way.
+    """
+    ladder = _Ladder(flow, state, h)
+    step = np.stack([ladder(i, h) for i in range(state.k1.size)])
     c = state.spectral()
-    c = np.stack([c.real, c.imag], axis=-1) if np.isrealobj(strang) else c[..., None]
-    yield c
-    for _ in range(steps):
-        c = strang @ c
-        yield c
+    c = np.stack([c.real, c.imag], axis=-1) if ladder.real else c[..., None]
+    return itertools.accumulate(itertools.repeat(step, steps), lambda c, s: s @ c, initial=c)
 
 
 def energy_identity_defects(state: CtsState, flow: ShearFlow, t: float, dt: float) -> np.ndarray:
-    """Per-step defect of d/dt ||theta||^2 + 2 nu ||theta||_1^2 = 0.
+    """Per-step trapezoid defect of d/dt ||theta||^2 + 2 nu ||theta||_1^2 = 0.
 
-    Reads the operator that ``tau_d_cts`` decides: the coefficients of
-    ``_spectral_steps``, stepped by the y-Fourier Strang matrices of
-    ``_Strang``, the unfused Strang step of ``cts_step``.  Each state's
-    energy and H^1 norm are read from its coefficients by Parseval, and each
-    step takes the midpoint H^1 value.  The defects agree with a loop over
-    ``cts_step`` to within rounding (at most 4 eps E_0 per step on the cases
-    the tests check), not bit for bit.  The defect per step is O(dt^3)
-    locally, O(dt^2) accumulated, which the self-convergence test verifies
-    by halving dt.
+    Reads the map that ``tau_d_cts`` decides: the coefficients of
+    ``_fourier_path``, stepped by exp(h L) per band (``_Ladder``), with
+    h = t / ceil(t / dt).  Each state's energy E_i and H^1 norm H_i are
+    read from its coefficients by Parseval, and the defect of step i is
+    |E_(i+1) - E_i + nu h (H_i + H_(i+1))|.  The semi-discrete flow meets
+    the identity exactly, so the defect is the trapezoid rule's error on
+    the integral of 2 nu H over the step: O(h^3) locally, O(h^2) summed,
+    which ``verify cts`` and the tests check by halving dt.
     """
-    _, step = _steps(t, dt)
+    steps, h = _steps(t, dt)
     eigenvalues = state.eigenvalues()[..., None]
-    weights = (np.abs(c) ** 2 for c in _spectral_steps(state, flow, t, dt))
+    weights = (np.abs(c) ** 2 for c in _fourier_path(state, flow, h, steps))
     energy, h1 = np.array([(np.sum(w), np.sum(eigenvalues * w)) for w in weights]).T  # per state
-    return np.abs(np.diff(energy) + 2.0 * state.nu * step * (0.5 * (h1[:-1] + h1[1:])))
+    return np.abs(np.diff(energy) + 2.0 * state.nu * h * (0.5 * (h1[:-1] + h1[1:])))
 
 
 # ---------------------------------------------------------------------------
 # dissipation time and the transport gap
 # ---------------------------------------------------------------------------
 
-def _band_walk(state: CtsState, flow: ShearFlow, t: float, dt_target: float):
-    """The bands of the time-t map of ``evolve_cts``, by increasing |k1|.
+def _abs_bands(flow: ShearFlow, state: CtsState, t_max: float) -> _Ladder:
+    """The ladder of one band per distinct |k1| of the state, k1 = +|k1|, by increasing |k1|."""
+    k1s = np.array(sorted(set(np.abs(state.k1).tolist())), dtype=np.int64)  # not np.unique, which imports numpy.ma
+    return _Ladder(flow, CtsState(state.convention, state.nu, k1s, np.zeros((k1s.size, state.grid_size))), t_max)
 
-    Yields (padded heat bound, power) per distinct |k1|, where power()
-    builds the band and returns its time-t map X, an M x M matrix whose
+
+def _band_walk(ladder: _Ladder, t: float):
+    """The bands of exp(t L), one per distinct |k1| (``_abs_bands``), by increasing |k1|.
+
+    Yields (padded heat bound, band map) per band, where band map() builds
+    the band's time-t map exp(t L) (``_Ladder``), an M x M matrix whose
     singular values are those of the band's solution map.  Consumers read
-    the bound first and build only the bands they need; a band map that is
-    not finite raises ``RuntimeError``, so a NaN never reads as a small
-    norm.
+    the bound first and build only the bands they need.
 
     The shear u = (v(y), 0) never couples x-bands, so the map is block
-    diagonal, and each band's time-t map is its fused Strang step raised to
-    the step count.  In collocation values the step is F^-1 D F P F^-1 D F,
-    with F the unnormalised DFT, D = diag(half_damp) the diffusion half-step
-    in the FFT layout and P = diag(phase) the advection.  F / sqrt(M) is
-    unitary, so conjugating by it keeps the singular values, and the step
-    is built in the y-Fourier basis as S = D C D (``_Strang``), where
-    C = F P F^-1 is the circulant C[m, m'] = fft(phase)[(m - m') % M] / M,
-    and X = S^steps.  The profile, the lag index and the eigenvalue rows
-    are built once per walk, and each band's S when it is built.
+    diagonal.  The diffusion part of L is real and even in m, and the
+    transport part of band -k1 is the complex conjugate of that of band k1
+    with m -> -m: so L(-k1) = P conj(L(k1)) P, P the reflection m -> -m, a
+    permutation, and their exponentials have the same singular values.  One
+    map is built per distinct |k1|, with k1 = +|k1|, and stands for every
+    signed band.
 
-    D is real, since its multiplier is real and even in m, and the phase of
-    band -k1 is the complex conjugate of the phase of band k1.  So S(-k1)
-    and S(k1) are conjugate up to the reflection m -> -m, a permutation,
-    and their powers have the same singular values: one matrix is built per
-    distinct |k1|, with k1 = +|k1|, and stands for every signed band.
-
-    For a sine-series shear S is real, and X is built in float64 (a real
-    64 x 64 product takes 13 us against 41 us for a complex one, on 2 cores
-    with numpy 2.4).  v is odd exactly when every cosine coefficient
-    vanishes, and then v(y_(M-j)) = -v(y_j) at the collocation points
-    y_j = j / M, so phase(y_(M-j)) = conj(phase(y_j)) and
-    c_m = fft(phase)[m] / M equals its own conjugate: C is real.  The
-    computed imaginary parts are rounding (at most 5.4e-16 of max |c_m|
-    over the bands measured below), and dropping them gives the transform
-    of the symmetrised phase (phase_j + conj(phase_(M-j))) / 2, whose
-    entries are as accurate as the computed phase's.  The pad below and the
-    Cholesky margin of ``cts_norm_reaches`` thus still hold, and real
-    arithmetic only shrinks the gamma_n constants of its rounding bounds.
-    A profile with a cosine term keeps the complex symbol.
-
-    C is unitary and the largest entry of D is exp(-nu scale k1^2 dt / 2),
-    at m = 0, so ||S^steps|| <= exp(-nu scale k1^2 t), the band's heat
-    factor.  The factor is padded for rounding by 1e-12 + 4 steps eps
-    relative: the rounded damping is raised to the power 2 steps.  Computed
-    band norms exceeded the heat factor by up to 1.1 steps eps over 900
-    random bands in complex arithmetic, with and without shear.  Re-measured
-    over 1,637 random bands built in float64 (K1 <= 32, M <= 128, the zero
-    shear and three odd profiles), the largest excess was 0.15 of the pad,
-    and 2.9 steps eps among bands of 50 steps or more; the same bands built
-    in complex arithmetic gave the same excess.  Heat factors fall with
-    |k1|, so once a bound lies below a threshold every later one does too.
-    Bands are built one at a time, which keeps the working set at a few
-    M x M matrices.
+    The transport part of L is skew-Hermitian, so
+    ||exp(t L)|| <= exp(-nu scale k1^2 t), the band's heat factor, padded
+    here for rounding by 1e-12 + 4 (2^s + d) eps relative.  The computed
+    map is a product of d = popcount(q) + 1 factors or fewer (the set bits
+    of q = floor(t / 2^b) and the kernel on the remainder), and its largest
+    rung is the kernel squared s = floor(log2 q) times.  A squaring doubles
+    the relative error it is given and adds a rounding of its own, so that
+    rung carries about 2^s times the kernel's rounding (a few eps: the
+    kernel's truncation is below 2.2e-20), and each product adds about one
+    eps more.  Measured over 6,000 random bands (the zero, a weak, the sin
+    and a three-harmonic sine shear and two cosine shears; |k1| <= 32,
+    M <= 128, both conventions, nu in the desk range, t = k 2^e with
+    k < 256 clamped to 2^-7..2^11), the computed band norm exceeded its
+    heat factor by up to 3.0e-11, above the fixed 1e-12, and by at most
+    1.69 (2^s + d) eps; ``test_band_norms_lie_within_their_padded_heat_
+    factors`` reruns 300 of them.  Heat factors fall with |k1|, so once a
+    bound lies below a threshold every later one does too.  Bands are built
+    one at a time.
     """
-    steps, dt = _steps(t, dt_target)
-    scale = state.convention.scale_factor
-    pad = 1.0 + 1e-12 + 4.0 * steps * sys.float_info.epsilon
-    k1s = np.array(sorted(set(np.abs(state.k1).tolist())), dtype=np.int64)  # not np.unique, which imports numpy.ma
-    strang = _Strang(flow, CtsState(state.convention, state.nu, k1s, np.zeros((k1s.size, state.grid_size))), dt)
-
-    def power(i: int) -> np.ndarray:
-        x = np.linalg.matrix_power(strang(slice(i, i + 1))[0], steps)
-        # a NaN entry would stop the SVD with LinAlgError, a ValueError, and an inf one gives a NaN norm
-        if not np.isfinite(x).all():
-            raise RuntimeError(f"solution map norm at t = {t} is not finite")
-        return x
-
-    for i, k1 in enumerate(k1s.tolist()):
-        yield math.exp(-state.nu * scale * k1 * k1 * t) * pad, lambda i=i: power(i)
+    heat = ladder.state.nu * ladder.state.convention.scale_factor
+    for i, k1 in enumerate(ladder.state.k1.tolist()):
+        _, q, _ = ladder.split(i, t)
+        pad = 1.0 + 1e-12 + 4.0 * (2 ** max(q.bit_length() - 1, 0) + q.bit_count() + 1) * sys.float_info.epsilon
+        yield math.exp(-heat * k1 * k1 * t) * pad, lambda i=i: ladder(i, t)
 
 
-def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> float:
-    """Exact 2-norm of the time-t map of ``evolve_cts`` on the state's bands.
+def cts_norm(state: CtsState, flow: ShearFlow, t: float) -> float:
+    """Exact 2-norm of the time-t map exp(t L) on the state's bands.
 
     The norm is the largest band norm, by SVD, over all signed k1 of the
     state (see ``_band_walk``).  The walk stops at the first band whose
@@ -435,11 +473,12 @@ def cts_norm(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02
     for bit.  ``tau_d_cts`` does not call this; it needs only
     ``cts_norm_reaches``.
     """
+    _check_positive(t, "t")
     norms = []
-    for bound, power in _band_walk(state, flow, t, dt_target):
+    for bound, band_map in _band_walk(_abs_bands(flow, state, t), t):
         if bound < max(norms, default=0.0):
             break
-        norms.append(float(np.linalg.norm(power(), 2)))
+        norms.append(float(np.linalg.norm(band_map(), 2)))
     return float(np.max(norms))
 
 
@@ -458,8 +497,20 @@ def _below(gram: np.ndarray, square: float) -> bool:
     return True
 
 
-def cts_norm_reaches(state: CtsState, flow: ShearFlow, t: float, level: float, dt_target: float = 0.02) -> bool:
-    """Whether ``cts_norm(state, flow, t, dt_target) >= level``, decided without the maximum.
+def cts_norm_reaches(state: CtsState, flow: ShearFlow, t: float, level: float) -> bool:
+    """Whether ``cts_norm(state, flow, t) >= level``, decided without the maximum.
+
+    t and the level must be finite and positive (every norm is >= 0).  The
+    decision is ``_reaches`` on the state's bands, whose ladder
+    ``tau_d_cts`` keeps across the probes of one search.
+    """
+    _check_positive(t, "t")
+    _check_positive(level, "level")
+    return _reaches(_abs_bands(flow, state, t), t, level)
+
+
+def _reaches(ladder: _Ladder, t: float, level: float) -> bool:
+    """Whether the largest band norm of exp(t L) over ``ladder``'s bands is >= level.
 
     The walk returns True at the first band whose norm is >= level, and
     False at the first band whose padded heat factor is < level: that
@@ -508,10 +559,10 @@ def cts_norm_reaches(state: CtsState, flow: ShearFlow, t: float, level: float, d
     """
     square = level * level
     certified = _GRAM_MARGIN * square >= sys.float_info.min  # underflow lies far below delta L^2
-    for bound, power in _band_walk(state, flow, t, dt_target):
+    for bound, band_map in _band_walk(ladder, t):
         if bound < level:
             return False
-        x = power()
+        x = band_map()
         if certified:
             gram = x.conj().T @ x
             if _below(gram, (1.0 - _GRAM_MARGIN) * square):
@@ -530,20 +581,21 @@ def tau_d_cts(
     k1_max: int = 16,
     grid_size: int = 64,
     rel_tol: float = 0.01,
-    dt_target: float = 0.02,
 ) -> float:
     """Continuous dissipation time: smallest t with operator norm < 1/e.
 
     The flow is time independent, so the sup over start times in the
     definition is vacuous.  The norm sigma(t) is the exact norm of the
-    discretized solution map (``cts_norm``), and the search uses it only
-    through sigma(t) >= 1/e: each probe is decided by ``cts_norm_reaches``,
-    which stops at the first band that reaches 1/e, never builds a band
-    whose heat bound lies below it, and decides each band it builds by a
-    certified Cholesky test on its Gram matrix, with an SVD only for a norm
-    within a relative 1e-9 of 1/e.  Each decision equals the comparison of
-    the full SVD maximum with 1/e, so the probes and the result are those
-    of the maximum.  t is located by bracket doubling and bisection to
+    semi-discrete solution map exp(t L) (``cts_norm``), and the search uses
+    it only through sigma(t) >= 1/e: each probe is decided by ``_reaches``,
+    the walk of ``cts_norm_reaches``, which stops at the first band that
+    reaches 1/e, never builds a band whose heat bound lies below it, and
+    decides each band it builds by a certified Cholesky test on its Gram
+    matrix, with an SVD only for a norm within a relative 1e-9 of 1/e.
+    Each decision equals the comparison of the full SVD maximum with 1/e,
+    so the probes and the result are those of the maximum.  One ladder
+    (``_Ladder``) serves every probe of the search, so each band's rungs
+    are built once.  t is located by bracket doubling and bisection to
     ``rel_tol`` relative (1% by default; a finite value in [1e-12, 1), so
     the bisection ends).  A start past tau_d is walked down by halving; a
     walk that reaches t = 1e-6 without a norm >= 1/e raises
@@ -552,7 +604,8 @@ def tau_d_cts(
     nearest sqrt(t_cap), t_cap = 1.2 / (nu lambda_1) + 1, a start set by the
     arguments alone; where sigma(t) >= 1/e at exactly the probes below tau_d
     (as the bisection assumes), every power-of-two start ends in the one
-    bracket (2^j, 2^(j+1)] holding tau_d, so no start can move tau_d.
+    bracket (2^j, 2^(j+1)] holding tau_d, so no start can move tau_d.  The
+    doubling stops past 4 t_cap, the largest time the ladder is priced for.
     """
     if not NU_DESK[0] <= nu <= NU_DESK[1]:
         raise ValueError("nu outside the supported desk range [1e-4, 1e-1]")
@@ -563,14 +616,13 @@ def tau_d_cts(
     if not (math.isfinite(rel_tol) and 1e-12 <= rel_tol < 1.0):
         raise ValueError(f"rel_tol must be finite and in [1e-12, 1), got {rel_tol}")
     _check_grid_size(grid_size)
-    # the first probe's walk checks dt and the grid's resolution of the shear before it builds a band
     template = CtsState.from_modes({}, k1_max, grid_size, nu, convention)
+    t_cap = 1.2 / (nu * template.convention.lambda_1) + 1.0  # trivial heat bound, padded
+    ladder = _abs_bands(flow, template, 4.0 * t_cap)  # checks the grid's resolution of the shear
 
     def reaches(t: float) -> bool:  # sigma(t) >= 1/e
-        return cts_norm_reaches(template, flow, t, _E_INV, dt_target=dt_target)
+        return _reaches(ladder, t, _E_INV)
 
-    lam1 = template.convention.lambda_1
-    t_cap = 1.2 / (nu * lam1) + 1.0  # trivial heat bound, padded
     hi = start = 2.0 ** round(math.log2(t_cap) / 2.0)
     while reaches(hi):
         hi *= 2.0
@@ -589,26 +641,24 @@ def tau_d_cts(
     return 0.5 * (lo + hi)
 
 
-def transport_gap_cts(state: CtsState, flow: ShearFlow, t: float, dt_target: float = 0.02) -> dict:
+def transport_gap_cts(state: CtsState, flow: ShearFlow, t: float) -> dict:
     """Squared distance to the inviscid transport and its a priori bound.
 
     gap^2 = ||theta(t) - phi(t)||^2  with theta evolved at the state's nu
     and phi the exact nu = 0 shear flow;
     bound = (nu / (2 |grad u|)) exp(2 |grad u| t) ||theta_0||_1^2.
 
-    theta(t) is read from the operator that ``tau_d_cts`` decides: the
-    last coefficients of ``_spectral_steps``, stepped by the y-Fourier
-    Strang matrices of ``_Strang`` over the steps of ``evolve_cts``, then
-    one inverse FFT.  It equals ``evolve_cts``'s endpoint to within
-    rounding.
+    theta(t) is read from the map that ``tau_d_cts`` decides: exp(t L)
+    applied to each signed band's coefficients (``_fourier_path``, one map
+    per band), then one inverse FFT.  t must lie in (0, 10]; NaN and inf
+    are refused.
     """
-    if t <= 0 or t > 10.0:
-        raise ValueError("t must lie in (0, 10]")
+    if not 0.0 < t <= 10.0:
+        raise ValueError(f"t must lie in (0, 10], got {t}")
     grad = flow.grad_norm
     if grad == 0:
         raise ValueError("the transport gap bound nu / (2 |grad u|) needs a flow with grad_norm > 0, got 0")
-    for c in _spectral_steps(state, flow, t, dt_target):
-        pass  # to the coefficients at time t
+    *_, c = _fourier_path(state, flow, t, 1)
     evolved = np.fft.ifft(c.view(complex)[..., 0], axis=-1) * state.grid_size
     diff = evolved - advect_exact(state, flow, t).data
     gap_sq = float(np.sum(np.abs(diff) ** 2) / state.grid_size)

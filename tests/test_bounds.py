@@ -31,7 +31,7 @@ from disslab.mixing import RateFunction, fit_rate, strong_envelope
 # ---------------------------------------------------------------------------
 
 def test_weyl_geometric_d2():
-    assert weyl_constant(2, 1.0, 0.1, "geometric") == pytest.approx(1.1 / (4 * math.pi), rel=1e-14)
+    assert weyl_constant(2, 1.0, 0.1, scaling="geometric") == pytest.approx(1.1 / (4 * math.pi), rel=1e-14)
 
 
 def test_weyl_lattice_is_ball_volume():
@@ -40,7 +40,7 @@ def test_weyl_lattice_is_ball_volume():
 
 
 def test_weyl_geometric_d4():
-    assert weyl_constant(4, 1.0, 0.0, "geometric") == pytest.approx(1 / (32 * math.pi**2), rel=1e-14)
+    assert weyl_constant(4, 1.0, 0.0, scaling="geometric") == pytest.approx(1 / (32 * math.pi**2), rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -103,7 +103,7 @@ def test_a_level_that_underflows_rules_out_every_larger_lambda():
     # H4's level lambda^(-3/2) / (2 sqrt(ct)) is 0 at lambda = 1e300, and
     # h^-1(0) refused it ("inverse needs y > 0")
     rate = RateFunction.power(2.0, 0.25, mode="weak")
-    profile = BoundProfile("H4", rate, grad_u_norm=1.0, weyl_c=weyl_constant(2))
+    profile = BoundProfile("H4", rate, grad_u_norm=1.0, weyl_c=weyl_constant(2, scaling="lattice"))
     with pytest.raises(ValueError, match="inverse needs y > 0"):
         rate.inverse(1e300 ** -1.5)
     assert _feasible(profile, 1e-2, 1e300) is False
@@ -324,3 +324,10 @@ def test_eigenvalue_floor():
     assert eigenvalue_floor(1e12) == pytest.approx(1e-12)
     with pytest.raises(ValueError):
         eigenvalue_floor(0.0)
+
+
+def test_weyl_constant_needs_its_scaling():
+    # a default scaling mixed conventions: the geometric constant with the
+    # lattice lambda_1 = 1 of a default BoundProfile
+    with pytest.raises(TypeError, match="scaling"):
+        weyl_constant(2)

@@ -550,8 +550,6 @@ def test_readme_artifacts_pinned(tmp_path, monkeypatch, argv, digests):
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--dt", "0", "dt must be finite and positive"),
-    ("--dt", "-0.02", "dt must be finite and positive"),
     ("--k1max", "0", "k1_max must be at least 1"),
     ("--ygrid", "-64", "M must be a power of two, at least 2, got -64"),
     ("--ygrid", "0", "M must be a power of two, at least 2, got 0"),
@@ -568,6 +566,23 @@ def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
     assert not out.exists()
 
 
+def test_cts_refuses_the_removed_dt_option(tmp_path, capsys):
+    # cts decides exp(t L) and takes no time step: --dt is refused, never
+    # ignored, while a config key dt is ignored like any key cts lacks
+    out = tmp_path / "cts.csv"
+    with pytest.raises(SystemExit) as done:
+        run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--dt", "0.02", "--out", str(out)])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --dt 0.02" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dt": 100}))
+    base = ["cts", "--nu-grid", "1e-2:1e-2:1", "--k1max", "4", "--ygrid", "32"]
+    assert run_cli([*base, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli([*base, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_cts_refuses_a_shear_whose_gradient_bound_overflows(tmp_path, capsys):
     # each coefficient is finite, but grad_norm = 2 pi hypot(1e308, 1e308) is inf
     out = tmp_path / "cts.csv"
@@ -579,7 +594,7 @@ def test_cts_refuses_a_shear_whose_gradient_bound_overflows(tmp_path, capsys):
 def test_cts_without_bracket_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     from disslab import shear
 
-    monkeypatch.setattr(shear, "cts_norm_reaches", lambda *args, **kwargs: False)
+    monkeypatch.setattr(shear, "_reaches", lambda *args: False)
     assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--out", str(tmp_path / "cts.csv")]) == 3
     assert "no valid bracket" in capsys.readouterr().err
 
@@ -587,7 +602,7 @@ def test_cts_without_bracket_is_a_numerical_failure(tmp_path, capsys, monkeypatc
 def test_cts_band_map_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     from disslab import shear
 
-    monkeypatch.setattr(shear, "_phase", lambda k1, v, t: np.full((k1.size, v.size), np.nan, dtype=complex))
+    monkeypatch.setattr(shear, "_profile", lambda flow, m: np.full(m, np.nan))
     out = tmp_path / "cts.csv"
     assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", "--out", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err
