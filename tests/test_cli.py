@@ -550,6 +550,12 @@ def test_readme_artifacts_pinned(tmp_path, monkeypatch, argv, digests):
 
 
 @pytest.mark.parametrize("option, value, message", [
+    # cts takes no time step: a --dt is refused by argparse, never ignored
+    # (these two ids date from when cts checked the value of its --dt)
+    pytest.param("--dt", "-0.02", "unrecognized arguments: --dt -0.02",
+                 id="--dt--0.02-dt must be finite and positive"),
+    pytest.param("--dt", "0", "unrecognized arguments: --dt 0",
+                 id="--dt-0-dt must be finite and positive"),
     ("--k1max", "0", "k1_max must be at least 1"),
     ("--ygrid", "-64", "M must be a power of two, at least 2, got -64"),
     ("--ygrid", "0", "M must be a power of two, at least 2, got 0"),
@@ -561,7 +567,11 @@ def test_readme_artifacts_pinned(tmp_path, monkeypatch, argv, digests):
 ])
 def test_cts_rejects_bad_truncation(tmp_path, capsys, option, value, message):
     out = tmp_path / "cts.csv"
-    assert run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", option, value, "--out", str(out)]) == 2
+    try:
+        code = run_cli(["cts", "--nu-grid", "1e-2:1e-2:1", option, value, "--out", str(out)])
+    except SystemExit as refused:
+        code = refused.code
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
