@@ -25,7 +25,7 @@ state = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, 16, 64, 1e-2, conv)
 d1, d2 = checks.cts_energy_defects(state, flow, 1.0, 0.02)
 print(f"\nenergy identity defect, dt = 0.02 vs 0.01: ratio {d1 / d2:.2f} (second order)")
 
-gap = transport_gap_cts(checks.nonzero_bands(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, conv)), flow, 2.0)
+gap = transport_gap_cts(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, conv), flow, 2.0)
 print(f"transport gap at t = 2, nu = 1e-3: {gap['gap_sq']:.3e} <= bound {gap['bound']:.3e}")
 
 print("\ndissipation times (exact band norms + bisection):")

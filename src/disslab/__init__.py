@@ -24,7 +24,7 @@ from .dissipation import (
 )
 from .mixing import RateFunction, MixingEnvelope, strong_envelope, weak_cesaro, transfer_rate, fit_rate
 from .bounds import BoundProfile, weyl_constant, eval_H, corollary_exponents, check_bound, eigenvalue_floor
-from .shear import ShearFlow, CtsState, cts_step, tau_d_cts, transport_gap_cts
+from .shear import ShearFlow, CtsState, tau_d_cts, transport_gap_cts
 
 __all__ = [
     "SpectralConvention",
@@ -63,7 +63,6 @@ __all__ = [
     "eigenvalue_floor",
     "ShearFlow",
     "CtsState",
-    "cts_step",
     "tau_d_cts",
     "transport_gap_cts",
 ]

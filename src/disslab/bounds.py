@@ -166,10 +166,11 @@ def eval_H(profile: BoundProfile, nu: float) -> Tuple[float, bool]:
       dg/dt = ((p - k)/t + q + 4 G k) / k.
       For k > p this changes sign once, from - to +, so g is least at
       t* = (k - p) / (q + 4 G k), clipped to the piece; for k <= p it is
-      least at the piece's left end.  Before the first and past the last
-      tabulated sample t is constant and g grows with u.  Each least
-      point's u = -(ln c + ln h(t*)) / k above ln lambda_1 is a start,
-      and so is lambda_1.
+      least at the piece's left end.  On the flat ends of a tabulated rate,
+      before its first and past its last sample, t is 0 (a level at or
+      above h_0) and +inf (a level below h_N): both are infeasible.  Each
+      least point's u = -(ln c + ln h(t*)) / k above ln lambda_1 is a
+      start, and so is lambda_1.
 
     A piece whose least point is infeasible holds no feasible lambda, and
     on the other pieces {g <= 0} is an interval around the least point.

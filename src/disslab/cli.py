@@ -310,7 +310,7 @@ def _verify_cts() -> List[tuple]:
     conv = SpectralConvention(2, "geometric")
     state = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, k1_max=8, grid_size=64, nu=1e-2, convention=conv)
     d1, d2 = checks.cts_energy_defects(state, flow, 1.0, 0.02)
-    gap = transport_gap_cts(checks.nonzero_bands(CtsState(conv, 1e-3, state.k1, state.data)), flow, 2.0)
+    gap = transport_gap_cts(CtsState(conv, 1e-3, state.k1, state.data), flow, 2.0)
     return [
         ("energy identity defect is O(dt^2)", d1 / max(d2, 1e-300) > 2.5, f"ratio {d1 / d2:.2f}"),
         ("transport gap bound", gap["gap_sq"] <= gap["bound"], f"{gap['gap_sq']:.3e} <= {gap['bound']:.3e}"),

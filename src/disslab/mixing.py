@@ -124,7 +124,11 @@ class RateFunction:
         return math.exp((1 - w) * math.log(hs[i]) + w * math.log(hs[i + 1]))
 
     def inverse(self, y: float) -> float:
-        """h^{-1}(y): the time at which the rate has dropped to y (0 if y >= h(0+), inf past every float)."""
+        """h^{-1}(y): the time at which the rate has dropped to y (0 if y >= h(0+), inf if it never does).
+
+        A tabulated rate holds h_0 before its first sample and h_N past its
+        last, so its inverse is 0 for y >= h_0 and inf for y < h_N.
+        """
         if y <= 0:
             raise ValueError("inverse needs y > 0")
         if self.kind == "power":
@@ -138,9 +142,9 @@ class RateFunction:
             return max(0.0, math.log(c1 / y) / c2)
         ts, hs = self.samples
         if y >= hs[0]:
-            return float(ts[0])
+            return 0.0
         if y <= hs[-1]:
-            return float(ts[-1])
+            return float(ts[-1]) if y == hs[-1] else math.inf
         # hs decreasing: find bracketing samples and invert the log-linear chord
         i = 0
         while hs[i + 1] > y:

@@ -22,18 +22,18 @@ rounding, with the SVD kept for a level within a relative 1e-9 of the
 band's norm.  Both walk the bands through one generator, ``_band_walk``.
 
 Each piece of the discretisation has one home: ``_phase`` is the transport
-factor exp(-2 pi i t k1 v(y)) of the FFT Strang step, of pure transport and
-of the correlations; ``CtsState.eigenvalues`` is the band eigenvalue grid
-scale (k1^2 + m^2) of the diffusion and of the H^1 norm; ``_Ladder`` builds
-each band's generator and computes its map exp(t L) at any time t, the
-product of rungs exp(2^e L) over t's binary digits and one Taylor kernel
-(``_taylor``) on the rest.  That map is the one operator that the
+factor exp(-2 pi i t k1 v(y)) of pure transport and of the correlations;
+``CtsState.eigenvalues`` is the band eigenvalue grid scale (k1^2 + m^2) of
+the diffusion and of the H^1 norm; ``_Ladder`` builds each band's generator
+and computes its map exp(t L) at any time t, the product of rungs
+exp(2^e L) over t's binary digits and one Taylor kernel (``_taylor``) on
+the rest.  That map is the one evolution operator, the one that the
 dissipation time decides and that the checks read: ``_band_walk`` yields
-it per |k1|, ``energy_identity_defects`` steps the Fourier coefficients by
-exp(h L) and ``transport_gap_cts`` applies exp(t L), at the state's own nu.
-``evolve_cts`` (``cts_step`` is its one-step case) is the FFT collocation
-solver of the Strang splitting of the same semi-discrete flow, kept as the
-independent oracle whose dt -> 0 limit the tests compare these maps with.
+it per |k1|, ``evolve_cts`` applies exp(t L) to a state,
+``energy_identity_defects`` steps the Fourier coefficients by exp(h L) and
+``transport_gap_cts`` reads theta(t) from ``evolve_cts``, at the state's
+own nu.  Bands never couple, so a zero band stays zero: the three skip
+such bands (``_live``) and build maps for the nonzero ones alone.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ShearFlow:
     coefficients whose bound overflows (1e308), is refused: the profile,
     its transport phase and every bound built on ``grad_norm`` would be
     NaN or infinite.  v is odd exactly when every a_m is 0, and then every
-    band of the Strang step is real (see ``_band_walk``).
+    band's generator is real (see ``_Ladder``).
     """
 
     cos_coeffs: Tuple[float, ...] = ()
@@ -185,14 +185,6 @@ def _check_positive(value: float, name: str):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _steps(t: float, dt_target: float) -> Tuple[int, float]:
-    """The step count for time t at step dt_target, and the step t / steps."""
-    _check_positive(t, "t")
-    _check_positive(dt_target, "dt")
-    steps = max(1, math.ceil(t / dt_target))
-    return steps, t / steps
-
-
 def _phase(k1: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(-2 pi i t k1 v(y)): pure transport of bands k1 over time t, per collocation value v."""
     return np.exp(-2j * math.pi * t * k1[:, None].astype(float) * v[None, :])
@@ -209,54 +201,6 @@ def _check_grid(flow: ShearFlow, state: CtsState):
             f"M = {state.grid_size} under-resolves the shear profile "
             f"(bandwidth {flow.bandwidth}; need M >= {flow.min_grid()})"
         )
-
-
-class _Stepper:
-    """Precomputed Strang factors for one (flow, state shape, dt) triple."""
-
-    def __init__(self, flow: ShearFlow, state: CtsState, dt: float):
-        _check_grid(flow, state)
-        self.half_damp = np.exp(-state.nu * state.eigenvalues() * dt / 2.0)
-        self.full_damp = self.half_damp * self.half_damp
-        self.phase = _phase(state.k1, _profile(flow, state.grid_size), dt)
-
-    def diffuse(self, data: np.ndarray, half: bool) -> np.ndarray:
-        coeffs = np.fft.fft(data, axis=-1)
-        coeffs *= self.half_damp if half else self.full_damp
-        return np.fft.ifft(coeffs, axis=-1)
-
-    def advect(self, data: np.ndarray) -> np.ndarray:
-        return data * self.phase
-
-
-def cts_step(state: CtsState, flow: ShearFlow, dt: float) -> CtsState:
-    """One Strang step: half diffusion, exact advection, half diffusion."""
-    _check_positive(dt, "dt")  # before evolve_cts, which would read a bad dt as a bad time
-    return evolve_cts(state, flow, dt, dt_target=dt)  # dt / dt is exactly 1: one step of length dt
-
-
-def evolve_cts(
-    state: CtsState,
-    flow: ShearFlow,
-    t: float,
-    dt_target: float = 0.02,
-) -> CtsState:
-    """Advance the state by time t with merged Strang substeps (the FFT collocation oracle).
-
-    Consecutive diffusion half-steps are fused into full steps, halving
-    the FFT count; the endpoint state is the exact Strang composition.  One
-    step is the unfused Strang step of ``cts_step``.  The splitting is
-    second order, so the endpoint tends to exp(t L) applied band by band
-    (``_Ladder``) as dt -> 0; nothing on the dissipation time's path calls
-    this solver.
-    """
-    steps, dt = _steps(t, dt_target)
-    stepper = _Stepper(flow, state, dt)
-    data = stepper.diffuse(state.data, half=True)
-    for s in range(steps):
-        data = stepper.advect(data)
-        data = stepper.diffuse(data, half=(s == steps - 1))
-    return CtsState(state.convention, state.nu, state.k1, data)
 
 
 def advect_exact(state: CtsState, flow: ShearFlow, t: float) -> CtsState:
@@ -376,6 +320,12 @@ class _Ladder:
         return x
 
 
+def _live(state: CtsState) -> Tuple[np.ndarray, CtsState]:
+    """(mask, view) of the state's nonzero bands: bands never couple under a shear, so a zero band stays zero."""
+    live = np.any(state.data != 0, axis=-1)
+    return live, CtsState(state.convention, state.nu, state.k1[live], state.data[live])
+
+
 def _fourier_path(state: CtsState, flow: ShearFlow, h: float, steps: int):
     """The state's Fourier coefficients at 0, h, ..., steps h, stepped by exp(h L) on each signed band.
 
@@ -383,28 +333,50 @@ def _fourier_path(state: CtsState, flow: ShearFlow, h: float, steps: int):
     (every sine-series shear) c is carried as a real (bands, M, 2) array of
     its real and imaginary parts, so nothing is promoted to complex;
     otherwise as a complex (bands, M, 1) array.  ``c.view(complex)[..., 0]``
-    is the complex (bands, M) array either way.
+    is the complex (bands, M) array either way.  A state without bands
+    gives empty arrays.
     """
-    ladder = _Ladder(flow, state, h)
-    step = np.stack([ladder(i, h) for i in range(state.k1.size)])
+    ladder, n, m = _Ladder(flow, state, h), state.k1.size, state.grid_size
+    step = np.reshape([ladder(i, h) for i in range(n)], (n, m, m))  # np.stack refuses no bands
     c = state.spectral()
     c = np.stack([c.real, c.imag], axis=-1) if ladder.real else c[..., None]
     return itertools.accumulate(itertools.repeat(step, steps), lambda c, s: s @ c, initial=c)
 
 
+def evolve_cts(state: CtsState, flow: ShearFlow, t: float) -> CtsState:
+    """The state at time t > 0 under exp(t L), the map that ``tau_d_cts`` decides.
+
+    Each nonzero band's Fourier coefficients are mapped by its exp(t L)
+    (``_fourier_path``, one map per band) and read back in collocation
+    values by one inverse FFT.  A zero band stays zero and its map is never
+    built, so a state without a nonzero band comes back as it is.
+    """
+    _check_positive(t, "t")
+    live, view = _live(state)
+    *_, c = _fourier_path(view, flow, t, 1)
+    data = state.data.astype(complex)
+    data[live] = np.fft.ifft(c.view(complex)[..., 0], axis=-1) * state.grid_size
+    return CtsState(state.convention, state.nu, state.k1, data)
+
+
 def energy_identity_defects(state: CtsState, flow: ShearFlow, t: float, dt: float) -> np.ndarray:
     """Per-step trapezoid defect of d/dt ||theta||^2 + 2 nu ||theta||_1^2 = 0.
 
-    Reads the map that ``tau_d_cts`` decides: the coefficients of
-    ``_fourier_path``, stepped by exp(h L) per band (``_Ladder``), with
-    h = t / ceil(t / dt).  Each state's energy E_i and H^1 norm H_i are
-    read from its coefficients by Parseval, and the defect of step i is
+    Reads the map that ``tau_d_cts`` decides: the coefficients of the
+    state's nonzero bands (``_live``), stepped by exp(h L) per band
+    (``_fourier_path``), with h = t / ceil(t / dt); t and dt must be finite
+    and positive.  Each state's energy E_i and H^1 norm H_i are read from
+    its coefficients by Parseval, and the defect of step i is
     |E_(i+1) - E_i + nu h (H_i + H_(i+1))|.  The semi-discrete flow meets
     the identity exactly, so the defect is the trapezoid rule's error on
     the integral of 2 nu H over the step: O(h^3) locally, O(h^2) summed,
     which ``verify cts`` and the tests check by halving dt.
     """
-    steps, h = _steps(t, dt)
+    _check_positive(t, "t")
+    _check_positive(dt, "dt")
+    steps = max(1, math.ceil(t / dt))
+    h = t / steps
+    _, state = _live(state)
     eigenvalues = state.eigenvalues()[..., None]
     weights = (np.abs(c) ** 2 for c in _fourier_path(state, flow, h, steps))
     energy, h1 = np.array([(np.sum(w), np.sum(eigenvalues * w)) for w in weights]).T  # per state
@@ -648,19 +620,18 @@ def transport_gap_cts(state: CtsState, flow: ShearFlow, t: float) -> dict:
     and phi the exact nu = 0 shear flow;
     bound = (nu / (2 |grad u|)) exp(2 |grad u| t) ||theta_0||_1^2.
 
-    theta(t) is read from the map that ``tau_d_cts`` decides: exp(t L)
-    applied to each signed band's coefficients (``_fourier_path``, one map
-    per band), then one inverse FFT.  t must lie in (0, 10]; NaN and inf
-    are refused.
+    theta(t) is ``evolve_cts``, the map that ``tau_d_cts`` decides, and
+    both terms are read on the state's nonzero bands (``_live``): a zero
+    band adds nothing to either.  t must lie in (0, 10]; NaN and inf are
+    refused.
     """
     if not 0.0 < t <= 10.0:
         raise ValueError(f"t must lie in (0, 10], got {t}")
     grad = flow.grad_norm
     if grad == 0:
         raise ValueError("the transport gap bound nu / (2 |grad u|) needs a flow with grad_norm > 0, got 0")
-    *_, c = _fourier_path(state, flow, t, 1)
-    evolved = np.fft.ifft(c.view(complex)[..., 0], axis=-1) * state.grid_size
-    diff = evolved - advect_exact(state, flow, t).data
+    _, state = _live(state)
+    diff = evolve_cts(state, flow, t).data - advect_exact(state, flow, t).data
     gap_sq = float(np.sum(np.abs(diff) ** 2) / state.grid_size)
     bound = state.nu / (2.0 * grad) * math.exp(2.0 * grad * t) * state.h1_norm_sq()
     return {"gap_sq": gap_sq, "bound": bound}

@@ -221,7 +221,7 @@ def test_criterion_13_continuous_time(cts_results):
     d_coarse, d_fine = checks.cts_energy_defects(state, flow, 1.0, 0.02)
     second_order = 2.5 < d_coarse / d_fine < 6.0
 
-    gap = transport_gap_cts(checks.nonzero_bands(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, geo)), flow, 2.0)
+    gap = transport_gap_cts(CtsState.from_modes({(1, 0): 1.0}, 16, 64, 1e-3, geo), flow, 2.0)
     gap_ok = gap["gap_sq"] <= gap["bound"]
 
     fit = line_fit(np.log(nus), np.log(taus))

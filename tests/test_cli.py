@@ -1068,6 +1068,19 @@ def test_weak_bounds_refuse_a_tabulated_rate_below_the_weak_floor(tmp_path, caps
                     "--out", str(tmp_path / "H1.csv")]) == 0
 
 
+def test_tabulated_H3_is_infeasible_where_its_level_lies_below_the_last_sample(tmp_path):
+    # the rate holds h_N = 0.25 past its last sample, so t(H) = +inf once
+    # level(H) = 1 / (2 H) < 0.25: at nu = 1e-8 the bounds once wrote
+    # H = 22.507 and bound 8.0e7, 11x too small, from t = 4, the last sample time
+    path, out = tmp_path / "rate.json", tmp_path / "H3.csv"
+    path.write_text(json.dumps({"t": [1, 2, 4], "h": [1.0, 0.5, 0.25]}))
+    assert run_cli(["bounds", "--which", "H3", "--rate", f"file:{path}", "--grad-u", "1",
+                    "--nu-grid", "1e-8:1e-2:3", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert rows[0, 1:] == pytest.approx([2.0, 9.0e8], rel=1e-9)
+    assert rows[1:, 1] == pytest.approx([1.4391156829893594, 1.0], rel=1e-12)
+
+
 @pytest.mark.parametrize("times", [[-2, -1, 3], [0, 1, 3]], ids=["negative", "zero"])
 @pytest.mark.parametrize("which", ["H1", "H2", "H3", "H4"])
 def test_bounds_refuse_tabulated_rate_times_at_or_below_zero(tmp_path, capsys, which, times):

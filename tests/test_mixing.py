@@ -44,6 +44,14 @@ def test_rate_function_kinds():
     assert t.inverse(0.25) == pytest.approx(4.0)
 
 
+def test_tabulated_inverse_is_0_and_inf_on_the_flat_ends():
+    # h holds h_0 before the first sample and h_N past the last; the ends
+    # once returned the first and the last sample time
+    t = RateFunction.tabulated([1, 2, 4], [1.0, 0.5, 0.25])
+    assert [t.inverse(y) for y in (2.0, 1.0, 0.25)] == [0.0, 0.0, 4.0]
+    assert t.inverse(math.nextafter(0.25, 0.0)) == math.inf and t.inverse(1e-3) == math.inf
+
+
 def test_power_rate_inverse_past_every_float_is_inf():
     # (c / y)^(1/p) = (2e100)^4 overflows: the rate never drops to y within a float
     h = RateFunction.power(2.0, 0.25)

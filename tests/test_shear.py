@@ -14,7 +14,6 @@ from disslab.shear import (
     advect_exact,
     cts_norm,
     cts_norm_reaches,
-    cts_step,
     energy_identity_defects,
     evolve_cts,
     shear_correlation,
@@ -72,6 +71,21 @@ def _generator(flow, state, i):
 def _band_norm(state, flow, t, i):
     # the 2-norm of exp(t L) on the signed band state.k1[i], by the reference exponential
     return np.linalg.norm(_expm(t * _generator(flow, state, i)), 2)
+
+
+def _strang(state, flow, t, dt):
+    # the FFT collocation solver of the Strang splitting of the same
+    # semi-discrete flow, an oracle independent of the ladder: half diffusion,
+    # exact advection, half diffusion per step of t / ceil(t / dt), with the
+    # two half diffusions between consecutive advections fused into one
+    steps = max(1, math.ceil(t / dt))
+    h, m = t / steps, state.grid_size
+    half = np.exp(-state.nu * state.eigenvalues() * h / 2.0)
+    phase = np.exp(-2j * math.pi * h * state.k1[:, None] * flow.values(np.arange(m) / m))
+    data = np.fft.ifft(np.fft.fft(state.data, axis=-1) * half, axis=-1)
+    for s in range(steps):
+        data = np.fft.ifft(np.fft.fft(data * phase, axis=-1) * (half if s == steps - 1 else half * half), axis=-1)
+    return CtsState(state.convention, state.nu, state.k1, data)
 
 
 def test_grad_norm(flow):
@@ -137,9 +151,9 @@ def test_strang_matrices_past_physical_memory_are_a_validation_error(conv, cappe
     # 2 bands at M = 2^16: one matrix is 2^32 entries, about 34 GB in
     # float64; 2^b = 2^-27 at this stiffness, so 22 rungs per band reach
     # h = 0.02 and 28 reach t = 1, priced with the generators, the maps and
-    # the kernel
+    # the kernel.  Only nonzero bands are built, so both bands carry a mode
     flow = cli._parse_shear(shear_spec)
-    state = CtsState.from_modes({(1, 0): 1.0}, 1, 2**16, 1e-3, conv)
+    state = CtsState.from_modes({(1, 0): 1.0, (-1, 0): 1.0}, 1, 2**16, 1e-3, conv)
     message = "band exponentials of 2 bands at M = 65536 needing"
     with pytest.raises(ValueError, match=message + " 3985.7 GB"):
         energy_identity_defects(state, flow, 1.0, 0.02)
@@ -151,7 +165,7 @@ def test_grid_guard(conv):
     wide = ShearFlow(sin_coeffs=tuple([0.0] * 15 + [1.0]))
     state = CtsState.from_modes({(1, 0): 1.0}, 4, 64, 1e-2, conv)
     with pytest.raises(ValueError, match="under-resolves"):
-        cts_step(state, wide, 0.01)
+        evolve_cts(state, wide, 0.01)
 
 
 def test_zero_band_excluded(conv):
@@ -164,7 +178,7 @@ def test_zero_band_excluded(conv):
 
 def test_inviscid_evolution_is_transport(flow, conv):
     state = make_state(conv, 0.0)
-    out = evolve_cts(state, flow, 1.3, dt_target=0.01)
+    out = evolve_cts(state, flow, 1.3)
     exact = advect_exact(state, flow, 1.3)
     assert np.max(np.abs(out.data - exact.data)) < 1e-12
 
@@ -172,7 +186,7 @@ def test_inviscid_evolution_is_transport(flow, conv):
 def test_pure_heat_band_decay(conv):
     still = ShearFlow()
     state = CtsState.from_modes({(1, 0): 1.0}, 4, 64, 1e-2, conv)
-    out = evolve_cts(state, still, 2.0, dt_target=0.01)
+    out = evolve_cts(state, still, 2.0)
     lam = conv.eigenvalue((1, 0))
     assert out.energy() == pytest.approx(math.exp(-2 * 1e-2 * lam * 2.0), rel=1e-10)
 
@@ -180,16 +194,17 @@ def test_pure_heat_band_decay(conv):
 def test_heat_with_y_mode(conv):
     still = ShearFlow()
     state = CtsState.from_modes({(2, 3): 1.0}, 4, 64, 1e-2, conv)
-    out = evolve_cts(state, still, 0.5, dt_target=0.005)
+    out = evolve_cts(state, still, 0.5)
     lam = conv.eigenvalue((2, 3))
     assert out.energy() == pytest.approx(math.exp(-2 * 1e-2 * lam * 0.5), rel=1e-10)
 
 
 def test_self_convergence_second_order(flow, conv):
+    # the Strang oracle converges to the exact map at second order
     state = make_state(conv, 1e-2)
-    ref = evolve_cts(state, flow, 1.0, dt_target=0.0025)
-    err_coarse = np.sqrt(np.sum(np.abs(evolve_cts(state, flow, 1.0, dt_target=0.02).data - ref.data) ** 2))
-    err_fine = np.sqrt(np.sum(np.abs(evolve_cts(state, flow, 1.0, dt_target=0.01).data - ref.data) ** 2))
+    ref = evolve_cts(state, flow, 1.0)
+    err_coarse = np.sqrt(np.sum(np.abs(_strang(state, flow, 1.0, 0.02).data - ref.data) ** 2))
+    err_fine = np.sqrt(np.sum(np.abs(_strang(state, flow, 1.0, 0.01).data - ref.data) ** 2))
     assert err_coarse / err_fine == pytest.approx(4.0, rel=0.4)
 
 
@@ -209,7 +224,7 @@ def test_advection_is_isometry(flow, conv):
 def test_trivial_decay_bound(flow, conv):
     state = make_state(conv, 1e-2)
     lam1 = state.lambda_1()
-    out = evolve_cts(state, flow, 2.0, dt_target=0.01)
+    out = evolve_cts(state, flow, 2.0)
     assert out.energy() <= state.energy() * math.exp(-2 * 1e-2 * lam1 * 2.0) * (1 + 1e-9)
 
 
@@ -361,6 +376,54 @@ def test_transport_gap_matches_the_evolved_gap(conv, shear_spec):
     diff = np.array(evolved) - advect_exact(state, flow, 2.0).data
     want = float(np.sum(np.abs(diff) ** 2) / state.grid_size)
     assert transport_gap_cts(state, flow, 2.0)["gap_sq"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shear_spec, nu, t", [
+    ("sin", 1e-2, 1.3),
+    ("coeffs:0,1,0,-0.5,0,0.25", 1e-3, 2.0),
+    ("coeffs:0.3,1,0.2,-0.5", 3e-3, 0.7),
+])
+def test_evolve_cts_is_the_exponential_of_each_band_generator(conv, shear_spec, nu, t):
+    # each band's coefficients mapped by the reference exponential of its
+    # generator and read back in collocation values; bands 3 and -2 are zero
+    flow = cli._parse_shear(shear_spec)
+    state = CtsState.from_modes({(1, 0): 1.0, (-1, 2): 0.5j, (2, 1): 0.3, (-3, -1): 0.2}, 3, 64, nu, conv)
+    want = [np.fft.ifft(_expm(t * _generator(flow, state, i)) @ c) * 64 for i, c in enumerate(state.spectral())]
+    assert np.max(np.abs(evolve_cts(state, flow, t).data - np.array(want))) <= 1e-12
+
+
+def test_a_state_without_a_nonzero_band_comes_back_as_it_is(flow, conv, built_bands):
+    # zero bands are skipped; with none left nothing is built or stacked,
+    # and the energy check keeps one defect per step
+    zero = CtsState.from_modes({}, 2, 32, 1e-2, conv)
+    out = evolve_cts(zero, flow, 1.0)
+    assert (out.nu, out.k1.tolist(), out.data.tobytes()) == (zero.nu, zero.k1.tolist(), zero.data.tobytes())
+    assert energy_identity_defects(zero, flow, 1.0, 0.25).tolist() == [0.0] * 4
+    assert transport_gap_cts(zero, flow, 1.0) == {"gap_sq": 0.0, "bound": 0.0}
+    assert built_bands == []
+
+
+@pytest.mark.parametrize("shear_spec", ["sin", "coeffs:0.3,1"])
+def test_checks_on_a_full_state_equal_those_on_its_nonzero_bands(conv, shear_spec):
+    # the K1 = 16 state of verify cts against its two nonzero bands, bit for bit
+    flow = cli._parse_shear(shear_spec)
+    full = CtsState.from_modes({(1, 0): 1.0, (2, 1): 0.5}, 16, 64, 1e-2, conv)
+    rows = np.isin(full.k1, [1, 2])
+    live = CtsState(conv, 1e-2, full.k1[rows], full.data[rows])
+    assert energy_identity_defects(full, flow, 1.0, 0.02).tobytes() == (
+        energy_identity_defects(live, flow, 1.0, 0.02).tobytes())
+    assert transport_gap_cts(full, flow, 2.0) == transport_gap_cts(live, flow, 2.0)
+    evolved = evolve_cts(full, flow, 1.0).data
+    assert evolved[rows].tobytes() == evolve_cts(live, flow, 1.0).data.tobytes()
+    assert not evolved[~rows].any()
+
+
+def test_only_nonzero_bands_build_maps(flow, conv, built_bands):
+    full = CtsState.from_modes({(1, 0): 1.0, (-2, 1): 0.5}, 16, 64, 1e-2, conv)
+    evolve_cts(full, flow, 1.0)
+    energy_identity_defects(full, flow, 1.0, 0.02)
+    transport_gap_cts(full, flow, 2.0)
+    assert built_bands == [-2, 1] * 3
 
 
 def test_tau_d_cts_evaluates_each_time_once(flow, conv, monkeypatch):
@@ -648,13 +711,13 @@ def test_transport_gap_refuses_a_flow_without_gradient(conv, still):
 @pytest.mark.parametrize("dt", [0.0, -0.02, math.inf, math.nan])
 def test_time_step_must_be_finite_and_positive(flow, conv, dt):
     state = make_state(conv, 1e-2)
-    # the FFT oracle and the energy check take a time step; nothing else does
-    with pytest.raises(ValueError, match="dt must be finite and positive"):
-        evolve_cts(state, flow, 1.0, dt_target=dt)
+    # the energy check alone takes a time step; evolve_cts refuses the same values as a time
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         energy_identity_defects(state, flow, 1.0, dt)
-    with pytest.raises(ValueError, match="dt must be finite and positive"):
-        cts_step(state, flow, dt)
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        energy_identity_defects(state, flow, dt, 0.02)
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        evolve_cts(state, flow, dt)
 
 
 def test_tau_d_cts_resolved_in_truncation(conv):
@@ -757,7 +820,7 @@ def test_transport_gap_refuses_a_time_outside_its_range(flow, conv, t):
 
 
 def test_cts_norm_is_the_dt_to_0_limit_of_the_fft_solver(flow, conv):
-    # the FFT Strang oracle's dense map converges to exp(t L) at second
+    # the dense map of the Strang oracle converges to exp(t L) at second
     # order: its norm errors at dt, dt/2 and dt/4 shrink by about 4
     template = CtsState.from_modes({}, k1_max=2, grid_size=32, nu=1e-2, convention=conv)
     exact = cts_norm(template, flow, 1.0)
@@ -768,7 +831,7 @@ def test_cts_norm_is_the_dt_to_0_limit_of_the_fft_solver(flow, conv):
             unit = np.zeros(template.data.size, dtype=complex)
             unit[j] = 1.0
             start = CtsState(conv, 1e-2, template.k1, unit.reshape(template.data.shape))
-            columns.append(evolve_cts(start, flow, 1.0, dt_target=dt).data.ravel())
+            columns.append(_strang(start, flow, 1.0, dt).data.ravel())
         errors.append(abs(np.linalg.norm(np.array(columns).T, 2) - exact))
     assert 3.0 <= errors[0] / errors[1] <= 5.0
     assert 3.0 <= errors[1] / errors[2] <= 5.0
